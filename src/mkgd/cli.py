@@ -12,7 +12,7 @@ import sys
 
 from . import data as D
 from .config import RunConfig, make_run_config
-from .dialogue import DialogueGoal, KnowledgeGraph, KnowledgeTriplet, START_MARKER
+from .dialogue import START_MARKER
 from .errors import ContractError, DataError, DimensionError, NumericError, VocabError
 from .meta import TaskSampler, TrainingLog, adapt, meta_train, supervised_train
 from .metrics import Evaluator
@@ -60,9 +60,6 @@ def _add_config_flags(parser):
                    help="early-stop patience in episodes (config default 10, desk preset 8)")
     g.add_argument("--clip-norm", type=float, default=None, dest="clip_norm",
                    help="global gradient-norm clip, <= 0 disables (config default 5.0)")
-    g.add_argument("--per-task-copies", action="store_const", const=True, default=None,
-                   dest="per_task_copies",
-                   help="classic per-task-copy first-order variant (config default off)")
     g.add_argument("--w-kl", type=float, default=None, dest="w_kl",
                    help="selection-KL loss weight (config default 1.0)")
     g.add_argument("--w-nll", type=float, default=None, dest="w_nll",
@@ -144,8 +141,7 @@ def cmd_meta_train(args):
     sampler = TaskSampler(train_tasks, seed=cfg.seed)
 
     model, result = meta_train(model, sampler, mcfg, val_tasks)
-    extra = result.meta_state.to_entries() if hasattr(result.meta_state, "to_entries") else None
-    save_checkpoint(args.checkpoint_out, model.store, extra=extra)
+    save_checkpoint(args.checkpoint_out, model.store)
     result.log.write(args.log_out)
     if result.diverged:
         print("training diverged; best checkpoint retained", file=sys.stderr)
@@ -202,19 +198,13 @@ def cmd_adapt_eval(args):
         with open(args.report_out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     print(payload)
-    print(f"token_f1 pre={pre.mean_token_f1():.4f} post={post.mean_token_f1():.4f}",
-          file=sys.stderr)
     return 0
 
 
 def cmd_chat(args):
     cfg = _config_from_args(args)
     model = _load_model(args.checkpoint, args.vocab, cfg.loss_weights())
-    with open(args.graph, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    goal = DialogueGoal(tuple(obj["goal"]))
-    graph = KnowledgeGraph([KnowledgeTriplet(h, r, t) for h, r, t in obj["knowledge"]],
-                           goal)
+    graph = D.load_graph(args.graph)
 
     if args.script:
         lines = open(args.script, encoding="utf-8").read().splitlines()

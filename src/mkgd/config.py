@@ -37,7 +37,6 @@ class RunConfig:
     max_episodes: int = 100
     early_stop_patience: int = 10
     clip_norm: float = 5.0
-    per_task_copies: bool = False
     # loss-term weights
     w_kl: float = 1.0
     w_nll: float = 1.0
@@ -53,7 +52,7 @@ class RunConfig:
             inner_optimizer=self.inner_optimizer, meta_optimizer=self.meta_optimizer,
             max_episodes=self.max_episodes,
             early_stop_patience=self.early_stop_patience,
-            clip_norm=self.clip_norm, per_task_copies=self.per_task_copies,
+            clip_norm=self.clip_norm,
         )
 
     def loss_weights(self):
@@ -78,12 +77,6 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 def _coerce(name, raw):
     field = _FIELDS[name]
-    if field.type in ("bool", bool):
-        if str(raw).lower() in ("1", "true", "yes"):
-            return True
-        if str(raw).lower() in ("0", "false", "no"):
-            return False
-        raise DataError(f"config key {name!r}: cannot parse {raw!r} as bool")
     try:
         if field.type in ("int", int):
             return int(raw)

@@ -101,15 +101,39 @@ class DuConvRecord:
     response: str | None = None
 
     def graph(self):
-        goal = DialogueGoal(tuple(self.goal))
-        triplets = [KnowledgeTriplet(h, r, t) for h, r, t in self.knowledge]
-        return KnowledgeGraph(triplets, goal)
+        return _graph(self.goal, self.knowledge)
 
 
-def _require(obj, key, lineno):
+def _graph(goal, knowledge):
+    triplets = [KnowledgeTriplet(h, r, t) for h, r, t in knowledge]
+    return KnowledgeGraph(triplets, DialogueGoal(tuple(goal)))
+
+
+def _require(obj, key, where):
     if key not in obj:
-        raise SchemaError(f"line {lineno}: missing field {key!r}")
+        raise SchemaError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _is_strings(items, n):
+    return isinstance(items, list) and len(items) == n and all(isinstance(x, str) for x in items)
+
+
+def _graph_fields(obj, where):
+    """Validate a JSON object's 'goal' and 'knowledge'; return them.
+
+    Raises SchemaError prefixed with ``where`` (a line or file name).
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: record must be an object")
+    goal = _require(obj, "goal", where)
+    if not (_is_strings(goal, 3) and goal[0] == START_MARKER):
+        raise SchemaError(f"{where}: field 'goal' must be [{START_MARKER!r}, a, b]")
+    knowledge = _require(obj, "knowledge", where)
+    if not (isinstance(knowledge, list) and knowledge
+            and all(_is_strings(k, 3) for k in knowledge)):
+        raise SchemaError(f"{where}: field 'knowledge' must be non-empty [h, r, t] triples")
+    return goal, knowledge
 
 
 def parse_duconv(lines):
@@ -123,15 +147,8 @@ def parse_duconv(lines):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise SchemaError(f"line {lineno}: record must be an object")
-
-        goal = _require(obj, "goal", lineno)
-        if not (isinstance(goal, list) and len(goal) == 3 and goal[0] == START_MARKER):
-            raise SchemaError(f"line {lineno}: field 'goal' must be [{START_MARKER!r}, a, b]")
-        knowledge = _require(obj, "knowledge", lineno)
-        if not knowledge or not all(isinstance(k, list) and len(k) == 3 for k in knowledge):
-            raise SchemaError(f"line {lineno}: field 'knowledge' must be non-empty [h, r, t] triples")
+        where = f"line {lineno}"
+        goal, knowledge = _graph_fields(obj, where)
 
         has_conv = "conversation" in obj
         has_test = "history" in obj or "response" in obj
@@ -145,8 +162,8 @@ def parse_duconv(lines):
                 raise SchemaError(f"line {lineno}: field 'conversation' must be non-empty strings")
             records.append(DuConvRecord(goal=goal, knowledge=knowledge, conversation=conv))
         else:
-            history = _require(obj, "history", lineno)
-            response = _require(obj, "response", lineno)
+            history = _require(obj, "history", where)
+            response = _require(obj, "response", where)
             if not isinstance(history, list) or not isinstance(response, str) or not response:
                 raise SchemaError(f"line {lineno}: fields 'history'/'response' malformed")
             records.append(DuConvRecord(goal=goal, knowledge=knowledge,
@@ -211,18 +228,6 @@ def records_to_samples(records, vocab):
         else:
             samples.append(_make_sample(rec.history, rec.response, graph, vocab))
     return samples
-
-
-def record_token_stream(records):
-    for rec in records:
-        yield from rec.goal
-        for h, r, t in rec.knowledge:
-            for part in (h, r, t):
-                yield from tokenize(part)
-        utterances = rec.conversation if rec.conversation is not None \
-            else list(rec.history) + [rec.response]
-        for utt in utterances:
-            yield from tokenize(utt)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +347,7 @@ def synth_vocab(raw_tasks, max_size=200):
 
 
 def raw_task_to_samples(raw, vocab):
-    goal = DialogueGoal(tuple(raw.goal))
-    graph = KnowledgeGraph([KnowledgeTriplet(h, r, t) for h, r, t in raw.knowledge], goal)
+    graph = _graph(raw.goal, raw.knowledge)
     return [
         _make_sample([s["history"]], s["response"], graph, vocab, gold=s["gold"])
         for s in raw.samples
@@ -402,12 +406,40 @@ def load_task_pool(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from exc
-            for key in ("task_id", "goal", "knowledge", "samples"):
-                if key not in obj:
-                    raise SchemaError(f"{path} line {lineno}: missing field {key!r}")
-            raw_tasks.append(RawTask(task_id=obj["task_id"], goal=obj["goal"],
-                                     knowledge=obj["knowledge"], samples=obj["samples"]))
+            where = f"{path} line {lineno}"
+            goal, knowledge = _graph_fields(obj, where)
+            task_id = _require(obj, "task_id", where)
+            if type(task_id) is not int:
+                raise SchemaError(f"{where}: field 'task_id' must be an integer")
+            samples = _require(obj, "samples", where)
+            _check_samples(samples, len(knowledge), where)
+            raw_tasks.append(RawTask(task_id=task_id, goal=goal,
+                                     knowledge=knowledge, samples=samples))
     return raw_tasks
+
+
+def _check_samples(samples, n_triplets, where):
+    if not isinstance(samples, list):
+        raise SchemaError(f"{where}: field 'samples' must be a list")
+    # One expression per sample: pools hold thousands of samples.
+    for i, s in enumerate(samples):
+        if not (type(s) is dict and type(s.get("history")) is str
+                and type(s.get("response")) is str and type(s.get("gold")) is int
+                and 0 <= s["gold"] < n_triplets):
+            raise SchemaError(
+                f"{where} sample {i}: needs string 'history' and 'response' "
+                f"and an integer 'gold' below {n_triplets}"
+            )
+
+
+def load_graph(path):
+    """Read a knowledge graph file: one JSON object with 'goal' and 'knowledge'."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    return _graph(*_graph_fields(obj, path))
 
 
 def split_pool(raw_tasks, seed=0, fractions=(0.70, 0.15, 0.15)):

@@ -116,10 +116,6 @@ class AttentionLayer:
         self.query_dim = query_dim
         self.key_dim = key_dim
 
-    def score(self, query, key):
-        pre = T.add(T.matmul(T.concat([query, key]), self.W), self.b)
-        return T.reshape(T.sum_(T.mul(self.v, T.tanh(pre))), (1,))
-
     def scores_stacked(self, query, key_stack):
         """Score every row of a (n, key_dim) stack against one query."""
         n = key_stack.shape[0]
@@ -135,19 +131,17 @@ def build_attention(store, prefix, query_dim, key_dim, att_dim):
     return AttentionLayer(W, b, v, query_dim, key_dim)
 
 
-def attend(layer, query, keys, key_stack=None):
-    """Soft attention over a key sequence.
+def attend(layer, query, key_stack):
+    """Soft attention over the rows of a (n, key_dim) key stack.
 
     Returns (context, weights) with weights = softmax of additive scores and
     context = sum_i weights_i * key_i. Callers looping over a fixed key set
-    may pass a prebuilt stack(keys) to reuse it across calls.
+    build the stack once and reuse it across calls.
     """
-    if keys is not None and not keys:
+    if not key_stack.shape[0]:
         raise ContractError("attend with no keys")
     if query.shape != (layer.query_dim,):
         raise DimensionError(f"attention query shape {query.shape}, expected ({layer.query_dim},)")
-    if key_stack is None:
-        key_stack = T.stack(keys)
     weights = T.softmax(layer.scores_stacked(query, key_stack))
     context = T.matmul(weights, key_stack)
     return context, weights
@@ -164,10 +158,6 @@ class Mlp:
     @property
     def input_dim(self):
         return self.dims[0]
-
-    @property
-    def output_dim(self):
-        return self.dims[-1]
 
 
 def build_mlp(store, prefix, dims):

@@ -3,8 +3,7 @@
 The meta step runs the inner updates for the whole task batch IN SEQUENCE on
 one shared, evolving parameter store (no per-task copies), then takes a
 single first-order optimizer step on the summed query losses evaluated at
-the resulting parameters. A classic per-task-copy variant is available
-behind MetaConfig.per_task_copies purely as a comparison arm.
+the resulting parameters.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class MetaConfig:
     max_episodes: int = 100
     early_stop_patience: int = 10
     clip_norm: float = 5.0
-    per_task_copies: bool = False  # classic first-order variant, comparison only
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
@@ -192,35 +190,14 @@ def meta_batch_step(model, batch, cfg, meta_state=None):
         touched.update(id(s) for s in task.query)
 
     support_rows = {}
-    if cfg.per_task_copies:
-        base = model.store.snapshot()
-        accum = None
-        per_task = []
-        for task in batch:
-            model.store.restore(base)
-            _, _, stats = inner_update(model, task, cfg)
-            if stats is not None:
-                support_rows[id(task)] = mean_loss_components(stats)
-            grads, q_stats = _batch_grads(model, task.query)
-            per_task.append(mean_loss_components(q_stats))
-            if accum is None:
-                accum = {name: g.values.copy() for name, g in grads.items()}
-            else:
-                for name, g in grads.items():
-                    accum[name] += g.values
-        model.store.restore(base)
-        meta_loss = sum(row["total"] for row in per_task)
-        _opt_step(cfg.meta_optimizer, model.store, accum, meta_state,
-                  cfg.beta, cfg.clip_norm)
-    else:
-        inner_state = _make_state(cfg.inner_optimizer, model.store)
-        for task in batch:
-            _, inner_state, stats = inner_update(model, task, cfg, inner_state)
-            if stats is not None:
-                support_rows[id(task)] = mean_loss_components(stats)
-        grads, per_task, meta_loss = _query_grads(model, batch)
-        _opt_step(cfg.meta_optimizer, model.store, grads, meta_state,
-                  cfg.beta, cfg.clip_norm)
+    inner_state = _make_state(cfg.inner_optimizer, model.store)
+    for task in batch:
+        _, inner_state, stats = inner_update(model, task, cfg, inner_state)
+        if stats is not None:
+            support_rows[id(task)] = mean_loss_components(stats)
+    grads, per_task, meta_loss = _query_grads(model, batch)
+    _opt_step(cfg.meta_optimizer, model.store, grads, meta_state,
+              cfg.beta, cfg.clip_norm)
 
     stats = EpisodeStats(n_samples=len(touched), meta_loss=meta_loss)
     for task, q_row in zip(batch, per_task):
@@ -270,7 +247,6 @@ class TrainResult:
     episodes: int = 0
     best_val: float = float("nan")
     diverged: bool = False
-    meta_state: object = None  # final-episode optimizer state, for resuming
 
 
 def meta_train(model, sampler, cfg, val_tasks=None):
@@ -321,7 +297,6 @@ def meta_train(model, sampler, cfg, val_tasks=None):
 
     model.store.restore(best_snap)
     result.best_val = best_val if best_val != float("inf") else float("nan")
-    result.meta_state = meta_state
     return model, result
 
 

@@ -3,9 +3,9 @@ knowledge-selection accuracy.
 
 BLEU is sentence-level with brevity penalty and no smoothing, averaged over
 the corpus; a pair whose highest-order precision is zero contributes zero.
-F1 is computed over character multisets (a token-level variant is available
-for logging). Perplexity scores teacher-forced responses with prior-fused
-knowledge so the response never informs its own score.
+F1 is computed over character multisets. ``Evaluator`` reports perplexity
+from teacher-forced responses scored with prior-fused knowledge, so the
+response never informs its own score.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .errors import ContractError
 
 
 def _as_tokens(x):
@@ -90,33 +90,6 @@ def char_f1(hypothesis, reference):
     return 2.0 * common / (len(hypothesis) + len(reference))
 
 
-def token_f1(hypothesis, reference):
-    """char_f1's token-level sibling; logged alongside but not reported."""
-    hyp = _as_tokens(hypothesis)
-    ref = _as_tokens(reference)
-    if not hyp or not ref:
-        return 0.0
-    hyp_counts = Counter(hyp)
-    ref_counts = Counter(ref)
-    common = sum(min(count, ref_counts[t]) for t, count in hyp_counts.items())
-    return 2.0 * common / (len(hyp) + len(ref))
-
-
-def perplexity(model, samples):
-    """exp of the corpus mean per-token negative log-likelihood."""
-    if not samples:
-        raise ContractError("perplexity over zero samples")
-    nll_sum = 0.0
-    token_sum = 0
-    for sample in samples:
-        result = model.score(sample)
-        nll_sum += result[0]
-        token_sum += result[1]
-    if not math.isfinite(nll_sum):
-        raise NumericError("non-finite NLL while computing perplexity")
-    return math.exp(nll_sum / token_sum)
-
-
 def selection_accuracy(priors, gold_indices):
     """Fraction of samples whose highest-prior triplet is the gold one."""
     if len(priors) != len(gold_indices):
@@ -146,10 +119,6 @@ class EvalReport:
     def to_json(self):
         return json.dumps(asdict(self))
 
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
-
 
 class Evaluator:
     """Accumulates generation/scoring results across (possibly adapted) models."""
@@ -163,7 +132,6 @@ class Evaluator:
         self.priors = []
         self.golds = []
         self.n = 0
-        self.token_f1_sum = 0.0
 
     def add(self, model, samples):
         for sample in samples:
@@ -176,7 +144,6 @@ class Evaluator:
             ref = model.vocab.decode(ref_ids)
             self.hyps.append(hyp)
             self.refs.append(ref)
-            self.token_f1_sum += token_f1(hyp, ref)
             if sample.gold_triplet is not None:
                 self.priors.append(prior)
                 self.golds.append(sample.gold_triplet)
@@ -198,6 +165,3 @@ class Evaluator:
             sel_acc=selection_accuracy(self.priors, self.golds) if self.priors else 0.0,
             n_samples=self.n,
         )
-
-    def mean_token_f1(self):
-        return self.token_f1_sum / self.n if self.n else 0.0

@@ -73,21 +73,16 @@ def kl_div_loss(posterior, prior):
     return T.sum_(T.mul(posterior, diff))
 
 
-def nll_loss(token_logits, response, knowledge_weight=None):
+def nll_loss(token_logits, response):
     """Teacher-forced cross entropy, summed (not averaged) over positions.
 
     The expectation over selected knowledge is realized upstream: the logits
-    are produced from the fused knowledge vector, so knowledge_weight is
-    accepted only for interface symmetry and sanity-checked when given.
+    are produced from the fused knowledge vector.
     """
     if len(token_logits) != len(response):
         raise ContractError(
             f"nll: {len(token_logits)} logit vectors for {len(response)} target tokens"
         )
-    if knowledge_weight is not None:
-        total = float(np.sum(knowledge_weight.values))
-        if abs(total - 1.0) > 1e-6:
-            raise ContractError(f"nll: knowledge weights sum to {total}, expected 1")
     picked = []
     for logits, target in zip(token_logits, response):
         vocab = logits.shape[0]
@@ -202,7 +197,7 @@ class DialogueModel:
     # -- decoding ----------------------------------------------------------
 
     def _decode_step(self, prev_token, hidden, key_stack, fused_knowledge):
-        context, _ = attend(self.att, hidden, None, key_stack=key_stack)
+        context, _ = attend(self.att, hidden, key_stack)
         x = T.concat([self.embed.lookup(prev_token), context, fused_knowledge])
         hidden = self.dec_cell.step(x, hidden)
         logits = T.add(T.matmul(self.out_W, hidden), self.out_b)
@@ -274,7 +269,7 @@ class DialogueModel:
 
         fused = self.fuse_knowledge(k_matrix, posterior)
         logits = self.decode_with_knowledge(history_states, fused, sample.response)
-        nll = nll_loss(logits, sample.response, knowledge_weight=posterior)
+        nll = nll_loss(logits, sample.response)
         bow = bow_loss(fused, sample.response, self.bow_mlp)
 
         w_kl, w_nll, w_bow = self.loss_weights

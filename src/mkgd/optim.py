@@ -59,39 +59,10 @@ def sgd_step(params, grads, lr):
 class AdamState:
     """First/second moment accumulators plus the shared step counter."""
 
-    def __init__(self, params, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params):
         self.t = 0
         self.m = {name: np.zeros_like(t.values) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.values) for name, t in params.items()}
-
-    def to_entries(self):
-        """Flatten into checkpoint entries under the '/adam/' prefix."""
-        entries = {
-            "/adam/t": np.float64(self.t),
-            "/adam/beta1": np.float64(self.beta1),
-            "/adam/beta2": np.float64(self.beta2),
-            "/adam/eps": np.float64(self.eps),
-        }
-        for name, vals in self.m.items():
-            entries[f"/adam/m/{name}"] = vals
-        for name, vals in self.v.items():
-            entries[f"/adam/v/{name}"] = vals
-        return entries
-
-    @classmethod
-    def from_entries(cls, entries, params):
-        state = cls(params,
-                    beta1=float(entries["beta1"]),
-                    beta2=float(entries["beta2"]),
-                    eps=float(entries["eps"]))
-        state.t = int(entries["t"])
-        for name in state.m:
-            state.m[name] = np.array(entries[f"m/{name}"], dtype=np.float64)
-            state.v[name] = np.array(entries[f"v/{name}"], dtype=np.float64)
-        return state
 
 
 def adam_step(params, grads, state, lr):
@@ -100,16 +71,16 @@ def adam_step(params, grads, state, lr):
         raise ContractError(f"lr must be positive, got {lr}")
     pairs = _grad_values(params, grads)
     state.t += 1
-    b1t = 1.0 - state.beta1 ** state.t
-    b2t = 1.0 - state.beta2 ** state.t
+    b1t = 1.0 - ADAM_BETA1 ** state.t
+    b2t = 1.0 - ADAM_BETA2 ** state.t
     for name, gv in pairs:
         if name not in state.m:
             raise ContractError(f"optimizer state missing parameter {name!r}")
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * gv
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * (gv * gv)
+        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * gv
+        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (gv * gv)
         state.m[name] = m
         state.v[name] = v
         m_hat = m / b1t
         v_hat = v / b2t
-        params.set_values(name, params[name].values - lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        params.set_values(name, params[name].values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     return params, state

@@ -2,13 +2,14 @@
 
 Checkpoint layout (binary, little-endian): the magic bytes ``MKGD1``, a u32
 entry count, then per entry a u32 name length, the UTF-8 name, a u32 rank,
-``rank`` u32 shape dims, and the row-major float64 payload. Optimizer state
-rides in the same container under a ``/adam/`` name prefix. Round-trips are
-bit-exact.
+``rank`` u32 shape dims, and the row-major float64 payload. Round-trips are
+bit-exact. Entries under the ``/adam/`` name prefix, written by older
+versions, are optimizer state; ``split_checkpoint`` sets them apart.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -98,14 +99,9 @@ class ParamStore:
         t.values = values
 
 
-def save_checkpoint(path, store, extra=None):
-    """Write a parameter store (plus optional extra named arrays) to disk."""
+def save_checkpoint(path, store):
+    """Write a parameter store to disk."""
     arrays = {name: t.values for name, t in store.items()}
-    if extra:
-        for name, vals in extra.items():
-            if name in arrays:
-                raise ContractError(f"extra entry collides with parameter {name!r}")
-            arrays[name] = np.asarray(vals, dtype=np.float64)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(arrays)))
@@ -127,26 +123,30 @@ def load_checkpoint(path):
         raise DataError(f"{path}: not a checkpoint (bad magic)")
     off = len(CHECKPOINT_MAGIC)
 
-    def read(fmt):
+    def take(size):
         nonlocal off
-        size = struct.calcsize(fmt)
         if off + size > len(data):
             raise DataError(f"{path}: truncated checkpoint")
-        vals = struct.unpack_from(fmt, data, off)
+        start = off
         off += size
-        return vals
+        return start
+
+    def read(fmt):
+        return struct.unpack_from(fmt, data, take(struct.calcsize(fmt)))
 
     (count,) = read("<I")
     arrays = {}
     for _ in range(count):
         (name_len,) = read("<I")
-        name = data[off:off + name_len].decode("utf-8")
-        off += name_len
+        start = take(name_len)
+        try:
+            name = data[start:off].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: entry name is not UTF-8") from exc
         (rank,) = read("<I")
         shape = tuple(read(f"<{rank}I")) if rank else ()
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = np.frombuffer(data, dtype="<f8", count=n, offset=off)
-        off += 8 * n
+        n = math.prod(shape)
+        payload = np.frombuffer(data, dtype="<f8", count=n, offset=take(8 * n))
         arrays[name] = payload.reshape(shape).astype(np.float64)
     if off != len(data):
         raise DataError(f"{path}: trailing bytes after last entry")

@@ -232,18 +232,8 @@ def log(t, floor=0.0):
     return _out("log", out, _ids((t,)), (t.values, floor))
 
 
-def exp(t):
-    with np.errstate(over="ignore"):
-        out = np.exp(t.values)
-    return _out("exp", out, _ids((t,)), (out,))
-
-
 def sum_(t):
     return _out("sum", np.sum(t.values), _ids((t,)), (t.shape,))
-
-
-def mean(t):
-    return _out("mean", np.mean(t.values), _ids((t,)), (t.shape,))
 
 
 def reshape(t, shape):
@@ -251,35 +241,6 @@ def reshape(t, shape):
     if int(np.prod(shape, dtype=np.int64)) != t.values.size:
         raise DimensionError(f"reshape: {t.shape} -> {shape} changes element count")
     return _out("reshape", t.values.reshape(shape), _ids((t,)), (t.shape,))
-
-
-_PRIMITIVES = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "matmul": matmul,
-    "concat": lambda *ts, axis=0: concat(list(ts), axis=axis),
-    "stack": lambda *ts: stack(list(ts)),
-    "slice": slice_,
-    "gather": gather,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "softmax": softmax,
-    "log": log,
-    "exp": exp,
-    "sum": sum_,
-    "mean": mean,
-    "reshape": reshape,
-}
-
-
-def apply_primitive(kind, *inputs, **attrs):
-    """Apply a primitive by name; the uniform entry point over all op kinds."""
-    try:
-        fn = _PRIMITIVES[kind]
-    except KeyError:
-        raise ContractError(f"unknown primitive kind {kind!r}") from None
-    return fn(*inputs, **attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +310,9 @@ def _vjp(kind, saved, out_grad):
             clipped = np.maximum(in_vals, floor)
             return (np.where(in_vals >= floor, out_grad / clipped, 0.0),)
         return (out_grad / in_vals,)
-    if kind == "exp":
-        (out,) = saved
-        return (out_grad * out,)
     if kind == "sum":
         (in_shape,) = saved
         return (np.broadcast_to(out_grad, in_shape).copy(),)
-    if kind == "mean":
-        (in_shape,) = saved
-        n = int(np.prod(in_shape, dtype=np.int64)) if in_shape else 1
-        return (np.broadcast_to(out_grad / n, in_shape).copy(),)
     if kind == "reshape":
         (in_shape,) = saved
         return (out_grad.reshape(in_shape),)

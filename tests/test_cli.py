@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mkgd import cli
+from mkgd.config import RunConfig
 from mkgd.data import (
     RawTask,
     SyntheticTaskSpec,
@@ -19,7 +20,7 @@ from mkgd.data import (
 )
 from mkgd.meta import MetaConfig, supervised_train
 from mkgd.model import DialogueModel
-from mkgd.params import load_checkpoint, save_checkpoint, split_checkpoint
+from mkgd.params import ParamStore, load_checkpoint, save_checkpoint, split_checkpoint
 
 
 def run_cli(*argv):
@@ -120,7 +121,7 @@ def test_meta_train_zero_episodes_checkpoint_is_initialization(tmp_path):
     assert set(params) == set(fresh.store.names())
     for name, vals in params.items():
         assert np.array_equal(vals, fresh.store[name].values)
-    assert adam["t"] == 0.0  # optimizer state rides along, untouched
+    assert adam == {}  # no optimizer state is written
 
 
 def test_meta_train_insufficient_tasks_exits_2(tmp_path):
@@ -286,6 +287,50 @@ def test_chat_missing_graph_exits_2(tmp_path):
     assert code == 2
 
 
+def test_checkpoint_with_adam_entries_still_loads(tmp_path, capsys):
+    # Checkpoints from older meta-train runs carry '/adam/' optimizer state.
+    ckpt, vpath, graph = rigged_chat_model(tmp_path)
+    store = ParamStore(0)
+    for name, vals in load_checkpoint(ckpt).items():
+        store.add(name, vals)
+    store.add("/adam/t", [3.0])
+    store.add("/adam/m/model.out.b", np.zeros_like(store["model.out.b"].values))
+    save_checkpoint(ckpt, store)
+    script = tmp_path / "script.txt"
+    script.write_text("hello\n")
+    code = run_cli("chat", "--checkpoint", str(ckpt), "--vocab", str(vpath),
+                   "--graph", str(graph), "--script", str(script))
+    assert code == 0
+    assert "triplet: e0 r0 e1" in capsys.readouterr().out.splitlines()
+
+
+GOAL = ["[start]", "e0", "e1"]
+
+
+@pytest.mark.parametrize("case", ["truncated-checkpoint", "graph-without-goal",
+                                  "two-field-triplet", "sample-without-response"])
+def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
+    ckpt, vpath, graph = rigged_chat_model(tmp_path)
+    argv = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath), "--graph", str(graph)]
+    if case == "truncated-checkpoint":
+        ckpt.write_bytes(ckpt.read_bytes()[:1000])
+    elif case == "graph-without-goal":
+        graph.write_text(json.dumps({"knowledge": [["e0", "r0", "e1"]]}))
+    elif case == "two-field-triplet":
+        graph.write_text(json.dumps({"goal": GOAL, "knowledge": [["e0", "r0"]]}))
+    else:
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(json.dumps({
+            "task_id": 0, "goal": GOAL, "knowledge": [["e0", "r0", "e1"]],
+            "samples": [{"history": "hello", "gold": 0}],
+        }) + "\n")
+        argv = ["adapt-eval", "--pool", str(pool), "--checkpoint", str(ckpt),
+                "--vocab", str(vpath), "--split", "all"]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 # ---------------------------------------------------------------------------
 # help and entry point
 
@@ -310,6 +355,19 @@ def test_help_lists_flags_with_defaults(command, flags, capsys):
     for flag in flags:
         assert flag in text, f"{command} --help is missing {flag}"
     assert "default" in text
+
+
+def test_every_run_config_field_has_a_flag():
+    parser = cli.build_parser()
+    for argv in (["meta-train", "--pool", "p", "--checkpoint-out", "c",
+                  "--vocab-out", "v", "--log-out", "l"],
+                 ["train-baseline", "--pool", "p", "--checkpoint-out", "c",
+                  "--vocab-out", "v", "--log-out", "l"],
+                 ["adapt-eval", "--pool", "p", "--checkpoint", "c", "--vocab", "v"],
+                 ["chat", "--checkpoint", "c", "--vocab", "v", "--graph", "g"]):
+        dests = set(vars(parser.parse_args(argv)))
+        missing = set(RunConfig.__dataclass_fields__) - dests
+        assert not missing, f"{argv[0]} has no flag for {sorted(missing)}"
 
 
 def test_module_entry_point(tmp_path):

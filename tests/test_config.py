@@ -34,11 +34,11 @@ def test_unknown_preset_rejected():
 
 def test_config_file_overrides_preset(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\nalpha=0.01\n\nhidden_dim = 16\nper_task_copies=true\n")
+    path.write_text("# comment\nalpha=0.01\n\nhidden_dim = 16\nclip_norm=2.5\n")
     cfg = make_run_config(preset="desk", config_path=path)
     assert cfg.alpha == 0.01
     assert cfg.hidden_dim == 16
-    assert cfg.per_task_copies is True
+    assert cfg.clip_norm == 2.5
     assert cfg.embed_dim == 32  # preset survives where the file is silent
 
 
@@ -55,6 +55,10 @@ def test_config_file_errors(tmp_path):
     no_eq.write_text("alpha 0.1\n")
     with pytest.raises(DataError):
         parse_config_file(no_eq)
+    removed_key = tmp_path / "d.cfg"
+    removed_key.write_text("per_task_copies=true\n")
+    with pytest.raises(DataError):
+        parse_config_file(removed_key)
 
 
 def test_env_seed_overrides_file_but_not_flags(tmp_path, monkeypatch):

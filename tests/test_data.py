@@ -284,6 +284,28 @@ def test_pool_rejects_missing_fields(tmp_path):
         load_task_pool(path)
 
 
+@pytest.mark.parametrize("change", [
+    {"samples": [{"history": "hi", "gold": 0}]},
+    {"samples": [{"response": "yo", "gold": 0}]},
+    {"samples": [{"history": "hi", "response": "yo"}]},
+    {"samples": [{"history": "hi", "response": 5, "gold": 0}]},
+    {"samples": [{"history": "hi", "response": "yo", "gold": 1}]},
+    {"samples": [{"history": "hi", "response": "yo", "gold": "0"}]},
+    {"samples": ["hi"]},
+    {"samples": "hi"},
+    {"task_id": "t0"},
+    {"knowledge": [["a", "r"]]},
+])
+def test_pool_rejects_malformed_records(tmp_path, change):
+    good = {"task_id": 0, "goal": [START_MARKER, "a", "b"], "knowledge": [["a", "r", "b"]],
+            "samples": [{"history": "hi", "response": "yo", "gold": 0}]}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaError, match="line 2"):
+        load_task_pool(path)
+
+
 def test_split_pool_fractions_and_determinism():
     spec = SyntheticTaskSpec(seed=9)
     raw = synth_raw_tasks(spec, 20)

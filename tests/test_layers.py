@@ -150,7 +150,7 @@ def test_attend_single_key():
     store = ParamStore(2)
     att = build_attention(store, "att", 3, 3, 3)
     key = Tensor([0.3, -0.2, 0.9])
-    context, weights = attend(att, Tensor([0.1, 0.1, 0.1]), [key])
+    context, weights = attend(att, Tensor([0.1, 0.1, 0.1]), T.stack([key]))
     assert np.allclose(weights.values, [1.0], atol=1e-12)
     assert np.allclose(context.values, key.values, atol=1e-12)
 
@@ -160,7 +160,7 @@ def test_attend_identical_keys_uniform():
     att = build_attention(store, "att", 3, 3, 3)
     key = Tensor([0.5, 0.0, -0.5])
     keys = [key, key, key, key]
-    context, weights = attend(att, Tensor([0.2, -0.1, 0.0]), keys)
+    context, weights = attend(att, Tensor([0.2, -0.1, 0.0]), T.stack(keys))
     assert np.allclose(weights.values, [0.25] * 4, atol=1e-12)
     assert np.allclose(context.values, key.values, atol=1e-12)
 
@@ -181,7 +181,7 @@ def test_attend_matches_direct_weighted_sum():
     weights = e / e.sum()
     want_context = sum(w * k for w, k in zip(weights, keys))
 
-    context, got_weights = attend(att, Tensor(q), [Tensor(k) for k in keys])
+    context, got_weights = attend(att, Tensor(q), T.stack([Tensor(k) for k in keys]))
     assert np.allclose(got_weights.values, weights, atol=1e-12)
     assert np.allclose(context.values, want_context, atol=1e-12)
 
@@ -192,7 +192,7 @@ def test_attend_per_key_score_agrees_with_stacked():
     att = build_attention(store, "att", 2, 3, 4)
     q = Tensor(rng.normal(size=2))
     keys = [Tensor(rng.normal(size=3)) for _ in range(5)]
-    per_key = np.concatenate([att.score(q, k).values for k in keys])
+    per_key = np.concatenate([att.scores_stacked(q, T.stack([k])).values for k in keys])
     stacked = att.scores_stacked(q, T.stack(keys)).values
     assert np.allclose(per_key, stacked, atol=1e-14)
 
@@ -201,7 +201,7 @@ def test_attend_empty_keys_rejected():
     store = ParamStore(2)
     att = build_attention(store, "att", 3, 3, 3)
     with pytest.raises(ContractError):
-        attend(att, Tensor([0.0, 0.0, 0.0]), [])
+        attend(att, Tensor([0.0, 0.0, 0.0]), Tensor(np.zeros((0, 3))))
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10_000))
@@ -210,7 +210,7 @@ def test_attention_weights_sum_to_one(n_keys, seed):
     store = ParamStore(1)
     att = build_attention(store, "att", 2, 2, 3)
     keys = [Tensor(rng.normal(size=2) * 3) for _ in range(n_keys)]
-    _, weights = attend(att, Tensor(rng.normal(size=2)), keys)
+    _, weights = attend(att, Tensor(rng.normal(size=2)), T.stack(keys))
     assert (weights.values >= 0).all()
     assert abs(weights.values.sum() - 1.0) <= 1e-9
 
@@ -277,7 +277,7 @@ def test_composite_layer_gradients_match_finite_differences():
 
         def forward():
             states, _ = gru_encode(tokens, emb, fwd, bwd)
-            context, _ = attend(att, Tensor(query), states)
+            context, _ = attend(att, Tensor(query), T.stack(states))
             out = mlp_forward(mlp, context)
             return T.sum_(T.mul(out, out))
 

@@ -212,26 +212,6 @@ def test_degenerate_meta_step_equals_supervised_single_step():
         assert np.array_equal(t.values, twin.store[name].values), name
 
 
-def test_per_task_copies_variant_runs_and_differs():
-    tasks, model = mini_pool(4, seed=5, hidden=8)
-    seq_model = model.clone()
-    cop_model = model.clone()
-    base = model.store.snapshot()
-    cfg_seq = MetaConfig(alpha=0.01, beta=0.01, num_tasks=3, inner_steps=1)
-    cfg_cop = MetaConfig(alpha=0.01, beta=0.01, num_tasks=3, inner_steps=1,
-                         per_task_copies=True)
-    meta_batch_step(seq_model, tasks[:3], cfg_seq)
-    meta_batch_step(cop_model, tasks[:3], cfg_cop)
-    changed_seq = any(not np.array_equal(t.values, base[n])
-                      for n, t in seq_model.store.items())
-    changed_cop = any(not np.array_equal(t.values, base[n])
-                      for n, t in cop_model.store.items())
-    assert changed_seq and changed_cop
-    same = all(np.array_equal(seq_model.store[n].values, cop_model.store[n].values)
-               for n in base)
-    assert not same
-
-
 # ---------------------------------------------------------------------------
 # meta_train
 

@@ -1,27 +1,37 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mkgd.data import EOS, Vocab
 from mkgd.errors import ContractError
 from mkgd.metrics import (
     EvalReport,
+    Evaluator,
     bleu_n,
     char_f1,
     distinct_n,
-    perplexity,
     selection_accuracy,
     sentence_bleu,
-    token_f1,
 )
 
 TOKENS = st.lists(st.sampled_from("a b c d e".split()), min_size=1, max_size=8)
 
 
-class RiggedScorer:
-    """Stub with the model scoring interface: constant per-token NLL."""
+class StubModel:
+    """The model interface Evaluator uses; generates empty responses."""
+
+    vocab = Vocab([])
+
+    def generate(self, history, graph, max_len):
+        return [], 0
+
+
+class RiggedScorer(StubModel):
+    """Constant per-token NLL."""
 
     def __init__(self, per_token_nll, length=4):
         self.per_token_nll = per_token_nll
@@ -29,6 +39,17 @@ class RiggedScorer:
 
     def score(self, sample):
         return self.per_token_nll * self.length, self.length, None
+
+
+def stub_samples(keys):
+    return [SimpleNamespace(key=k, history=[0], graph=None, response=[EOS],
+                            gold_triplet=None) for k in keys]
+
+
+def evaluated_ppl(model, samples):
+    evaluator = Evaluator()
+    evaluator.add(model, samples)
+    return evaluator.report().ppl
 
 
 # ---------------------------------------------------------------------------
@@ -134,28 +155,22 @@ def test_char_f1_symmetric(a, b):
     assert char_f1(a, b) == char_f1(b, a)
 
 
-def test_token_f1():
-    assert token_f1("a b c", "a b d") == pytest.approx(2.0 * 2 / 6, abs=1e-12)
-    assert token_f1("a", "a") == 1.0
-
-
 # ---------------------------------------------------------------------------
 # perplexity
 
 
 def test_perplexity_uniform_model_is_vocab_size():
     model = RiggedScorer(math.log(100.0))
-    samples = [object(), object(), object()]
-    assert perplexity(model, samples) == pytest.approx(100.0, abs=1e-6)
+    assert evaluated_ppl(model, stub_samples(range(3))) == pytest.approx(100.0, abs=1e-6)
 
 
 def test_perplexity_perfect_model_is_one():
     model = RiggedScorer(0.0)
-    assert perplexity(model, [object()]) == 1.0
+    assert evaluated_ppl(model, stub_samples([0])) == 1.0
 
 
 def test_perplexity_matches_per_token_oracle():
-    class VaryingScorer:
+    class VaryingScorer(StubModel):
         def __init__(self):
             self.rows = [(2.0, 3), (1.0, 2), (4.5, 5)]
             self.i = 0
@@ -165,23 +180,24 @@ def test_perplexity_matches_per_token_oracle():
             self.i += 1
             return row[0], row[1], None
 
-    got = perplexity(VaryingScorer(), [1, 2, 3])
+    got = evaluated_ppl(VaryingScorer(), stub_samples([1, 2, 3]))
     want = math.exp((2.0 + 1.0 + 4.5) / (3 + 2 + 5))
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_perplexity_reorder_invariant():
-    class Keyed:
+    class Keyed(StubModel):
         def score(self, sample):
-            return float(sample), max(1, int(sample)), None
+            return float(sample.key), max(1, int(sample.key)), None
 
-    samples = [1.0, 2.0, 3.0]
-    assert perplexity(Keyed(), samples) == perplexity(Keyed(), list(reversed(samples)))
+    keys = [1.0, 2.0, 3.0]
+    assert evaluated_ppl(Keyed(), stub_samples(keys)) == \
+        evaluated_ppl(Keyed(), stub_samples(reversed(keys)))
 
 
 def test_perplexity_empty_rejected():
     with pytest.raises(ContractError):
-        perplexity(RiggedScorer(0.0), [])
+        evaluated_ppl(RiggedScorer(0.0), [])
 
 
 # ---------------------------------------------------------------------------
@@ -225,5 +241,4 @@ def test_eval_report_json_has_exactly_eight_keys():
     obj = json.loads(report.to_json())
     assert set(obj) == {"ppl", "f1", "bleu1", "bleu2",
                         "distinct1", "distinct2", "sel_acc", "n_samples"}
-    again = EvalReport.from_json(report.to_json())
-    assert again == report
+    assert EvalReport(**obj) == report

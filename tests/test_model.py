@@ -240,11 +240,6 @@ def test_nll_rejects_out_of_vocab_target():
         nll_loss([Tensor([0.0, 0.0])], [2])
 
 
-def test_nll_validates_knowledge_weight():
-    with pytest.raises(ContractError):
-        nll_loss([Tensor([0.0, 0.0])], [0], knowledge_weight=Tensor([0.9, 0.9]))
-
-
 def test_bow_uniform_closed_form():
     store = ParamStore(0)
     mlp = build_mlp(store, "bow", (3, 5))

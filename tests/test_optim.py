@@ -97,19 +97,6 @@ def test_adam_moment_shapes_follow_params():
     assert state.v["b"].shape == (2,)
 
 
-def test_adam_state_roundtrip_entries():
-    store = make_store(w=[1.0, 2.0])
-    state = AdamState(store)
-    adam_step(store, {"w": Tensor([0.5, -0.5])}, state, lr=0.01)
-    entries = state.to_entries()
-    assert entries["/adam/t"] == 1.0
-    stripped = {k[len("/adam/"):]: v for k, v in entries.items()}
-    revived = AdamState.from_entries(stripped, store)
-    assert revived.t == 1
-    assert np.array_equal(revived.m["w"], state.m["w"])
-    assert np.array_equal(revived.v["w"], state.v["w"])
-
-
 def test_clip_global_norm():
     grads = {"a": Tensor([3.0, 0.0]), "b": Tensor([0.0, 4.0])}
     clipped = clip_global_norm(grads, 5.0)  # norm is exactly 5 -> untouched

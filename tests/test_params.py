@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from mkgd.errors import ContractError, DataError
 from mkgd.optim import AdamState, adam_step, sgd_step
 from mkgd.params import (
+    CHECKPOINT_MAGIC,
     ParamStore,
     load_checkpoint,
     save_checkpoint,
@@ -86,19 +89,40 @@ def test_checkpoint_magic_guard(tmp_path):
 
 
 def test_adam_state_rides_in_same_container(tmp_path):
+    # Older meta-train runs wrote optimizer state under '/adam/'; such
+    # checkpoints still load, with the state set apart from the parameters.
     store = ParamStore(3)
     store.create("w", (2, 2), init="uniform")
-    state = AdamState(store)
-    adam_step(store, {"w": Tensor(np.full((2, 2), 0.5))}, state, lr=0.01)
+    store.add("/adam/t", [1.0])
+    store.add("/adam/m/w", np.full((2, 2), 0.05))
     path = tmp_path / "with_state.ckpt"
-    save_checkpoint(path, store, extra=state.to_entries())
-    arrays = load_checkpoint(path)
-    params, adam = split_checkpoint(arrays)
+    save_checkpoint(path, store)
+    params, adam = split_checkpoint(load_checkpoint(path))
     assert set(params) == {"w"}
+    assert np.array_equal(params["w"], store["w"].values)
+    assert set(adam) == {"t", "m/w"}
     assert adam["t"] == 1.0
-    revived = AdamState.from_entries(adam, store)
-    assert np.array_equal(revived.m["w"], state.m["w"])
-    assert revived.eps == state.eps
+
+
+def test_truncated_or_corrupt_checkpoint_raises_data_error(tmp_path):
+    store = ParamStore(5)
+    store.create("layer.W", (2, 3), init="uniform")
+    store.create("layer.b", (2,), init="zeros")
+    store.add("scalar", 1.5)
+    path = tmp_path / "full.ckpt"
+    save_checkpoint(path, store)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(DataError):
+            load_checkpoint(cut)
+    # an entry name that is not UTF-8
+    bad_name = (CHECKPOINT_MAGIC + struct.pack("<II", 1, 1) + b"\xff"
+                + struct.pack("<I", 0) + struct.pack("<d", 0.0))
+    cut.write_bytes(bad_name)
+    with pytest.raises(DataError):
+        load_checkpoint(cut)
 
 
 def test_restore_rejects_wrong_names():

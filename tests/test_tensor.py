@@ -8,7 +8,7 @@ from helpers import assert_grads_close, finite_diff_grads
 from mkgd import tensor as T
 from mkgd.errors import ContractError, DimensionError, NumericError, VocabError
 from mkgd.params import ParamStore
-from mkgd.tensor import Tape, Tensor, apply_primitive, backward
+from mkgd.tensor import Tape, Tensor, backward
 
 
 def test_softmax_uniform_logits():
@@ -52,7 +52,7 @@ def test_shape_errors_name_op_and_shapes():
 
 def test_non_finite_result_raises():
     with pytest.raises(NumericError):
-        T.exp(T.tensor([1000.0]))
+        T.matmul(T.tensor([1e200]), T.tensor([[1e200]]))
     with pytest.raises(NumericError):
         T.log(T.tensor([0.0]))
 
@@ -72,13 +72,6 @@ def test_gather_rejects_out_of_range():
     table = T.tensor([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(VocabError):
         T.gather(table, [2])
-
-
-def test_apply_primitive_dispatch():
-    out = apply_primitive("softmax", T.tensor([0.0, 0.0]))
-    assert np.allclose(out.values, [0.5, 0.5])
-    with pytest.raises(ContractError):
-        apply_primitive("convolve", T.tensor([0.0]))
 
 
 def test_backward_square():
@@ -195,9 +188,7 @@ PRIMITIVE_CASES = [
     ("tanh", lambda p, c: T.tanh(p), (4,), None),
     ("softmax", lambda p, c: T.softmax(p), (4,), None),
     ("log", lambda p, c: T.log(T.sigmoid(p)), (4,), None),
-    ("exp", lambda p, c: T.exp(p), (4,), None),
     ("sum", lambda p, c: p, (4,), None),
-    ("mean", lambda p, c: T.mean(T.mul(p, p)), (4,), None),
     ("reshape", lambda p, c: T.reshape(p, (2, 2)), (4,), None),
 ]
 
