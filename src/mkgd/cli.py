@@ -207,7 +207,8 @@ def cmd_chat(args):
     graph = D.load_graph(args.graph)
 
     if args.script:
-        lines = open(args.script, encoding="utf-8").read().splitlines()
+        with D.open_text(args.script) as fh:
+            lines = fh.read().splitlines()
     else:
         lines = (line.rstrip("\n") for line in sys.stdin)
 

@@ -11,6 +11,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
+from .data import open_text
 from .errors import DataError
 from .meta import MetaConfig
 
@@ -90,7 +91,7 @@ def _coerce(name, raw):
 def parse_config_file(path):
     """key=value lines; blank lines and # comments are skipped."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

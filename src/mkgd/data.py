@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,16 @@ from .errors import ContractError, DataError, ParseError, SchemaError
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
+
+
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading; bytes that are not UTF-8 raise DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def tokenize(utterance):
@@ -71,7 +82,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             toks = [line.rstrip("\n") for line in fh]
         if toks[:4] != list(RESERVED_TOKENS):
             raise DataError(f"{path}: not a vocabulary file (reserved slots missing)")
@@ -397,7 +408,7 @@ def save_task_pool(path, raw_tasks):
 
 def load_task_pool(path):
     raw_tasks = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -434,10 +445,10 @@ def _check_samples(samples, n_triplets, where):
 
 def load_graph(path):
     """Read a knowledge graph file: one JSON object with 'goal' and 'knowledge'."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return _graph(*_graph_fields(obj, path))
 

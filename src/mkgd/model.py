@@ -197,14 +197,18 @@ class DialogueModel:
     # -- decoding ----------------------------------------------------------
 
     def _decode_step(self, prev_token, hidden, key_stack, fused_knowledge):
+        """One attentive decoder step; projecting the new state is the caller's job."""
         context, _ = attend(self.att, hidden, key_stack)
         x = T.concat([self.embed.lookup(prev_token), context, fused_knowledge])
-        hidden = self.dec_cell.step(x, hidden)
-        logits = T.add(T.matmul(self.out_W, hidden), self.out_b)
-        return hidden, logits
+        return self.dec_cell.step(x, hidden)
 
     def decode_with_knowledge(self, history_states, fused_knowledge, response):
-        """Teacher-forced pass; one vocab-logit vector per response position."""
+        """Teacher-forced pass; one vocab-logit vector per response position.
+
+        The recurrence runs first; the output projection then maps all the
+        stacked states at once, so backward builds one (V, H) product for
+        ``out.W`` rather than one per position.
+        """
         if not response:
             raise ContractError("decode_with_knowledge on empty response")
         if fused_knowledge.shape != (self.hidden_dim,):
@@ -215,13 +219,14 @@ class DialogueModel:
         key_stack = T.stack(history_states)
         hidden = self.dec_cell.initial_state()
         prev = self.vocab.BOS
-        logits = []
+        states = []
         for target in response:
-            hidden, step_logits = self._decode_step(
-                prev, hidden, key_stack, fused_knowledge)
-            logits.append(step_logits)
+            hidden = self._decode_step(prev, hidden, key_stack, fused_knowledge)
+            states.append(hidden)
             prev = target
-        return logits
+        logits = T.add(T.matmul(T.stack(states), T.transpose(self.out_W)), self.out_b)
+        vocab = len(self.vocab)
+        return [T.reshape(T.slice_(logits, t, t + 1), (vocab,)) for t in range(len(states))]
 
     def generate(self, history, graph, max_len):
         """Greedy decoding from BOS, stopping at EOS or max_len.
@@ -242,7 +247,8 @@ class DialogueModel:
         prev = self.vocab.BOS
         out = []
         for _ in range(max_len):
-            hidden, logits = self._decode_step(prev, hidden, key_stack, fused)
+            hidden = self._decode_step(prev, hidden, key_stack, fused)
+            logits = T.add(T.matmul(self.out_W, hidden), self.out_b)
             nxt = int(np.argmax(logits.values))
             if nxt == self.vocab.EOS:
                 break

@@ -37,7 +37,7 @@ def clip_global_norm(grads, max_norm):
     for name, g in grads.items():
         gv = g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
         out[name] = gv
-        total += float(np.sum(gv * gv))
+        total += float(np.vdot(gv, gv))
     if max_norm is None or max_norm <= 0:
         return out
     norm = np.sqrt(total)
@@ -66,7 +66,13 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr):
-    """One bias-corrected Adam update; increments the step counter once."""
+    """One bias-corrected Adam update; increments the step counter once.
+
+    The moments are updated in place and the step is built in two work
+    arrays, the second of which becomes the parameter's new values; the
+    arithmetic and its order are those of the textbook formula. Neither
+    the gradients nor the parameters' previous value arrays are written.
+    """
     if lr <= 0:
         raise ContractError(f"lr must be positive, got {lr}")
     pairs = _grad_values(params, grads)
@@ -76,11 +82,16 @@ def adam_step(params, grads, state, lr):
     for name, gv in pairs:
         if name not in state.m:
             raise ContractError(f"optimizer state missing parameter {name!r}")
-        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * gv
-        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * (gv * gv)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / b1t
-        v_hat = v / b2t
-        params.set_values(name, params[name].values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        m, v = state.m[name], state.v[name]
+        step, denom = np.empty_like(m), np.empty_like(v)
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+        m *= ADAM_BETA1
+        m += np.multiply(gv, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(gv, gv, out=step), 1.0 - ADAM_BETA2, out=step)
+        # theta - lr * m_hat / (sqrt(v_hat) + eps)
+        np.multiply(np.divide(m, b1t, out=step), lr, out=step)
+        np.sqrt(np.divide(v, b2t, out=denom), out=denom)
+        step /= np.add(denom, ADAM_EPS, out=denom)
+        params.set_values(name, np.subtract(params[name].values, step, out=denom))
     return params, state

@@ -145,6 +145,8 @@ def load_checkpoint(path):
             raise DataError(f"{path}: entry name is not UTF-8") from exc
         (rank,) = read("<I")
         shape = tuple(read(f"<{rank}I")) if rank else ()
+        if name in arrays:
+            raise DataError(f"{path}: duplicate entry {name!r}")
         n = math.prod(shape)
         payload = np.frombuffer(data, dtype="<f8", count=n, offset=take(8 * n))
         arrays[name] = payload.reshape(shape).astype(np.float64)

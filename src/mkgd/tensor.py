@@ -201,6 +201,13 @@ def gather(table, indices):
     return _out("gather", tv[idx], _ids((table,)), (tv.shape, idx))
 
 
+def transpose(t):
+    """Swap the two axes of a 2-d tensor."""
+    if t.values.ndim != 2:
+        raise DimensionError(f"transpose: tensor must be 2-d, got {t.shape}")
+    return _out("transpose", t.values.T, _ids((t,)), ())
+
+
 def sigmoid(t):
     v = t.values
     e = np.exp(-np.abs(v))
@@ -290,10 +297,11 @@ def _vjp(kind, saved, out_grad):
         g[start:stop] = out_grad
         return (g,)
     if kind == "gather":
-        table_shape, idx = saved
-        g = np.zeros(table_shape)
-        np.add.at(g, idx, out_grad)
-        return (g,)
+        # Row-sparse: backward scatters (idx, rows) into the table's gradient.
+        _, idx = saved
+        return ((idx, out_grad),)
+    if kind == "transpose":
+        return (out_grad.T,)
     if kind == "sigmoid":
         (out,) = saved
         return (out_grad * out * (1.0 - out),)
@@ -324,6 +332,12 @@ def backward(tape, loss):
 
     Watched parameters unreachable from the loss get zero gradients. The
     tape is not mutated, so a second call returns identical results.
+
+    Each node's gradient is one C-ordered array owned here: the first
+    contribution is copied (add, sub, reshape and transpose hand back views
+    of their output gradient) and later ones are added in place. A gather
+    contributes (indices, rows), scattered into a zero table made once per
+    node.
     """
     if loss.tape is not tape or loss.node_id is None:
         raise ContractError("loss was not recorded on this tape")
@@ -343,10 +357,14 @@ def backward(tape, loss):
         for nid, ig in zip(input_ids, in_grads):
             if nid < 0:
                 continue
-            if grads[nid] is None:
-                grads[nid] = np.array(ig, dtype=np.float64)
+            if kind == "gather":
+                if grads[nid] is None:
+                    grads[nid] = np.zeros(saved[0])
+                np.add.at(grads[nid], *ig)
+            elif grads[nid] is None:
+                grads[nid] = np.array(ig, dtype=np.float64, order="C")
             else:
-                grads[nid] = grads[nid] + ig
+                grads[nid] += ig
 
     out = {}
     for name, nid in tape.watched.items():

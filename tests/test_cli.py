@@ -331,6 +331,28 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("reader", ["pool", "vocab", "config", "script"])
+def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, reader):
+    ckpt, vpath, graph = rigged_chat_model(tmp_path)
+    bad = tmp_path / f"{reader}.utf16"
+    bad.write_bytes(b"\xff\xfe" + "hello=there\n".encode("utf-16-le"))
+    chat = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath), "--graph", str(graph)]
+    argv = {
+        "pool": ["adapt-eval", "--pool", str(bad), "--checkpoint", str(ckpt),
+                 "--vocab", str(vpath), "--split", "all"],
+        "vocab": ["chat", "--checkpoint", str(ckpt), "--vocab", str(bad), "--graph", str(graph)],
+        "config": ["meta-train", "--config", str(bad), "--pool", str(tmp_path / "pool.jsonl"),
+                   "--checkpoint-out", str(tmp_path / "out.ckpt"),
+                   "--vocab-out", str(tmp_path / "out.vocab"),
+                   "--log-out", str(tmp_path / "out.csv")],
+        "script": chat + ["--script", str(bad)],
+    }[reader]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert str(bad) in err[0] and "UTF-8" in err[0]
+
+
 # ---------------------------------------------------------------------------
 # help and entry point
 

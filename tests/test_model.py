@@ -298,6 +298,22 @@ def test_decode_logits_shape():
     assert all(l.shape == (len(model.vocab),) for l in logits)
 
 
+def test_decode_projects_all_positions_in_one_matmul():
+    model = tiny_model()
+    graph = tiny_graph()
+    sample = tiny_sample(model.vocab, graph)
+    assert len(sample.response) > 1
+    states, _ = model.encode_history(sample.history)
+    tape = T.Tape()
+    tape.watch(model.store)
+    with tape:
+        model.decode_with_knowledge(states, Tensor(np.zeros(model.hidden_dim)),
+                                    sample.response)
+    out_w = tape.watched["model.out.W"]
+    uses = [(kind, ids) for kind, ids, _ in tape.nodes if out_w in ids]
+    assert uses == [("transpose", (out_w,))]
+
+
 def test_decode_empty_response_rejected():
     model = tiny_model()
     states, _ = model.encode_history([4])

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from mkgd.errors import ContractError
-from mkgd.optim import AdamState, adam_step, clip_global_norm, sgd_step
+from mkgd.optim import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
+    adam_step,
+    clip_global_norm,
+    sgd_step,
+)
 from mkgd.params import ParamStore
 from mkgd.tensor import Tensor
 
@@ -90,6 +98,35 @@ def test_adam_three_steps_match_hand_unrolled():
     assert state.t == 3
 
 
+def test_adam_bit_equal_to_textbook_and_writes_no_input():
+    rng = np.random.default_rng(4)
+    store = make_store(W=rng.normal(size=(3, 4)), b=rng.normal(size=4))
+    state = AdamState(store)
+    lr = 0.01
+    theta = {name: t.values.copy() for name, t in store.items()}
+    m = {name: np.zeros_like(vals) for name, vals in theta.items()}
+    v = {name: np.zeros_like(vals) for name, vals in theta.items()}
+    for t in range(1, 4):
+        grads = {name: Tensor(rng.normal(size=vals.shape)) for name, vals in theta.items()}
+        grads_before = {name: g.values.copy() for name, g in grads.items()}
+        old_values = {name: store[name].values for name in theta}
+        old_copies = {name: vals.copy() for name, vals in old_values.items()}
+        adam_step(store, grads, state, lr=lr)
+        for name in theta:
+            g = grads_before[name]
+            m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+            v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = m[name] / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v[name] / (1.0 - ADAM_BETA2 ** t)
+            theta[name] = theta[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            assert np.array_equal(store[name].values, theta[name])
+            assert np.array_equal(state.m[name], m[name])
+            assert np.array_equal(state.v[name], v[name])
+            assert np.array_equal(grads[name].values, grads_before[name])
+            assert np.array_equal(old_values[name], old_copies[name])
+    assert state.t == 3
+
+
 def test_adam_moment_shapes_follow_params():
     store = make_store(W=[[1.0, 2.0], [3.0, 4.0]], b=[0.0, 0.0])
     state = AdamState(store)
@@ -106,6 +143,14 @@ def test_clip_global_norm():
     assert total == pytest.approx(1.0, rel=1e-12)
     # direction preserved
     assert clipped["a"][0] / clipped["b"][1] == pytest.approx(3.0 / 4.0, rel=1e-12)
+
+
+def test_clip_leaves_input_gradients_unmodified():
+    grads = {"a": Tensor([3.0, 0.0]), "b": Tensor([0.0, 4.0])}
+    clipped = clip_global_norm(grads, 1.0)
+    assert np.array_equal(grads["a"].values, [3.0, 0.0])
+    assert np.array_equal(grads["b"].values, [0.0, 4.0])
+    assert np.allclose(clipped["a"], [0.6, 0.0], atol=1e-15)
 
 
 def test_clip_disabled():

@@ -125,6 +125,15 @@ def test_truncated_or_corrupt_checkpoint_raises_data_error(tmp_path):
         load_checkpoint(cut)
 
 
+def test_duplicate_checkpoint_entry_raises_data_error(tmp_path):
+    entry = struct.pack("<I", 1) + b"w" + struct.pack("<II", 1, 1)
+    path = tmp_path / "dup.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 2)
+                     + entry + struct.pack("<d", 1.0) + entry + struct.pack("<d", 2.0))
+    with pytest.raises(DataError, match="duplicate entry 'w'"):
+        load_checkpoint(path)
+
+
 def test_restore_rejects_wrong_names():
     store = ParamStore(0)
     store.create("a", (2,))

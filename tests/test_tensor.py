@@ -190,6 +190,7 @@ PRIMITIVE_CASES = [
     ("log", lambda p, c: T.log(T.sigmoid(p)), (4,), None),
     ("sum", lambda p, c: p, (4,), None),
     ("reshape", lambda p, c: T.reshape(p, (2, 2)), (4,), None),
+    ("transpose", lambda p, c: T.matmul(T.transpose(p), c), (2, 3), (2,)),
 ]
 
 
@@ -217,6 +218,41 @@ def test_primitive_gradients_match_finite_differences(name, build, p_shape, c_sh
         analytic = backward(tape, loss)
         numeric = finite_diff_grads(store, lambda: forward().item())
         assert_grads_close(analytic, numeric)
+
+
+@pytest.mark.parametrize("gather_first", [True, False], ids=["gather-first", "dense-first"])
+def test_leaf_reached_by_gather_and_dense_op_matches_finite_differences(gather_first):
+    # The reverse sweep meets the later-recorded use first, so the two tape
+    # orders start the leaf's gradient from a scattered and a dense part.
+    rng = np.random.default_rng(21)
+    store = ParamStore(0)
+    W = store.add("W", rng.normal(size=(4, 3)) * 0.8)
+    x = T.tensor(rng.normal(size=3))
+    probe = T.tensor(rng.normal(size=(3, 3)))
+
+    def rows():
+        return T.sum_(T.tanh(T.mul(T.gather(W, [2, 0, 2]), probe)))
+
+    def dense():
+        return T.sum_(T.tanh(T.matmul(W, x)))
+
+    def forward():
+        first, second = (rows, dense) if gather_first else (dense, rows)
+        a = first()
+        return T.add(a, second())
+
+    tape = Tape()
+    tape.watch(store)
+    with tape:
+        loss = forward()
+    analytic = backward(tape, loss)
+    numeric = finite_diff_grads(store, lambda: forward().item())
+    assert_grads_close(analytic, numeric)
+
+
+def test_transpose_rejects_non_matrix():
+    with pytest.raises(DimensionError):
+        T.transpose(T.tensor([1.0, 2.0]))
 
 
 @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8))
