@@ -19,6 +19,9 @@ from .metrics import Evaluator
 from .model import DialogueModel, infer_dims
 from .params import load_checkpoint, save_checkpoint, split_checkpoint
 
+# Errors that mean bad input or usage: main reports them on one line and exits 2.
+INPUT_ERRORS = (DataError, ContractError, VocabError, DimensionError, OSError)
+
 
 def _add_config_flags(parser):
     g = parser.add_argument_group("configuration")
@@ -181,7 +184,9 @@ def cmd_adapt_eval(args):
     if not raw:
         raise DataError(f"split {args.split!r} holds no tasks")
     mcfg = cfg.meta_config()
-    support_size = args.support_size or mcfg.k_support
+    support_size = mcfg.k_support if args.support_size is None else args.support_size
+    if support_size < 1:
+        raise DataError(f"--support-size must be >= 1, got {support_size}")
     tasks = D.tasks_from_raw(raw, model.vocab, support_size, mcfg.k_query,
                              seed=cfg.seed)
 
@@ -305,7 +310,7 @@ def main(argv=None):
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, ContractError, VocabError, DimensionError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

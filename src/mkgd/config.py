@@ -45,6 +45,11 @@ class RunConfig:
     # run plumbing
     seed: int = 7
 
+    def __post_init__(self):
+        for name in ("embed_dim", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def meta_config(self):
         return MetaConfig(
             alpha=self.alpha, beta=self.beta, num_tasks=self.num_tasks,

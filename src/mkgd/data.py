@@ -1,14 +1,13 @@
-"""Corpus handling: vocabulary, DuConv-format ingestion, synthetic task pools.
+"""Corpus handling: vocabulary, synthetic task pools and the pool and graph readers.
 
-Input records are JSON lines. Train/valid records carry a full conversation;
-test records carry a history plus one response. Tokenization is plain
-whitespace splitting, so pre-segmented text is required for languages
-without spaces.
+A task pool is JSON lines, one task per line: a goal, a knowledge graph and
+raw-text samples with gold triplet labels. It is the one corpus format; every
+subcommand reads it. Tokenization is plain whitespace splitting, so
+pre-segmented text is required for languages without spaces.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
 from contextlib import contextmanager
@@ -100,19 +99,7 @@ def build_vocab(token_stream, max_size):
 
 
 # ---------------------------------------------------------------------------
-# DuConv-format records
-
-
-@dataclass
-class DuConvRecord:
-    goal: list
-    knowledge: list
-    conversation: list | None = None
-    history: list | None = None
-    response: str | None = None
-
-    def graph(self):
-        return _graph(self.goal, self.knowledge)
+# record validation
 
 
 def _graph(goal, knowledge):
@@ -130,6 +117,13 @@ def _is_strings(items, n):
     return isinstance(items, list) and len(items) == n and all(isinstance(x, str) for x in items)
 
 
+def _parse_json(text, where):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        raise ParseError(f"{where}: invalid JSON ({exc})") from exc
+
+
 def _graph_fields(obj, where):
     """Validate a JSON object's 'goal' and 'knowledge'; return them.
 
@@ -145,100 +139,6 @@ def _graph_fields(obj, where):
             and all(_is_strings(k, 3) for k in knowledge)):
         raise SchemaError(f"{where}: field 'knowledge' must be non-empty [h, r, t] triples")
     return goal, knowledge
-
-
-def parse_duconv(lines):
-    """Parse JSON-lines text into validated records."""
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        where = f"line {lineno}"
-        goal, knowledge = _graph_fields(obj, where)
-
-        has_conv = "conversation" in obj
-        has_test = "history" in obj or "response" in obj
-        if has_conv == has_test:
-            raise SchemaError(
-                f"line {lineno}: exactly one of 'conversation' or 'history'+'response' required"
-            )
-        if has_conv:
-            conv = obj["conversation"]
-            if not conv or not all(isinstance(u, str) for u in conv):
-                raise SchemaError(f"line {lineno}: field 'conversation' must be non-empty strings")
-            records.append(DuConvRecord(goal=goal, knowledge=knowledge, conversation=conv))
-        else:
-            history = _require(obj, "history", where)
-            response = _require(obj, "response", where)
-            if not isinstance(history, list) or not isinstance(response, str) or not response:
-                raise SchemaError(f"line {lineno}: fields 'history'/'response' malformed")
-            records.append(DuConvRecord(goal=goal, knowledge=knowledge,
-                                        history=history, response=response))
-    return records
-
-
-def serialize_duconv(records):
-    """Canonical JSON-lines form (sorted keys, compact separators)."""
-    lines = []
-    for rec in records:
-        obj = {"goal": list(rec.goal), "knowledge": [list(k) for k in rec.knowledge]}
-        if rec.conversation is not None:
-            obj["conversation"] = list(rec.conversation)
-        else:
-            obj["history"] = list(rec.history)
-            obj["response"] = rec.response
-        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True,
-                                separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def derive_gold_triplet(response_text, graph):
-    """Index of the triplet whose tail shares the most characters with the response."""
-    resp_chars = Counter(response_text)
-    best, best_overlap = 0, -1
-    for i, triplet in enumerate(graph.triplets):
-        tail_chars = Counter(triplet.tail)
-        overlap = sum(min(resp_chars[c], n) for c, n in tail_chars.items())
-        if overlap > best_overlap:
-            best, best_overlap = i, overlap
-    return best
-
-
-def _make_sample(history_utterances, response_text, graph, vocab, gold=None):
-    tokens = []
-    for utt in history_utterances:
-        tokens.extend(tokenize(utt))
-    if not tokens:
-        tokens = [START_MARKER]
-    history = vocab.encode(tokens)
-    response = vocab.encode(tokenize(response_text)) + [EOS]
-    if gold is None:
-        gold = derive_gold_triplet(response_text, graph)
-    return DialogueSample(history=history, response=response, graph=graph,
-                          gold_triplet=gold, meta={"response_text": response_text})
-
-
-def records_to_samples(records, vocab):
-    """Expand records into per-turn samples; the responder speaks first.
-
-    A conversation yields one sample per responder turn (utterances 1, 3, ...
-    one-indexed); the first turn's history is the goal's start marker.
-    """
-    samples = []
-    for rec in records:
-        graph = rec.graph()
-        if rec.conversation is not None:
-            for i in range(0, len(rec.conversation), 2):
-                samples.append(_make_sample(rec.conversation[:i], rec.conversation[i],
-                                            graph, vocab))
-        else:
-            samples.append(_make_sample(rec.history, rec.response, graph, vocab))
-    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +192,7 @@ class RawTask:
 
 def synth_raw_tasks(spec, n_tasks):
     """Generate task pools with per-task fresh graphs; no triplet is shared
-    across tasks, so pools hash-disjoint by construction."""
+    across tasks, so triplet sets are disjoint by construction."""
     rng = np.random.default_rng(spec.seed)
     entities = [f"e{i}" for i in range(spec.n_entities)]
     relations = [f"r{i}" for i in range(spec.n_relations)]
@@ -353,16 +253,17 @@ def raw_task_token_stream(raw_tasks):
             yield from tokenize(s["response"])
 
 
-def synth_vocab(raw_tasks, max_size=200):
-    return build_vocab(raw_task_token_stream(raw_tasks), max_size)
+def _make_sample(history_text, response_text, graph, vocab, gold):
+    history = vocab.encode(tokenize(history_text) or [START_MARKER])
+    response = vocab.encode(tokenize(response_text)) + [EOS]
+    return DialogueSample(history=history, response=response, graph=graph,
+                          gold_triplet=gold)
 
 
 def raw_task_to_samples(raw, vocab):
     graph = _graph(raw.goal, raw.knowledge)
-    return [
-        _make_sample([s["history"]], s["response"], graph, vocab, gold=s["gold"])
-        for s in raw.samples
-    ]
+    return [_make_sample(s["history"], s["response"], graph, vocab, s["gold"])
+            for s in raw.samples]
 
 
 def tasks_from_raw(raw_tasks, vocab, k_support, k_query, seed=0):
@@ -376,19 +277,6 @@ def tasks_from_raw(raw_tasks, vocab, k_support, k_query, seed=0):
                                          seed=seed + raw.task_id,
                                          task_id=raw.task_id))
     return tasks
-
-
-def synth_generate(spec, n_tasks, k_support=8, k_query=14, vocab=None):
-    """Seeded synthetic tasks, numericalized and split into support/query."""
-    raw_tasks = synth_raw_tasks(spec, n_tasks)
-    if vocab is None:
-        vocab = synth_vocab(raw_tasks)
-    return tasks_from_raw(raw_tasks, vocab, k_support, k_query, seed=spec.seed)
-
-
-def triplet_set_hash(raw):
-    blob = json.dumps(sorted(map(tuple, raw.knowledge)))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +301,8 @@ def load_task_pool(path):
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from exc
             where = f"{path} line {lineno}"
+            obj = _parse_json(line, where)
             goal, knowledge = _graph_fields(obj, where)
             task_id = _require(obj, "task_id", where)
             if type(task_id) is not int:
@@ -446,10 +331,7 @@ def _check_samples(samples, n_triplets, where):
 def load_graph(path):
     """Read a knowledge graph file: one JSON object with 'goal' and 'knowledge'."""
     with open_text(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+        obj = _parse_json(fh.read(), path)
     return _graph(*_graph_fields(obj, path))
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ContractError
 
@@ -38,14 +38,6 @@ class DialogueGoal:
         if path[0] != START_MARKER:
             raise ContractError(f"goal path must begin with {START_MARKER!r}, got {path[0]!r}")
 
-    @property
-    def topic_a(self):
-        return self.path[1]
-
-    @property
-    def topic_b(self):
-        return self.path[2]
-
 
 @dataclass
 class KnowledgeGraph:
@@ -70,7 +62,6 @@ class DialogueSample:
     response: list
     graph: KnowledgeGraph
     gold_triplet: int | None = None
-    meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.history:

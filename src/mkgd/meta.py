@@ -74,7 +74,6 @@ class TaskSampler:
 
     def __init__(self, pool, seed=0):
         self.pool = list(pool)
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
 
     def __len__(self):
@@ -154,7 +153,6 @@ def inner_update(model, task, cfg, opt_state=None):
 @dataclass
 class EpisodeStats:
     tasks: list = field(default_factory=list)
-    n_samples: int = 0
     meta_loss: float = 0.0
 
 
@@ -184,11 +182,6 @@ def meta_batch_step(model, batch, cfg, meta_state=None):
     if meta_state is None:
         meta_state = _make_state(cfg.meta_optimizer, model.store)
 
-    touched = set()
-    for task in batch:
-        touched.update(id(s) for s in task.support)
-        touched.update(id(s) for s in task.query)
-
     support_rows = {}
     inner_state = _make_state(cfg.inner_optimizer, model.store)
     for task in batch:
@@ -199,7 +192,7 @@ def meta_batch_step(model, batch, cfg, meta_state=None):
     _opt_step(cfg.meta_optimizer, model.store, grads, meta_state,
               cfg.beta, cfg.clip_norm)
 
-    stats = EpisodeStats(n_samples=len(touched), meta_loss=meta_loss)
+    stats = EpisodeStats(meta_loss=meta_loss)
     for task, q_row in zip(batch, per_task):
         stats.tasks.append({
             "task_id": task.task_id,

@@ -368,8 +368,11 @@ def mean_loss_components(stats):
 def infer_dims(arrays):
     """Recover (vocab_size, embed_dim, hidden_dim) from checkpoint arrays."""
     try:
-        V, E = arrays["model.embed.W"].shape
-        H = arrays["model.enc.proj.W"].shape[0]
-    except (KeyError, ValueError) as exc:
+        embed, proj = arrays["model.embed.W"], arrays["model.enc.proj.W"]
+    except KeyError as exc:
         raise ContractError(f"checkpoint lacks model parameters: {exc}") from exc
-    return V, E, H
+    if embed.ndim != 2 or proj.ndim != 2:
+        raise ContractError("checkpoint entries 'model.embed.W' and 'model.enc.proj.W' "
+                            "must be 2-d")
+    V, E = embed.shape
+    return V, E, proj.shape[0]

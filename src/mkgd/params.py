@@ -3,8 +3,10 @@
 Checkpoint layout (binary, little-endian): the magic bytes ``MKGD1``, a u32
 entry count, then per entry a u32 name length, the UTF-8 name, a u32 rank,
 ``rank`` u32 shape dims, and the row-major float64 payload. Round-trips are
-bit-exact. Entries under the ``/adam/`` name prefix, written by older
-versions, are optimizer state; ``split_checkpoint`` sets them apart.
+bit-exact. A non-finite value marks a corrupt file, since ``set_values``
+never stores one; ``load_checkpoint`` rejects it. Entries under the
+``/adam/`` name prefix, written by older versions, are optimizer state;
+``split_checkpoint`` sets them apart.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ class ParamStore:
     """Ordered map of trainable tensors, snapshotable bit-exactly."""
 
     def __init__(self, seed=0):
-        self.rng_seed = seed
         self._rng = np.random.default_rng(seed)
         self._entries = {}
 
@@ -149,7 +150,12 @@ def load_checkpoint(path):
             raise DataError(f"{path}: duplicate entry {name!r}")
         n = math.prod(shape)
         payload = np.frombuffer(data, dtype="<f8", count=n, offset=take(8 * n))
-        arrays[name] = payload.reshape(shape).astype(np.float64)
+        if not np.isfinite(payload).all():
+            raise DataError(f"{path}: entry {name!r} holds a non-finite value")
+        try:
+            arrays[name] = payload.reshape(shape).astype(np.float64)
+        except ValueError as exc:  # an empty shape whose other dims overflow
+            raise DataError(f"{path}: entry {name!r} has impossible shape {shape}") from exc
     if off != len(data):
         raise DataError(f"{path}: trailing bytes after last entry")
     return arrays

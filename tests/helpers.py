@@ -1,10 +1,19 @@
 """Shared test utilities: finite-difference oracle, gradient comparison,
-and a scalar surrogate model for exercising the training loops."""
+numericalized synthetic tasks, and a scalar surrogate model for exercising
+the training loops."""
 
 import numpy as np
 
+from mkgd.data import build_vocab, raw_task_token_stream, synth_raw_tasks, tasks_from_raw
 from mkgd.params import ParamStore
 from mkgd import tensor as T
+
+
+def synth_tasks(spec, n_tasks, k_support=8, k_query=14):
+    """Seeded synthetic tasks split into support/query, with their vocabulary."""
+    raw = synth_raw_tasks(spec, n_tasks)
+    vocab = build_vocab(raw_task_token_stream(raw), 200)
+    return tasks_from_raw(raw, vocab, k_support, k_query, seed=spec.seed), vocab
 
 
 def finite_diff_grads(store, loss_fn, h=1e-5, names=None):

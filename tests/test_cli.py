@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +11,12 @@ from mkgd import cli
 from mkgd.config import RunConfig
 from mkgd.data import (
     RawTask,
-    SyntheticTaskSpec,
     Vocab,
     build_vocab,
     load_task_pool,
     raw_task_to_samples,
     raw_task_token_stream,
     save_task_pool,
-    synth_raw_tasks,
 )
 from mkgd.meta import MetaConfig, supervised_train
 from mkgd.model import DialogueModel
@@ -307,25 +307,56 @@ def test_checkpoint_with_adam_entries_still_loads(tmp_path, capsys):
 GOAL = ["[start]", "e0", "e1"]
 
 
+def replace_checkpoint_entry(ckpt, name, values):
+    """Rewrite a checkpoint with one entry's values swapped, bypassing set_values."""
+    store = ParamStore(0)
+    for key, vals in load_checkpoint(ckpt).items():
+        store.add(key, values if key == name else vals)
+    save_checkpoint(ckpt, store)
+
+
 @pytest.mark.parametrize("case", ["truncated-checkpoint", "graph-without-goal",
-                                  "two-field-triplet", "sample-without-response"])
+                                  "two-field-triplet", "sample-without-response",
+                                  "rank-0-projection", "nan-checkpoint",
+                                  "negative-embed-dim-flag", "zero-hidden-dim-flag",
+                                  "negative-embed-dim-config", "zero-support-size"])
 def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
     argv = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath), "--graph", str(graph)]
+    # Big enough for meta-train to build its model and for adapt-eval to run.
+    pool = make_pool(tmp_path / "pool.jsonl")
+    adapt_eval = ["adapt-eval", "--pool", str(pool), "--checkpoint", str(ckpt),
+                  "--vocab", str(vpath), "--k-support", "3", "--k-query", "3"]
+    meta_train = ["meta-train", "--pool", str(pool),
+                  "--checkpoint-out", str(tmp_path / "out.ckpt"),
+                  "--vocab-out", str(tmp_path / "out.vocab"),
+                  "--log-out", str(tmp_path / "out.csv")]
     if case == "truncated-checkpoint":
         ckpt.write_bytes(ckpt.read_bytes()[:1000])
     elif case == "graph-without-goal":
         graph.write_text(json.dumps({"knowledge": [["e0", "r0", "e1"]]}))
     elif case == "two-field-triplet":
         graph.write_text(json.dumps({"goal": GOAL, "knowledge": [["e0", "r0"]]}))
-    else:
-        pool = tmp_path / "pool.jsonl"
+    elif case == "sample-without-response":
         pool.write_text(json.dumps({
             "task_id": 0, "goal": GOAL, "knowledge": [["e0", "r0", "e1"]],
             "samples": [{"history": "hello", "gold": 0}],
         }) + "\n")
-        argv = ["adapt-eval", "--pool", str(pool), "--checkpoint", str(ckpt),
-                "--vocab", str(vpath), "--split", "all"]
+        argv = adapt_eval
+    elif case == "rank-0-projection":
+        replace_checkpoint_entry(ckpt, "model.enc.proj.W", 0.5)
+    elif case == "nan-checkpoint":
+        replace_checkpoint_entry(ckpt, "model.out.b", np.full(len(Vocab.load(vpath)), np.nan))
+    elif case == "negative-embed-dim-flag":
+        argv = meta_train + MINI_TRAIN_FLAGS + ["--embed-dim", "-1"]
+    elif case == "zero-hidden-dim-flag":
+        argv = meta_train + MINI_TRAIN_FLAGS + ["--hidden-dim", "0"]
+    elif case == "negative-embed-dim-config":
+        config = tmp_path / "run.cfg"
+        config.write_text("embed_dim=-2\n")
+        argv = meta_train + ["--config", str(config)]
+    else:
+        argv = adapt_eval + ["--support-size", "0"]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
@@ -394,9 +425,12 @@ def test_every_run_config_field_has_a_flag():
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "pool.jsonl"
+    # The child imports the same source tree as this test, however pytest found it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mkgd", "synth", "--tasks", "1", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert out.exists()

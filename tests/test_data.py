@@ -4,51 +4,42 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from helpers import synth_tasks
 from mkgd.data import (
     EOS,
+    RawTask,
     SyntheticTaskSpec,
     Vocab,
     build_vocab,
+    load_graph,
     load_task_pool,
-    parse_duconv,
     raw_task_to_samples,
-    records_to_samples,
+    raw_task_token_stream,
     save_task_pool,
-    serialize_duconv,
     split_pool,
-    synth_generate,
     synth_raw_tasks,
-    synth_vocab,
     tasks_from_raw,
     tokenize,
-    triplet_set_hash,
 )
 from mkgd.dialogue import START_MARKER
-from mkgd.errors import ContractError, DataError, ParseError, SchemaError
+from mkgd.errors import DataError, ParseError, SchemaError
 from mkgd.metrics import selection_accuracy
 
-FIXTURE_LINES = [
-    json.dumps({
-        "goal": ["[start]", "Milena", "The Row"],
-        "knowledge": [["Milena", "director", "Vera Belmont"],
-                      ["Milena", "starring", "Nick Mancuso"],
-                      ["The Row", "released", "last month"]],
-        "conversation": ["i saw a movie directed by Vera Belmont",
-                         "what is it ?",
-                         "it is Milena starring Nick Mancuso",
-                         "sounds good"],
-    }),
-    json.dumps({
-        "goal": ["[start]", "Milena", "The Row"],
-        "knowledge": [["Milena", "reputation", "poor"]],
-        "conversation": ["Milena has a poor reputation", "oh really"],
-    }),
-    json.dumps({
-        "goal": ["[start]", "Milena", "The Row"],
-        "knowledge": [["The Row", "released", "last month"]],
-        "history": ["have you watched anything new ?"],
-        "response": "The Row was released last month",
-    }),
+GRAPH_FIXTURE = {
+    "goal": ["[start]", "Milena", "The Row"],
+    "knowledge": [["Milena", "director", "Vera Belmont"],
+                  ["Milena", "starring", "Nick Mancuso"],
+                  ["The Row", "released", "last month"]],
+}
+POOL_FIXTURE = [
+    {**GRAPH_FIXTURE, "task_id": 0, "samples": [
+        {"history": "", "response": "i saw a movie directed by Vera Belmont", "gold": 0},
+        {"history": "what is it ?", "response": "it is Milena starring Nick Mancuso",
+         "gold": 1},
+    ]},
+    {**GRAPH_FIXTURE, "task_id": 1, "knowledge": [["The Row", "released", "last month"]],
+     "samples": [{"history": "have you watched anything new ?",
+                  "response": "The Row was released last month", "gold": 0}]},
 ]
 
 
@@ -117,81 +108,72 @@ def test_vocab_file_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# DuConv parsing
+# pool and graph readers
 
 
-def test_parse_goal_fixture():
-    records = parse_duconv(FIXTURE_LINES)
-    assert len(records) == 3
-    graph = records[0].graph()
-    assert graph.goal.topic_a == "Milena"
-    assert graph.goal.topic_b == "The Row"
+def test_parse_goal_fixture(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(GRAPH_FIXTURE), encoding="utf-8")
+    graph = load_graph(path)
+    assert graph.goal.path == ("[start]", "Milena", "The Row")
+    assert len(graph) == 3
     assert graph.triplets[0].head == "Milena"
+    assert graph.triplets[1].tail == "Nick Mancuso"
 
 
-def test_parse_empty_stream():
-    assert parse_duconv([]) == []
-    assert parse_duconv(["", "   "]) == []
+def test_parse_empty_stream(tmp_path):
+    path = tmp_path / "pool.jsonl"
+    path.write_text("", encoding="utf-8")
+    assert load_task_pool(path) == []
+    path.write_text("\n   \n", encoding="utf-8")
+    assert load_task_pool(path) == []
 
 
-def test_parse_reports_line_numbers():
+def test_parse_reports_line_numbers(tmp_path):
+    path = tmp_path / "pool.jsonl"
+    path.write_text('{"goal": [}\n', encoding="utf-8")
     with pytest.raises(ParseError) as err:
-        parse_duconv(['{"goal": [}'])
+        load_task_pool(path)
     assert "line 1" in str(err.value)
+    path.write_text(json.dumps(POOL_FIXTURE[0]) + '\n{"knowledge": [["a","b","c"]]}\n',
+                    encoding="utf-8")
     with pytest.raises(SchemaError) as err:
-        parse_duconv([FIXTURE_LINES[0], '{"knowledge": [["a","b","c"]]}'])
+        load_task_pool(path)
     assert "line 2" in str(err.value)
     assert "goal" in str(err.value)
 
 
-def test_parse_rejects_both_or_neither_payload():
-    bad = json.dumps({"goal": ["[start]", "a", "b"],
-                      "knowledge": [["a", "r", "b"]]})
-    with pytest.raises(SchemaError):
-        parse_duconv([bad])
-    both = json.dumps({"goal": ["[start]", "a", "b"],
-                       "knowledge": [["a", "r", "b"]],
-                       "conversation": ["hi"], "history": [], "response": "x"})
-    with pytest.raises(SchemaError):
-        parse_duconv([both])
-
-
-def test_serialize_parse_roundtrip_matches_canonical():
-    records = parse_duconv(FIXTURE_LINES)
-    got = serialize_duconv(records)
-    # independent canonicalizer: plain json re-dump of the raw objects
+def test_serialize_parse_roundtrip_matches_canonical(tmp_path):
+    path = tmp_path / "pool.jsonl"
+    save_task_pool(path, [RawTask(**obj) for obj in POOL_FIXTURE])
+    got = path.read_text(encoding="utf-8")
+    # independent canonicalizer: plain json dump of the raw objects
     want = "".join(
-        json.dumps(json.loads(line), ensure_ascii=False, sort_keys=True,
-                   separators=(",", ":")) + "\n"
-        for line in FIXTURE_LINES
+        json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n"
+        for obj in POOL_FIXTURE
     )
     assert got == want
-    assert serialize_duconv(parse_duconv(got.splitlines())) == got
+    save_task_pool(path, load_task_pool(path))
+    assert path.read_text(encoding="utf-8") == got
 
 
-def test_records_to_samples_invariants():
-    records = parse_duconv(FIXTURE_LINES)
-    vocab = build_vocab((t for r in records for t in ["x"] + tokenize(" ".join(
-        r.conversation if r.conversation else list(r.history) + [r.response]))),
-        max_size=100)
-    samples = records_to_samples(records, vocab)
-    # 4-utterance conversation -> 2 samples, 2-utterance -> 1, test record -> 1
-    assert len(samples) == 4
+def test_raw_task_to_samples_invariants():
+    raw = [RawTask(**obj) for obj in POOL_FIXTURE]
+    vocab = build_vocab(raw_task_token_stream(raw), max_size=100)
+    per_task = [raw_task_to_samples(task, vocab) for task in raw]
+    samples = [s for task_samples in per_task for s in task_samples]
+    assert len(samples) == 3
     for s in samples:
         assert len(s.history) > 0
         assert len(s.response) > 0
         assert s.response[-1] == EOS
         assert 0 <= s.gold_triplet < len(s.graph)
-    # first responder turn speaks from the start marker
+    assert [s.gold_triplet for s in samples] == [0, 1, 0]
+    # an empty history speaks from the start marker
     assert samples[0].history == vocab.encode([START_MARKER])
-
-
-def test_gold_labels_use_character_overlap():
-    records = parse_duconv(FIXTURE_LINES)
-    vocab = build_vocab(["Milena"], max_size=50)
-    samples = records_to_samples(records, vocab)
-    # "it is Milena starring Nick Mancuso" overlaps tail "Nick Mancuso" most
-    assert samples[1].gold_triplet == 1
+    assert samples[1].history == vocab.encode(["what", "is", "it", "?"])
+    # samples of one task share one graph
+    assert per_task[0][0].graph is per_task[0][1].graph
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +205,7 @@ def test_synth_histories_mention_topic_a():
 
 def test_synth_oracle_model_reaches_full_selection_accuracy():
     spec = SyntheticTaskSpec(seed=8)
-    tasks = synth_generate(spec, 3)
+    tasks, _ = synth_tasks(spec, 3)
     samples = [s for task in tasks for s in task.support + task.query]
     # an oracle that reads the gold label directly
     priors = []
@@ -238,8 +220,8 @@ def test_synth_oracle_model_reaches_full_selection_accuracy():
 def test_synth_triplet_sets_are_disjoint_across_tasks():
     spec = SyntheticTaskSpec(seed=3, n_entities=20)
     raw = synth_raw_tasks(spec, 30)
-    hashes = [triplet_set_hash(t) for t in raw]
-    assert len(set(hashes)) == len(hashes)
+    triplet_sets = [frozenset(map(tuple, t.knowledge)) for t in raw]
+    assert len(set(triplet_sets)) == len(triplet_sets)
     seen = set()
     for t in raw:
         for triplet in map(tuple, t.knowledge):
@@ -256,7 +238,7 @@ def test_synth_sample_deficit_is_reported():
 
 def test_synth_tasks_have_disjoint_split_and_shared_graph():
     spec = SyntheticTaskSpec(seed=4)
-    tasks = synth_generate(spec, 2, k_support=8, k_query=14)
+    tasks, _ = synth_tasks(spec, 2, k_support=8, k_query=14)
     for task in tasks:
         assert len(task.support) == 8
         assert len(task.query) == 14
@@ -275,6 +257,18 @@ def test_pool_roundtrip(tmp_path):
     save_task_pool(path, raw)
     again = load_task_pool(path)
     assert [t.__dict__ for t in again] == [t.__dict__ for t in raw]
+
+
+def test_json_readers_reject_an_integer_past_the_digit_limit(tmp_path):
+    huge = "1" * 5000
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text('{"task_id": %s}\n' % huge, encoding="utf-8")
+    with pytest.raises(ParseError, match="line 1"):
+        load_task_pool(pool)
+    graph = tmp_path / "graph.json"
+    graph.write_text('{"goal": %s}' % huge, encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_graph(graph)
 
 
 def test_pool_rejects_missing_fields(tmp_path):
@@ -320,7 +314,7 @@ def test_split_pool_fractions_and_determinism():
 def test_tasks_from_raw_uses_vocab(tmp_path):
     spec = SyntheticTaskSpec(seed=7)
     raw = synth_raw_tasks(spec, 2)
-    vocab = synth_vocab(raw)
+    vocab = build_vocab(raw_task_token_stream(raw), 200)
     tasks = tasks_from_raw(raw, vocab, 4, 4, seed=0)
     sample = tasks[0].support[0]
     decoded = vocab.decode(sample.response[:-1])

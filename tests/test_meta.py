@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import QuadraticModel, QuadSample
-from mkgd.data import SyntheticTaskSpec, synth_generate, synth_raw_tasks, synth_vocab, tasks_from_raw
+from helpers import QuadraticModel, QuadSample, synth_tasks
+from mkgd.data import SyntheticTaskSpec
 from mkgd.errors import ContractError, DataError
 from mkgd.meta import (
     MetaConfig,
@@ -27,9 +27,7 @@ def quad_task(support, query, task_id=0):
 
 def mini_pool(n_tasks=6, seed=0, hidden=12):
     spec = SyntheticTaskSpec(seed=seed, n_samples=12)
-    raw = synth_raw_tasks(spec, n_tasks)
-    vocab = synth_vocab(raw)
-    tasks = tasks_from_raw(raw, vocab, 4, 6, seed=seed)
+    tasks, vocab = synth_tasks(spec, n_tasks, 4, 6)
     model = DialogueModel(vocab, 8, hidden, seed=seed)
     return tasks, model
 
@@ -184,13 +182,16 @@ def test_meta_step_zero_query_gradients_leave_params():
 
 def test_meta_step_touches_110_distinct_samples():
     spec = SyntheticTaskSpec(seed=2)
-    tasks = synth_generate(spec, 5, k_support=8, k_query=14)
-    vocab_tasks = synth_raw_tasks(spec, 5)
-    vocab = synth_vocab(vocab_tasks)
+    tasks, vocab = synth_tasks(spec, 5, k_support=8, k_query=14)
     model = DialogueModel(vocab, 8, 8, seed=0)
     cfg = MetaConfig(alpha=0.01, beta=0.01, num_tasks=5, inner_steps=1)
     _, _, stats = meta_batch_step(model, tasks, cfg)
-    assert stats.n_samples == 5 * (8 + 14) == 110
+    samples = {id(s) for task in tasks for s in task.support + task.query}
+    assert len(samples) == 5 * (8 + 14) == 110
+    # every task reports a support row (from its inner step) and a query row
+    assert [row["task_id"] for row in stats.tasks] == [t.task_id for t in tasks]
+    assert all(row["support"] is not None and row["query"] is not None
+               for row in stats.tasks)
 
 
 def test_meta_step_empty_batch_rejected():

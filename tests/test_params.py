@@ -125,6 +125,20 @@ def test_truncated_or_corrupt_checkpoint_raises_data_error(tmp_path):
         load_checkpoint(cut)
 
 
+@pytest.mark.parametrize("shape,payload", [
+    ((2,), [1.0, float("nan")]),
+    ((1,), [float("-inf")]),
+    ((0, 2**32 - 1, 2**32 - 1, 2**32 - 1), []),  # zero size, but the dims overflow
+])
+def test_non_finite_or_impossible_checkpoint_entry_raises_data_error(tmp_path, shape, payload):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
+                     + struct.pack(f"<I{len(shape)}I", len(shape), *shape)
+                     + struct.pack(f"<{len(payload)}d", *payload))
+    with pytest.raises(DataError, match="'w'"):
+        load_checkpoint(path)
+
+
 def test_duplicate_checkpoint_entry_raises_data_error(tmp_path):
     entry = struct.pack("<I", 1) + b"w" + struct.pack("<II", 1, 1)
     path = tmp_path / "dup.ckpt"
