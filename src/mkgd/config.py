@@ -8,6 +8,7 @@ explicit command-line flags.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -49,6 +50,10 @@ class RunConfig:
         for name in ("embed_dim", "hidden_dim"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # NaN passes every range check below and in MetaConfig, so refuse it here.
+        for name in ("alpha", "beta", "clip_norm", "w_kl", "w_nll", "w_bow"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
 
     def meta_config(self):
         return MetaConfig(

@@ -7,38 +7,39 @@ portable (e.g. "enc.fwd.W_z", "att.v").
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .errors import ContractError, DimensionError, VocabError
+from .errors import ContractError, DimensionError
 from . import tensor as T
 from .tensor import Tensor
 
 
 class EmbeddingLayer:
-    def __init__(self, weight, vocab_size, embed_dim):
+    def __init__(self, weight):
         self.weight = weight
-        self.vocab_size = vocab_size
-        self.embed_dim = embed_dim
 
-    def lookup(self, index):
-        """Row `index` of the table as a vector."""
-        if not (0 <= index < self.vocab_size):
-            raise VocabError(f"token index {index} out of range for vocab of {self.vocab_size}")
-        return T.reshape(T.gather(self.weight, [index]), (self.embed_dim,))
+    def lookup(self, indices):
+        """Rows `indices` of the table, as an (n, embed_dim) matrix."""
+        return T.gather(self.weight, indices)
 
 
 def build_embedding(store, prefix, vocab_size, embed_dim):
     w = store.create(f"{prefix}.W", (vocab_size, embed_dim), init="uniform")
-    return EmbeddingLayer(w, vocab_size, embed_dim)
+    return EmbeddingLayer(w)
 
 
 class GruCell:
-    """Gated recurrent cell.
+    """Gated recurrent cell over a batch of rows.
 
     z = sigmoid(W_z x + U_z h + b_z)
     r = sigmoid(W_r x + U_r h + b_r)
     c = tanh(W_h x + U_h (r * h) + b_h)
-    h' = (1 - z) * c + z * h
+    h' = (1 - z) * c + z * h, computed as c + z * (h - c)
+
+    Inputs and states are (B, dim) matrices, one row per sample, so a step
+    multiplies them by the transposed gate matrices from ``transposed()``.
     """
 
     def __init__(self, params, input_dim, hidden_dim):
@@ -47,18 +48,23 @@ class GruCell:
         (self.W_z, self.U_z, self.b_z,
          self.W_r, self.U_r, self.b_r,
          self.W_h, self.U_h, self.b_h) = params
-        self._ones = Tensor(np.ones(hidden_dim))
 
-    def step(self, x, h):
-        if x.shape != (self.input_dim,):
-            raise DimensionError(f"gru input shape {x.shape}, expected ({self.input_dim},)")
-        z = T.sigmoid(T.add(T.add(T.matmul(self.W_z, x), T.matmul(self.U_z, h)), self.b_z))
-        r = T.sigmoid(T.add(T.add(T.matmul(self.W_r, x), T.matmul(self.U_r, h)), self.b_r))
-        c = T.tanh(T.add(T.add(T.matmul(self.W_h, x), T.matmul(self.U_h, T.mul(r, h))), self.b_h))
-        return T.add(T.mul(T.sub(self._ones, z), c), T.mul(z, h))
+    def transposed(self):
+        """(W_z, U_z, W_r, U_r, W_h, U_h) transposed; record once per recurrence."""
+        return tuple(T.transpose(m) for m in
+                     (self.W_z, self.U_z, self.W_r, self.U_r, self.W_h, self.U_h))
 
-    def initial_state(self):
-        return Tensor(np.zeros(self.hidden_dim))
+    def step(self, x, h, mats):
+        if x.values.ndim != 2 or x.shape[1] != self.input_dim:
+            raise DimensionError(f"gru input shape {x.shape}, expected (B, {self.input_dim})")
+        W_z, U_z, W_r, U_r, W_h, U_h = mats
+        z = T.sigmoid(T.add(T.add(T.matmul(x, W_z), T.matmul(h, U_z)), self.b_z))
+        r = T.sigmoid(T.add(T.add(T.matmul(x, W_r), T.matmul(h, U_r)), self.b_r))
+        c = T.tanh(T.add(T.add(T.matmul(x, W_h), T.matmul(T.mul(r, h), U_h)), self.b_h))
+        return T.add(c, T.mul(z, T.sub(h, c)))
+
+    def initial_state(self, batch):
+        return Tensor(np.zeros((batch, self.hidden_dim)))
 
 
 def build_gru_cell(store, prefix, input_dim, hidden_dim):
@@ -70,43 +76,78 @@ def build_gru_cell(store, prefix, input_dim, hidden_dim):
     return GruCell(tuple(params), input_dim, hidden_dim)
 
 
-def gru_encode(tokens, embedding, fwd, bwd=None):
-    """Run a (bi)directional GRU over a token-index sequence.
+def _recur(cell, inputs, lengths, order):
+    """Step one cell over per-position (B, E) inputs, visiting positions in `order`.
 
-    Returns (per-position states, summary). In the bidirectional case each
-    per-position state is [forward_t; backward_t] and the summary is the
-    concatenation of the final forward and final backward states.
+    A row past its sequence's end keeps its state bit for bit, as
+    m * h' + (1 - m) * h with m in {0, 1}; a step where every row is still
+    running records no mask.
     """
-    tokens = list(tokens)
-    if not tokens:
+    mats = cell.transposed()
+    h = cell.initial_state(len(lengths))
+    states = [None] * len(inputs)
+    for t in order:
+        new = cell.step(inputs[t], h, mats)
+        if all(t < n for n in lengths):
+            h = new
+        else:
+            m = np.array([[1.0 if t < n else 0.0] for n in lengths])
+            h = T.add(T.mul(Tensor(m), new), T.mul(Tensor(1.0 - m), h))
+        states[t] = h
+    return states
+
+
+def gru_encode(sequences, embedding, fwd, bwd=None):
+    """Run a (bi)directional GRU over a batch of token-index sequences.
+
+    Each position is one cell step for the whole batch. Shorter sequences
+    are padded, and their state is held unchanged past their end, so the
+    forward state at the last position is each sequence's own final state
+    and the backward direction starts from zeros at each sequence's last
+    token.
+
+    Returns (per-position states, summary). A state is (B, H); in the
+    bidirectional case it is [forward_t; backward_t], (B, 2H), and the
+    summary is the concatenation of the final forward and final backward
+    states.
+    """
+    sequences = [list(s) for s in sequences]
+    if not sequences or not all(sequences):
         raise ContractError("gru_encode on empty sequence")
-    embedded = [embedding.lookup(i) for i in tokens]
+    lengths = [len(s) for s in sequences]
+    positions = range(max(lengths))
+    # Past its end a sequence reads token 0; the held state never sees it.
+    embedded = [embedding.lookup([s[t] if t < len(s) else 0 for s in sequences])
+                for t in positions]
 
-    h = fwd.initial_state()
-    fwd_states = []
-    for x in embedded:
-        h = fwd.step(x, h)
-        fwd_states.append(h)
-
+    fwd_states = _recur(fwd, embedded, lengths, positions)
     if bwd is None:
         return fwd_states, fwd_states[-1]
 
-    h = bwd.initial_state()
-    bwd_states = [None] * len(tokens)
-    for t in range(len(tokens) - 1, -1, -1):
-        h = bwd.step(embedded[t], h)
-        bwd_states[t] = h
-
-    states = [T.concat([f, b]) for f, b in zip(fwd_states, bwd_states)]
-    summary = T.concat([fwd_states[-1], bwd_states[0]])
+    bwd_states = _recur(bwd, embedded, lengths, reversed(positions))
+    states = [T.concat([f, b], axis=1) for f, b in zip(fwd_states, bwd_states)]
+    summary = T.concat([fwd_states[-1], bwd_states[0]], axis=1)
     return states, summary
+
+
+MASKED = -1e30  # added to the score of a padded key: its softmax weight is exactly 0
+
+
+class AttentionKeys(NamedTuple):
+    """A key set prepared for repeated attention: see AttentionLayer.prepare."""
+
+    keys: Tensor       # (B, L, key_dim)
+    projected: Tensor  # keys W_k + b, (B, L, att_dim)
+    W_q: Tensor        # the query rows of W, (query_dim, att_dim)
+    mask: Tensor       # (B, L): 0 on real keys, MASKED on padding; None without padding
 
 
 class AttentionLayer:
     """Additive attention: score(q, k) = v . tanh(W [q; k] + b).
 
-    W is stored transposed, shape (query_dim + key_dim, att_dim), so scoring
-    a whole key stack is two matmuls.
+    W is stored transposed, shape (query_dim + key_dim, att_dim). Its query
+    rows W_q and key rows W_k split the score into q W_q + (k W_k + b), and
+    the key part is computed once per key set.
     """
 
     def __init__(self, W, b, v, query_dim, key_dim):
@@ -116,12 +157,25 @@ class AttentionLayer:
         self.query_dim = query_dim
         self.key_dim = key_dim
 
-    def scores_stacked(self, query, key_stack):
-        """Score every row of a (n, key_dim) stack against one query."""
-        n = key_stack.shape[0]
-        queries = T.stack([query] * n)
-        pre = T.add(T.matmul(T.concat([queries, key_stack], axis=1), self.W), self.b)
-        return T.matmul(T.tanh(pre), self.v)
+    def prepare(self, keys, lengths):
+        """Key set from (B, L, key_dim) keys; sample i attends to its first lengths[i]."""
+        if keys.values.ndim != 3 or not keys.shape[1]:
+            raise ContractError(f"attend needs a non-empty (B, L, key_dim) key stack, "
+                                f"got {keys.shape}")
+        q, L = self.query_dim, keys.shape[1]
+        W_k = T.slice_(self.W, q, q + self.key_dim)
+        projected = T.add(T.matmul(keys, W_k), self.b)
+        mask = None
+        if any(n < L for n in lengths):
+            mask = Tensor(np.array([[0.0] * n + [MASKED] * (L - n) for n in lengths]))
+        return AttentionKeys(keys, projected, T.slice_(self.W, 0, q), mask)
+
+    def scores(self, query, keys):
+        """(B, L) scores of each query row against its own sample's keys."""
+        B, L, att_dim = keys.projected.shape
+        q = T.reshape(T.matmul(query, keys.W_q), (B, 1, att_dim))
+        scores = T.matmul(T.tanh(T.add(keys.projected, q)), self.v)
+        return scores if keys.mask is None else T.add(scores, keys.mask)
 
 
 def build_attention(store, prefix, query_dim, key_dim, att_dim):
@@ -131,20 +185,20 @@ def build_attention(store, prefix, query_dim, key_dim, att_dim):
     return AttentionLayer(W, b, v, query_dim, key_dim)
 
 
-def attend(layer, query, key_stack):
-    """Soft attention over the rows of a (n, key_dim) key stack.
+def attend(layer, query, keys):
+    """Soft attention of a (B, query_dim) query batch over a prepared key set.
 
-    Returns (context, weights) with weights = softmax of additive scores and
-    context = sum_i weights_i * key_i. Callers looping over a fixed key set
-    build the stack once and reuse it across calls.
+    Returns (context, weights): weights (B, L) = softmax of additive scores,
+    zero past each sample's keys, and context (B, key_dim) with
+    context_i = sum_j weights_ij * key_ij.
     """
-    if not key_stack.shape[0]:
-        raise ContractError("attend with no keys")
-    if query.shape != (layer.query_dim,):
-        raise DimensionError(f"attention query shape {query.shape}, expected ({layer.query_dim},)")
-    weights = T.softmax(layer.scores_stacked(query, key_stack))
-    context = T.matmul(weights, key_stack)
-    return context, weights
+    B, L, key_dim = keys.keys.shape
+    if query.shape != (B, layer.query_dim):
+        raise DimensionError(f"attention query shape {query.shape}, "
+                             f"expected ({B}, {layer.query_dim})")
+    weights = T.softmax(layer.scores(query, keys))
+    context = T.matmul(T.reshape(weights, (B, 1, L)), keys.keys)
+    return T.reshape(context, (B, key_dim)), weights
 
 
 class Mlp:

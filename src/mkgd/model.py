@@ -6,6 +6,10 @@ selection distributions, a knowledge-fused attentive GRU decoder, and the
 three training losses (selection KL, token NLL, bag-of-words) whose sum is
 the training objective.
 
+The encoders and the decoder run a whole sample batch at once, one GRU step
+per position, on (B, ·) matrices; selection, fusion and the losses run per
+sample.
+
 Knowledge fusion is the deterministic weighted sum of triplet vectors:
 posterior-weighted during training, prior-weighted at inference and when
 scoring (the response must not leak into its own score).
@@ -76,21 +80,21 @@ def kl_div_loss(posterior, prior):
 def nll_loss(token_logits, response):
     """Teacher-forced cross entropy, summed (not averaged) over positions.
 
-    The expectation over selected knowledge is realized upstream: the logits
+    token_logits is (len(response), V), one row per position. The
+    expectation over selected knowledge is realized upstream: the logits
     are produced from the fused knowledge vector.
     """
-    if len(token_logits) != len(response):
+    if token_logits.values.ndim != 2 or token_logits.shape[0] != len(response):
         raise ContractError(
-            f"nll: {len(token_logits)} logit vectors for {len(response)} target tokens"
+            f"nll: logits of shape {token_logits.shape} for {len(response)} target tokens"
         )
-    picked = []
-    for logits, target in zip(token_logits, response):
-        vocab = logits.shape[0]
+    vocab = token_logits.shape[1]
+    for target in response:
         if not (0 <= target < vocab):
             raise ContractError(f"nll: target token {target} outside vocab of {vocab}")
-        probs = T.softmax(logits)
-        picked.append(T.log(T.slice_(probs, target, target + 1), floor=PROB_FLOOR))
-    return T.mul(T.sum_(T.concat(picked)), _NEG_ONE)
+    probs = T.reshape(T.softmax(token_logits), (len(response) * vocab, 1))
+    picked = T.gather(probs, [t * vocab + target for t, target in enumerate(response)])
+    return T.mul(T.sum_(T.log(picked, floor=PROB_FLOOR)), _NEG_ONE)
 
 
 def bow_loss(fused_knowledge, response, bow_mlp):
@@ -116,17 +120,30 @@ def total_loss(kl, nll, bow):
     return T.add(T.add(parts[0], parts[1]), parts[2])
 
 
+def _row(matrix, i):
+    """Row i of a (B, n) matrix, as an (n,) vector."""
+    return T.reshape(T.slice_(matrix, i, i + 1), (matrix.shape[1],))
+
+
 class ScoreResult(NamedTuple):
     nll: float
     tokens: int
     prior: np.ndarray
 
 
+class HistoryEncoding(NamedTuple):
+    """A history batch as encode_history returns it."""
+
+    states: Tensor   # (B, L, 2H): [forward_t; backward_t] per position
+    lengths: tuple   # tokens per history; attention ignores positions past them
+    summary: Tensor  # (B, H): the projected [final forward; final backward]
+
+
 @dataclass
 class ModelOutput:
     prior: np.ndarray
     posterior: np.ndarray
-    token_logits: list
+    token_logits: np.ndarray  # (len(response), V)
     kl: float
     nll: float
     bow: float
@@ -170,25 +187,35 @@ class DialogueModel:
 
     # -- encoders ----------------------------------------------------------
 
-    def encode_history(self, tokens):
-        states, summary = gru_encode(tokens, self.embed, self.enc_fwd, self.enc_bwd)
-        x_summary = T.add(T.matmul(self.enc_proj_W, summary), self.enc_proj_b)
-        return states, x_summary
+    def encode_history(self, histories):
+        """Bidirectional GRU over a batch of token-index histories."""
+        states, summary = gru_encode(histories, self.embed, self.enc_fwd, self.enc_bwd)
+        x_summary = T.add(T.matmul(summary, T.transpose(self.enc_proj_W)), self.enc_proj_b)
+        return HistoryEncoding(T.stack(states, axis=1), tuple(len(h) for h in histories),
+                               x_summary)
 
-    def encode_response(self, tokens):
-        _, summary = gru_encode(tokens, self.embed, self.resp_cell)
+    def encode_response(self, responses):
+        """(B, H) final GRU states of a batch of token-index responses."""
+        _, summary = gru_encode(responses, self.embed, self.resp_cell)
         return summary
 
-    def encode_knowledge(self, graph):
-        """One row per triplet: GRU over 'head relation tail', projected to hidden_dim."""
-        if not isinstance(graph, KnowledgeGraph) or len(graph) == 0:
-            raise ContractError("encode_knowledge needs a non-empty knowledge graph")
-        rows = []
-        for triplet in graph.triplets:
-            ids = self.vocab.encode(triplet.tokens())
-            _, summary = gru_encode(ids, self.embed, self.know_cell)
-            rows.append(T.add(T.matmul(self.know_proj_W, summary), self.know_proj_b))
-        return T.stack(rows)
+    def encode_knowledge(self, graphs):
+        """One (n_triplets, H) matrix per graph, a row per triplet.
+
+        A row is a GRU over the triplet's 'head relation tail' tokens,
+        projected to hidden_dim. The triplets of all the graphs run as one
+        batch.
+        """
+        if not graphs or not all(isinstance(g, KnowledgeGraph) and len(g) for g in graphs):
+            raise ContractError("encode_knowledge needs non-empty knowledge graphs")
+        ids = [self.vocab.encode(t.tokens()) for g in graphs for t in g.triplets]
+        _, summary = gru_encode(ids, self.embed, self.know_cell)
+        rows = T.add(T.matmul(summary, T.transpose(self.know_proj_W)), self.know_proj_b)
+        matrices, start = [], 0
+        for g in graphs:
+            matrices.append(T.slice_(rows, start, start + len(g)))
+            start += len(g)
+        return matrices
 
     def fuse_knowledge(self, k_matrix, weights):
         """Deterministic expectation: sum_i weights_i * k_i."""
@@ -196,37 +223,52 @@ class DialogueModel:
 
     # -- decoding ----------------------------------------------------------
 
-    def _decode_step(self, prev_token, hidden, key_stack, fused_knowledge):
-        """One attentive decoder step; projecting the new state is the caller's job."""
-        context, _ = attend(self.att, hidden, key_stack)
-        x = T.concat([self.embed.lookup(prev_token), context, fused_knowledge])
-        return self.dec_cell.step(x, hidden)
+    def _decode_step(self, prev_tokens, hidden, keys, fused, mats):
+        """One attentive decoder step for a batch; projecting the new state is the caller's job."""
+        context, _ = attend(self.att, hidden, keys)
+        x = T.concat([self.embed.lookup(prev_tokens), context, fused], axis=1)
+        return self.dec_cell.step(x, hidden, mats)
 
-    def decode_with_knowledge(self, history_states, fused_knowledge, response):
-        """Teacher-forced pass; one vocab-logit vector per response position.
+    def decode_with_knowledge(self, history, fused, responses):
+        """Teacher-forced pass over a batch; vocab logits, one row per response position.
 
-        The recurrence runs first; the output projection then maps all the
-        stacked states at once, so backward builds one (V, H) product for
-        ``out.W`` rather than one per position.
+        history is encode_history's result and fused the (B, H) knowledge
+        vectors. Rows run sample by sample: sample i's positions in order,
+        then sample i + 1's. The recurrence runs first, one step per
+        position for the whole batch; the output projection then maps every
+        row at once, so backward builds one (V, H) product for ``out.W``
+        rather than one per position.
         """
-        if not response:
+        if not responses or not all(responses):
             raise ContractError("decode_with_knowledge on empty response")
-        if fused_knowledge.shape != (self.hidden_dim,):
-            raise DimensionError(
-                f"fused knowledge shape {fused_knowledge.shape}, "
-                f"expected ({self.hidden_dim},)"
-            )
-        key_stack = T.stack(history_states)
-        hidden = self.dec_cell.initial_state()
-        prev = self.vocab.BOS
+        batch, H = len(responses), self.hidden_dim
+        if fused.shape != (batch, H):
+            raise DimensionError(f"fused knowledge shape {fused.shape}, expected ({batch}, {H})")
+        keys = self.att.prepare(history.states, history.lengths)
+        mats = self.dec_cell.transposed()
+        hidden = self.dec_cell.initial_state(batch)
+        prev = [self.vocab.BOS] * batch
+        steps = max(len(r) for r in responses)
+        # A finished response keeps stepping on PAD; those states are dropped
+        # below, so no mask is needed.
         states = []
-        for target in response:
-            hidden = self._decode_step(prev, hidden, key_stack, fused_knowledge)
+        for t in range(steps):
+            hidden = self._decode_step(prev, hidden, keys, fused, mats)
             states.append(hidden)
-            prev = target
-        logits = T.add(T.matmul(T.stack(states), T.transpose(self.out_W)), self.out_b)
-        vocab = len(self.vocab)
-        return [T.reshape(T.slice_(logits, t, t + 1), (vocab,)) for t in range(len(states))]
+            prev = [r[t] if t < len(r) else self.vocab.PAD for r in responses]
+        rows = T.reshape(T.stack(states, axis=1), (batch * steps, H))
+        if any(len(r) < steps for r in responses):
+            rows = T.gather(rows, [i * steps + t for i, r in enumerate(responses)
+                                   for t in range(len(r))])
+        return T.add(T.matmul(rows, T.transpose(self.out_W)), self.out_b)
+
+    def _prior_fusion(self, history, graph):
+        """One history's encoding, the prior over the graph, and its fused knowledge as (1, H)."""
+        encoded = self.encode_history([history])
+        [k_matrix] = self.encode_knowledge([graph])
+        prior = prior_distribution(k_matrix, _row(encoded.summary, 0))
+        fused = self.fuse_knowledge(k_matrix, prior)
+        return encoded, prior, T.reshape(fused, (1, self.hidden_dim))
 
     def generate(self, history, graph, max_len):
         """Greedy decoding from BOS, stopping at EOS or max_len.
@@ -236,19 +278,18 @@ class DialogueModel:
         """
         if max_len < 1:
             raise ContractError(f"max_len must be >= 1, got {max_len}")
-        history_states, x_summary = self.encode_history(history)
-        k_matrix = self.encode_knowledge(graph)
-        prior = prior_distribution(k_matrix, x_summary)
-        fused = self.fuse_knowledge(k_matrix, prior)
+        encoded, prior, fused = self._prior_fusion(history, graph)
         selected = int(np.argmax(prior.values))
 
-        key_stack = T.stack(history_states)
-        hidden = self.dec_cell.initial_state()
+        keys = self.att.prepare(encoded.states, encoded.lengths)
+        mats = self.dec_cell.transposed()
+        out_Wt = T.transpose(self.out_W)
+        hidden = self.dec_cell.initial_state(1)
         prev = self.vocab.BOS
         out = []
         for _ in range(max_len):
-            hidden = self._decode_step(prev, hidden, key_stack, fused)
-            logits = T.add(T.matmul(self.out_W, hidden), self.out_b)
+            hidden = self._decode_step([prev], hidden, keys, fused, mats)
+            logits = T.add(T.matmul(hidden, out_Wt), self.out_b)
             nxt = int(np.argmax(logits.values))
             if nxt == self.vocab.EOS:
                 break
@@ -258,45 +299,57 @@ class DialogueModel:
 
     # -- objectives --------------------------------------------------------
 
-    def forward(self, sample, k_matrix=None):
-        """Full training pass over one sample; losses are weighted terms.
+    def forward(self, samples):
+        """Full training pass over a sample batch; one ModelOutput per sample.
 
-        k_matrix lets batch callers reuse one knowledge encoding across
-        samples sharing a graph (identical values, shared gradient path).
+        The recurrences run once for the batch; selection, fusion and the
+        weighted loss terms run per sample. Samples sharing a graph share
+        one knowledge encoding (identical values, shared gradient path).
         """
-        history_states, x_summary = self.encode_history(sample.history)
-        y_summary = self.encode_response(sample.response)
-        if k_matrix is None:
-            k_matrix = self.encode_knowledge(sample.graph)
+        if not samples:
+            raise ContractError("forward on empty sample list")
+        responses = [s.response for s in samples]
+        history = self.encode_history([s.history for s in samples])
+        y_summary = self.encode_response(responses)
+        graphs = list({id(s.graph): s.graph for s in samples}.values())
+        k_matrices = dict(zip(map(id, graphs), self.encode_knowledge(graphs)))
 
-        prior = prior_distribution(k_matrix, x_summary)
-        posterior = posterior_distribution(k_matrix, x_summary, y_summary, self.post_mlp)
-        kl = kl_div_loss(posterior, prior)
-
-        fused = self.fuse_knowledge(k_matrix, posterior)
-        logits = self.decode_with_knowledge(history_states, fused, sample.response)
-        nll = nll_loss(logits, sample.response)
-        bow = bow_loss(fused, sample.response, self.bow_mlp)
+        heads = []
+        for i, sample in enumerate(samples):
+            k_matrix = k_matrices[id(sample.graph)]
+            x_summary = _row(history.summary, i)
+            prior = prior_distribution(k_matrix, x_summary)
+            posterior = posterior_distribution(k_matrix, x_summary, _row(y_summary, i),
+                                               self.post_mlp)
+            heads.append((prior, posterior, self.fuse_knowledge(k_matrix, posterior)))
+        logits = self.decode_with_knowledge(history, T.stack([h[2] for h in heads]), responses)
 
         w_kl, w_nll, w_bow = self.loss_weights
-        if w_kl != 1.0:
-            kl = T.mul(kl, Tensor(w_kl))
-        if w_nll != 1.0:
-            nll = T.mul(nll, Tensor(w_nll))
-        if w_bow != 1.0:
-            bow = T.mul(bow, Tensor(w_bow))
-        total = total_loss(kl, nll, bow)
-
-        return ModelOutput(
-            prior=prior.values.copy(),
-            posterior=posterior.values.copy(),
-            token_logits=[l.values.copy() for l in logits],
-            kl=kl.item(),
-            nll=nll.item(),
-            bow=bow.item(),
-            total=total.item(),
-            loss=total,
-        )
+        outputs, start = [], 0
+        for response, (prior, posterior, fused) in zip(responses, heads):
+            sample_logits = T.slice_(logits, start, start + len(response))
+            start += len(response)
+            kl = kl_div_loss(posterior, prior)
+            nll = nll_loss(sample_logits, response)
+            bow = bow_loss(fused, response, self.bow_mlp)
+            if w_kl != 1.0:
+                kl = T.mul(kl, Tensor(w_kl))
+            if w_nll != 1.0:
+                nll = T.mul(nll, Tensor(w_nll))
+            if w_bow != 1.0:
+                bow = T.mul(bow, Tensor(w_bow))
+            total = total_loss(kl, nll, bow)
+            outputs.append(ModelOutput(
+                prior=prior.values.copy(),
+                posterior=posterior.values.copy(),
+                token_logits=sample_logits.values.copy(),
+                kl=kl.item(),
+                nll=nll.item(),
+                bow=bow.item(),
+                total=total.item(),
+                loss=total,
+            ))
+        return outputs
 
     def batch_objective(self, samples):
         """Mean total loss over a sample batch plus per-sample stat rows.
@@ -307,12 +360,7 @@ class DialogueModel:
             raise ContractError("batch_objective on empty sample list")
         acc = None
         stats = []
-        k_cache = {}
-        for sample in samples:
-            key = id(sample.graph)
-            if key not in k_cache:
-                k_cache[key] = self.encode_knowledge(sample.graph)
-            out = self.forward(sample, k_matrix=k_cache[key])
+        for sample, out in zip(samples, self.forward(samples)):
             acc = out.loss if acc is None else T.add(acc, out.loss)
             sel_ok = None
             if sample.gold_triplet is not None:
@@ -326,11 +374,8 @@ class DialogueModel:
 
     def score(self, sample):
         """Prior-fused teacher-forced NLL of a sample (no posterior, no recording)."""
-        history_states, x_summary = self.encode_history(sample.history)
-        k_matrix = self.encode_knowledge(sample.graph)
-        prior = prior_distribution(k_matrix, x_summary)
-        fused = self.fuse_knowledge(k_matrix, prior)
-        logits = self.decode_with_knowledge(history_states, fused, sample.response)
+        encoded, prior, fused = self._prior_fusion(sample.history, sample.graph)
+        logits = self.decode_with_knowledge(encoded, fused, [sample.response])
         nll = nll_loss(logits, sample.response)
         return ScoreResult(nll.item(), len(sample.response), prior.values.copy())
 

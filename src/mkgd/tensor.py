@@ -111,41 +111,41 @@ def _ids(tensors):
     return tuple(_node_id(t, tape) for t in tensors)
 
 
-def _broadcastable(a, b):
-    """Equal shapes, a scalar side, or 2-d plus a per-row vector."""
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return True
-    return (a.ndim == 2 and b.shape == (a.shape[1],)) or \
-           (b.ndim == 2 and a.shape == (b.shape[1],))
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
 
+def _elementwise(kind, fn, a, b, saved):
+    """Apply a numpy binary op under numpy broadcasting; backward reduces back."""
+    try:
+        out = fn(a.values, b.values)
+    except ValueError:
+        raise DimensionError(f"{kind}: incompatible shapes {a.shape} and {b.shape}") from None
+    return _out(kind, out, _ids((a, b)), saved)
+
+
 def add(a, b):
-    if not _broadcastable(a.values, b.values):
-        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    return _out("add", a.values + b.values, _ids((a, b)), (a.shape, b.shape))
+    return _elementwise("add", np.add, a, b, (a.shape, b.shape))
 
 
 def sub(a, b):
-    if not _broadcastable(a.values, b.values):
-        raise DimensionError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-    return _out("sub", a.values - b.values, _ids((a, b)), (a.shape, b.shape))
+    return _elementwise("sub", np.subtract, a, b, (a.shape, b.shape))
 
 
 def mul(a, b):
-    if not _broadcastable(a.values, b.values):
-        raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    return _out("mul", a.values * b.values, _ids((a, b)), (a.values, b.values))
+    return _elementwise("mul", np.multiply, a, b, (a.values, b.values))
 
 
 def matmul(a, b):
+    """numpy matmul of 1- to 3-d operands; a 3-d b needs a 3-d a of the same batch size.
+
+    A 3-d a is a batch of matrices over its leading axis, sharing a 1- or 2-d b.
+    """
     av, bv = a.values, b.values
-    if av.ndim == 0 or bv.ndim == 0 or av.ndim > 2 or bv.ndim > 2:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    if av.shape[-1] != bv.shape[0]:
+    ok = (1 <= av.ndim <= 3 and 1 <= bv.ndim <= 3
+          and av.shape[-1] == bv.shape[0 if bv.ndim == 1 else -2]
+          and (bv.ndim < 3 or (av.ndim == 3 and av.shape[0] == bv.shape[0])))
+    if not ok:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = av @ bv
@@ -166,17 +166,18 @@ def concat(parts, axis=0):
     return _out("concat", vals, _ids(parts), (sizes, axis))
 
 
-def stack(rows):
-    if not rows:
+def stack(parts, axis=0):
+    """Join equal-shape tensors along a new axis."""
+    if not parts:
         raise ContractError("stack of zero tensors")
-    shape = rows[0].shape
-    if any(r.values.ndim != 1 or r.shape != shape for r in rows):
+    shape = parts[0].shape
+    if any(p.shape != shape for p in parts) or not 0 <= axis <= len(shape):
         raise DimensionError(
-            "stack: rows must be equal-length vectors, got "
-            + ", ".join(str(r.shape) for r in rows)
+            f"stack: parts must share one shape (axis={axis}), got "
+            + ", ".join(str(p.shape) for p in parts)
         )
-    vals = np.stack([r.values for r in rows], axis=0)
-    return _out("stack", vals, _ids(rows), (len(rows),))
+    vals = np.stack([p.values for p in parts], axis=axis)
+    return _out("stack", vals, _ids(parts), (len(parts), axis))
 
 
 def slice_(t, start, stop):
@@ -255,12 +256,16 @@ def reshape(t, shape):
 
 
 def _reduce_to(grad, shape):
-    """Collapse a gradient onto a (possibly broadcast) input shape."""
+    """Sum a gradient over the axes numpy broadcast an input of `shape` along."""
     if grad.shape == shape:
         return grad
-    if len(shape) == 1 and grad.ndim == 2 and grad.shape[1] == shape[0]:
-        return grad.sum(axis=0)
-    return np.sum(grad).reshape(shape)
+    lead = grad.ndim - len(shape)
+    if lead:
+        grad = grad.sum(axis=tuple(range(lead)))
+    ones = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if ones:
+        grad = grad.sum(axis=ones, keepdims=True)
+    return grad
 
 
 def _vjp(kind, saved, out_grad):
@@ -275,22 +280,31 @@ def _vjp(kind, saved, out_grad):
         return (_reduce_to(out_grad * bv, av.shape), _reduce_to(out_grad * av, bv.shape))
     if kind == "matmul":
         av, bv = saved
-        if av.ndim == 2 and bv.ndim == 2:
-            return (out_grad @ bv.T, av.T @ out_grad)
-        if av.ndim == 2 and bv.ndim == 1:
-            return (out_grad[:, None] * bv[None, :], av.T @ out_grad)
-        # (n,) @ (n,p)
-        return (bv @ out_grad, av[:, None] * out_grad[None, :])
+        if bv.ndim == 1:
+            # (..., n) @ (n,): an outer product back to a, a contraction over
+            # every leading axis back to b.
+            n = bv.shape[0]
+            return (out_grad[..., None] * bv, av.reshape(-1, n).T @ out_grad.reshape(-1))
+        if av.ndim == 1:
+            # (n,) @ (n, p)
+            return (bv @ out_grad, av[:, None] * out_grad[None, :])
+        da = out_grad @ np.swapaxes(bv, -1, -2)
+        if bv.ndim == 3:
+            return (da, np.swapaxes(av, -1, -2) @ out_grad)
+        # A shared 2-d b collects the products of every leading index of a.
+        n, p = bv.shape
+        return (da, av.reshape(-1, n).T @ out_grad.reshape(-1, p))
     if kind == "concat":
         sizes, axis = saved
+        lead = (slice(None),) * axis
         grads, off = [], 0
         for s in sizes:
-            grads.append(out_grad[off:off + s] if axis == 0 else out_grad[:, off:off + s])
+            grads.append(out_grad[lead + (slice(off, off + s),)])
             off += s
         return tuple(grads)
     if kind == "stack":
-        (n,) = saved
-        return tuple(out_grad[i] for i in range(n))
+        _, axis = saved
+        return tuple(np.moveaxis(out_grad, axis, 0))
     if kind == "slice":
         in_shape, start, stop = saved
         g = np.zeros(in_shape)
@@ -327,6 +341,17 @@ def _vjp(kind, saved, out_grad):
     raise ContractError(f"no backward rule for op {kind!r}")
 
 
+def _owned(ig, g):
+    """Whether a rule's fresh result can become a node's gradient without a copy.
+
+    Views (add, sub and reshape hand back their output gradient or a view of
+    it) and the node's own gradient are shared with other nodes, so they are
+    copied instead.
+    """
+    return (isinstance(ig, np.ndarray) and ig is not g and ig.base is None
+            and ig.dtype == np.float64 and ig.flags.c_contiguous)
+
+
 def backward(tape, loss):
     """Return gradients of a scalar loss for every watched parameter.
 
@@ -334,10 +359,9 @@ def backward(tape, loss):
     tape is not mutated, so a second call returns identical results.
 
     Each node's gradient is one C-ordered array owned here: the first
-    contribution is copied (add, sub, reshape and transpose hand back views
-    of their output gradient) and later ones are added in place. A gather
-    contributes (indices, rows), scattered into a zero table made once per
-    node.
+    contribution is kept when a rule made it fresh and copied otherwise, and
+    later ones are added in place. A gather contributes (indices, rows),
+    scattered into a zero table made once per node.
     """
     if loss.tape is not tape or loss.node_id is None:
         raise ContractError("loss was not recorded on this tape")
@@ -362,7 +386,7 @@ def backward(tape, loss):
                     grads[nid] = np.zeros(saved[0])
                 np.add.at(grads[nid], *ig)
             elif grads[nid] is None:
-                grads[nid] = np.array(ig, dtype=np.float64, order="C")
+                grads[nid] = ig if _owned(ig, g) else np.array(ig, dtype=np.float64, order="C")
             else:
                 grads[nid] += ig
 

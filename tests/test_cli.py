@@ -319,7 +319,9 @@ def replace_checkpoint_entry(ckpt, name, values):
                                   "two-field-triplet", "sample-without-response",
                                   "rank-0-projection", "nan-checkpoint",
                                   "negative-embed-dim-flag", "zero-hidden-dim-flag",
-                                  "negative-embed-dim-config", "zero-support-size"])
+                                  "negative-embed-dim-config", "zero-support-size",
+                                  "nan-alpha-flag", "inf-beta-flag", "nan-w-kl-flag",
+                                  "nan-clip-norm-flag", "nan-alpha-config"])
 def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
     argv = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath), "--graph", str(graph)]
@@ -355,8 +357,19 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
         config = tmp_path / "run.cfg"
         config.write_text("embed_dim=-2\n")
         argv = meta_train + ["--config", str(config)]
-    else:
+    elif case == "zero-support-size":
         argv = adapt_eval + ["--support-size", "0"]
+    elif case == "nan-alpha-config":
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha=nan\n")
+        at = MINI_TRAIN_FLAGS.index("--alpha")  # a flag would override the file
+        argv = (meta_train + MINI_TRAIN_FLAGS[:at] + MINI_TRAIN_FLAGS[at + 2:]
+                + ["--config", str(config)])
+    else:
+        flag, value = {"nan-alpha-flag": ("--alpha", "nan"), "inf-beta-flag": ("--beta", "inf"),
+                       "nan-w-kl-flag": ("--w-kl", "nan"),
+                       "nan-clip-norm-flag": ("--clip-norm", "nan")}[case]
+        argv = meta_train + MINI_TRAIN_FLAGS + [flag, value]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err

@@ -30,15 +30,19 @@ def set_all(store, names_to_values):
 def test_embedding_lookup_returns_exact_row():
     store = ParamStore(0)
     emb = build_embedding(store, "emb", 6, 3)
-    row = emb.lookup(4)
-    assert np.array_equal(row.values, store["emb.W"].values[4])
+    rows = emb.lookup([4, 1, 4])
+    assert rows.shape == (3, 3)
+    for row, index in zip(rows.values, [4, 1, 4]):
+        assert np.array_equal(row, store["emb.W"].values[index])
 
 
 def test_embedding_rejects_out_of_range():
     store = ParamStore(0)
     emb = build_embedding(store, "emb", 6, 3)
     with pytest.raises(VocabError):
-        emb.lookup(6)
+        emb.lookup([6])
+    with pytest.raises(VocabError):
+        emb.lookup([2, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -62,20 +66,25 @@ def test_gru_step_matches_hand_evaluated_gates():
         "g.W_r": W_r, "g.U_r": U_r, "g.b_r": b_r,
         "g.W_h": W_h, "g.U_h": U_h, "g.b_h": b_h,
     })
-    x = np.array([1.0, -0.5])
-    h = np.array([0.2, -0.1])
+    xs = np.array([[1.0, -0.5], [-0.3, 0.8]])
+    hs = np.array([[0.2, -0.1], [0.0, 0.4]])
 
     # independent evaluation of the gate equations with plain numpy
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    z = sig(np.array(W_z) @ x + np.array(U_z) @ h + np.array(b_z))
-    r = sig(np.array(W_r) @ x + np.array(U_r) @ h + np.array(b_r))
-    c = np.tanh(np.array(W_h) @ x + np.array(U_h) @ (r * h) + np.array(b_h))
-    want = (1.0 - z) * c + z * h
+    def want(x, h):
+        z = sig(np.array(W_z) @ x + np.array(U_z) @ h + np.array(b_z))
+        r = sig(np.array(W_r) @ x + np.array(U_r) @ h + np.array(b_r))
+        c = np.tanh(np.array(W_h) @ x + np.array(U_h) @ (r * h) + np.array(b_h))
+        return (1.0 - z) * c + z * h
 
-    got = cell.step(Tensor(x), Tensor(h)).values
-    assert np.allclose(got, want, atol=1e-14)
+    # one sample, then a batch whose rows step independently
+    got = cell.step(Tensor(xs[:1]), Tensor(hs[:1]), cell.transposed()).values
+    assert np.allclose(got[0], want(xs[0], hs[0]), atol=1e-14)
+    got = cell.step(Tensor(xs), Tensor(hs), cell.transposed()).values
+    for row, x, h in zip(got, xs, hs):
+        assert np.allclose(row, want(x, h), atol=1e-14)
 
 
 def test_gru_zero_weights_zero_input_is_fixed_map():
@@ -83,9 +92,10 @@ def test_gru_zero_weights_zero_input_is_fixed_map():
     cell = build_gru_cell(store, "g", 2, 2)
     for name in store.names():
         store.set_values(name, np.zeros_like(store[name].values))
-    h = cell.step(Tensor([0.0, 0.0]), Tensor([1.0, 2.0])).values
+    h = cell.step(Tensor([[0.0, 0.0], [0.0, 0.0]]), Tensor([[1.0, 2.0], [-4.0, 0.0]]),
+                  cell.transposed()).values
     # z = r = 0.5, candidate = 0 -> h' = 0.5 h
-    assert np.allclose(h, [0.5, 1.0], atol=1e-15)
+    assert np.allclose(h, [[0.5, 1.0], [-2.0, 0.0]], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +112,25 @@ def make_encoder(seed=0, vocab=7, embed=3, hidden=3, bidirectional=True):
 
 def test_gru_encode_length_one_summary_is_the_state():
     _, emb, fwd, bwd = make_encoder()
-    states, summary = gru_encode([3], emb, fwd, bwd)
+    states, summary = gru_encode([[3]], emb, fwd, bwd)
     assert len(states) == 1
     assert np.array_equal(states[0].values, summary.values)
     _, emb, fwd, _ = make_encoder(bidirectional=False)
-    states, summary = gru_encode([3], emb, fwd)
+    states, summary = gru_encode([[3]], emb, fwd)
     assert np.array_equal(states[0].values, summary.values)
+    # in a ragged batch, a length-one sequence's summary is its first state
+    states, summary = gru_encode([[3], [1, 2, 4]], emb, fwd)
+    assert np.array_equal(states[0].values[0], summary.values[0])
 
 
 def test_gru_encode_empty_sequence_rejected():
     _, emb, fwd, bwd = make_encoder()
     with pytest.raises(ContractError):
         gru_encode([], emb, fwd, bwd)
+    with pytest.raises(ContractError):
+        gru_encode([[]], emb, fwd, bwd)
+    with pytest.raises(ContractError):
+        gru_encode([[1, 2], []], emb, fwd, bwd)
 
 
 def test_gru_encode_reversal_swaps_directions():
@@ -122,47 +139,83 @@ def test_gru_encode_reversal_swaps_directions():
     emb = build_embedding(store, "emb", 9, 3)
     cell_a = build_gru_cell(store, "a", 3, 4)
     cell_b = build_gru_cell(store, "b", 3, 4)
-    seq = [1, 5, 2, 7]
-    _, summary_fwd = gru_encode(seq, emb, cell_a, cell_b)
-    _, summary_rev = gru_encode(list(reversed(seq)), emb, cell_b, cell_a)
-    assert np.allclose(summary_fwd.values[:4], summary_rev.values[4:], atol=1e-15)
+    seqs = [[1, 5, 2, 7], [3, 8]]
+    _, summary_fwd = gru_encode(seqs, emb, cell_a, cell_b)
+    _, summary_rev = gru_encode([list(reversed(s)) for s in seqs], emb, cell_b, cell_a)
+    assert np.allclose(summary_fwd.values[:, :4], summary_rev.values[:, 4:], atol=1e-15)
 
 
 def test_gru_encode_bidirectional_shapes():
     _, emb, fwd, bwd = make_encoder(hidden=3)
-    states, summary = gru_encode([1, 2, 3], emb, fwd, bwd)
-    assert all(s.shape == (6,) for s in states)
-    assert summary.shape == (6,)
+    states, summary = gru_encode([[1, 2, 3]], emb, fwd, bwd)
+    assert len(states) == 3 and all(s.shape == (1, 6) for s in states)
+    assert summary.shape == (1, 6)
+    states, summary = gru_encode([[1, 2, 3], [4], [5, 6]], emb, fwd, bwd)
+    assert len(states) == 3 and all(s.shape == (3, 6) for s in states)
+    assert summary.shape == (3, 6)
 
 
 def test_gru_encode_is_pure():
     _, emb, fwd, bwd = make_encoder(seed=11)
-    _, s1 = gru_encode([1, 2, 3], emb, fwd, bwd)
-    _, s2 = gru_encode([1, 2, 3], emb, fwd, bwd)
+    _, s1 = gru_encode([[1, 2, 3], [4, 5]], emb, fwd, bwd)
+    _, s2 = gru_encode([[1, 2, 3], [4, 5]], emb, fwd, bwd)
     assert np.array_equal(s1.values, s2.values)
+
+
+def test_gru_encode_ragged_batch_matches_each_sequence_alone():
+    _, emb, fwd, bwd = make_encoder(seed=3)
+    seqs = [[1, 2, 3, 4], [5, 6], [0, 3, 1]]
+    states, summary = gru_encode(seqs, emb, fwd, bwd)
+    for i, seq in enumerate(seqs):
+        alone, alone_summary = gru_encode([seq], emb, fwd, bwd)
+        assert np.allclose(summary.values[i], alone_summary.values[0], rtol=1e-13, atol=1e-15)
+        for t in range(len(seq)):
+            assert np.allclose(states[t].values[i], alone[t].values[0],
+                               rtol=1e-13, atol=1e-15)
+        # Past its end a sequence's state is held bit for bit: the forward
+        # half keeps its last state, the backward half its zero start.
+        for t in range(len(seq), len(states)):
+            assert np.array_equal(states[t].values[i, :3], states[len(seq) - 1].values[i, :3])
+            assert not states[t].values[i, 3:].any()
 
 
 # ---------------------------------------------------------------------------
 # attention
 
 
+def key_set(att, *samples):
+    """Prepared keys for samples given as lists of key vectors, zero-padded."""
+    L = max(len(keys) for keys in samples)
+    dim = len(samples[0][0])
+    stack = np.zeros((len(samples), L, dim))
+    for i, keys in enumerate(samples):
+        stack[i, :len(keys)] = keys
+    return att.prepare(Tensor(stack), [len(keys) for keys in samples])
+
+
 def test_attend_single_key():
     store = ParamStore(2)
     att = build_attention(store, "att", 3, 3, 3)
-    key = Tensor([0.3, -0.2, 0.9])
-    context, weights = attend(att, Tensor([0.1, 0.1, 0.1]), T.stack([key]))
-    assert np.allclose(weights.values, [1.0], atol=1e-12)
-    assert np.allclose(context.values, key.values, atol=1e-12)
+    key = [0.3, -0.2, 0.9]
+    context, weights = attend(att, Tensor([[0.1, 0.1, 0.1]]), key_set(att, [key]))
+    assert np.allclose(weights.values, [[1.0]], atol=1e-12)
+    assert np.allclose(context.values, [key], atol=1e-12)
+    # a one-key sample next to a longer one still puts all weight on its key
+    other = [[0.5, 0.5, 0.5], [-1.0, 0.0, 1.0]]
+    context, weights = attend(att, Tensor([[0.1, 0.1, 0.1], [0.0, 0.2, 0.0]]),
+                              key_set(att, [key], other))
+    assert np.array_equal(weights.values[0], [1.0, 0.0])
+    assert np.allclose(context.values[0], key, atol=1e-12)
 
 
 def test_attend_identical_keys_uniform():
     store = ParamStore(2)
     att = build_attention(store, "att", 3, 3, 3)
-    key = Tensor([0.5, 0.0, -0.5])
-    keys = [key, key, key, key]
-    context, weights = attend(att, Tensor([0.2, -0.1, 0.0]), T.stack(keys))
-    assert np.allclose(weights.values, [0.25] * 4, atol=1e-12)
-    assert np.allclose(context.values, key.values, atol=1e-12)
+    key = [0.5, 0.0, -0.5]
+    context, weights = attend(att, Tensor([[0.2, -0.1, 0.0], [0.0, 0.3, 0.1]]),
+                              key_set(att, [key] * 4, [key] * 2))
+    assert np.allclose(weights.values, [[0.25] * 4, [0.5, 0.5, 0.0, 0.0]], atol=1e-12)
+    assert np.allclose(context.values, [key, key], atol=1e-12)
 
 
 def test_attend_matches_direct_weighted_sum():
@@ -181,27 +234,39 @@ def test_attend_matches_direct_weighted_sum():
     weights = e / e.sum()
     want_context = sum(w * k for w, k in zip(weights, keys))
 
-    context, got_weights = attend(att, Tensor(q), T.stack([Tensor(k) for k in keys]))
-    assert np.allclose(got_weights.values, weights, atol=1e-12)
-    assert np.allclose(context.values, want_context, atol=1e-12)
+    context, got_weights = attend(att, Tensor([q]), key_set(att, keys))
+    assert np.allclose(got_weights.values[0], weights, atol=1e-12)
+    assert np.allclose(context.values[0], want_context, atol=1e-12)
+    # the same sample in a ragged batch, behind a longer one
+    longer = [rng.normal(size=4) for _ in range(5)]
+    context, got_weights = attend(att, Tensor([rng.normal(size=3), q]),
+                                  key_set(att, longer, keys))
+    assert np.allclose(got_weights.values[1], list(weights) + [0.0, 0.0], atol=1e-12)
+    assert np.allclose(context.values[1], want_context, atol=1e-12)
 
 
 def test_attend_per_key_score_agrees_with_stacked():
     rng = np.random.default_rng(4)
     store = ParamStore(4)
     att = build_attention(store, "att", 2, 3, 4)
-    q = Tensor(rng.normal(size=2))
-    keys = [Tensor(rng.normal(size=3)) for _ in range(5)]
-    per_key = np.concatenate([att.scores_stacked(q, T.stack([k])).values for k in keys])
-    stacked = att.scores_stacked(q, T.stack(keys)).values
+    q = Tensor(rng.normal(size=(1, 2)))
+    keys = [rng.normal(size=3) for _ in range(5)]
+    per_key = np.concatenate([att.scores(q, key_set(att, [k])).values[0] for k in keys])
+    stacked = att.scores(q, key_set(att, keys)).values[0]
     assert np.allclose(per_key, stacked, atol=1e-14)
+    ragged = att.scores(Tensor(np.vstack([q.values, q.values])),
+                        key_set(att, keys, keys[:2])).values
+    assert np.allclose(ragged[0], stacked, atol=1e-14)
+    assert np.allclose(ragged[1, :2], stacked[:2], atol=1e-14)
 
 
 def test_attend_empty_keys_rejected():
     store = ParamStore(2)
     att = build_attention(store, "att", 3, 3, 3)
     with pytest.raises(ContractError):
-        attend(att, Tensor([0.0, 0.0, 0.0]), Tensor(np.zeros((0, 3))))
+        att.prepare(Tensor(np.zeros((1, 0, 3))), [0])
+    with pytest.raises(ContractError):
+        att.prepare(Tensor(np.zeros((0, 3))), [0])
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10_000))
@@ -209,10 +274,11 @@ def test_attention_weights_sum_to_one(n_keys, seed):
     rng = np.random.default_rng(seed)
     store = ParamStore(1)
     att = build_attention(store, "att", 2, 2, 3)
-    keys = [Tensor(rng.normal(size=2) * 3) for _ in range(n_keys)]
-    _, weights = attend(att, Tensor(rng.normal(size=2)), T.stack(keys))
+    keys = [rng.normal(size=2) * 3 for _ in range(n_keys)]
+    _, weights = attend(att, Tensor(rng.normal(size=(2, 2))),
+                        key_set(att, keys, keys[:max(1, n_keys // 2)]))
     assert (weights.values >= 0).all()
-    assert abs(weights.values.sum() - 1.0) <= 1e-9
+    assert np.all(np.abs(weights.values.sum(axis=1) - 1.0) <= 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +338,17 @@ def test_composite_layer_gradients_match_finite_differences():
         bwd = build_gru_cell(store, "enc.bwd", 2, 2)
         att = build_attention(store, "att", 2, 4, 2)
         mlp = build_mlp(store, "mlp", (4, 3, 2))
-        tokens = list(rng.integers(0, 5, size=3))
-        query = rng.normal(size=2)
+        # a ragged batch of two token sequences, lengths 3 and 2
+        tokens = [list(rng.integers(0, 5, size=3)), list(rng.integers(0, 5, size=2))]
+        query = rng.normal(size=(2, 2))
 
         def forward():
             states, _ = gru_encode(tokens, emb, fwd, bwd)
-            context, _ = attend(att, Tensor(query), T.stack(states))
-            out = mlp_forward(mlp, context)
-            return T.sum_(T.mul(out, out))
+            keys = att.prepare(T.stack(states, axis=1), [3, 2])
+            context, _ = attend(att, Tensor(query), keys)
+            out = mlp_forward(mlp, T.reshape(T.slice_(context, 0, 1), (4,)))
+            out2 = mlp_forward(mlp, T.reshape(T.slice_(context, 1, 2), (4,)))
+            return T.add(T.sum_(T.mul(out, out)), T.sum_(T.mul(out2, out2)))
 
         tape = Tape()
         tape.watch(store)

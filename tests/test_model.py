@@ -56,32 +56,44 @@ def test_encode_knowledge_identical_triplets_identical_rows():
         [KnowledgeTriplet("a", "r0", "b"), KnowledgeTriplet("a", "r0", "b")],
         DialogueGoal(("[start]", "a", "b")),
     )
-    k = model.encode_knowledge(graph)
+    [k] = model.encode_knowledge([graph])
     assert np.array_equal(k.values[0], k.values[1])
+    # and across graphs encoded in one batch
+    k, k_other = model.encode_knowledge([graph, tiny_graph(1)])
+    assert np.array_equal(k.values[0], k.values[1])
+    assert np.allclose(k_other.values[0], k.values[0], atol=1e-15)
 
 
 def test_encode_knowledge_single_triplet_shape():
     model = tiny_model(hidden=4)
     graph = tiny_graph(1)
-    assert model.encode_knowledge(graph).shape == (1, 4)
+    assert [k.shape for k in model.encode_knowledge([graph])] == [(1, 4)]
+    assert [k.shape for k in model.encode_knowledge([graph, tiny_graph(2), graph])] == \
+        [(1, 4), (2, 4), (1, 4)]
 
 
 def test_encode_knowledge_row_matches_manual_gru_encode():
     model = tiny_model(seed=3)
     graph = tiny_graph(2)
-    k = model.encode_knowledge(graph)
-    for i, triplet in enumerate(graph.triplets):
-        ids = model.vocab.encode(triplet.tokens())
-        _, summary = gru_encode(ids, model.embed, model.know_cell)
-        row = model.store["model.know.proj.W"].values @ summary.values \
-            + model.store["model.know.proj.b"].values
-        assert np.allclose(k.values[i], row, atol=1e-14)
+    # a second graph whose triplet is longer makes the batch ragged
+    longer = KnowledgeGraph([KnowledgeTriplet("a b", "r1", "x y c")],
+                            DialogueGoal(("[start]", "a", "c")))
+    for graphs in ([graph], [graph, longer]):
+        for k, g in zip(model.encode_knowledge(graphs), graphs):
+            for i, triplet in enumerate(g.triplets):
+                ids = model.vocab.encode(triplet.tokens())
+                _, summary = gru_encode([ids], model.embed, model.know_cell)
+                row = model.store["model.know.proj.W"].values @ summary.values[0] \
+                    + model.store["model.know.proj.b"].values
+                assert np.allclose(k.values[i], row, atol=1e-14)
 
 
 def test_encode_knowledge_rejects_empty():
     model = tiny_model()
     with pytest.raises(ContractError):
         model.encode_knowledge(None)
+    with pytest.raises(ContractError):
+        model.encode_knowledge([tiny_graph(), None])
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +127,7 @@ def test_prior_matches_scalar_softmax_oracle():
 
 def test_posterior_single_triplet_is_one():
     model = tiny_model()
-    k = model.encode_knowledge(tiny_graph(1))
+    [k] = model.encode_knowledge([tiny_graph(1)])
     x = Tensor(np.zeros(3))
     y = Tensor(np.zeros(3))
     post = posterior_distribution(k, x, y, model.post_mlp)
@@ -213,22 +225,21 @@ def test_kl_length_mismatch():
 
 
 def test_nll_zero_when_gold_probability_one():
-    logits = [Tensor([800.0, 0.0, 0.0]), Tensor([0.0, 800.0, 0.0])]
+    logits = Tensor([[800.0, 0.0, 0.0], [0.0, 800.0, 0.0]])
     assert nll_loss(logits, [0, 1]).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nll_uniform_logits_closed_form():
     V, m = 7, 3
-    logits = [Tensor(np.zeros(V)) for _ in range(m)]
+    logits = Tensor(np.zeros((m, V)))
     assert nll_loss(logits, [0, 3, 6]).item() == pytest.approx(m * math.log(V), abs=1e-9)
 
 
 def test_nll_matches_hand_cross_entropy():
-    logits = [Tensor([1.0, 2.0, 0.5]), Tensor([0.0, -1.0, 0.3])]
+    logits = Tensor([[1.0, 2.0, 0.5], [0.0, -1.0, 0.3]])
     targets = [1, 2]
     want = 0.0
-    for lg, t in zip(logits, targets):
-        v = lg.values
+    for v, t in zip(logits.values, targets):
         probs = np.exp(v - v.max())
         probs /= probs.sum()
         want -= math.log(probs[t])
@@ -237,7 +248,9 @@ def test_nll_matches_hand_cross_entropy():
 
 def test_nll_rejects_out_of_vocab_target():
     with pytest.raises(ContractError):
-        nll_loss([Tensor([0.0, 0.0])], [2])
+        nll_loss(Tensor([[0.0, 0.0]]), [2])
+    with pytest.raises(ContractError):
+        nll_loss(Tensor([[0.0, 0.0]]), [0, 1])
 
 
 def test_bow_uniform_closed_form():
@@ -287,28 +300,35 @@ def test_total_loss_examples():
 # decoding
 
 
+def ragged_pair(vocab):
+    """Two samples over two graphs; histories, responses and triplets differ in length."""
+    other = KnowledgeGraph([KnowledgeTriplet("a", "r0", "x y"), KnowledgeTriplet("c", "r1", "b"),
+                            KnowledgeTriplet("y", "r0", "a")],
+                           DialogueGoal(("[start]", "c", "a")))
+    return [tiny_sample(vocab, tiny_graph()),
+            tiny_sample(vocab, other, history="c r1 x y a", response="x")]
+
+
 def test_decode_logits_shape():
     model = tiny_model()
-    graph = tiny_graph()
-    sample = tiny_sample(model.vocab, graph)
-    states, _ = model.encode_history(sample.history)
-    fused = Tensor(np.zeros(model.hidden_dim))
-    logits = model.decode_with_knowledge(states, fused, sample.response)
-    assert len(logits) == len(sample.response)
-    assert all(l.shape == (len(model.vocab),) for l in logits)
+    V = len(model.vocab)
+    for samples in ([tiny_sample(model.vocab, tiny_graph())], ragged_pair(model.vocab)):
+        history = model.encode_history([s.history for s in samples])
+        fused = Tensor(np.zeros((len(samples), model.hidden_dim)))
+        logits = model.decode_with_knowledge(history, fused, [s.response for s in samples])
+        assert logits.shape == (sum(len(s.response) for s in samples), V)
 
 
 def test_decode_projects_all_positions_in_one_matmul():
     model = tiny_model()
-    graph = tiny_graph()
-    sample = tiny_sample(model.vocab, graph)
-    assert len(sample.response) > 1
-    states, _ = model.encode_history(sample.history)
+    samples = ragged_pair(model.vocab)
+    assert len(samples[0].response) > 1
+    history = model.encode_history([s.history for s in samples])
     tape = T.Tape()
     tape.watch(model.store)
     with tape:
-        model.decode_with_knowledge(states, Tensor(np.zeros(model.hidden_dim)),
-                                    sample.response)
+        model.decode_with_knowledge(history, Tensor(np.zeros((2, model.hidden_dim))),
+                                    [s.response for s in samples])
     out_w = tape.watched["model.out.W"]
     uses = [(kind, ids) for kind, ids, _ in tape.nodes if out_w in ids]
     assert uses == [("transpose", (out_w,))]
@@ -316,50 +336,62 @@ def test_decode_projects_all_positions_in_one_matmul():
 
 def test_decode_empty_response_rejected():
     model = tiny_model()
-    states, _ = model.encode_history([4])
+    history = model.encode_history([[4]])
     with pytest.raises(ContractError):
-        model.decode_with_knowledge(states, Tensor(np.zeros(3)), [])
+        model.decode_with_knowledge(history, Tensor(np.zeros((1, 3))), [[]])
+    history = model.encode_history([[4], [5, 6]])
+    with pytest.raises(ContractError):
+        model.decode_with_knowledge(history, Tensor(np.zeros((2, 3))), [[4], []])
 
 
 def test_decode_matches_numpy_reference():
     model = tiny_model(seed=12)
-    graph = tiny_graph()
-    sample = tiny_sample(model.vocab, graph)
     P = model.store.snapshot()
     H = model.hidden_dim
+    pair = ragged_pair(model.vocab)
+    for samples in (pair[:1], pair):
+        history = model.encode_history([s.history for s in samples])
+        y_sum = model.encode_response([s.response for s in samples])
+        fused, posts = [], []
+        for i, s in enumerate(samples):
+            [k] = model.encode_knowledge([s.graph])
+            x_i = T.reshape(T.slice_(history.summary, i, i + 1), (H,))
+            y_i = T.reshape(T.slice_(y_sum, i, i + 1), (H,))
+            posts.append(posterior_distribution(k, x_i, y_i, model.post_mlp))
+            fused.append(model.fuse_knowledge(k, posts[-1]))
+        got = model.decode_with_knowledge(history, T.stack(fused),
+                                          [s.response for s in samples]).values
 
-    states, x_sum = model.encode_history(sample.history)
-    y_sum = model.encode_response(sample.response)
-    k = model.encode_knowledge(graph)
-    post = posterior_distribution(k, x_sum, y_sum, model.post_mlp)
-    fused = model.fuse_knowledge(k, post)
-    got = model.decode_with_knowledge(states, fused, sample.response)
+        row = 0
+        for s, post in zip(samples, posts):
+            np_states, np_x = helpers.np_encode_history(P, s.history, H)
+            np_k = helpers.np_encode_knowledge(P, model.vocab, s.graph, H)
+            y_states = helpers.np_gru_run(P, "model.resp.fwd", s.response, H)
+            np_post = helpers.np_posterior(P, np_k, np_x, y_states[-1])
+            np_fused = np_post @ np_k
+            want = helpers.np_decode(P, model.vocab, np_states, np_fused, s.response, H)
 
-    np_states, np_x = helpers.np_encode_history(P, sample.history, H)
-    np_k = helpers.np_encode_knowledge(P, model.vocab, graph, H)
-    y_states = helpers.np_gru_run(P, "model.resp.fwd", sample.response, H)
-    np_post = helpers.np_posterior(P, np_k, np_x, y_states[-1])
-    np_fused = np_post @ np_k
-    want = helpers.np_decode(P, model.vocab, np_states, np_fused, sample.response, H)
-
-    assert np.allclose(np_post, post.values, atol=1e-12)
-    for g, w in zip(got, want):
-        assert np.allclose(g.values, w, atol=1e-10)
+            assert np.allclose(np_post, post.values, atol=1e-12)
+            for w in want:
+                assert np.allclose(got[row], w, atol=1e-10)
+                row += 1
+        assert row == got.shape[0]
 
 
 def test_decode_zero_fusion_equals_plain_attentive_seq2seq():
     model = tiny_model(seed=4)
-    graph = tiny_graph()
-    sample = tiny_sample(model.vocab, graph)
     P = model.store.snapshot()
     H = model.hidden_dim
-    states, _ = model.encode_history(sample.history)
-    got = model.decode_with_knowledge(states, Tensor(np.zeros(H)), sample.response)
-    np_states, _ = helpers.np_encode_history(P, sample.history, H)
-    want = helpers.np_decode(P, model.vocab, np_states, np.zeros(H),
-                             sample.response, H)
-    for g, w in zip(got, want):
-        assert np.allclose(g.values, w, atol=1e-10)
+    pair = ragged_pair(model.vocab)
+    for samples in (pair[:1], pair):
+        history = model.encode_history([s.history for s in samples])
+        got = model.decode_with_knowledge(history, Tensor(np.zeros((len(samples), H))),
+                                          [s.response for s in samples]).values
+        want = []
+        for s in samples:
+            np_states, _ = helpers.np_encode_history(P, s.history, H)
+            want += helpers.np_decode(P, model.vocab, np_states, np.zeros(H), s.response, H)
+        assert np.allclose(got, np.array(want), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +456,22 @@ def test_generate_needs_positive_max_len():
 
 def test_forward_output_consistency():
     model = tiny_model(seed=9)
-    sample = tiny_sample(model.vocab, tiny_graph())
-    out = model.forward(sample)
-    assert out.prior.shape == (2,)
-    assert abs(out.prior.sum() - 1.0) <= 1e-9
-    assert abs(out.posterior.sum() - 1.0) <= 1e-9
-    assert len(out.token_logits) == len(sample.response)
-    assert out.total == pytest.approx(out.kl + out.nll + out.bow, rel=1e-12)
-    assert out.nll >= 0.0 and out.bow >= 0.0 and out.kl >= -1e-12
+    for samples in ([tiny_sample(model.vocab, tiny_graph())], ragged_pair(model.vocab)):
+        outputs = model.forward(samples)
+        assert len(outputs) == len(samples)
+        for sample, out in zip(samples, outputs):
+            assert out.prior.shape == (len(sample.graph),)
+            assert abs(out.prior.sum() - 1.0) <= 1e-9
+            assert abs(out.posterior.sum() - 1.0) <= 1e-9
+            assert out.token_logits.shape == (len(sample.response), len(model.vocab))
+            assert out.total == pytest.approx(out.kl + out.nll + out.bow, rel=1e-12)
+            assert out.nll >= 0.0 and out.bow >= 0.0 and out.kl >= -1e-12
 
 
 def test_forward_weighted_terms_sum_to_total():
     model = DialogueModel(tiny_vocab(), 3, 3, seed=9, loss_weights=(0.5, 2.0, 0.0))
     sample = tiny_sample(model.vocab, tiny_graph())
-    out = model.forward(sample)
+    [out] = model.forward([sample])
     assert out.bow == 0.0
     assert out.total == pytest.approx(out.kl + out.nll + out.bow, rel=1e-12)
 
@@ -465,10 +499,37 @@ def test_clone_is_bit_exact_and_independent():
     model = tiny_model(seed=13)
     sample = tiny_sample(model.vocab, tiny_graph())
     twin = model.clone()
-    assert model.forward(sample).total == twin.forward(sample).total
+    assert model.forward([sample])[0].total == twin.forward([sample])[0].total
     twin.store.set_values("model.out.b", np.ones(len(model.vocab)))
     assert not np.array_equal(model.store["model.out.b"].values,
                               twin.store["model.out.b"].values)
+
+
+def _recorded_objective(model, samples):
+    tape = T.Tape()
+    tape.watch(model.store)
+    with tape:
+        loss, _ = model.batch_objective(samples)
+    return loss.item(), T.backward(tape, loss)
+
+
+def test_ragged_batch_equals_mean_of_single_samples():
+    model = DialogueModel(tiny_vocab(), 4, 5, seed=17, loss_weights=(0.5, 1.0, 2.0))
+    samples = ragged_pair(model.vocab) + [
+        tiny_sample(model.vocab, tiny_graph(), history="x a r0 b", response="a b c x")]
+    assert len({len(s.history) for s in samples}) == len(samples)
+    assert len({len(s.response) for s in samples}) == len(samples)
+    loss, grads = _recorded_objective(model, samples)
+    singles = [_recorded_objective(model, [s]) for s in samples]
+    want = sum(value for value, _ in singles) / len(samples)
+    assert abs(loss - want) <= 1e-12 * abs(want)
+    # Relative to the largest gradient entry: some gradients (model.att.b) are
+    # near-cancellations, 1e-10 sums of far larger terms, so an error of one
+    # rounding in those terms is large next to their own size.
+    scale = max(np.max(np.abs(g.values)) for g in grads.values())
+    for name, g in grads.items():
+        want = sum(single[name].values for _, single in singles) / len(samples)
+        assert np.max(np.abs(g.values - want)) <= 1e-12 * scale, name
 
 
 def test_overfit_single_sample_decreases_nll_and_bow():
@@ -476,10 +537,10 @@ def test_overfit_single_sample_decreases_nll_and_bow():
 
     model = DialogueModel(tiny_vocab(), 8, 8, seed=1)
     sample = tiny_sample(model.vocab, tiny_graph())
-    first = model.forward(sample)
+    [first] = model.forward([sample])
     cfg = MetaConfig(alpha=0.01, beta=0.01, max_episodes=50)
     supervised_train(model, [sample], cfg, epochs=50, shuffle=False)
-    last = model.forward(sample)
+    [last] = model.forward([sample])
     assert last.nll < first.nll
     assert last.bow < first.bow
     assert last.nll >= 0.0 and last.bow >= 0.0

@@ -48,6 +48,14 @@ def test_shape_errors_name_op_and_shapes():
     assert "(1, 2)" in str(err.value)
     with pytest.raises(DimensionError):
         T.add(T.tensor([1.0, 2.0]), T.tensor([1.0, 2.0, 3.0]))
+    with pytest.raises(DimensionError):
+        T.mul(T.tensor(np.ones((3, 2))), T.tensor(np.ones((3, 4))))
+    with pytest.raises(DimensionError):
+        T.matmul(T.tensor(np.ones((2, 3, 4))), T.tensor(np.ones((3, 4, 2))))
+    with pytest.raises(DimensionError):
+        T.matmul(T.tensor(np.ones((3, 4))), T.tensor(np.ones((2, 4, 2))))
+    with pytest.raises(DimensionError):
+        T.stack([T.tensor(np.ones((2, 3))), T.tensor(np.ones((3, 2)))])
 
 
 def test_non_finite_result_raises():
@@ -191,6 +199,20 @@ PRIMITIVE_CASES = [
     ("sum", lambda p, c: p, (4,), None),
     ("reshape", lambda p, c: T.reshape(p, (2, 2)), (4,), None),
     ("transpose", lambda p, c: T.matmul(T.transpose(p), c), (2, 3), (2,)),
+    # shapes admitted by numpy broadcasting and batched matmul
+    ("add_col", lambda p, c: T.add(p, c), (3, 1), (3, 4)),
+    ("sub_col", lambda p, c: T.sub(c, p), (3, 1), (3, 4)),
+    ("mul_col", lambda p, c: T.mul(c, p), (3, 1), (3, 4)),
+    ("add_mid_axis", lambda p, c: T.add(c, p), (2, 1, 3), (2, 4, 3)),
+    ("matmul_batched", lambda p, c: T.matmul(p, c), (2, 3, 4), (2, 4, 2)),
+    ("matmul_batched_rhs", lambda p, c: T.matmul(c, p), (2, 4, 2), (2, 3, 4)),
+    ("matmul_batch_by_matrix", lambda p, c: T.matmul(p, c), (2, 3, 4), (4, 2)),
+    ("matmul_shared_matrix", lambda p, c: T.matmul(c, p), (4, 2), (2, 3, 4)),
+    ("matmul_batch_by_vector", lambda p, c: T.matmul(p, c), (2, 3, 4), (4,)),
+    ("matmul_shared_vector", lambda p, c: T.matmul(c, p), (4,), (2, 3, 4)),
+    ("stack_matrices", lambda p, c: T.stack([p, c, p]), (2, 3), (2, 3)),
+    ("stack_axis1", lambda p, c: T.stack([c, p], axis=1), (2, 3), (2, 3)),
+    ("concat_last_of_3d", lambda p, c: T.concat([p, c], axis=2), (2, 3, 2), (2, 3, 1)),
 ]
 
 
@@ -248,6 +270,38 @@ def test_leaf_reached_by_gather_and_dense_op_matches_finite_differences(gather_f
     analytic = backward(tape, loss)
     numeric = finite_diff_grads(store, lambda: forward().item())
     assert_grads_close(analytic, numeric)
+
+
+def test_backward_results_own_their_memory_and_match_finite_differences():
+    # Rules that hand back their own output gradient (add, to both inputs) or
+    # a view of it (reshape, transpose) must not let two gradients share memory.
+    rng = np.random.default_rng(31)
+    store = ParamStore(0)
+    a = store.add("a", rng.normal(size=(2, 3)))
+    x = store.add("x", rng.normal(size=(2, 3)))
+    y = store.add("y", rng.normal(size=(2, 3)))
+    b = store.add("b", rng.normal(size=(3, 2)))
+    c = store.add("c", rng.normal(size=(3, 2)))
+    probe = T.tensor(rng.normal(size=(2, 3)))
+
+    def forward():
+        parts = [T.add(a, a), T.add(x, y), T.reshape(b, (2, 3)), T.transpose(c)]
+        total = parts[0]
+        for part in parts[1:]:
+            total = T.add(total, T.mul(part, probe))
+        return T.sum_(T.tanh(total))
+
+    tape = Tape()
+    tape.watch(store)
+    with tape:
+        loss = forward()
+    analytic = backward(tape, loss)
+    assert_grads_close(analytic, finite_diff_grads(store, lambda: forward().item()))
+    arrays = [g.values for g in analytic.values()]
+    for i, first in enumerate(arrays):
+        assert first.base is None
+        for second in arrays[i + 1:]:
+            assert not np.shares_memory(first, second)
 
 
 def test_transpose_rejects_non_matrix():

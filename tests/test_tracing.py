@@ -1,21 +1,29 @@
-"""The benchmark's tracer must find every function it wraps.
+"""The benchmark's tracer must find every function it wraps, and see it run.
 
-Deleting or renaming a traced function should fail here, not only in a
-traced benchmark run.
+Deleting or renaming a traced function, or a refactor that stops calling one
+or stops recording an op kind the traced runs expect, should fail here, not
+only in a traced benchmark run.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from mkgd import data, meta
+from mkgd.model import DialogueModel
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PATH)
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_bench_module("tracing")
 
 
 def mkgd_bindings():
@@ -40,3 +48,26 @@ def test_tracer_installs_and_uninstalls_every_span():
         assert getattr(owner, attr) is original
     after = mkgd_bindings()
     assert all(after[key] is value for key, value in bindings.items())
+
+
+def test_a_training_step_and_a_reply_fire_every_expected_span_and_tape_counter(tmp_path):
+    tracing, workloads = load_tracing(), load_bench_module("workloads")
+    pool = workloads.write_pool(tmp_path / "pool.jsonl", workloads.synth_pool(0, n_tasks=1))
+    raw = data.load_task_pool(pool)
+    vocab = data.build_vocab(data.raw_task_token_stream(raw), 200)
+    [task] = data.tasks_from_raw(raw, vocab, 2, 2, seed=0)
+    model = DialogueModel(vocab, 8, 8, seed=0)
+    cfg = meta.MetaConfig(alpha=0.01, beta=0.01, k_support=2, k_query=2, inner_steps=1)
+    sample = task.query[0]
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        meta.inner_update(model, task, cfg)
+        model.generate(sample.history, sample.graph, 5)
+    finally:
+        tracer.uninstall()
+
+    expected = workloads._MODEL_FORWARD + workloads._OPTIMIZER + ("model.generate",)
+    assert [name for name in expected if not tracer.calls[name]] == []
+    assert [name for name in tracing.TAPE_COUNTERS if not tracer.counts[name] > 0] == []
