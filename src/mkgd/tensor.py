@@ -95,15 +95,15 @@ def _node_id(t, tape):
 
 
 def _out(kind, values, input_ids, saved):
-    values = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(values).all():
+    out = Tensor(values)
+    if not np.isfinite(out.values).all():
         raise NumericError(f"non-finite result in op {kind!r}")
     tape = _ACTIVE_TAPE
-    if tape is None:
-        return Tensor(values)
-    nid = len(tape.nodes)
-    tape.nodes.append((kind, input_ids, saved))
-    return Tensor(values, node_id=nid, tape=tape)
+    if tape is not None:
+        out.node_id = len(tape.nodes)
+        out.tape = tape
+        tape.nodes.append((kind, input_ids, saved))
+    return out
 
 
 def _ids(tensors):
