@@ -11,10 +11,10 @@ import json
 import sys
 
 from . import data as D
-from .config import RunConfig, make_run_config
+from .config import PRESETS, RunConfig, make_run_config
 from .dialogue import START_MARKER
 from .errors import ContractError, DataError, DimensionError, NumericError, VocabError
-from .meta import TaskSampler, TrainingLog, adapt, meta_train, supervised_train
+from .meta import OPTIMIZERS, TaskSampler, TrainingLog, adapt, meta_train, supervised_train
 from .metrics import Evaluator
 from .model import DialogueModel, infer_dims
 from .params import load_checkpoint, save_checkpoint, split_checkpoint
@@ -25,7 +25,7 @@ INPUT_ERRORS = (DataError, ContractError, VocabError, DimensionError, OSError)
 
 def _add_config_flags(parser):
     g = parser.add_argument_group("configuration")
-    g.add_argument("--preset", choices=["desk", "paper"], default="desk",
+    g.add_argument("--preset", choices=sorted(PRESETS), default="desk",
                    help="named scale preset; 'paper' is the full-corpus scale")
     g.add_argument("--config", default=None, metavar="FILE",
                    help="key=value config file (overrides the preset)")
@@ -53,9 +53,9 @@ def _add_config_flags(parser):
                    help="inner update steps (config default 4)")
     g.add_argument("--test-update-steps", type=int, default=None, dest="test_update_steps",
                    help="adaptation steps at test time (config default 10)")
-    g.add_argument("--inner-optimizer", choices=["sgd", "adam"], default=None,
+    g.add_argument("--inner-optimizer", choices=OPTIMIZERS, default=None,
                    dest="inner_optimizer", help="inner-loop optimizer (config default adam)")
-    g.add_argument("--meta-optimizer", choices=["sgd", "adam"], default=None,
+    g.add_argument("--meta-optimizer", choices=OPTIMIZERS, default=None,
                    dest="meta_optimizer", help="outer-loop optimizer (config default adam)")
     g.add_argument("--max-episodes", type=int, default=None, dest="max_episodes",
                    help="training episode cap (config default 100, desk preset 40)")
@@ -104,7 +104,7 @@ def cmd_synth(args):
     spec = D.SyntheticTaskSpec(
         n_entities=args.entities, n_relations=args.relations,
         n_triplets=args.triplets, n_samples=args.samples_per_task,
-        seed=args.seed if args.seed is not None else 7,
+        seed=args.seed,
     )
     raw = D.synth_raw_tasks(spec, args.tasks)
     D.save_task_pool(args.out, raw)
@@ -136,14 +136,13 @@ def cmd_meta_train(args):
 
     model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim,
                           seed=cfg.seed, loss_weights=cfg.loss_weights())
-    mcfg = cfg.meta_config()
-    train_tasks = D.tasks_from_raw(train_raw, vocab, mcfg.k_support, mcfg.k_query,
+    train_tasks = D.tasks_from_raw(train_raw, vocab, cfg.k_support, cfg.k_query,
                                    seed=cfg.seed)
-    val_tasks = D.tasks_from_raw(valid_raw, vocab, mcfg.k_support, mcfg.k_query,
+    val_tasks = D.tasks_from_raw(valid_raw, vocab, cfg.k_support, cfg.k_query,
                                  seed=cfg.seed) if valid_raw else None
     sampler = TaskSampler(train_tasks, seed=cfg.seed)
 
-    model, result = meta_train(model, sampler, mcfg, val_tasks)
+    model, result = meta_train(model, sampler, cfg, val_tasks)
     save_checkpoint(args.checkpoint_out, model.store)
     result.log.write(args.log_out)
     if result.diverged:
@@ -169,7 +168,7 @@ def cmd_train_baseline(args):
         samples.extend(D.raw_task_to_samples(raw_task, vocab))
     log = TrainingLog()
     batch = cfg.num_tasks * (cfg.k_support + cfg.k_query)
-    supervised_train(model, samples, cfg.meta_config(), batch_size=batch,
+    supervised_train(model, samples, cfg, batch_size=batch,
                      seed=cfg.seed, log=log)
     save_checkpoint(args.checkpoint_out, model.store)
     log.write(args.log_out)
@@ -183,18 +182,17 @@ def cmd_adapt_eval(args):
     raw = _split_tasks(D.load_task_pool(args.pool), args.split, cfg.seed)
     if not raw:
         raise DataError(f"split {args.split!r} holds no tasks")
-    mcfg = cfg.meta_config()
-    support_size = mcfg.k_support if args.support_size is None else args.support_size
+    support_size = cfg.k_support if args.support_size is None else args.support_size
     if support_size < 1:
         raise DataError(f"--support-size must be >= 1, got {support_size}")
-    tasks = D.tasks_from_raw(raw, model.vocab, support_size, mcfg.k_query,
+    tasks = D.tasks_from_raw(raw, model.vocab, support_size, cfg.k_query,
                              seed=cfg.seed)
 
     pre = Evaluator(max_len=cfg.max_len)
     post = Evaluator(max_len=cfg.max_len)
     for task in tasks:
         pre.add(model, task.query)
-        adapted, _, _ = adapt(model, task, mcfg)
+        adapted, _, _ = adapt(model, task, cfg)
         post.add(adapted, task.query)
     pre_report, post_report = pre.report(), post.report()
     payload = json.dumps({"pre": json.loads(pre_report.to_json()),

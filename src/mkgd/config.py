@@ -20,25 +20,14 @@ SEED_ENV_VAR = "MKGD_SEED"
 
 
 @dataclass
-class RunConfig:
+class RunConfig(MetaConfig):
+    """MetaConfig's hyperparameters plus the model, loss-weight and seed fields."""
+
     # model dims (defaults are full-corpus scale)
     embed_dim: int = 300
     hidden_dim: int = 300
     max_vocab: int = 30000
     max_len: int = 20
-    # meta-learning
-    alpha: float = 1e-4
-    beta: float = 1e-4
-    num_tasks: int = 5
-    k_support: int = 8
-    k_query: int = 14
-    inner_steps: int = 4
-    test_update_steps: int = 10
-    inner_optimizer: str = "adam"
-    meta_optimizer: str = "adam"
-    max_episodes: int = 100
-    early_stop_patience: int = 10
-    clip_norm: float = 5.0
     # loss-term weights
     w_kl: float = 1.0
     w_nll: float = 1.0
@@ -50,21 +39,16 @@ class RunConfig:
         for name in ("embed_dim", "hidden_dim"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # NaN passes every range check below and in MetaConfig, so refuse it here.
-        for name in ("alpha", "beta", "clip_norm", "w_kl", "w_nll", "w_bow"):
+        super().__post_init__()
+        for name in ("w_kl", "w_nll", "w_bow"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
     def meta_config(self):
-        return MetaConfig(
-            alpha=self.alpha, beta=self.beta, num_tasks=self.num_tasks,
-            k_support=self.k_support, k_query=self.k_query,
-            inner_steps=self.inner_steps, test_update_steps=self.test_update_steps,
-            inner_optimizer=self.inner_optimizer, meta_optimizer=self.meta_optimizer,
-            max_episodes=self.max_episodes,
-            early_stop_patience=self.early_stop_patience,
-            clip_norm=self.clip_norm,
-        )
+        """A RunConfig is its own MetaConfig; kept for callers that still ask."""
+        return self
 
     def loss_weights(self):
         return (self.w_kl, self.w_nll, self.w_bow)

@@ -166,14 +166,14 @@ class SyntheticTaskSpec:
     n_relations: int = 6
     n_triplets: int = 4
     n_samples: int = 24
-    history_templates: tuple = HISTORY_TEMPLATES
-    response_templates: tuple = RESPONSE_TEMPLATES
-    fillers: tuple = FILLER_TOKENS
     seed: int = 0
 
     def __post_init__(self):
-        if not self.history_templates or not self.response_templates:
-            raise ContractError("template sets must be non-empty")
+        for name in ("n_entities", "n_triplets", "n_samples"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.n_triplets > self.n_relations:
             raise DataError(
                 f"need n_relations >= n_triplets ({self.n_relations} < {self.n_triplets})"
@@ -218,9 +218,9 @@ def synth_raw_tasks(spec, n_tasks):
         combos = [
             (g, hi, ri, fi)
             for g in range(spec.n_triplets)
-            for hi in range(len(spec.history_templates))
-            for ri in range(len(spec.response_templates))
-            for fi in range(len(spec.fillers))
+            for hi in range(len(HISTORY_TEMPLATES))
+            for ri in range(len(RESPONSE_TEMPLATES))
+            for fi in range(len(FILLER_TOKENS))
         ]
         if spec.n_samples > len(combos):
             raise DataError(
@@ -233,9 +233,9 @@ def synth_raw_tasks(spec, n_tasks):
         for idx in order:
             g, hi, ri, fi = combos[idx]
             head, rel, tail = triplets[g]
-            history = spec.fillers[fi] + " " + spec.history_templates[hi].format(
+            history = FILLER_TOKENS[fi] + " " + HISTORY_TEMPLATES[hi].format(
                 relation=rel, topic=head)
-            response = spec.response_templates[ri].format(
+            response = RESPONSE_TEMPLATES[ri].format(
                 relation=rel, topic=head, tail=tail)
             samples.append({"history": history, "response": response, "gold": int(g)})
         tasks.append(RawTask(task_id=task_id, goal=goal,

@@ -8,6 +8,7 @@ the resulting parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,9 @@ class Task:
             raise ContractError("all samples in a task must share one knowledge graph")
 
 
+OPTIMIZERS = ("sgd", "adam")
+
+
 @dataclass
 class MetaConfig:
     """Learning-rate / step-count / shot-count hyperparameters."""
@@ -55,6 +59,10 @@ class MetaConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        # NaN passes every range check below, so refuse it first.
+        for name in ("alpha", "beta", "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0 or self.beta <= 0:
             raise ContractError("learning rates must be positive")
         for name in ("num_tasks", "k_support", "k_query"):
@@ -65,8 +73,8 @@ class MetaConfig:
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be >= 0")
         for name in ("inner_optimizer", "meta_optimizer"):
-            if getattr(self, name) not in ("sgd", "adam"):
-                raise ContractError(f"{name} must be 'sgd' or 'adam'")
+            if getattr(self, name) not in OPTIMIZERS:
+                raise ContractError(f"{name} must be {' or '.join(map(repr, OPTIMIZERS))}")
 
 
 class TaskSampler:

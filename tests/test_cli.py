@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from mkgd import cli
-from mkgd.config import RunConfig
+from mkgd.config import PRESETS, RunConfig
 from mkgd.data import (
     RawTask,
     Vocab,
@@ -321,8 +323,12 @@ def replace_checkpoint_entry(ckpt, name, values):
                                   "negative-embed-dim-flag", "zero-hidden-dim-flag",
                                   "negative-embed-dim-config", "zero-support-size",
                                   "nan-alpha-flag", "inf-beta-flag", "nan-w-kl-flag",
-                                  "nan-clip-norm-flag", "nan-alpha-config"])
-def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
+                                  "nan-clip-norm-flag", "nan-alpha-config",
+                                  "negative-seed-flag", "negative-seed-config",
+                                  "negative-seed-env", "synth-zero-entities",
+                                  "synth-zero-triplets", "synth-negative-samples",
+                                  "synth-negative-seed"])
+def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, monkeypatch, case):
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
     argv = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath), "--graph", str(graph)]
     # Big enough for meta-train to build its model and for adapt-eval to run.
@@ -365,14 +371,54 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
         at = MINI_TRAIN_FLAGS.index("--alpha")  # a flag would override the file
         argv = (meta_train + MINI_TRAIN_FLAGS[:at] + MINI_TRAIN_FLAGS[at + 2:]
                 + ["--config", str(config)])
+    elif case == "negative-seed-config":
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=-1\n")
+        argv = meta_train + ["--config", str(config)]
+    elif case == "negative-seed-env":
+        monkeypatch.setenv("MKGD_SEED", "-2")
+        argv = meta_train + MINI_TRAIN_FLAGS
+    elif case.startswith("synth-"):
+        flag, value = {"synth-zero-entities": ("--entities", "0"),
+                       "synth-zero-triplets": ("--triplets", "0"),
+                       "synth-negative-samples": ("--samples-per-task", "-1"),
+                       "synth-negative-seed": ("--seed", "-3")}[case]
+        argv = ["synth", "--tasks", "2", "--out", str(tmp_path / "synth.jsonl"), flag, value]
     else:
         flag, value = {"nan-alpha-flag": ("--alpha", "nan"), "inf-beta-flag": ("--beta", "inf"),
                        "nan-w-kl-flag": ("--w-kl", "nan"),
-                       "nan-clip-norm-flag": ("--clip-norm", "nan")}[case]
+                       "nan-clip-norm-flag": ("--clip-norm", "nan"),
+                       "negative-seed-flag": ("--seed", "-1")}[case]
         argv = meta_train + MINI_TRAIN_FLAGS + [flag, value]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("case", ["meta-train-zero-k-support", "train-baseline-rmsprop-config",
+                                  "chat-zero-alpha"])
+def test_bad_config_fails_before_writing_anything(tmp_path, capsys, case):
+    outputs = ["--checkpoint-out", str(tmp_path / "out.ckpt"),
+               "--vocab-out", str(tmp_path / "out.vocab"),
+               "--log-out", str(tmp_path / "out.csv")]
+    pool = make_pool(tmp_path / "pool.jsonl")
+    if case == "meta-train-zero-k-support":
+        argv = ["meta-train", "--pool", str(pool), *outputs, "--k-support", "0"]
+    elif case == "train-baseline-rmsprop-config":
+        config = tmp_path / "run.cfg"
+        config.write_text("inner_optimizer=rmsprop\n")
+        argv = ["train-baseline", "--pool", str(pool), *outputs, "--config", str(config)]
+    else:
+        ckpt, vpath, graph = rigged_chat_model(tmp_path)
+        script = tmp_path / "script.txt"
+        script.write_text("hello\n")
+        argv = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath),
+                "--graph", str(graph), "--script", str(script), "--alpha", "0"]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    for name in ("out.ckpt", "out.vocab", "out.csv"):
+        assert not (tmp_path / name).exists(), name
 
 
 @pytest.mark.parametrize("reader", ["pool", "vocab", "config", "script"])
@@ -434,6 +480,26 @@ def test_every_run_config_field_has_a_flag():
         dests = set(vars(parser.parse_args(argv)))
         missing = set(RunConfig.__dataclass_fields__) - dests
         assert not missing, f"{argv[0]} has no flag for {sorted(missing)}"
+
+
+def test_help_defaults_match_config():
+    """Each configuration flag's help states the RunConfig default and any desk override."""
+    parser = argparse.ArgumentParser()
+    cli._add_config_flags(parser)
+    defaults, desk = RunConfig(), PRESETS["desk"]
+    described = set()
+    for action in parser._actions:
+        if action.dest not in RunConfig.__dataclass_fields__:
+            continue
+        default = getattr(defaults, action.dest)
+        said = re.search(r"config default ([^,;)]+)", action.help)
+        assert said, f"{action.option_strings[0]} help gives no config default"
+        assert type(default)(said.group(1)) == default, action.help
+        said = re.search(r"desk preset ([^,;)]+)", action.help)
+        if said:
+            assert type(default)(said.group(1)) == desk.get(action.dest), action.help
+            described.add(action.dest)
+    assert described == set(desk)
 
 
 def test_module_entry_point(tmp_path):

@@ -72,6 +72,11 @@ def test_meta_config_validation():
         MetaConfig(inner_steps=-1)
     with pytest.raises(ContractError):
         MetaConfig(inner_optimizer="rmsprop")
+    # NaN passes every range check, and a NaN clip_norm would silently never clip.
+    for bad in ({"alpha": float("nan")}, {"beta": float("inf")},
+                {"clip_norm": float("nan")}):
+        with pytest.raises(ContractError):
+            MetaConfig(**bad)
     MetaConfig(inner_steps=0, max_episodes=0)  # zero step counts are legal
 
 
