@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import data as D
 from .config import PRESETS, RunConfig, make_run_config
 from .dialogue import START_MARKER
@@ -304,7 +306,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A non-finite result raises NumericError; numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

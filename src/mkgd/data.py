@@ -193,6 +193,8 @@ class RawTask:
 def synth_raw_tasks(spec, n_tasks):
     """Generate task pools with per-task fresh graphs; no triplet is shared
     across tasks, so triplet sets are disjoint by construction."""
+    if n_tasks < 0:
+        raise DataError(f"n_tasks must be >= 0, got {n_tasks}")
     rng = np.random.default_rng(spec.seed)
     entities = [f"e{i}" for i in range(spec.n_entities)]
     relations = [f"r{i}" for i in range(spec.n_relations)]

@@ -56,19 +56,19 @@ class KnowledgeGraph:
 
 @dataclass
 class DialogueSample:
-    """One (history, response, graph) record, already numericalized."""
+    """One numericalized (history, response, graph, gold triplet index) record."""
 
     history: list
     response: list
     graph: KnowledgeGraph
-    gold_triplet: int | None = None
+    gold_triplet: int
 
     def __post_init__(self):
         if not self.history:
             raise ContractError("dialogue history must be non-empty")
         if not self.response:
             raise ContractError("dialogue response must be non-empty")
-        if self.gold_triplet is not None and not (0 <= self.gold_triplet < len(self.graph)):
+        if not (0 <= self.gold_triplet < len(self.graph)):
             raise ContractError(
                 f"gold triplet {self.gold_triplet} out of range for "
                 f"{len(self.graph)}-triplet graph"

@@ -4,6 +4,11 @@ The meta step runs the inner updates for the whole task batch IN SEQUENCE on
 one shared, evolving parameter store (no per-task copies), then takes a
 single first-order optimizer step on the summed query losses evaluated at
 the resulting parameters.
+
+Every parameter update, whether an inner step, the meta step, a test-time
+adaptation step or a supervised baseline step, goes through ``_train_step``:
+record the objective on a fresh tape, backward, clip, then one SGD or Adam
+step.
 """
 
 from __future__ import annotations
@@ -116,21 +121,21 @@ def _make_state(kind, store):
     return AdamState(store) if kind == "adam" else None
 
 
-def _opt_step(kind, store, grads, state, lr, clip_norm):
-    grads = clip_global_norm(grads, clip_norm)
-    if kind == "adam":
-        adam_step(store, grads, state, lr)
-    else:
-        sgd_step(store, grads, lr)
-    return state
+def _train_step(model, objective, kind, state, lr, clip_norm):
+    """Record objective() on a fresh tape, then one clipped `kind` step at rate lr.
 
-
-def _batch_grads(model, samples):
+    objective returns (scalar loss tensor, rows); returns (loss value, rows).
+    """
     tape = Tape()
     tape.watch(model.store)
     with tape:
-        loss, stats = model.batch_objective(samples)
-    return backward(tape, loss), stats
+        loss, rows = objective()
+    grads = clip_global_norm(backward(tape, loss), clip_norm)
+    if kind == "adam":
+        adam_step(model.store, grads, state, lr)
+    else:
+        sgd_step(model.store, grads, lr)
+    return loss.item(), rows
 
 
 def batch_loss_value(model, samples):
@@ -152,9 +157,8 @@ def inner_update(model, task, cfg, opt_state=None):
         opt_state = _make_state(cfg.inner_optimizer, model.store)
     last_stats = None
     for _ in range(cfg.inner_steps):
-        grads, last_stats = _batch_grads(model, task.support)
-        _opt_step(cfg.inner_optimizer, model.store, grads, opt_state,
-                  cfg.alpha, cfg.clip_norm)
+        _, last_stats = _train_step(model, lambda: model.batch_objective(task.support),
+                                    cfg.inner_optimizer, opt_state, cfg.alpha, cfg.clip_norm)
     return model, opt_state, last_stats
 
 
@@ -164,18 +168,14 @@ class EpisodeStats:
     meta_loss: float = 0.0
 
 
-def _query_grads(model, batch):
-    """Summed-over-tasks query objective at the current parameters."""
-    tape = Tape()
-    tape.watch(model.store)
-    per_task = []
-    with tape:
-        total = None
-        for task in batch:
-            loss, stats = model.batch_objective(task.query)
-            per_task.append(mean_loss_components(stats))
-            total = loss if total is None else add(total, loss)
-    return backward(tape, total), per_task, total.item()
+def _query_objective(model, batch):
+    """Query losses summed over tasks at the current parameters; per-task mean rows."""
+    total, per_task = None, []
+    for task in batch:
+        loss, stats = model.batch_objective(task.query)
+        per_task.append(mean_loss_components(stats))
+        total = loss if total is None else add(total, loss)
+    return total, per_task
 
 
 def meta_batch_step(model, batch, cfg, meta_state=None):
@@ -196,9 +196,8 @@ def meta_batch_step(model, batch, cfg, meta_state=None):
         _, inner_state, stats = inner_update(model, task, cfg, inner_state)
         if stats is not None:
             support_rows[id(task)] = mean_loss_components(stats)
-    grads, per_task, meta_loss = _query_grads(model, batch)
-    _opt_step(cfg.meta_optimizer, model.store, grads, meta_state,
-              cfg.beta, cfg.clip_norm)
+    meta_loss, per_task = _train_step(model, lambda: _query_objective(model, batch),
+                                      cfg.meta_optimizer, meta_state, cfg.beta, cfg.clip_norm)
 
     stats = EpisodeStats(meta_loss=meta_loss)
     for task, q_row in zip(batch, per_task):
@@ -301,49 +300,44 @@ def meta_train(model, sampler, cfg, val_tasks=None):
     return model, result
 
 
-def adapt(model, task, cfg, seen_task_ids=None):
+def adapt(model, task, cfg):
     """Fine-tune a private copy on an unseen task's support set.
 
+    cfg.test_update_steps steps of the inner optimizer at rate alpha.
     Returns (adapted model, query loss before, query loss after). The given
     model is left untouched.
     """
-    if seen_task_ids is not None and task.task_id in set(seen_task_ids):
-        raise ContractError(f"task {task.task_id!r} was seen during meta-training")
     adapted = model.clone()
     pre, _ = batch_loss_value(adapted, task.query)
     state = _make_state(cfg.inner_optimizer, adapted.store)
     for _ in range(cfg.test_update_steps):
-        grads, _ = _batch_grads(adapted, task.support)
-        _opt_step(cfg.inner_optimizer, adapted.store, grads, state,
-                  cfg.alpha, cfg.clip_norm)
+        _train_step(adapted, lambda: adapted.batch_objective(task.support),
+                    cfg.inner_optimizer, state, cfg.alpha, cfg.clip_norm)
     post, _ = batch_loss_value(adapted, task.query)
     return adapted, pre, post
 
 
-def supervised_train(model, samples, cfg, epochs=None, batch_size=0,
-                     shuffle=True, seed=0, log=None):
+def supervised_train(model, samples, cfg, batch_size=0, shuffle=True, seed=0, log=None):
     """Plain mini-batch optimization of the total loss; the non-meta baseline.
 
-    batch_size 0 means one batch per epoch. Returns (model, per-step mean
-    losses).
+    cfg.max_episodes epochs of meta-optimizer steps at rate beta; batch_size
+    0 means one batch per epoch. Returns (model, per-step mean losses).
     """
     if not samples:
         raise ContractError("supervised_train on empty sample list")
-    epochs = cfg.max_episodes if epochs is None else epochs
     if batch_size <= 0:
         batch_size = len(samples)
     state = _make_state(cfg.meta_optimizer, model.store)
     rng = np.random.default_rng(seed)
     losses = []
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, cfg.max_episodes + 1):
         order = rng.permutation(len(samples)) if shuffle else np.arange(len(samples))
         for start in range(0, len(samples), batch_size):
             batch = [samples[i] for i in order[start:start + batch_size]]
-            grads, stats = _batch_grads(model, batch)
+            _, stats = _train_step(model, lambda: model.batch_objective(batch),
+                                   cfg.meta_optimizer, state, cfg.beta, cfg.clip_norm)
             row = mean_loss_components(stats)
             losses.append(row["total"])
             if log is not None:
                 log.add(epoch, "train", start // batch_size, row)
-            _opt_step(cfg.meta_optimizer, model.store, grads, state,
-                      cfg.beta, cfg.clip_norm)
     return model, losses

@@ -131,7 +131,6 @@ class Evaluator:
         self.token_sum = 0
         self.priors = []
         self.golds = []
-        self.n = 0
 
     def add(self, model, samples):
         for sample in samples:
@@ -144,17 +143,16 @@ class Evaluator:
             ref = model.vocab.decode(ref_ids)
             self.hyps.append(hyp)
             self.refs.append(ref)
-            if sample.gold_triplet is not None:
-                self.priors.append(prior)
-                self.golds.append(sample.gold_triplet)
-            self.n += 1
+            self.priors.append(prior)
+            self.golds.append(sample.gold_triplet)
 
     def report(self):
-        if self.n == 0:
+        n = len(self.hyps)
+        if n == 0:
             raise ContractError("evaluator saw no samples")
         f1 = sum(
             char_f1(" ".join(h), " ".join(r)) for h, r in zip(self.hyps, self.refs)
-        ) / self.n
+        ) / n
         return EvalReport(
             ppl=math.exp(self.nll_sum / self.token_sum),
             f1=f1,
@@ -162,6 +160,6 @@ class Evaluator:
             bleu2=bleu_n(self.hyps, self.refs, 2),
             distinct1=distinct_n(self.hyps, 1),
             distinct2=distinct_n(self.hyps, 2),
-            sel_acc=selection_accuracy(self.priors, self.golds) if self.priors else 0.0,
-            n_samples=self.n,
+            sel_acc=selection_accuracy(self.priors, self.golds),
+            n_samples=n,
         )

@@ -17,13 +17,12 @@ scoring (the response must not leak into its own score).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dialogue import KnowledgeGraph
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError
 from .layers import (
     build_attention,
     build_embedding,
@@ -108,18 +107,6 @@ def bow_loss(fused_knowledge, response, bow_mlp):
     return T.mul(T.sum_(T.log(rows, floor=PROB_FLOOR)), _NEG_ONE)
 
 
-def total_loss(kl, nll, bow):
-    """Sum of the three loss terms."""
-    parts = []
-    for name, part in (("kl", kl), ("nll", nll), ("bow", bow)):
-        if not isinstance(part, Tensor):
-            part = Tensor(float(part))
-        if not np.all(np.isfinite(part.values)):
-            raise NumericError(f"total_loss: non-finite {name} term")
-        parts.append(part)
-    return T.add(T.add(parts[0], parts[1]), parts[2])
-
-
 def _row(matrix, i):
     """Row i of a (B, n) matrix, as an (n,) vector."""
     return T.reshape(T.slice_(matrix, i, i + 1), (matrix.shape[1],))
@@ -137,18 +124,6 @@ class HistoryEncoding(NamedTuple):
     states: Tensor   # (B, L, 2H): [forward_t; backward_t] per position
     lengths: tuple   # tokens per history; attention ignores positions past them
     summary: Tensor  # (B, H): the projected [final forward; final backward]
-
-
-@dataclass
-class ModelOutput:
-    prior: np.ndarray
-    posterior: np.ndarray
-    token_logits: np.ndarray  # (len(response), V)
-    kl: float
-    nll: float
-    bow: float
-    total: float
-    loss: Tensor  # recorded total, usable for backward
 
 
 class DialogueModel:
@@ -300,7 +275,11 @@ class DialogueModel:
     # -- objectives --------------------------------------------------------
 
     def forward(self, samples):
-        """Full training pass over a sample batch; one ModelOutput per sample.
+        """Full training pass over a sample batch; (recorded totals, stat rows).
+
+        Both lists hold one entry per sample. A stat row holds the weighted
+        loss terms ``kl``, ``nll`` and ``bow``, their sum ``total``, and
+        ``sel_ok``: whether the prior's top triplet is the gold one.
 
         The recurrences run once for the batch; selection, fusion and the
         weighted loss terms run per sample. Samples sharing a graph share
@@ -325,8 +304,8 @@ class DialogueModel:
         logits = self.decode_with_knowledge(history, T.stack([h[2] for h in heads]), responses)
 
         w_kl, w_nll, w_bow = self.loss_weights
-        outputs, start = [], 0
-        for response, (prior, posterior, fused) in zip(responses, heads):
+        totals, rows, start = [], [], 0
+        for sample, response, (prior, posterior, fused) in zip(samples, responses, heads):
             sample_logits = T.slice_(logits, start, start + len(response))
             start += len(response)
             kl = kl_div_loss(posterior, prior)
@@ -338,39 +317,25 @@ class DialogueModel:
                 nll = T.mul(nll, Tensor(w_nll))
             if w_bow != 1.0:
                 bow = T.mul(bow, Tensor(w_bow))
-            total = total_loss(kl, nll, bow)
-            outputs.append(ModelOutput(
-                prior=prior.values.copy(),
-                posterior=posterior.values.copy(),
-                token_logits=sample_logits.values.copy(),
-                kl=kl.item(),
-                nll=nll.item(),
-                bow=bow.item(),
-                total=total.item(),
-                loss=total,
-            ))
-        return outputs
+            total = T.add(T.add(kl, nll), bow)
+            totals.append(total)
+            rows.append({
+                "kl": kl.item(), "nll": nll.item(), "bow": bow.item(),
+                "total": total.item(),
+                "sel_ok": int(np.argmax(prior.values)) == sample.gold_triplet,
+            })
+        return totals, rows
 
     def batch_objective(self, samples):
-        """Mean total loss over a sample batch plus per-sample stat rows.
+        """Mean total loss over a sample batch plus forward's per-sample stat rows.
 
         Runs under whatever tape is currently recording (or none).
         """
-        if not samples:
-            raise ContractError("batch_objective on empty sample list")
-        acc = None
-        stats = []
-        for sample, out in zip(samples, self.forward(samples)):
-            acc = out.loss if acc is None else T.add(acc, out.loss)
-            sel_ok = None
-            if sample.gold_triplet is not None:
-                sel_ok = int(np.argmax(out.prior)) == sample.gold_triplet
-            stats.append({
-                "kl": out.kl, "nll": out.nll, "bow": out.bow,
-                "total": out.total, "sel_ok": sel_ok,
-            })
-        loss = T.mul(acc, Tensor(1.0 / len(samples)))
-        return loss, stats
+        totals, rows = self.forward(samples)
+        acc = totals[0]
+        for total in totals[1:]:
+            acc = T.add(acc, total)
+        return T.mul(acc, Tensor(1.0 / len(samples))), rows
 
     def score(self, sample):
         """Prior-fused teacher-forced NLL of a sample (no posterior, no recording)."""
@@ -405,8 +370,7 @@ def mean_loss_components(stats):
     """Aggregate per-sample stat rows into mean components and selection accuracy."""
     n = len(stats)
     out = {key: sum(s[key] for s in stats) / n for key in ("kl", "nll", "bow", "total")}
-    known = [s["sel_ok"] for s in stats if s["sel_ok"] is not None]
-    out["sel_acc"] = (sum(known) / len(known)) if known else 0.0
+    out["sel_acc"] = sum(s["sel_ok"] for s in stats) / n
     return out
 
 

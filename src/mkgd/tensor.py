@@ -5,6 +5,9 @@ tape per training step, creation order == topological order). backward()
 sweeps the tape once in reverse and returns gradients for every watched
 parameter. Everything is float64: the engine is desk-scale and the
 finite-difference checks in the test suite need the precision.
+
+Every primitive raises NumericError on a non-finite result; the command line,
+not the engine, silences numpy's floating-point warnings with one np.errstate.
 """
 
 from __future__ import annotations
@@ -147,9 +150,7 @@ def matmul(a, b):
           and (bv.ndim < 3 or (av.ndim == 3 and av.shape[0] == bv.shape[0])))
     if not ok:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = av @ bv
-    return _out("matmul", out, _ids((a, b)), (av, bv))
+    return _out("matmul", av @ bv, _ids((a, b)), (av, bv))
 
 
 def concat(parts, axis=0):
@@ -235,9 +236,7 @@ def softmax(t):
 def log(t, floor=0.0):
     """Natural log; with floor > 0, computes log(max(x, floor))."""
     v = t.values if floor <= 0.0 else np.maximum(t.values, floor)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(v)
-    return _out("log", out, _ids((t,)), (t.values, floor))
+    return _out("log", np.log(v), _ids((t,)), (t.values, floor))
 
 
 def sum_(t):

@@ -184,7 +184,7 @@ class QuadraticModel:
             loss = T.mul(sq, T.tensor(coef))
             total = loss if total is None else T.add(total, loss)
             stats.append({"kl": 0.0, "nll": loss.item(), "bow": 0.0,
-                          "total": loss.item(), "sel_ok": None})
+                          "total": loss.item(), "sel_ok": False})
         return T.mul(total, T.tensor(1.0 / len(samples))), stats
 
     def clone(self):

@@ -136,7 +136,7 @@ def test_meta_train_insufficient_tasks_exits_2(tmp_path):
     assert code == 2
 
 
-def test_meta_train_divergence_exits_3_and_keeps_checkpoint(tmp_path):
+def test_meta_train_divergence_exits_3_and_keeps_checkpoint(tmp_path, capsys):
     pool = make_pool(tmp_path / "pool.jsonl")
     code = run_cli("meta-train", "--pool", str(pool),
                    "--checkpoint-out", str(tmp_path / "div.ckpt"),
@@ -148,6 +148,7 @@ def test_meta_train_divergence_exits_3_and_keeps_checkpoint(tmp_path):
                    "--inner-optimizer", "sgd", "--alpha", "1e200",
                    "--clip-norm", "0")
     assert code == 3
+    assert capsys.readouterr().err == "training diverged; best checkpoint retained\n"
     assert (tmp_path / "div.ckpt").exists()
     arrays = load_checkpoint(tmp_path / "div.ckpt")
     assert all(np.isfinite(v).all() for v in arrays.values())
@@ -185,8 +186,8 @@ def memorizable_pool_and_model(tmp_path, response="the end"):
     vocab = build_vocab(raw_task_token_stream(raw), 200)
     model = DialogueModel(vocab, 8, 8, seed=1)
     train_samples = raw_task_to_samples(raw[0], vocab)
-    cfg = MetaConfig(alpha=0.02, beta=0.02)
-    supervised_train(model, train_samples[:4], cfg, epochs=80, shuffle=False)
+    cfg = MetaConfig(alpha=0.02, beta=0.02, max_episodes=80)
+    supervised_train(model, train_samples[:4], cfg, shuffle=False)
     ckpt = tmp_path / "memo.ckpt"
     vocab_path = tmp_path / "memo.vocab"
     save_checkpoint(ckpt, model.store)
@@ -327,7 +328,7 @@ def replace_checkpoint_entry(ckpt, name, values):
                                   "negative-seed-flag", "negative-seed-config",
                                   "negative-seed-env", "synth-zero-entities",
                                   "synth-zero-triplets", "synth-negative-samples",
-                                  "synth-negative-seed"])
+                                  "synth-negative-seed", "synth-negative-tasks"])
 def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, monkeypatch, case):
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
     argv = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath), "--graph", str(graph)]
@@ -382,7 +383,8 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, monkeypat
         flag, value = {"synth-zero-entities": ("--entities", "0"),
                        "synth-zero-triplets": ("--triplets", "0"),
                        "synth-negative-samples": ("--samples-per-task", "-1"),
-                       "synth-negative-seed": ("--seed", "-3")}[case]
+                       "synth-negative-seed": ("--seed", "-3"),
+                       "synth-negative-tasks": ("--tasks", "-2")}[case]
         argv = ["synth", "--tasks", "2", "--out", str(tmp_path / "synth.jsonl"), flag, value]
     else:
         flag, value = {"nan-alpha-flag": ("--alpha", "nan"), "inf-beta-flag": ("--beta", "inf"),

@@ -208,11 +208,11 @@ def test_meta_step_empty_batch_rejected():
 def test_degenerate_meta_step_equals_supervised_single_step():
     # num_tasks=1, inner_steps=0 must reduce to one plain optimizer step
     tasks, model = mini_pool(1, seed=7, hidden=8)
-    cfg = MetaConfig(alpha=0.01, beta=0.01, num_tasks=1, inner_steps=0)
+    cfg = MetaConfig(alpha=0.01, beta=0.01, num_tasks=1, inner_steps=0, max_episodes=1)
     twin = model.clone()
 
     meta_batch_step(model, [tasks[0]], cfg)
-    supervised_train(twin, tasks[0].query, cfg, epochs=1, shuffle=False)
+    supervised_train(twin, tasks[0].query, cfg, shuffle=False)
 
     for name, t in model.store.items():
         assert np.array_equal(t.values, twin.store[name].values), name
@@ -312,11 +312,16 @@ def test_adapt_leaves_caller_model_untouched():
     assert changed
 
 
-def test_adapt_checks_exclusion_list():
-    tasks, model = mini_pool(1, seed=2, hidden=8)
-    cfg = MetaConfig(test_update_steps=0)
-    with pytest.raises(ContractError):
-        adapt(model, tasks[0], cfg, seen_task_ids=[tasks[0].task_id])
+def test_adapt_quadratic_closed_form():
+    # theta <- theta - alpha * 2 theta per step: 1 -> 0.8 -> 0.64; beta must not be used
+    cfg = MetaConfig(alpha=0.1, beta=0.3, inner_optimizer="sgd", meta_optimizer="adam",
+                     inner_steps=5, test_update_steps=2)
+    model = QuadraticModel(1.0)
+    adapted, pre, post = adapt(model, quad_task([1.0], [1.0]), cfg)
+    assert adapted.value() == pytest.approx(0.64, abs=1e-12)
+    assert pre == pytest.approx(1.0, abs=1e-12)
+    assert post == pytest.approx(0.64 ** 2, abs=1e-12)
+    assert model.value() == 1.0
 
 
 def test_adapt_default_steps_is_ten():
@@ -331,9 +336,8 @@ def test_supervised_train_deterministic_and_finite():
     def run():
         tasks, model = mini_pool(2, seed=8, hidden=8)
         samples = tasks[0].support + tasks[0].query
-        cfg = MetaConfig(alpha=0.01, beta=0.01)
-        _, losses = supervised_train(model, samples, cfg, epochs=3,
-                                     batch_size=5, seed=3)
+        cfg = MetaConfig(alpha=0.01, beta=0.01, max_episodes=3)
+        _, losses = supervised_train(model, samples, cfg, batch_size=5, seed=3)
         return losses, model.store.snapshot()
 
     losses_a, snap_a = run()
@@ -342,6 +346,16 @@ def test_supervised_train_deterministic_and_finite():
     assert all(np.isfinite(v) for v in losses_a)
     for name in snap_a:
         assert np.array_equal(snap_a[name], snap_b[name])
+
+
+def test_supervised_train_quadratic_closed_form():
+    # one step per epoch at rate beta: theta 1 -> 0.8 -> 0.64; alpha must not be used
+    cfg = MetaConfig(alpha=0.3, beta=0.1, meta_optimizer="sgd", inner_optimizer="adam",
+                     inner_steps=5, test_update_steps=5, max_episodes=2)
+    model = QuadraticModel(1.0)
+    _, losses = supervised_train(model, [QuadSample(1.0)], cfg, shuffle=False)
+    assert losses == pytest.approx([1.0, 0.64], abs=1e-12)
+    assert model.value() == pytest.approx(0.64, abs=1e-12)
 
 
 def test_supervised_train_rejects_empty():

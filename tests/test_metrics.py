@@ -21,6 +21,10 @@ from mkgd.metrics import (
 TOKENS = st.lists(st.sampled_from("a b c d e".split()), min_size=1, max_size=8)
 
 
+# The prior a stub scorer reports: one triplet, the gold one.
+ONE_TRIPLET_PRIOR = np.array([1.0])
+
+
 class StubModel:
     """The model interface Evaluator uses; generates empty responses."""
 
@@ -38,12 +42,12 @@ class RiggedScorer(StubModel):
         self.length = length
 
     def score(self, sample):
-        return self.per_token_nll * self.length, self.length, None
+        return self.per_token_nll * self.length, self.length, ONE_TRIPLET_PRIOR
 
 
 def stub_samples(keys):
     return [SimpleNamespace(key=k, history=[0], graph=None, response=[EOS],
-                            gold_triplet=None) for k in keys]
+                            gold_triplet=0) for k in keys]
 
 
 def evaluated_ppl(model, samples):
@@ -178,7 +182,7 @@ def test_perplexity_matches_per_token_oracle():
         def score(self, sample):
             row = self.rows[self.i % 3]
             self.i += 1
-            return row[0], row[1], None
+            return row[0], row[1], ONE_TRIPLET_PRIOR
 
     got = evaluated_ppl(VaryingScorer(), stub_samples([1, 2, 3]))
     want = math.exp((2.0 + 1.0 + 4.5) / (3 + 2 + 5))
@@ -188,7 +192,7 @@ def test_perplexity_matches_per_token_oracle():
 def test_perplexity_reorder_invariant():
     class Keyed(StubModel):
         def score(self, sample):
-            return float(sample.key), max(1, int(sample.key)), None
+            return float(sample.key), max(1, int(sample.key)), ONE_TRIPLET_PRIOR
 
     keys = [1.0, 2.0, 3.0]
     assert evaluated_ppl(Keyed(), stub_samples(keys)) == \

@@ -8,7 +8,7 @@ import helpers
 from mkgd import tensor as T
 from mkgd.data import Vocab
 from mkgd.dialogue import DialogueGoal, DialogueSample, KnowledgeGraph, KnowledgeTriplet
-from mkgd.errors import ContractError, NumericError
+from mkgd.errors import ContractError
 from mkgd.layers import build_mlp, gru_encode
 from mkgd.model import (
     DialogueModel,
@@ -17,7 +17,6 @@ from mkgd.model import (
     nll_loss,
     posterior_distribution,
     prior_distribution,
-    total_loss,
 )
 from mkgd.params import ParamStore
 from mkgd.tensor import Tensor
@@ -173,9 +172,11 @@ def test_distributions_are_valid_probability_vectors(seed, n):
     rng = np.random.default_rng(seed)
     k = Tensor(rng.normal(size=(n, 3)) * 3)
     x = Tensor(rng.normal(size=3) * 3)
-    prior = prior_distribution(k, x).values
-    assert (prior >= 0).all()
-    assert abs(prior.sum() - 1.0) <= 1e-9
+    y = Tensor(rng.normal(size=3) * 3)
+    mlp = build_mlp(ParamStore(seed), "post", (6, 3, 3))
+    for dist in (prior_distribution(k, x), posterior_distribution(k, x, y, mlp)):
+        assert (dist.values >= 0).all()
+        assert abs(dist.values.sum() - 1.0) <= 1e-9
 
 
 def test_prior_argmax_invariant_under_positive_scaling():
@@ -285,15 +286,6 @@ def test_bow_hand_computation_length_two():
     probs /= probs.sum()
     want = -(math.log(probs[2]) + math.log(probs[0]))
     assert bow_loss(Tensor(fused), [2, 0], mlp).item() == pytest.approx(want, abs=1e-12)
-
-
-def test_total_loss_examples():
-    assert total_loss(0.0, 0.0, 0.0).item() == 0.0
-    assert total_loss(1.0, 2.0, 3.0).item() == 6.0
-    with pytest.raises(NumericError):
-        total_loss(float("nan"), 1.0, 1.0)
-    with pytest.raises(NumericError):
-        total_loss(1.0, float("inf"), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -457,23 +449,24 @@ def test_generate_needs_positive_max_len():
 def test_forward_output_consistency():
     model = tiny_model(seed=9)
     for samples in ([tiny_sample(model.vocab, tiny_graph())], ragged_pair(model.vocab)):
-        outputs = model.forward(samples)
-        assert len(outputs) == len(samples)
-        for sample, out in zip(samples, outputs):
-            assert out.prior.shape == (len(sample.graph),)
-            assert abs(out.prior.sum() - 1.0) <= 1e-9
-            assert abs(out.posterior.sum() - 1.0) <= 1e-9
-            assert out.token_logits.shape == (len(sample.response), len(model.vocab))
-            assert out.total == pytest.approx(out.kl + out.nll + out.bow, rel=1e-12)
-            assert out.nll >= 0.0 and out.bow >= 0.0 and out.kl >= -1e-12
+        totals, rows = model.forward(samples)
+        assert len(totals) == len(rows) == len(samples)
+        for sample, total, row in zip(samples, totals, rows):
+            assert total.item() == row["total"]
+            assert row["total"] == pytest.approx(row["kl"] + row["nll"] + row["bow"], rel=1e-12)
+            assert row["nll"] >= 0.0 and row["bow"] >= 0.0 and row["kl"] >= -1e-12
+            # the prior depends on the history alone, so score() sees the same one
+            top = int(np.argmax(model.score(sample).prior))
+            assert row["sel_ok"] == (top == sample.gold_triplet)
 
 
 def test_forward_weighted_terms_sum_to_total():
     model = DialogueModel(tiny_vocab(), 3, 3, seed=9, loss_weights=(0.5, 2.0, 0.0))
     sample = tiny_sample(model.vocab, tiny_graph())
-    [out] = model.forward([sample])
-    assert out.bow == 0.0
-    assert out.total == pytest.approx(out.kl + out.nll + out.bow, rel=1e-12)
+    [total], [row] = model.forward([sample])
+    assert row["bow"] == 0.0
+    assert row["total"] == pytest.approx(row["kl"] + row["nll"] + row["bow"], rel=1e-12)
+    assert total.item() == row["total"]
 
 
 def test_score_matches_numpy_reference():
@@ -499,7 +492,7 @@ def test_clone_is_bit_exact_and_independent():
     model = tiny_model(seed=13)
     sample = tiny_sample(model.vocab, tiny_graph())
     twin = model.clone()
-    assert model.forward([sample])[0].total == twin.forward([sample])[0].total
+    assert model.forward([sample])[1] == twin.forward([sample])[1]
     twin.store.set_values("model.out.b", np.ones(len(model.vocab)))
     assert not np.array_equal(model.store["model.out.b"].values,
                               twin.store["model.out.b"].values)
@@ -537,10 +530,10 @@ def test_overfit_single_sample_decreases_nll_and_bow():
 
     model = DialogueModel(tiny_vocab(), 8, 8, seed=1)
     sample = tiny_sample(model.vocab, tiny_graph())
-    [first] = model.forward([sample])
+    _, [first] = model.forward([sample])
     cfg = MetaConfig(alpha=0.01, beta=0.01, max_episodes=50)
-    supervised_train(model, [sample], cfg, epochs=50, shuffle=False)
-    [last] = model.forward([sample])
-    assert last.nll < first.nll
-    assert last.bow < first.bow
-    assert last.nll >= 0.0 and last.bow >= 0.0
+    supervised_train(model, [sample], cfg, shuffle=False)
+    _, [last] = model.forward([sample])
+    assert last["nll"] < first["nll"]
+    assert last["bow"] < first["bow"]
+    assert last["nll"] >= 0.0 and last["bow"] >= 0.0
