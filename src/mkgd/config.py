@@ -36,7 +36,7 @@ class RunConfig(MetaConfig):
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("embed_dim", "hidden_dim"):
+        for name in ("embed_dim", "hidden_dim", "max_len"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
         super().__post_init__()

@@ -121,7 +121,10 @@ class EvalReport:
 
 
 class Evaluator:
-    """Accumulates generation/scoring results across (possibly adapted) models."""
+    """Accumulates generation/scoring results across (possibly adapted) models.
+
+    ``add`` scores its samples in one batched ``score`` call; ``generate`` runs per sample.
+    """
 
     def __init__(self, max_len=20):
         self.max_len = max_len
@@ -133,8 +136,9 @@ class Evaluator:
         self.golds = []
 
     def add(self, model, samples):
-        for sample in samples:
-            nll, tokens, prior = model.score(sample)
+        if not samples:
+            return
+        for sample, (nll, tokens, prior) in zip(samples, model.score(samples)):
             self.nll_sum += nll
             self.token_sum += tokens
             hyp_ids, _ = model.generate(sample.history, sample.graph, self.max_len)

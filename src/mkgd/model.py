@@ -8,7 +8,8 @@ the training objective.
 
 The encoders and the decoder run a whole sample batch at once, one GRU step
 per position, on (B, ·) matrices; selection, fusion and the losses run per
-sample.
+sample. ``forward`` and ``score`` take a sample batch; ``generate`` decodes
+one history greedily at batch size 1.
 
 Knowledge fusion is the deterministic weighted sum of triplet vectors:
 posterior-weighted during training, prior-weighted at inference and when
@@ -237,13 +238,20 @@ class DialogueModel:
                                    for t in range(len(r))])
         return T.add(T.matmul(rows, T.transpose(self.out_W)), self.out_b)
 
-    def _prior_fusion(self, history, graph):
-        """One history's encoding, the prior over the graph, and its fused knowledge as (1, H)."""
-        encoded = self.encode_history([history])
-        [k_matrix] = self.encode_knowledge([graph])
-        prior = prior_distribution(k_matrix, _row(encoded.summary, 0))
-        fused = self.fuse_knowledge(k_matrix, prior)
-        return encoded, prior, T.reshape(fused, (1, self.hidden_dim))
+    def _encode_with_prior(self, histories, graphs):
+        """(history encoding, one (x summary, knowledge matrix, prior) per sample).
+
+        Each distinct graph is encoded once, found by identity: samples sharing
+        a graph share one encoding (identical values, shared gradient path).
+        """
+        history = self.encode_history(histories)
+        unique = list({id(g): g for g in graphs}.values())
+        by_id = dict(zip(map(id, unique), self.encode_knowledge(unique)))
+        heads = []
+        for i, graph in enumerate(graphs):
+            x_summary, k_matrix = _row(history.summary, i), by_id[id(graph)]
+            heads.append((x_summary, k_matrix, prior_distribution(k_matrix, x_summary)))
+        return history, heads
 
     def generate(self, history, graph, max_len):
         """Greedy decoding from BOS, stopping at EOS or max_len.
@@ -253,7 +261,8 @@ class DialogueModel:
         """
         if max_len < 1:
             raise ContractError(f"max_len must be >= 1, got {max_len}")
-        encoded, prior, fused = self._prior_fusion(history, graph)
+        encoded, [(_, k_matrix, prior)] = self._encode_with_prior([history], [graph])
+        fused = T.stack([self.fuse_knowledge(k_matrix, prior)])
         selected = int(np.argmax(prior.values))
 
         keys = self.att.prepare(encoded.states, encoded.lengths)
@@ -283,21 +292,15 @@ class DialogueModel:
 
         The recurrences run once for the batch; selection, fusion and the
         weighted loss terms run per sample. Samples sharing a graph share
-        one knowledge encoding (identical values, shared gradient path).
+        one knowledge encoding.
         """
-        if not samples:
-            raise ContractError("forward on empty sample list")
         responses = [s.response for s in samples]
-        history = self.encode_history([s.history for s in samples])
+        history, selection = self._encode_with_prior(
+            [s.history for s in samples], [s.graph for s in samples])
         y_summary = self.encode_response(responses)
-        graphs = list({id(s.graph): s.graph for s in samples}.values())
-        k_matrices = dict(zip(map(id, graphs), self.encode_knowledge(graphs)))
 
         heads = []
-        for i, sample in enumerate(samples):
-            k_matrix = k_matrices[id(sample.graph)]
-            x_summary = _row(history.summary, i)
-            prior = prior_distribution(k_matrix, x_summary)
+        for i, (x_summary, k_matrix, prior) in enumerate(selection):
             posterior = posterior_distribution(k_matrix, x_summary, _row(y_summary, i),
                                                self.post_mlp)
             heads.append((prior, posterior, self.fuse_knowledge(k_matrix, posterior)))
@@ -337,12 +340,22 @@ class DialogueModel:
             acc = T.add(acc, total)
         return T.mul(acc, Tensor(1.0 / len(samples))), rows
 
-    def score(self, sample):
-        """Prior-fused teacher-forced NLL of a sample (no posterior, no recording)."""
-        encoded, prior, fused = self._prior_fusion(sample.history, sample.graph)
-        logits = self.decode_with_knowledge(encoded, fused, [sample.response])
-        nll = nll_loss(logits, sample.response)
-        return ScoreResult(nll.item(), len(sample.response), prior.values.copy())
+    def score(self, samples):
+        """Prior-fused teacher-forced NLL of a sample batch (no posterior, no recording).
+
+        One ScoreResult per sample, in order; each NLL is over its own logit rows.
+        """
+        responses = [s.response for s in samples]
+        history, selection = self._encode_with_prior(
+            [s.history for s in samples], [s.graph for s in samples])
+        fused = T.stack([self.fuse_knowledge(k, prior) for _, k, prior in selection])
+        logits = self.decode_with_knowledge(history, fused, responses)
+        results, start = [], 0
+        for response, (_, _, prior) in zip(responses, selection):
+            nll = nll_loss(T.slice_(logits, start, start + len(response)), response)
+            start += len(response)
+            results.append(ScoreResult(nll.item(), len(response), prior.values.copy()))
+        return results
 
     # -- persistence -------------------------------------------------------
 

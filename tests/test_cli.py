@@ -328,7 +328,8 @@ def replace_checkpoint_entry(ckpt, name, values):
                                   "negative-seed-flag", "negative-seed-config",
                                   "negative-seed-env", "synth-zero-entities",
                                   "synth-zero-triplets", "synth-negative-samples",
-                                  "synth-negative-seed", "synth-negative-tasks"])
+                                  "synth-negative-seed", "synth-negative-tasks",
+                                  "zero-max-len-flag", "negative-max-len-chat"])
 def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, monkeypatch, case):
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
     argv = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath), "--graph", str(graph)]
@@ -379,6 +380,10 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, monkeypat
     elif case == "negative-seed-env":
         monkeypatch.setenv("MKGD_SEED", "-2")
         argv = meta_train + MINI_TRAIN_FLAGS
+    elif case == "negative-max-len-chat":
+        script = tmp_path / "script.txt"
+        script.write_text("")  # no turn reaches generate
+        argv += ["--script", str(script), "--max-len", "-3"]
     elif case.startswith("synth-"):
         flag, value = {"synth-zero-entities": ("--entities", "0"),
                        "synth-zero-triplets": ("--triplets", "0"),
@@ -390,7 +395,8 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, monkeypat
         flag, value = {"nan-alpha-flag": ("--alpha", "nan"), "inf-beta-flag": ("--beta", "inf"),
                        "nan-w-kl-flag": ("--w-kl", "nan"),
                        "nan-clip-norm-flag": ("--clip-norm", "nan"),
-                       "negative-seed-flag": ("--seed", "-1")}[case]
+                       "negative-seed-flag": ("--seed", "-1"),
+                       "zero-max-len-flag": ("--max-len", "0")}[case]
         argv = meta_train + MINI_TRAIN_FLAGS + [flag, value]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()

@@ -41,8 +41,9 @@ class RiggedScorer(StubModel):
         self.per_token_nll = per_token_nll
         self.length = length
 
-    def score(self, sample):
-        return self.per_token_nll * self.length, self.length, ONE_TRIPLET_PRIOR
+    def score(self, samples):
+        return [(self.per_token_nll * self.length, self.length, ONE_TRIPLET_PRIOR)
+                for _ in samples]
 
 
 def stub_samples(keys):
@@ -179,10 +180,10 @@ def test_perplexity_matches_per_token_oracle():
             self.rows = [(2.0, 3), (1.0, 2), (4.5, 5)]
             self.i = 0
 
-        def score(self, sample):
-            row = self.rows[self.i % 3]
-            self.i += 1
-            return row[0], row[1], ONE_TRIPLET_PRIOR
+        def score(self, samples):
+            rows = [self.rows[(self.i + j) % 3] for j in range(len(samples))]
+            self.i += len(samples)
+            return [(nll, tokens, ONE_TRIPLET_PRIOR) for nll, tokens in rows]
 
     got = evaluated_ppl(VaryingScorer(), stub_samples([1, 2, 3]))
     want = math.exp((2.0 + 1.0 + 4.5) / (3 + 2 + 5))
@@ -191,8 +192,8 @@ def test_perplexity_matches_per_token_oracle():
 
 def test_perplexity_reorder_invariant():
     class Keyed(StubModel):
-        def score(self, sample):
-            return float(sample.key), max(1, int(sample.key)), ONE_TRIPLET_PRIOR
+        def score(self, samples):
+            return [(float(s.key), max(1, int(s.key)), ONE_TRIPLET_PRIOR) for s in samples]
 
     keys = [1.0, 2.0, 3.0]
     assert evaluated_ppl(Keyed(), stub_samples(keys)) == \
@@ -202,6 +203,19 @@ def test_perplexity_reorder_invariant():
 def test_perplexity_empty_rejected():
     with pytest.raises(ContractError):
         evaluated_ppl(RiggedScorer(0.0), [])
+
+
+def test_add_of_no_samples_is_a_no_op():
+    class RejectsEmpty(RiggedScorer):
+        def score(self, samples):
+            assert samples, "score called on an empty batch"
+            return super().score(samples)
+
+    evaluator = Evaluator()
+    evaluator.add(RejectsEmpty(1.0), [])
+    assert (evaluator.hyps, evaluator.nll_sum, evaluator.token_sum) == ([], 0.0, 0)
+    evaluator.add(RejectsEmpty(1.0), stub_samples([0]))
+    assert evaluator.report().n_samples == 1
 
 
 # ---------------------------------------------------------------------------

@@ -456,7 +456,7 @@ def test_forward_output_consistency():
             assert row["total"] == pytest.approx(row["kl"] + row["nll"] + row["bow"], rel=1e-12)
             assert row["nll"] >= 0.0 and row["bow"] >= 0.0 and row["kl"] >= -1e-12
             # the prior depends on the history alone, so score() sees the same one
-            top = int(np.argmax(model.score(sample).prior))
+            top = int(np.argmax(model.score([sample])[0].prior))
             assert row["sel_ok"] == (top == sample.gold_triplet)
 
 
@@ -474,7 +474,7 @@ def test_score_matches_numpy_reference():
     sample = tiny_sample(model.vocab, tiny_graph())
     P = model.store.snapshot()
     H = model.hidden_dim
-    nll, tokens, prior = model.score(sample)
+    [(nll, tokens, prior)] = model.score([sample])
     assert tokens == len(sample.response)
 
     np_states, np_x = helpers.np_encode_history(P, sample.history, H)
@@ -486,6 +486,24 @@ def test_score_matches_numpy_reference():
     logits = helpers.np_decode(P, model.vocab, np_states, np_fused, sample.response, H)
     assert nll == pytest.approx(helpers.np_nll(logits, sample.response), abs=1e-9)
     assert np.allclose(prior, np_prior, atol=1e-12)
+
+
+def test_batched_score_equals_single_sample_scores():
+    model = tiny_model(seed=5, hidden=4)
+    graph = tiny_graph()
+    # two samples share one graph object, the middle one has another
+    samples = [tiny_sample(model.vocab, graph), ragged_pair(model.vocab)[1],
+               tiny_sample(model.vocab, graph, history="x a r0 b", response="a b c x")]
+    assert len({id(s.graph) for s in samples}) == 2
+    assert len({len(s.history) for s in samples}) == len(samples)
+    assert len({len(s.response) for s in samples}) == len(samples)
+    batched = model.score(samples)
+    assert len(batched) == len(samples)
+    for sample, got in zip(samples, batched):
+        [want] = model.score([sample])
+        assert got.tokens == want.tokens == len(sample.response)
+        assert abs(got.nll - want.nll) <= 1e-12 * abs(want.nll)
+        assert np.allclose(got.prior, want.prior, rtol=0.0, atol=1e-12)
 
 
 def test_clone_is_bit_exact_and_independent():
