@@ -225,12 +225,14 @@ def build_mlp(store, prefix, dims):
 
 
 def mlp_forward(m, x):
-    if x.shape != (m.input_dim,):
-        raise DimensionError(f"mlp input shape {x.shape}, expected ({m.input_dim},)")
+    """(B, output_dim) rows from a (B, input_dim) batch: one pass for every sample's row."""
+    if x.values.ndim != 2 or x.shape[1] != m.input_dim:
+        raise DimensionError(f"mlp input shape {x.shape}, expected (B, {m.input_dim})")
     h = x
     last = len(m.weights) - 1
     for i, (W, b) in enumerate(zip(m.weights, m.biases)):
-        h = T.add(T.matmul(W, h), b)
+        # W h^T, not h W^T: W's gradient comes out C-ordered, so backward copies no (V, H) view.
+        h = T.add(T.transpose(T.matmul(W, T.transpose(h))), b)
         if i != last:
             h = T.tanh(h)
     return h

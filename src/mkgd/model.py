@@ -7,8 +7,9 @@ three training losses (selection KL, token NLL, bag-of-words) whose sum is
 the training objective.
 
 The encoders and the decoder run a whole sample batch at once, one GRU step
-per position, on (B, ·) matrices; selection, fusion and the losses run per
-sample. ``forward`` and ``score`` take a sample batch; ``generate`` decodes
+per position, on (B, ·) matrices; selection, fusion and the losses run once
+per batch too, on (B, ·) rows, with a batch's smaller graphs padded and
+masked. ``forward`` and ``score`` take a sample batch; ``generate`` decodes
 one history greedily at batch size 1.
 
 Knowledge fusion is the deterministic weighted sum of triplet vectors:
@@ -18,6 +19,7 @@ scoring (the response must not leak into its own score).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +27,7 @@ import numpy as np
 from .dialogue import KnowledgeGraph
 from .errors import ContractError, DimensionError
 from .layers import (
+    MASKED,
     build_attention,
     build_embedding,
     build_gru_cell,
@@ -38,79 +41,81 @@ from . import tensor as T
 from .tensor import Tensor
 
 PROB_FLOOR = 1e-12
-_NEG_ONE = Tensor(-1.0)
 
 
-def prior_distribution(k_matrix, x_summary):
-    """Triplet selection from history alone: softmax over k_i . x."""
-    if k_matrix.values.ndim != 2 or k_matrix.shape[1] != x_summary.shape[0]:
+def _select(k_stack, query, mask):
+    """(B, n) rows of softmax_j(k_ij . q_i), with mask (or None) added to the scores."""
+    if k_stack.values.ndim != 3 or query.shape != (k_stack.shape[0], k_stack.shape[2]):
         raise DimensionError(
-            f"prior: knowledge matrix {k_matrix.shape} does not match summary {x_summary.shape}"
+            f"selection: knowledge stack {k_stack.shape} does not match query {query.shape}"
         )
-    return T.softmax(T.matmul(k_matrix, x_summary))
+    B, n, H = k_stack.shape
+    scores = T.reshape(T.matmul(k_stack, T.reshape(query, (B, H, 1))), (B, n))
+    return T.softmax(scores if mask is None else T.add(scores, mask))
 
 
-def posterior_distribution(k_matrix, x_summary, y_summary, posterior_mlp):
-    """Triplet selection with the gold response visible: softmax over k_i . MLP([x; y])."""
-    joint = T.concat([x_summary, y_summary])
-    if joint.shape != (posterior_mlp.input_dim,):
-        raise DimensionError(
-            f"posterior: [x; y] has dim {joint.shape[0]}, "
-            f"mlp expects {posterior_mlp.input_dim}"
-        )
-    projected = mlp_forward(posterior_mlp, joint)
-    if k_matrix.values.ndim != 2 or k_matrix.shape[1] != projected.shape[0]:
-        raise DimensionError(
-            f"posterior: knowledge matrix {k_matrix.shape} does not match "
-            f"projection {projected.shape}"
-        )
-    return T.softmax(T.matmul(k_matrix, projected))
+def prior_distribution(k_stack, x_summary, mask=None):
+    """Triplet selection from history alone: row i is softmax_j over k_ij . x_i."""
+    return _select(k_stack, x_summary, mask)
+
+
+def posterior_distribution(k_stack, x_summary, y_summary, posterior_mlp, mask=None):
+    """Triplet selection with the gold response visible: softmax_j over k_ij . MLP([x_i; y_i])."""
+    joint = T.concat([x_summary, y_summary], axis=1)
+    return _select(k_stack, mlp_forward(posterior_mlp, joint), mask)
 
 
 def kl_div_loss(posterior, prior):
-    """sum_i post_i * log(post_i / prior_i), probabilities floored before log."""
-    if posterior.shape != prior.shape:
+    """Row i: sum_j post_ij * log(post_ij / prior_ij), probabilities floored before log."""
+    if posterior.shape != prior.shape or posterior.values.ndim != 2:
         raise ContractError(
-            f"kl: distributions differ in length, {posterior.shape} vs {prior.shape}"
+            f"kl: distributions differ in shape, {posterior.shape} vs {prior.shape}"
         )
     diff = T.sub(T.log(posterior, floor=PROB_FLOOR), T.log(prior, floor=PROB_FLOOR))
-    return T.sum_(T.mul(posterior, diff))
+    return T.matmul(T.mul(posterior, diff), Tensor(np.ones(prior.shape[1])))
 
 
-def nll_loss(token_logits, response):
-    """Teacher-forced cross entropy, summed (not averaged) over positions.
+def _neg_log_sums(kind, probs, rows, responses):
+    """(B,) sums of -log probs[row, target] over each response's tokens.
 
-    token_logits is (len(response), V), one row per position. The
-    expectation over selected knowledge is realized upstream: the logits
-    are produced from the fused knowledge vector.
+    rows holds the probs row of every response token, in order, so one
+    constant (B, N) matrix of -1s sums them per response.
     """
-    if token_logits.values.ndim != 2 or token_logits.shape[0] != len(response):
+    count, vocab = probs.shape
+    targets = [t for r in responses for t in r]
+    for target in targets:
+        if not (0 <= target < vocab):
+            raise ContractError(f"{kind}: target token {target} outside vocab of {vocab}")
+    picked = T.gather(T.reshape(probs, (count * vocab, 1)),
+                      [row * vocab + t for row, t in zip(rows, targets)])
+    log_p = T.log(T.reshape(picked, (len(targets),)), floor=PROB_FLOOR)
+    segments = -np.repeat(np.eye(len(responses)), [len(r) for r in responses], axis=1)
+    return T.matmul(Tensor(segments), log_p)
+
+
+def nll_loss(token_logits, responses):
+    """Teacher-forced cross entropy of each response, summed (not averaged) over positions.
+
+    token_logits is (sum of lengths, V): each response's positions in order,
+    then the next response's. The expectation over selected knowledge is
+    realized upstream: the logits are produced from the fused knowledge.
+    """
+    count = sum(len(r) for r in responses)
+    if token_logits.values.ndim != 2 or token_logits.shape[0] != count:
         raise ContractError(
-            f"nll: logits of shape {token_logits.shape} for {len(response)} target tokens"
+            f"nll: logits of shape {token_logits.shape} for {count} target tokens"
         )
-    vocab = token_logits.shape[1]
-    for target in response:
-        if not (0 <= target < vocab):
-            raise ContractError(f"nll: target token {target} outside vocab of {vocab}")
-    probs = T.reshape(T.softmax(token_logits), (len(response) * vocab, 1))
-    picked = T.gather(probs, [t * vocab + target for t, target in enumerate(response)])
-    return T.mul(T.sum_(T.log(picked, floor=PROB_FLOOR)), _NEG_ONE)
+    return _neg_log_sums("nll", T.softmax(token_logits), range(count), responses)
 
 
-def bow_loss(fused_knowledge, response, bow_mlp):
-    """Position-independent token loss forcing the fused knowledge to predict the response."""
+def bow_loss(fused_knowledge, responses, bow_mlp):
+    """Position-independent token loss forcing each fused knowledge row to predict its response."""
+    if fused_knowledge.shape[0] != len(responses):
+        raise ContractError(f"bow: {fused_knowledge.shape[0]} knowledge rows "
+                            f"for {len(responses)} responses")
     probs = T.softmax(mlp_forward(bow_mlp, fused_knowledge))
-    vocab = probs.shape[0]
-    for target in response:
-        if not (0 <= target < vocab):
-            raise ContractError(f"bow: target token {target} outside vocab of {vocab}")
-    rows = T.gather(T.reshape(probs, (vocab, 1)), list(response))
-    return T.mul(T.sum_(T.log(rows, floor=PROB_FLOOR)), _NEG_ONE)
-
-
-def _row(matrix, i):
-    """Row i of a (B, n) matrix, as an (n,) vector."""
-    return T.reshape(T.slice_(matrix, i, i + 1), (matrix.shape[1],))
+    rows = [i for i, r in enumerate(responses) for _ in r]
+    return _neg_log_sums("bow", probs, rows, responses)
 
 
 class ScoreResult(NamedTuple):
@@ -125,6 +130,13 @@ class HistoryEncoding(NamedTuple):
     states: Tensor   # (B, L, 2H): [forward_t; backward_t] per position
     lengths: tuple   # tokens per history; attention ignores positions past them
     summary: Tensor  # (B, H): the projected [final forward; final backward]
+
+
+class Knowledge(NamedTuple):
+    """One graph per sample, as encode_knowledge returns it."""
+
+    rows: Tensor  # (B, n, H): sample i's triplet vectors, padded to the largest graph
+    mask: Tensor  # (B, n): 0 on real triplets, MASKED on padding; None without padding
 
 
 class DialogueModel:
@@ -176,26 +188,35 @@ class DialogueModel:
         return summary
 
     def encode_knowledge(self, graphs):
-        """One (n_triplets, H) matrix per graph, a row per triplet.
+        """Sample i's graph as row i of a (B, n, H) triplet stack, n the largest graph.
 
-        A row is a GRU over the triplet's 'head relation tail' tokens,
-        projected to hidden_dim. The triplets of all the graphs run as one
-        batch.
+        A triplet vector is a GRU over its 'head relation tail' tokens,
+        projected to hidden_dim. Each distinct graph is encoded once, found by
+        identity, with the triplets of all of them as one batch; samples
+        sharing a graph share its rows (identical values, shared gradient
+        path). A smaller graph is padded with copies of its first row, which
+        the mask keeps out of every selection. Selection and fusion then run
+        once per batch over the whole stack.
         """
         if not graphs or not all(isinstance(g, KnowledgeGraph) and len(g) for g in graphs):
             raise ContractError("encode_knowledge needs non-empty knowledge graphs")
-        ids = [self.vocab.encode(t.tokens()) for g in graphs for t in g.triplets]
+        unique = list({id(g): g for g in graphs}.values())
+        ids = [self.vocab.encode(t.tokens()) for g in unique for t in g.triplets]
         _, summary = gru_encode(ids, self.embed, self.know_cell)
         rows = T.add(T.matmul(summary, T.transpose(self.know_proj_W)), self.know_proj_b)
-        matrices, start = [], 0
-        for g in graphs:
-            matrices.append(T.slice_(rows, start, start + len(g)))
-            start += len(g)
-        return matrices
+        starts = dict(zip(map(id, unique), accumulate((len(g) for g in unique), initial=0)))
+        n = max(len(g) for g in unique)
+        index = [starts[id(g)] + (j if j < len(g) else 0) for g in graphs for j in range(n)]
+        stack = T.reshape(T.gather(rows, index), (len(graphs), n, self.hidden_dim))
+        mask = None
+        if any(len(g) < n for g in graphs):
+            mask = Tensor(np.array([[0.0] * len(g) + [MASKED] * (n - len(g)) for g in graphs]))
+        return Knowledge(stack, mask)
 
-    def fuse_knowledge(self, k_matrix, weights):
-        """Deterministic expectation: sum_i weights_i * k_i."""
-        return T.matmul(weights, k_matrix)
+    def fuse_knowledge(self, k_stack, weights):
+        """Deterministic expectation: row i is sum_j weights_ij * k_ij."""
+        B, n, H = k_stack.shape
+        return T.reshape(T.matmul(T.reshape(weights, (B, 1, n)), k_stack), (B, H))
 
     # -- decoding ----------------------------------------------------------
 
@@ -239,19 +260,11 @@ class DialogueModel:
         return T.add(T.matmul(rows, T.transpose(self.out_W)), self.out_b)
 
     def _encode_with_prior(self, histories, graphs):
-        """(history encoding, one (x summary, knowledge matrix, prior) per sample).
-
-        Each distinct graph is encoded once, found by identity: samples sharing
-        a graph share one encoding (identical values, shared gradient path).
-        """
+        """(history encoding, knowledge, (B, n) prior) of a batch, one graph per sample."""
         history = self.encode_history(histories)
-        unique = list({id(g): g for g in graphs}.values())
-        by_id = dict(zip(map(id, unique), self.encode_knowledge(unique)))
-        heads = []
-        for i, graph in enumerate(graphs):
-            x_summary, k_matrix = _row(history.summary, i), by_id[id(graph)]
-            heads.append((x_summary, k_matrix, prior_distribution(k_matrix, x_summary)))
-        return history, heads
+        knowledge = self.encode_knowledge(graphs)
+        return history, knowledge, prior_distribution(knowledge.rows, history.summary,
+                                                      knowledge.mask)
 
     def generate(self, history, graph, max_len):
         """Greedy decoding from BOS, stopping at EOS or max_len.
@@ -261,9 +274,9 @@ class DialogueModel:
         """
         if max_len < 1:
             raise ContractError(f"max_len must be >= 1, got {max_len}")
-        encoded, [(_, k_matrix, prior)] = self._encode_with_prior([history], [graph])
-        fused = T.stack([self.fuse_knowledge(k_matrix, prior)])
-        selected = int(np.argmax(prior.values))
+        encoded, knowledge, prior = self._encode_with_prior([history], [graph])
+        fused = self.fuse_knowledge(knowledge.rows, prior)
+        selected = int(np.argmax(prior.values[0]))
 
         keys = self.att.prepare(encoded.states, encoded.lengths)
         mats = self.dec_cell.transposed()
@@ -284,49 +297,30 @@ class DialogueModel:
     # -- objectives --------------------------------------------------------
 
     def forward(self, samples):
-        """Full training pass over a sample batch; (recorded totals, stat rows).
+        """Full training pass over a sample batch; (recorded (B,) totals, stat rows).
 
-        Both lists hold one entry per sample. A stat row holds the weighted
-        loss terms ``kl``, ``nll`` and ``bow``, their sum ``total``, and
-        ``sel_ok``: whether the prior's top triplet is the gold one.
-
-        The recurrences run once for the batch; selection, fusion and the
-        weighted loss terms run per sample. Samples sharing a graph share
-        one knowledge encoding.
+        One stat row per sample holds the weighted loss terms ``kl``, ``nll``
+        and ``bow``, their sum ``total``, and ``sel_ok``: whether the prior's
+        top triplet is the gold one.
         """
         responses = [s.response for s in samples]
-        history, selection = self._encode_with_prior(
+        history, knowledge, prior = self._encode_with_prior(
             [s.history for s in samples], [s.graph for s in samples])
-        y_summary = self.encode_response(responses)
+        posterior = posterior_distribution(knowledge.rows, history.summary,
+                                           self.encode_response(responses), self.post_mlp,
+                                           knowledge.mask)
+        fused = self.fuse_knowledge(knowledge.rows, posterior)
+        logits = self.decode_with_knowledge(history, fused, responses)
 
-        heads = []
-        for i, (x_summary, k_matrix, prior) in enumerate(selection):
-            posterior = posterior_distribution(k_matrix, x_summary, _row(y_summary, i),
-                                               self.post_mlp)
-            heads.append((prior, posterior, self.fuse_knowledge(k_matrix, posterior)))
-        logits = self.decode_with_knowledge(history, T.stack([h[2] for h in heads]), responses)
-
-        w_kl, w_nll, w_bow = self.loss_weights
-        totals, rows, start = [], [], 0
-        for sample, response, (prior, posterior, fused) in zip(samples, responses, heads):
-            sample_logits = T.slice_(logits, start, start + len(response))
-            start += len(response)
-            kl = kl_div_loss(posterior, prior)
-            nll = nll_loss(sample_logits, response)
-            bow = bow_loss(fused, response, self.bow_mlp)
-            if w_kl != 1.0:
-                kl = T.mul(kl, Tensor(w_kl))
-            if w_nll != 1.0:
-                nll = T.mul(nll, Tensor(w_nll))
-            if w_bow != 1.0:
-                bow = T.mul(bow, Tensor(w_bow))
-            total = T.add(T.add(kl, nll), bow)
-            totals.append(total)
-            rows.append({
-                "kl": kl.item(), "nll": nll.item(), "bow": bow.item(),
-                "total": total.item(),
-                "sel_ok": int(np.argmax(prior.values)) == sample.gold_triplet,
-            })
+        terms = (kl_div_loss(posterior, prior), nll_loss(logits, responses),
+                 bow_loss(fused, responses, self.bow_mlp))
+        kl, nll, bow = (t if w == 1.0 else T.mul(t, Tensor(w))
+                        for t, w in zip(terms, self.loss_weights))
+        totals = T.add(T.add(kl, nll), bow)
+        rows = [{"kl": float(kl.values[i]), "nll": float(nll.values[i]),
+                 "bow": float(bow.values[i]), "total": float(totals.values[i]),
+                 "sel_ok": int(np.argmax(prior.values[i, :len(s.graph)])) == s.gold_triplet}
+                for i, s in enumerate(samples)]
         return totals, rows
 
     def batch_objective(self, samples):
@@ -335,27 +329,22 @@ class DialogueModel:
         Runs under whatever tape is currently recording (or none).
         """
         totals, rows = self.forward(samples)
-        acc = totals[0]
-        for total in totals[1:]:
-            acc = T.add(acc, total)
-        return T.mul(acc, Tensor(1.0 / len(samples))), rows
+        return T.mul(T.sum_(totals), Tensor(1.0 / len(samples))), rows
 
     def score(self, samples):
         """Prior-fused teacher-forced NLL of a sample batch (no posterior, no recording).
 
-        One ScoreResult per sample, in order; each NLL is over its own logit rows.
+        One ScoreResult per sample, in order, with the prior over its own graph.
         """
         responses = [s.response for s in samples]
-        history, selection = self._encode_with_prior(
+        history, knowledge, prior = self._encode_with_prior(
             [s.history for s in samples], [s.graph for s in samples])
-        fused = T.stack([self.fuse_knowledge(k, prior) for _, k, prior in selection])
-        logits = self.decode_with_knowledge(history, fused, responses)
-        results, start = [], 0
-        for response, (_, _, prior) in zip(responses, selection):
-            nll = nll_loss(T.slice_(logits, start, start + len(response)), response)
-            start += len(response)
-            results.append(ScoreResult(nll.item(), len(response), prior.values.copy()))
-        return results
+        logits = self.decode_with_knowledge(
+            history, self.fuse_knowledge(knowledge.rows, prior), responses)
+        nll = nll_loss(logits, responses)
+        return [ScoreResult(float(nll.values[i]), len(s.response),
+                            prior.values[i, :len(s.graph)].copy())
+                for i, s in enumerate(samples)]
 
     # -- persistence -------------------------------------------------------
 

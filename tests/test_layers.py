@@ -290,17 +290,19 @@ def test_mlp_zero_everything_zero_output():
     mlp = build_mlp(store, "m", (3, 4, 2))
     for name in store.names():
         store.set_values(name, np.zeros_like(store[name].values))
-    out = mlp_forward(mlp, Tensor([1.0, -1.0, 2.0]))
-    assert np.array_equal(out.values, np.zeros(2))
+    out = mlp_forward(mlp, Tensor([[1.0, -1.0, 2.0], [0.5, 0.0, -3.0]]))
+    assert np.array_equal(out.values, np.zeros((2, 2)))
 
 
 def test_mlp_identity_configuration_is_tanh():
     store = ParamStore(0)
     mlp = build_mlp(store, "m", (1, 1, 1))
     set_all(store, {"m.W0": [[1.0]], "m.b0": [0.0], "m.W1": [[1.0]], "m.b1": [0.0]})
-    for x in (-1.3, 0.0, 0.7):
-        out = mlp_forward(mlp, Tensor([x]))
-        assert out.values[0] == pytest.approx(np.tanh(x), abs=1e-15)
+    xs = [-1.3, 0.0, 0.7]
+    out = mlp_forward(mlp, Tensor([[x] for x in xs]))
+    assert out.shape == (3, 1)
+    for x, got in zip(xs, out.values[:, 0]):
+        assert got == pytest.approx(np.tanh(x), abs=1e-15)
 
 
 def test_mlp_two_layer_matches_hand_matrix_arithmetic():
@@ -311,17 +313,20 @@ def test_mlp_two_layer_matches_hand_matrix_arithmetic():
     W1 = [[1.0, 0.5, -0.5], [0.0, -1.0, 0.25]]
     b1 = [0.1, -0.1]
     set_all(store, {"m.W0": W0, "m.b0": b0, "m.W1": W1, "m.b1": b1})
-    x = np.array([0.4, -0.9])
-    want = np.array(W1) @ np.tanh(np.array(W0) @ x + np.array(b0)) + np.array(b1)
+    x = np.array([[0.4, -0.9], [-0.3, 1.2]])
     got = mlp_forward(mlp, Tensor(x)).values
-    assert np.allclose(got, want, atol=1e-15)
+    for row, got_row in zip(x, got):
+        want = np.array(W1) @ np.tanh(np.array(W0) @ row + np.array(b0)) + np.array(b1)
+        assert np.allclose(got_row, want, atol=1e-15)
 
 
 def test_mlp_input_dim_mismatch():
     store = ParamStore(0)
     mlp = build_mlp(store, "m", (3, 2))
     with pytest.raises(DimensionError):
-        mlp_forward(mlp, Tensor([1.0, 2.0]))
+        mlp_forward(mlp, Tensor([[1.0, 2.0]]))
+    with pytest.raises(DimensionError):
+        mlp_forward(mlp, Tensor([1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +351,8 @@ def test_composite_layer_gradients_match_finite_differences():
             states, _ = gru_encode(tokens, emb, fwd, bwd)
             keys = att.prepare(T.stack(states, axis=1), [3, 2])
             context, _ = attend(att, Tensor(query), keys)
-            out = mlp_forward(mlp, T.reshape(T.slice_(context, 0, 1), (4,)))
-            out2 = mlp_forward(mlp, T.reshape(T.slice_(context, 1, 2), (4,)))
-            return T.add(T.sum_(T.mul(out, out)), T.sum_(T.mul(out2, out2)))
+            out = mlp_forward(mlp, context)
+            return T.sum_(T.mul(out, out))
 
         tape = Tape()
         tape.watch(store)

@@ -9,7 +9,8 @@ from mkgd import tensor as T
 from mkgd.data import Vocab
 from mkgd.dialogue import DialogueGoal, DialogueSample, KnowledgeGraph, KnowledgeTriplet
 from mkgd.errors import ContractError
-from mkgd.layers import build_mlp, gru_encode
+from mkgd.metrics import selection_accuracy
+from mkgd.layers import MASKED, build_mlp, gru_encode
 from mkgd.model import (
     DialogueModel,
     bow_loss,
@@ -55,20 +56,24 @@ def test_encode_knowledge_identical_triplets_identical_rows():
         [KnowledgeTriplet("a", "r0", "b"), KnowledgeTriplet("a", "r0", "b")],
         DialogueGoal(("[start]", "a", "b")),
     )
-    [k] = model.encode_knowledge([graph])
-    assert np.array_equal(k.values[0], k.values[1])
+    k = model.encode_knowledge([graph]).rows.values[0]
+    assert np.array_equal(k[0], k[1])
     # and across graphs encoded in one batch
-    k, k_other = model.encode_knowledge([graph, tiny_graph(1)])
-    assert np.array_equal(k.values[0], k.values[1])
-    assert np.allclose(k_other.values[0], k.values[0], atol=1e-15)
+    k, k_other = model.encode_knowledge([graph, tiny_graph(1)]).rows.values
+    assert np.array_equal(k[0], k[1])
+    assert np.allclose(k_other[0], k[0], atol=1e-15)
 
 
 def test_encode_knowledge_single_triplet_shape():
     model = tiny_model(hidden=4)
     graph = tiny_graph(1)
-    assert [k.shape for k in model.encode_knowledge([graph])] == [(1, 4)]
-    assert [k.shape for k in model.encode_knowledge([graph, tiny_graph(2), graph])] == \
-        [(1, 4), (2, 4), (1, 4)]
+    knowledge = model.encode_knowledge([graph])
+    assert knowledge.rows.shape == (1, 1, 4)
+    assert knowledge.mask is None
+    knowledge = model.encode_knowledge([graph, tiny_graph(2), graph])
+    assert knowledge.rows.shape == (3, 2, 4)
+    assert np.array_equal(knowledge.mask.values,
+                          [[0.0, MASKED], [0.0, 0.0], [0.0, MASKED]])
 
 
 def test_encode_knowledge_row_matches_manual_gru_encode():
@@ -78,13 +83,13 @@ def test_encode_knowledge_row_matches_manual_gru_encode():
     longer = KnowledgeGraph([KnowledgeTriplet("a b", "r1", "x y c")],
                             DialogueGoal(("[start]", "a", "c")))
     for graphs in ([graph], [graph, longer]):
-        for k, g in zip(model.encode_knowledge(graphs), graphs):
+        for k, g in zip(model.encode_knowledge(graphs).rows.values, graphs):
             for i, triplet in enumerate(g.triplets):
                 ids = model.vocab.encode(triplet.tokens())
                 _, summary = gru_encode([ids], model.embed, model.know_cell)
                 row = model.store["model.know.proj.W"].values @ summary.values[0] \
                     + model.store["model.know.proj.b"].values
-                assert np.allclose(k.values[i], row, atol=1e-14)
+                assert np.allclose(k[i], row, atol=1e-14)
 
 
 def test_encode_knowledge_rejects_empty():
@@ -100,37 +105,51 @@ def test_encode_knowledge_rejects_empty():
 
 
 def test_prior_uniform_when_dots_equal():
-    k = Tensor(np.ones((4, 3)))
-    x = Tensor(np.zeros(3))
+    k = Tensor(np.ones((2, 4, 3)))
+    x = Tensor(np.zeros((2, 3)))
     prior = prior_distribution(k, x)
-    assert np.allclose(prior.values, [0.25] * 4, atol=1e-12)
+    assert np.allclose(prior.values, [[0.25] * 4] * 2, atol=1e-12)
 
 
 def test_prior_closed_form_quarter_three_quarters():
-    k = Tensor([[0.0], [math.log(3.0)]])
-    x = Tensor([1.0])
+    k = Tensor([[[0.0], [math.log(3.0)]]])
+    x = Tensor([[1.0]])
     prior = prior_distribution(k, x)
-    assert np.allclose(prior.values, [0.25, 0.75], atol=1e-12)
+    assert np.allclose(prior.values, [[0.25, 0.75]], atol=1e-12)
 
 
 def test_prior_matches_scalar_softmax_oracle():
     rng = np.random.default_rng(0)
-    k = rng.normal(size=(5, 4))
-    x = rng.normal(size=4)
-    dots = [sum(k[i, j] * x[j] for j in range(4)) for i in range(5)]
-    exps = [math.exp(d - max(dots)) for d in dots]
-    want = np.array([e / sum(exps) for e in exps])
+    k = rng.normal(size=(2, 5, 4))
+    x = rng.normal(size=(2, 4))
     got = prior_distribution(Tensor(k), Tensor(x)).values
-    assert np.allclose(got, want, atol=1e-12)
+    for b in range(2):
+        dots = [sum(k[b, i, j] * x[b, j] for j in range(4)) for i in range(5)]
+        exps = [math.exp(d - max(dots)) for d in dots]
+        want = np.array([e / sum(exps) for e in exps])
+        assert np.allclose(got[b], want, atol=1e-12)
+
+
+def test_prior_masked_triplets_get_zero_weight():
+    rng = np.random.default_rng(4)
+    k = rng.normal(size=(2, 3, 4))
+    x = rng.normal(size=(2, 4))
+    mask = Tensor([[0.0, 0.0, MASKED], [0.0, 0.0, 0.0]])
+    got = prior_distribution(Tensor(k), Tensor(x), mask).values
+    assert got[0, 2] == 0.0
+    assert np.allclose(got[0, :2], prior_distribution(Tensor(k[:1, :2]), Tensor(x[:1])).values,
+                       atol=1e-15)
+    assert np.allclose(got[1], prior_distribution(Tensor(k[1:]), Tensor(x[1:])).values,
+                       atol=1e-15)
 
 
 def test_posterior_single_triplet_is_one():
     model = tiny_model()
-    [k] = model.encode_knowledge([tiny_graph(1)])
-    x = Tensor(np.zeros(3))
-    y = Tensor(np.zeros(3))
+    k = model.encode_knowledge([tiny_graph(1)]).rows
+    x = Tensor(np.zeros((1, 3)))
+    y = Tensor(np.zeros((1, 3)))
     post = posterior_distribution(k, x, y, model.post_mlp)
-    assert np.allclose(post.values, [1.0], atol=1e-15)
+    assert np.allclose(post.values, [[1.0]], atol=1e-15)
 
 
 def test_posterior_uniform_when_projection_orthogonal():
@@ -138,9 +157,9 @@ def test_posterior_uniform_when_projection_orthogonal():
     mlp = build_mlp(store, "post", (4, 3, 2))
     for name in store.names():
         store.set_values(name, np.zeros_like(store[name].values))
-    k = Tensor(np.random.default_rng(1).normal(size=(3, 2)))
-    post = posterior_distribution(k, Tensor([0.1, 0.2]), Tensor([0.3, -0.1]), mlp)
-    assert np.allclose(post.values, [1 / 3] * 3, atol=1e-12)
+    k = Tensor(np.random.default_rng(1).normal(size=(1, 3, 2)))
+    post = posterior_distribution(k, Tensor([[0.1, 0.2]]), Tensor([[0.3, -0.1]]), mlp)
+    assert np.allclose(post.values, [[1 / 3] * 3], atol=1e-12)
 
 
 def test_posterior_hand_computed_rigged_instance():
@@ -153,40 +172,41 @@ def test_posterior_hand_computed_rigged_instance():
     for name, vals in (("post.W0", W0), ("post.b0", b0),
                        ("post.W1", W1), ("post.b1", b1)):
         store.set_values(name, np.asarray(vals, dtype=np.float64))
-    x = np.array([0.2, -0.4])
-    y = np.array([0.6, 0.8])
-    k = np.array([[1.0, 0.0], [0.0, 1.0]])
-
-    joint = np.concatenate([x, y])
-    proj = np.array(W1) @ np.tanh(np.array(W0) @ joint + np.array(b0)) + np.array(b1)
-    dots = k @ proj
-    want = np.exp(dots - dots.max())
-    want /= want.sum()
+    # two samples: the rigged one, and one with another history and triplets
+    x = np.array([[0.2, -0.4], [-0.7, 0.1]])
+    y = np.array([[0.6, 0.8], [0.3, -0.5]])
+    k = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.5, -1.0], [2.0, 0.3]]])
 
     got = posterior_distribution(Tensor(k), Tensor(x), Tensor(y), mlp).values
-    assert np.allclose(got, want, atol=1e-14)
+    for b in range(2):
+        joint = np.concatenate([x[b], y[b]])
+        proj = np.array(W1) @ np.tanh(np.array(W0) @ joint + np.array(b0)) + np.array(b1)
+        dots = k[b] @ proj
+        want = np.exp(dots - dots.max())
+        want /= want.sum()
+        assert np.allclose(got[b], want, atol=1e-14)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
 def test_distributions_are_valid_probability_vectors(seed, n):
     rng = np.random.default_rng(seed)
-    k = Tensor(rng.normal(size=(n, 3)) * 3)
-    x = Tensor(rng.normal(size=3) * 3)
-    y = Tensor(rng.normal(size=3) * 3)
+    k = Tensor(rng.normal(size=(2, n, 3)) * 3)
+    x = Tensor(rng.normal(size=(2, 3)) * 3)
+    y = Tensor(rng.normal(size=(2, 3)) * 3)
     mlp = build_mlp(ParamStore(seed), "post", (6, 3, 3))
     for dist in (prior_distribution(k, x), posterior_distribution(k, x, y, mlp)):
         assert (dist.values >= 0).all()
-        assert abs(dist.values.sum() - 1.0) <= 1e-9
+        assert np.all(np.abs(dist.values.sum(axis=1) - 1.0) <= 1e-9)
 
 
 def test_prior_argmax_invariant_under_positive_scaling():
     rng = np.random.default_rng(7)
-    k = rng.normal(size=(4, 3))
-    x = rng.normal(size=3)
+    k = rng.normal(size=(2, 4, 3))
+    x = rng.normal(size=(2, 3))
     base = prior_distribution(Tensor(k), Tensor(x)).values
     for c in (0.5, 2.0, 7.3):
         scaled = prior_distribution(Tensor(c * k), Tensor(c * x)).values
-        assert np.argmax(scaled) == np.argmax(base)
+        assert np.array_equal(np.argmax(scaled, axis=1), np.argmax(base, axis=1))
         assert not np.allclose(scaled, base)  # values move, argmax does not
 
 
@@ -195,63 +215,77 @@ def test_prior_argmax_invariant_under_positive_scaling():
 
 
 def test_kl_zero_when_equal():
-    p = Tensor([0.3, 0.7])
-    assert kl_div_loss(p, p).item() == pytest.approx(0.0, abs=1e-15)
+    p = Tensor([[0.3, 0.7], [0.9, 0.1]])
+    assert np.allclose(kl_div_loss(p, p).values, [0.0, 0.0], rtol=0.0, atol=1e-15)
 
 
 def test_kl_ln2_case():
-    got = kl_div_loss(Tensor([1.0, 0.0]), Tensor([0.5, 0.5])).item()
-    assert got == pytest.approx(math.log(2.0), abs=1e-9)
+    got = kl_div_loss(Tensor([[1.0, 0.0]]), Tensor([[0.5, 0.5]])).values
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(math.log(2.0), abs=1e-9)
 
 
 def test_kl_half_ln3_case():
-    got = kl_div_loss(Tensor([0.75, 0.25]), Tensor([0.25, 0.75])).item()
-    assert got == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
+    # row by row: the ln 3 / 2 case beside the equal-distributions case
+    got = kl_div_loss(Tensor([[0.75, 0.25], [0.5, 0.5]]), Tensor([[0.25, 0.75], [0.5, 0.5]]))
+    assert got.values[0] == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
+    assert got.values[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kl_non_negative_and_zero_iff_equal():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        p = rng.dirichlet(np.ones(4))
-        q = rng.dirichlet(np.ones(4))
-        val = kl_div_loss(Tensor(p), Tensor(q)).item()
-        assert val >= -1e-12
-        if np.abs(p - q).max() > 1e-6:
-            assert val > 0.0
+        p = rng.dirichlet(np.ones(4), size=2)
+        q = rng.dirichlet(np.ones(4), size=2)
+        vals = kl_div_loss(Tensor(p), Tensor(q)).values
+        for b in range(2):
+            assert vals[b] >= -1e-12
+            if np.abs(p[b] - q[b]).max() > 1e-6:
+                assert vals[b] > 0.0
 
 
 def test_kl_length_mismatch():
     with pytest.raises(ContractError):
-        kl_div_loss(Tensor([1.0]), Tensor([0.5, 0.5]))
+        kl_div_loss(Tensor([[1.0]]), Tensor([[0.5, 0.5]]))
+    with pytest.raises(ContractError):
+        kl_div_loss(Tensor([[1.0, 0.0]]), Tensor([[0.5, 0.5], [0.5, 0.5]]))
 
 
 def test_nll_zero_when_gold_probability_one():
-    logits = Tensor([[800.0, 0.0, 0.0], [0.0, 800.0, 0.0]])
-    assert nll_loss(logits, [0, 1]).item() == pytest.approx(0.0, abs=1e-12)
+    logits = Tensor([[800.0, 0.0, 0.0], [0.0, 800.0, 0.0], [0.0, 0.0, 800.0]])
+    got = nll_loss(logits, [[0, 1], [2]]).values
+    assert np.allclose(got, [0.0, 0.0], rtol=0.0, atol=1e-12)
 
 
 def test_nll_uniform_logits_closed_form():
     V, m = 7, 3
-    logits = Tensor(np.zeros((m, V)))
-    assert nll_loss(logits, [0, 3, 6]).item() == pytest.approx(m * math.log(V), abs=1e-9)
+    logits = Tensor(np.zeros((m + 1, V)))
+    got = nll_loss(logits, [[0, 3, 6], [2]]).values
+    assert got[0] == pytest.approx(m * math.log(V), abs=1e-9)
+    assert got[1] == pytest.approx(math.log(V), abs=1e-9)
 
 
 def test_nll_matches_hand_cross_entropy():
-    logits = Tensor([[1.0, 2.0, 0.5], [0.0, -1.0, 0.3]])
-    targets = [1, 2]
-    want = 0.0
+    logits = Tensor([[1.0, 2.0, 0.5], [0.0, -1.0, 0.3], [0.7, 0.2, -0.4]])
+    responses = [[1, 2], [0]]
+    targets = [1, 2, 0]
+    losses = []
     for v, t in zip(logits.values, targets):
         probs = np.exp(v - v.max())
         probs /= probs.sum()
-        want -= math.log(probs[t])
-    assert nll_loss(logits, targets).item() == pytest.approx(want, abs=1e-12)
+        losses.append(-math.log(probs[t]))
+    got = nll_loss(logits, responses).values
+    assert got[0] == pytest.approx(losses[0] + losses[1], abs=1e-12)
+    assert got[1] == pytest.approx(losses[2], abs=1e-12)
 
 
 def test_nll_rejects_out_of_vocab_target():
     with pytest.raises(ContractError):
-        nll_loss(Tensor([[0.0, 0.0]]), [2])
+        nll_loss(Tensor([[0.0, 0.0]]), [[2]])
     with pytest.raises(ContractError):
-        nll_loss(Tensor([[0.0, 0.0]]), [0, 1])
+        nll_loss(Tensor([[0.0, 0.0]]), [[0, 1]])
+    with pytest.raises(ContractError):
+        nll_loss(Tensor([[0.0, 0.0]]), [[0], [1]])
 
 
 def test_bow_uniform_closed_form():
@@ -259,9 +293,10 @@ def test_bow_uniform_closed_form():
     mlp = build_mlp(store, "bow", (3, 5))
     for name in store.names():
         store.set_values(name, np.zeros_like(store[name].values))
-    fused = Tensor([0.4, -0.2, 0.1])
-    got = bow_loss(fused, [0, 2, 4], mlp).item()
-    assert got == pytest.approx(3 * math.log(5), abs=1e-9)
+    fused = Tensor([[0.4, -0.2, 0.1], [0.0, 1.0, -2.0]])
+    got = bow_loss(fused, [[0, 2, 4], [1]], mlp).values
+    assert got[0] == pytest.approx(3 * math.log(5), abs=1e-9)
+    assert got[1] == pytest.approx(math.log(5), abs=1e-9)
 
 
 def test_bow_concentrated_is_near_zero():
@@ -269,8 +304,9 @@ def test_bow_concentrated_is_near_zero():
     mlp = build_mlp(store, "bow", (2, 4))
     store.set_values("bow.W0", np.zeros((4, 2)))
     store.set_values("bow.b0", np.array([0.0, 800.0, 0.0, 0.0]))
-    got = bow_loss(Tensor([0.0, 0.0]), [1, 1, 1], mlp).item()
-    assert got == pytest.approx(0.0, abs=1e-9)
+    got = bow_loss(Tensor([[0.0, 0.0]]), [[1, 1, 1]], mlp).values
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_bow_hand_computation_length_two():
@@ -280,12 +316,21 @@ def test_bow_hand_computation_length_two():
     b = [0.05, -0.05, 0.0]
     store.set_values("bow.W0", np.asarray(W))
     store.set_values("bow.b0", np.asarray(b))
-    fused = np.array([0.7, -0.2])
-    scores = np.array(W) @ fused + np.array(b)
-    probs = np.exp(scores - scores.max())
-    probs /= probs.sum()
-    want = -(math.log(probs[2]) + math.log(probs[0]))
-    assert bow_loss(Tensor(fused), [2, 0], mlp).item() == pytest.approx(want, abs=1e-12)
+    fused = np.array([[0.7, -0.2], [-0.1, 0.9]])
+    responses = [[2, 0], [1]]
+    got = bow_loss(Tensor(fused), responses, mlp).values
+    for row, response, value in zip(fused, responses, got):
+        scores = np.array(W) @ row + np.array(b)
+        probs = np.exp(scores - scores.max())
+        probs /= probs.sum()
+        want = -sum(math.log(probs[t]) for t in response)
+        assert value == pytest.approx(want, abs=1e-12)
+
+
+def test_bow_rejects_row_count_mismatch():
+    mlp = build_mlp(ParamStore(0), "bow", (2, 3))
+    with pytest.raises(ContractError):
+        bow_loss(Tensor([[0.0, 0.0]]), [[1], [2]], mlp)
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +389,14 @@ def test_decode_matches_numpy_reference():
     for samples in (pair[:1], pair):
         history = model.encode_history([s.history for s in samples])
         y_sum = model.encode_response([s.response for s in samples])
-        fused, posts = [], []
-        for i, s in enumerate(samples):
-            [k] = model.encode_knowledge([s.graph])
-            x_i = T.reshape(T.slice_(history.summary, i, i + 1), (H,))
-            y_i = T.reshape(T.slice_(y_sum, i, i + 1), (H,))
-            posts.append(posterior_distribution(k, x_i, y_i, model.post_mlp))
-            fused.append(model.fuse_knowledge(k, posts[-1]))
-        got = model.decode_with_knowledge(history, T.stack(fused),
-                                          [s.response for s in samples]).values
+        knowledge = model.encode_knowledge([s.graph for s in samples])
+        posts = posterior_distribution(knowledge.rows, history.summary, y_sum,
+                                       model.post_mlp, knowledge.mask)
+        fused = model.fuse_knowledge(knowledge.rows, posts)
+        got = model.decode_with_knowledge(history, fused, [s.response for s in samples]).values
 
         row = 0
-        for s, post in zip(samples, posts):
+        for s, post in zip(samples, posts.values):
             np_states, np_x = helpers.np_encode_history(P, s.history, H)
             np_k = helpers.np_encode_knowledge(P, model.vocab, s.graph, H)
             y_states = helpers.np_gru_run(P, "model.resp.fwd", s.response, H)
@@ -363,7 +404,8 @@ def test_decode_matches_numpy_reference():
             np_fused = np_post @ np_k
             want = helpers.np_decode(P, model.vocab, np_states, np_fused, s.response, H)
 
-            assert np.allclose(np_post, post.values, atol=1e-12)
+            assert np.allclose(np_post, post[:len(s.graph)], atol=1e-12)
+            assert not post[len(s.graph):].any()
             for w in want:
                 assert np.allclose(got[row], w, atol=1e-10)
                 row += 1
@@ -450,9 +492,9 @@ def test_forward_output_consistency():
     model = tiny_model(seed=9)
     for samples in ([tiny_sample(model.vocab, tiny_graph())], ragged_pair(model.vocab)):
         totals, rows = model.forward(samples)
-        assert len(totals) == len(rows) == len(samples)
-        for sample, total, row in zip(samples, totals, rows):
-            assert total.item() == row["total"]
+        assert totals.shape == (len(rows),) == (len(samples),)
+        for sample, total, row in zip(samples, totals.values, rows):
+            assert total == row["total"]
             assert row["total"] == pytest.approx(row["kl"] + row["nll"] + row["bow"], rel=1e-12)
             assert row["nll"] >= 0.0 and row["bow"] >= 0.0 and row["kl"] >= -1e-12
             # the prior depends on the history alone, so score() sees the same one
@@ -463,10 +505,10 @@ def test_forward_output_consistency():
 def test_forward_weighted_terms_sum_to_total():
     model = DialogueModel(tiny_vocab(), 3, 3, seed=9, loss_weights=(0.5, 2.0, 0.0))
     sample = tiny_sample(model.vocab, tiny_graph())
-    [total], [row] = model.forward([sample])
+    totals, [row] = model.forward([sample])
     assert row["bow"] == 0.0
     assert row["total"] == pytest.approx(row["kl"] + row["nll"] + row["bow"], rel=1e-12)
-    assert total.item() == row["total"]
+    assert totals.item() == row["total"]
 
 
 def test_score_matches_numpy_reference():
@@ -541,6 +583,90 @@ def test_ragged_batch_equals_mean_of_single_samples():
     for name, g in grads.items():
         want = sum(single[name].values for _, single in singles) / len(samples)
         assert np.max(np.abs(g.values - want)) <= 1e-12 * scale, name
+
+
+def mixed_graph_batch(vocab):
+    """Three samples over graphs of 1, 3 and 4 triplets, with ragged histories and responses."""
+    def graph(*triplets):
+        return KnowledgeGraph([KnowledgeTriplet(*t) for t in triplets],
+                              DialogueGoal(("[start]", "a", "b")))
+
+    graphs = [graph(("a", "r0", "b")),
+              graph(("a", "r0", "x y"), ("c", "r1", "b"), ("y", "r0", "a")),
+              graph(("b", "r1", "c"), ("x", "r0", "y"), ("a", "r1", "a"), ("c", "r0", "x b"))]
+    texts = [("a r0", "b c", 0), ("c r1 x y a", "x", 2), ("x a r0 b", "a b c x", 3)]
+    return [DialogueSample(history=vocab.encode(h.split()),
+                           response=vocab.encode(r.split()) + [vocab.EOS],
+                           graph=g, gold_triplet=gold)
+            for g, (h, r, gold) in zip(graphs, texts)]
+
+
+def test_mixed_graph_batch_equals_single_samples():
+    model = DialogueModel(tiny_vocab(), 4, 5, seed=23, loss_weights=(0.5, 1.0, 2.0))
+    samples = mixed_graph_batch(model.vocab)
+    assert [len(s.graph) for s in samples] == [1, 3, 4]
+    loss, rows = model.batch_objective(samples)
+    singles = [model.forward([s])[1][0] for s in samples]
+    for row, want in zip(rows, singles):
+        assert row["sel_ok"] == want["sel_ok"]
+        for key in ("kl", "nll", "bow", "total"):
+            assert abs(row[key] - want[key]) <= 1e-12 * abs(want[key]), key
+    mean = sum(want["total"] for want in singles) / len(samples)
+    assert abs(loss.item() - mean) <= 1e-12 * abs(mean)
+
+    # padded triplets get exactly no weight, from the prior or the posterior
+    history, knowledge, prior = model._encode_with_prior(
+        [s.history for s in samples], [s.graph for s in samples])
+    posterior = posterior_distribution(
+        knowledge.rows, history.summary, model.encode_response([s.response for s in samples]),
+        model.post_mlp, knowledge.mask)
+    for i, s in enumerate(samples):
+        for dist in (prior.values[i], posterior.values[i]):
+            assert np.all(dist[len(s.graph):] == 0.0)
+            assert np.all(dist[:len(s.graph)] > 0.0)
+
+    # score trims each prior to its own graph; selection reads only real triplets
+    scored = model.score(samples)
+    assert [len(r.prior) for r in scored] == [len(s.graph) for s in samples]
+    for i, (s, r, row) in enumerate(zip(samples, scored, rows)):
+        assert np.allclose(r.prior, prior.values[i, :len(s.graph)], rtol=0.0, atol=1e-15)
+        assert row["sel_ok"] == (int(np.argmax(r.prior)) == s.gold_triplet)
+    golds = [s.gold_triplet for s in samples]
+    assert selection_accuracy([r.prior for r in scored], golds) == \
+        sum(row["sel_ok"] for row in rows) / len(rows)
+
+
+def test_masked_selection_gradients_match_finite_differences():
+    model = DialogueModel(Vocab(["a", "b", "r0", "r1"]), 3, 3, seed=29)
+    one = KnowledgeGraph([KnowledgeTriplet("a", "r0", "b")], DialogueGoal(("[start]", "a", "b")))
+    three = KnowledgeGraph([KnowledgeTriplet("b", "r1", "a"), KnowledgeTriplet("a", "r1", "a"),
+                            KnowledgeTriplet("b", "r0", "b a")],
+                           DialogueGoal(("[start]", "b", "a")))
+    samples = [tiny_sample(model.vocab, one, history="a r0 b", response="b"),
+               tiny_sample(model.vocab, three, history="r1 a", response="a b a")]
+    assert model.encode_knowledge([one, three]).mask is not None
+    names = [n for n in model.store.names()
+             if n.startswith(("model.post.", "model.bow.", "model.know.", "model.enc.proj."))]
+    _, analytic = _recorded_objective(model, samples)
+    numeric = helpers.finite_diff_grads(
+        model.store, lambda: model.batch_objective(samples)[0].item(), names=names)
+    helpers.assert_grads_close({n: analytic[n] for n in names}, numeric)
+
+
+def test_forward_tape_size_does_not_grow_with_batch():
+    model = tiny_model(seed=31)
+    graph = tiny_graph()
+    texts = [("a r0", "b c"), ("b r1", "c a"), ("x y", "a x"), ("c a", "y b"),
+             ("r1 b", "b b"), ("a a", "c c")]
+
+    def nodes(batch):
+        samples = [tiny_sample(model.vocab, graph, history=h, response=r) for h, r in batch]
+        tape = T.Tape()
+        with tape:
+            model.forward(samples)
+        return len(tape.nodes)
+
+    assert nodes(texts[:2]) == nodes(texts)
 
 
 def test_overfit_single_sample_decreases_nll_and_bow():
