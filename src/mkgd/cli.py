@@ -170,10 +170,17 @@ def cmd_train_baseline(args):
         samples.extend(D.raw_task_to_samples(raw_task, vocab))
     log = TrainingLog()
     batch = cfg.num_tasks * (cfg.k_support + cfg.k_query)
-    supervised_train(model, samples, cfg, batch_size=batch,
-                     seed=cfg.seed, log=log)
+    try:
+        supervised_train(model, samples, cfg, batch_size=batch,
+                         seed=cfg.seed, log=log)
+        diverged = False
+    except NumericError:
+        diverged = True
     save_checkpoint(args.checkpoint_out, model.store)
     log.write(args.log_out)
+    if diverged:
+        print("training diverged; best checkpoint retained", file=sys.stderr)
+        return 3
     print(f"baseline checkpoint at {args.checkpoint_out}")
     return 0
 

@@ -60,9 +60,6 @@ class Vocab:
     def __contains__(self, token):
         return token in self._stoi
 
-    def index(self, token):
-        return self._stoi.get(token, UNK)
-
     def token(self, index):
         if not (0 <= index < len(self._itos)):
             raise ContractError(f"index {index} outside vocabulary of {len(self._itos)}")
@@ -307,8 +304,8 @@ def load_task_pool(path):
             obj = _parse_json(line, where)
             goal, knowledge = _graph_fields(obj, where)
             task_id = _require(obj, "task_id", where)
-            if type(task_id) is not int:
-                raise SchemaError(f"{where}: field 'task_id' must be an integer")
+            if type(task_id) is not int or task_id < 0:
+                raise SchemaError(f"{where}: field 'task_id' must be a non-negative integer")
             samples = _require(obj, "samples", where)
             _check_samples(samples, len(knowledge), where)
             raw_tasks.append(RawTask(task_id=task_id, goal=goal,

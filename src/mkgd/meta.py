@@ -14,12 +14,11 @@ step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DataError, NumericError
-from .model import mean_loss_components
 from .optim import AdamState, adam_step, clip_global_norm, sgd_step
 from .tensor import Tape, add, backward
 
@@ -124,24 +123,19 @@ def _make_state(kind, store):
 def _train_step(model, objective, kind, state, lr, clip_norm):
     """Record objective() on a fresh tape, then one clipped `kind` step at rate lr.
 
-    objective returns (scalar loss tensor, rows); returns (loss value, rows).
+    objective returns (scalar loss tensor, loss summary), as batch_objective
+    does; returns (loss value, summary).
     """
     tape = Tape()
     tape.watch(model.store)
     with tape:
-        loss, rows = objective()
+        loss, summary = objective()
     grads = clip_global_norm(backward(tape, loss), clip_norm)
     if kind == "adam":
         adam_step(model.store, grads, state, lr)
     else:
         sgd_step(model.store, grads, lr)
-    return loss.item(), rows
-
-
-def batch_loss_value(model, samples):
-    """Mean total loss over samples with no recording; (value, stat rows)."""
-    loss, stats = model.batch_objective(samples)
-    return loss.item(), stats
+    return loss.item(), summary
 
 
 # ---------------------------------------------------------------------------
@@ -151,31 +145,32 @@ def batch_loss_value(model, samples):
 def inner_update(model, task, cfg, opt_state=None):
     """cfg.inner_steps optimizer steps on the mean support loss.
 
-    Returns (model, optimizer state, stat rows from the last step's forward).
+    Returns (model, optimizer state, the last step's loss summary), the
+    summary None when cfg.inner_steps is 0.
     """
     if opt_state is None:
         opt_state = _make_state(cfg.inner_optimizer, model.store)
-    last_stats = None
+    summary = None
     for _ in range(cfg.inner_steps):
-        _, last_stats = _train_step(model, lambda: model.batch_objective(task.support),
-                                    cfg.inner_optimizer, opt_state, cfg.alpha, cfg.clip_norm)
-    return model, opt_state, last_stats
+        _, summary = _train_step(model, lambda: model.batch_objective(task.support),
+                                 cfg.inner_optimizer, opt_state, cfg.alpha, cfg.clip_norm)
+    return model, opt_state, summary
 
 
 @dataclass
 class EpisodeStats:
-    tasks: list = field(default_factory=list)
-    meta_loss: float = 0.0
+    tasks: list       # per task: {"task_id", "support": summary or None, "query": summary}
+    meta_loss: float
 
 
 def _query_objective(model, batch):
-    """Query losses summed over tasks at the current parameters; per-task mean rows."""
-    total, per_task = None, []
+    """Query losses summed over tasks at the current parameters; one summary per task."""
+    total, summaries = None, []
     for task in batch:
-        loss, stats = model.batch_objective(task.query)
-        per_task.append(mean_loss_components(stats))
+        loss, summary = model.batch_objective(task.query)
+        summaries.append(summary)
         total = loss if total is None else add(total, loss)
-    return total, per_task
+    return total, summaries
 
 
 def meta_batch_step(model, batch, cfg, meta_state=None):
@@ -190,23 +185,14 @@ def meta_batch_step(model, batch, cfg, meta_state=None):
     if meta_state is None:
         meta_state = _make_state(cfg.meta_optimizer, model.store)
 
-    support_rows = {}
+    # The tasks share one inner optimizer state, which inner_update steps in place.
     inner_state = _make_state(cfg.inner_optimizer, model.store)
-    for task in batch:
-        _, inner_state, stats = inner_update(model, task, cfg, inner_state)
-        if stats is not None:
-            support_rows[id(task)] = mean_loss_components(stats)
-    meta_loss, per_task = _train_step(model, lambda: _query_objective(model, batch),
-                                      cfg.meta_optimizer, meta_state, cfg.beta, cfg.clip_norm)
-
-    stats = EpisodeStats(meta_loss=meta_loss)
-    for task, q_row in zip(batch, per_task):
-        stats.tasks.append({
-            "task_id": task.task_id,
-            "support": support_rows.get(id(task)),
-            "query": q_row,
-        })
-    return model, meta_state, stats
+    support = [inner_update(model, task, cfg, inner_state)[2] for task in batch]
+    meta_loss, query = _train_step(model, lambda: _query_objective(model, batch),
+                                   cfg.meta_optimizer, meta_state, cfg.beta, cfg.clip_norm)
+    tasks = [{"task_id": task.task_id, "support": s, "query": q}
+             for task, s, q in zip(batch, support, query)]
+    return model, meta_state, EpisodeStats(tasks=tasks, meta_loss=meta_loss)
 
 
 class TrainingLog:
@@ -233,11 +219,8 @@ class TrainingLog:
 
 
 def validation_loss(model, tasks):
-    """Mean query total loss over tasks at the current parameters; per-task rows."""
-    rows = []
-    for task in tasks:
-        _, stats = batch_loss_value(model, task.query)
-        rows.append((task.task_id, mean_loss_components(stats)))
+    """Mean query total loss over tasks at the current parameters; (task id, summary) rows."""
+    rows = [(task.task_id, model.batch_objective(task.query)[1]) for task in tasks]
     return sum(r["total"] for _, r in rows) / len(rows), rows
 
 
@@ -308,12 +291,12 @@ def adapt(model, task, cfg):
     model is left untouched.
     """
     adapted = model.clone()
-    pre, _ = batch_loss_value(adapted, task.query)
+    pre = adapted.batch_objective(task.query)[0].item()
     state = _make_state(cfg.inner_optimizer, adapted.store)
     for _ in range(cfg.test_update_steps):
         _train_step(adapted, lambda: adapted.batch_objective(task.support),
                     cfg.inner_optimizer, state, cfg.alpha, cfg.clip_norm)
-    post, _ = batch_loss_value(adapted, task.query)
+    post = adapted.batch_objective(task.query)[0].item()
     return adapted, pre, post
 
 
@@ -322,6 +305,9 @@ def supervised_train(model, samples, cfg, batch_size=0, shuffle=True, seed=0, lo
 
     cfg.max_episodes epochs of meta-optimizer steps at rate beta; batch_size
     0 means one batch per epoch. Returns (model, per-step mean losses).
+    On a NumericError the model is put back to its parameters at the end of
+    the last completed epoch (the initial ones before the first), and the
+    error propagates.
     """
     if not samples:
         raise ContractError("supervised_train on empty sample list")
@@ -330,14 +316,19 @@ def supervised_train(model, samples, cfg, batch_size=0, shuffle=True, seed=0, lo
     state = _make_state(cfg.meta_optimizer, model.store)
     rng = np.random.default_rng(seed)
     losses = []
-    for epoch in range(1, cfg.max_episodes + 1):
-        order = rng.permutation(len(samples)) if shuffle else np.arange(len(samples))
-        for start in range(0, len(samples), batch_size):
-            batch = [samples[i] for i in order[start:start + batch_size]]
-            _, stats = _train_step(model, lambda: model.batch_objective(batch),
-                                   cfg.meta_optimizer, state, cfg.beta, cfg.clip_norm)
-            row = mean_loss_components(stats)
-            losses.append(row["total"])
-            if log is not None:
-                log.add(epoch, "train", start // batch_size, row)
+    snapshot = model.store.snapshot()
+    try:
+        for epoch in range(1, cfg.max_episodes + 1):
+            order = rng.permutation(len(samples)) if shuffle else np.arange(len(samples))
+            for start in range(0, len(samples), batch_size):
+                batch = [samples[i] for i in order[start:start + batch_size]]
+                _, summary = _train_step(model, lambda: model.batch_objective(batch),
+                                         cfg.meta_optimizer, state, cfg.beta, cfg.clip_norm)
+                losses.append(summary["total"])
+                if log is not None:
+                    log.add(epoch, "train", start // batch_size, summary)
+            snapshot = model.store.snapshot()
+    except NumericError:
+        model.store.restore(snapshot)
+        raise
     return model, losses

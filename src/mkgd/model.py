@@ -36,6 +36,7 @@ from .layers import (
     gru_encode,
     mlp_forward,
 )
+from .metrics import selection_accuracy
 from .params import ParamStore
 from . import tensor as T
 from .tensor import Tensor
@@ -257,7 +258,8 @@ class DialogueModel:
         if any(len(r) < steps for r in responses):
             rows = T.gather(rows, [i * steps + t for i, r in enumerate(responses)
                                    for t in range(len(r))])
-        return T.add(T.matmul(rows, T.transpose(self.out_W)), self.out_b)
+        # W h^T, not h W^T, as in mlp_forward: out.W's gradient comes out C-ordered.
+        return T.add(T.transpose(T.matmul(self.out_W, T.transpose(rows))), self.out_b)
 
     def _encode_with_prior(self, histories, graphs):
         """(history encoding, knowledge, (B, n) prior) of a batch, one graph per sample."""
@@ -297,11 +299,11 @@ class DialogueModel:
     # -- objectives --------------------------------------------------------
 
     def forward(self, samples):
-        """Full training pass over a sample batch; (recorded (B,) totals, stat rows).
+        """Full training pass over a sample batch; (recorded (B,) totals, loss summary).
 
-        One stat row per sample holds the weighted loss terms ``kl``, ``nll``
-        and ``bow``, their sum ``total``, and ``sel_ok``: whether the prior's
-        top triplet is the gold one.
+        The summary holds the batch means of the weighted loss terms ``kl``,
+        ``nll`` and ``bow`` and of their sum ``total``, and ``sel_acc``: the
+        share of samples whose prior's top triplet is the gold one.
         """
         responses = [s.response for s in samples]
         history, knowledge, prior = self._encode_with_prior(
@@ -317,19 +319,20 @@ class DialogueModel:
         kl, nll, bow = (t if w == 1.0 else T.mul(t, Tensor(w))
                         for t, w in zip(terms, self.loss_weights))
         totals = T.add(T.add(kl, nll), bow)
-        rows = [{"kl": float(kl.values[i]), "nll": float(nll.values[i]),
-                 "bow": float(bow.values[i]), "total": float(totals.values[i]),
-                 "sel_ok": int(np.argmax(prior.values[i, :len(s.graph)])) == s.gold_triplet}
-                for i, s in enumerate(samples)]
-        return totals, rows
+        summary = {key: sum(t.values.tolist()) / len(samples)
+                   for key, t in (("kl", kl), ("nll", nll), ("bow", bow), ("total", totals))}
+        summary["sel_acc"] = selection_accuracy(
+            [prior.values[i, :len(s.graph)] for i, s in enumerate(samples)],
+            [s.gold_triplet for s in samples])
+        return totals, summary
 
     def batch_objective(self, samples):
-        """Mean total loss over a sample batch plus forward's per-sample stat rows.
+        """(Recorded mean total loss over a sample batch, forward's loss summary).
 
         Runs under whatever tape is currently recording (or none).
         """
-        totals, rows = self.forward(samples)
-        return T.mul(T.sum_(totals), Tensor(1.0 / len(samples))), rows
+        totals, summary = self.forward(samples)
+        return T.mul(T.sum_(totals), Tensor(1.0 / len(samples))), summary
 
     def score(self, samples):
         """Prior-fused teacher-forced NLL of a sample batch (no posterior, no recording).
@@ -366,14 +369,6 @@ class DialogueModel:
             )
         for name, vals in arrays.items():
             self.store.set_values(name, vals)
-
-
-def mean_loss_components(stats):
-    """Aggregate per-sample stat rows into mean components and selection accuracy."""
-    n = len(stats)
-    out = {key: sum(s[key] for s in stats) / n for key in ("kl", "nll", "bow", "total")}
-    out["sel_acc"] = sum(s["sel_ok"] for s in stats) / n
-    return out
 
 
 def infer_dims(arrays):

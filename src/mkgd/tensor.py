@@ -140,12 +140,12 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """numpy matmul of 1- to 3-d operands; a 3-d b needs a 3-d a of the same batch size.
+    """numpy matmul of a 2- or 3-d a by a 1- to 3-d b; a 3-d b needs a 3-d a of equal batch size.
 
     A 3-d a is a batch of matrices over its leading axis, sharing a 1- or 2-d b.
     """
     av, bv = a.values, b.values
-    ok = (1 <= av.ndim <= 3 and 1 <= bv.ndim <= 3
+    ok = (2 <= av.ndim <= 3 and 1 <= bv.ndim <= 3
           and av.shape[-1] == bv.shape[0 if bv.ndim == 1 else -2]
           and (bv.ndim < 3 or (av.ndim == 3 and av.shape[0] == bv.shape[0])))
     if not ok:
@@ -284,9 +284,6 @@ def _vjp(kind, saved, out_grad):
             # every leading axis back to b.
             n = bv.shape[0]
             return (out_grad[..., None] * bv, av.reshape(-1, n).T @ out_grad.reshape(-1))
-        if av.ndim == 1:
-            # (n,) @ (n, p)
-            return (bv @ out_grad, av[:, None] * out_grad[None, :])
         da = out_grad @ np.swapaxes(bv, -1, -2)
         if bv.ndim == 3:
             return (da, np.swapaxes(av, -1, -2) @ out_grad)

@@ -177,15 +177,14 @@ class QuadraticModel:
 
     def batch_objective(self, samples):
         total = None
-        stats = []
         for sample in samples:
             coef = sample.coef if isinstance(sample, QuadSample) else float(sample)
             sq = T.sum_(T.mul(self.theta, self.theta))
             loss = T.mul(sq, T.tensor(coef))
             total = loss if total is None else T.add(total, loss)
-            stats.append({"kl": 0.0, "nll": loss.item(), "bow": 0.0,
-                          "total": loss.item(), "sel_ok": False})
-        return T.mul(total, T.tensor(1.0 / len(samples))), stats
+        mean = T.mul(total, T.tensor(1.0 / len(samples)))
+        return mean, {"kl": 0.0, "nll": mean.item(), "bow": 0.0,
+                      "total": mean.item(), "sel_acc": 0.0}
 
     def clone(self):
         return QuadraticModel(self.store["theta"].values[0])

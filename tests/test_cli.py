@@ -158,6 +158,28 @@ def test_meta_train_divergence_exits_3_and_keeps_checkpoint(tmp_path, capsys):
 # train-baseline
 
 
+def test_train_baseline_divergence_exits_3_and_keeps_checkpoint(tmp_path, capsys):
+    # Six samples a step, so the first epoch diverges at its second step and
+    # the kept parameters are the initial ones.
+    pool = make_pool(tmp_path / "pool.jsonl")
+    code = run_cli("train-baseline", "--pool", str(pool),
+                   "--checkpoint-out", str(tmp_path / "div.ckpt"),
+                   "--vocab-out", str(tmp_path / "div.vocab"),
+                   "--log-out", str(tmp_path / "div.log"),
+                   "--embed-dim", "8", "--hidden-dim", "8", "--seed", "3",
+                   "--num-tasks", "1", "--k-support", "3", "--k-query", "3",
+                   "--max-episodes", "2", "--beta", "1e200")
+    assert code == 3
+    assert capsys.readouterr().err == "training diverged; best checkpoint retained\n"
+    log = (tmp_path / "div.log").read_text().splitlines()
+    assert log[0] == "episode,split,task_id,kl,nll,bow,total,sel_acc"
+    assert [row.split(",")[:3] for row in log[1:]] == [["1", "train", "0"]]
+    model = cli._load_model(tmp_path / "div.ckpt", tmp_path / "div.vocab")
+    fresh = DialogueModel(model.vocab, 8, 8, seed=3)
+    for name, t in model.store.items():
+        assert np.array_equal(t.values, fresh.store[name].values), name
+
+
 def test_train_baseline_runs(tmp_path):
     pool = make_pool(tmp_path / "pool.jsonl", tasks=4)
     code = run_cli("train-baseline", "--pool", str(pool),
@@ -329,7 +351,8 @@ def replace_checkpoint_entry(ckpt, name, values):
                                   "negative-seed-env", "synth-zero-entities",
                                   "synth-zero-triplets", "synth-negative-samples",
                                   "synth-negative-seed", "synth-negative-tasks",
-                                  "zero-max-len-flag", "negative-max-len-chat"])
+                                  "zero-max-len-flag", "negative-max-len-chat",
+                                  "negative-task-id"])
 def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, monkeypatch, case):
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
     argv = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath), "--graph", str(graph)]
@@ -353,6 +376,11 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, monkeypat
             "samples": [{"history": "hello", "gold": 0}],
         }) + "\n")
         argv = adapt_eval
+    elif case == "negative-task-id":
+        records = [json.loads(line) for line in pool.read_text().splitlines()]
+        pool.write_text("".join(json.dumps({**r, "task_id": -100 - i}) + "\n"
+                                for i, r in enumerate(records)))
+        argv = adapt_eval + ["--split", "all"]
     elif case == "rank-0-projection":
         replace_checkpoint_entry(ckpt, "model.enc.proj.W", 0.5)
     elif case == "nan-checkpoint":

@@ -67,15 +67,13 @@ def test_tokenize_idempotent_under_rejoin():
 def test_build_vocab_reserved_and_ranked():
     vocab = build_vocab(tokenize("a a b"), max_size=6)
     assert len(vocab) == 6
-    assert vocab.index("a") == 4
-    assert vocab.index("b") == 5
+    assert vocab.encode(["a", "b"]) == [4, 5]
     assert vocab.decode([0, 1, 2, 3]) == ["<pad>", "<unk>", "<bos>", "<eos>"]
 
 
 def test_build_vocab_cap_maps_to_unk():
     vocab = build_vocab(tokenize("a a b"), max_size=5)
-    assert vocab.index("a") == 4
-    assert vocab.index("b") == Vocab.UNK
+    assert vocab.encode(["a", "b"]) == [4, Vocab.UNK]
 
 
 def test_build_vocab_rank_matches_counting_oracle():

@@ -10,7 +10,6 @@ from mkgd.meta import (
     TaskSampler,
     TrainingLog,
     adapt,
-    batch_loss_value,
     inner_update,
     meta_batch_step,
     meta_train,
@@ -145,9 +144,9 @@ def test_inner_update_reduces_support_loss_on_tiny_tasks():
     for seed in range(10):
         tasks, model = mini_pool(1, seed=seed)
         cfg = MetaConfig(alpha=0.01, inner_steps=3)
-        before, _ = batch_loss_value(model, tasks[0].support)
+        before = model.batch_objective(tasks[0].support)[0].item()
         inner_update(model, tasks[0], cfg)
-        after, _ = batch_loss_value(model, tasks[0].support)
+        after = model.batch_objective(tasks[0].support)[0].item()
         wins += after <= before
     assert wins >= 9
 
@@ -245,9 +244,9 @@ def test_meta_train_improves_validation_loss_and_logs():
     train, val = tasks[:4], tasks[4:]
     cfg = MetaConfig(alpha=0.02, beta=0.02, num_tasks=2, inner_steps=2,
                      max_episodes=6, early_stop_patience=6)
-    init_val = np.mean([batch_loss_value(model, t.query)[0] for t in val])
+    init_val = np.mean([model.batch_objective(t.query)[0].item() for t in val])
     _, result = meta_train(model, TaskSampler(train, seed=0), cfg, val)
-    final_val = np.mean([batch_loss_value(model, t.query)[0] for t in val])
+    final_val = np.mean([model.batch_objective(t.query)[0].item() for t in val])
     assert final_val < init_val
     # log rows: per episode, per task: support + query, plus val rows
     lines = result.log.text().splitlines()
@@ -259,6 +258,46 @@ def test_meta_train_improves_validation_loss_and_logs():
         parts = ln.split(",")
         assert len(parts) == 8
         float(parts[3]), float(parts[7])  # parseable numbers
+
+
+def test_meta_train_log_rows_equal_means_of_single_sample_forwards():
+    # Every forward is replayed at the parameters it ran at, one sample at a
+    # time; each logged row must be the mean of those B=1 terms.
+    tasks, model = mini_pool(5, seed=8, hidden=8)
+    train, val = tasks[:3], tasks[3:]
+    cfg = MetaConfig(alpha=0.05, beta=0.05, num_tasks=2, inner_steps=2,
+                     max_episodes=3, early_stop_patience=3)
+    calls = []  # (samples, parameters at the call), in call order
+    forward = model.forward
+
+    def recording_forward(samples):
+        calls.append((samples, model.store.snapshot()))
+        return forward(samples)
+
+    model.forward = recording_forward
+    _, result = meta_train(model, TaskSampler(train, seed=4), cfg, val)
+
+    per_episode = cfg.num_tasks * (cfg.inner_steps + 1) + len(val)
+    assert len(calls) == result.episodes * per_episode == 3 * per_episode
+    replay = DialogueModel(model.vocab, 8, 8)
+    by_id = {t.task_id: t for t in tasks}
+    keys = ("kl", "nll", "bow", "total", "sel_acc")
+    rows = [ln.split(",") for ln in result.log.text().splitlines()[1:]]
+    assert {split for _, split, *_ in rows} == {"support", "query", "val"}
+    for episode, split, task_id, *logged in rows:
+        task = by_id[int(task_id)]
+        samples = task.support if split == "support" else task.query
+        episode_calls = calls[(int(episode) - 1) * per_episode:int(episode) * per_episode]
+        # a support row comes from the task's last inner step
+        params = [p for batch, p in episode_calls if batch is samples][-1]
+        replay.store.restore(params)
+        singles = [replay.forward([s])[1] for s in samples]
+        for key, value in zip(keys, map(float, logged)):
+            want = sum(single[key] for single in singles) / len(samples)
+            # Relative, except below 1: KL (about 1e-5 here) is a difference of
+            # order-one log-probabilities, so its rounding error is absolute.
+            assert abs(value - want) <= 1e-12 * max(abs(want), 1.0), \
+                (episode, split, task_id, key)
 
 
 def test_meta_train_is_bit_reproducible():
@@ -284,8 +323,7 @@ def test_meta_train_restores_best_validation_params():
     # huge rates force the loss to blow up after an initial improvement,
     # so the returned parameters must come from the best episode
     _, result = meta_train(model, TaskSampler(tasks[:4], seed=1), cfg, tasks[4:])
-    val, _ = batch_loss_value(model, tasks[4].query)
-    vals = [batch_loss_value(model, t.query)[0] for t in tasks[4:]]
+    vals = [model.batch_objective(t.query)[0].item() for t in tasks[4:]]
     assert np.mean(vals) == pytest.approx(result.best_val, rel=1e-9)
 
 

@@ -2,12 +2,16 @@
 
 Deleting or renaming a traced function, or a refactor that stops calling one
 or stops recording an op kind the traced runs expect, should fail here, not
-only in a traced benchmark run.
+only in a traced benchmark run. So should a change that moves a training
+workload's first observation off its golden value.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from mkgd import data, meta
 from mkgd.model import DialogueModel
@@ -71,3 +75,39 @@ def test_a_training_step_and_a_reply_fire_every_expected_span_and_tape_counter(t
     expected = workloads._MODEL_FORWARD + workloads._OPTIMIZER + ("model.generate",)
     assert [name for name in expected if not tracer.calls[name]] == []
     assert [name for name in tracing.TAPE_COUNTERS if not tracer.counts[name] > 0] == []
+
+
+def assert_matches(observed, expected, where="observation"):
+    """Equal structure, other values exactly, floats within 1e-9 relative, as bench/run.py checks."""
+    if isinstance(expected, dict):
+        assert isinstance(observed, dict) and observed.keys() == expected.keys(), where
+        for key in expected:
+            assert_matches(observed[key], expected[key], f"{where}[{key!r}]")
+    elif isinstance(expected, list):
+        assert isinstance(observed, (list, tuple)) and len(observed) == len(expected), where
+        for i, (o, e) in enumerate(zip(observed, expected)):
+            assert_matches(o, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert isinstance(observed, float), where
+        assert abs(observed - expected) <= 1e-9 * max(abs(observed), abs(expected)), \
+            f"{where}: {observed!r} vs {expected!r}"
+    else:
+        assert type(observed) is type(expected) and observed == expected, where
+
+
+@pytest.mark.parametrize("name", ["meta-train-desk", "adapt-eval-desk"])
+def test_a_workload_operation_fires_its_spans_and_matches_its_golden(tmp_path, name):
+    tracing, workloads = load_tracing(), load_bench_module("workloads")
+    workload = workloads.WORKLOADS[name](0, tmp_path)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, observed = workload.op(workload.setup(), 0)
+    finally:
+        tracer.uninstall()
+
+    assert [span for span in workload.expected_spans if not tracer.calls[span]] == []
+    assert [c for c in tracing.TAPE_COUNTERS if not tracer.counts[c] > 0] == []
+    golden = json.loads((BENCH_DIR / "golden.json").read_text(encoding="utf-8"))
+    assert_matches(observed, golden[name]["0"][0])
