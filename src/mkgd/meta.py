@@ -316,9 +316,9 @@ def supervised_train(model, samples, cfg, batch_size=0, shuffle=True, seed=0, lo
     state = _make_state(cfg.meta_optimizer, model.store)
     rng = np.random.default_rng(seed)
     losses = []
-    snapshot = model.store.snapshot()
     try:
         for epoch in range(1, cfg.max_episodes + 1):
+            snapshot = model.store.snapshot()
             order = rng.permutation(len(samples)) if shuffle else np.arange(len(samples))
             for start in range(0, len(samples), batch_size):
                 batch = [samples[i] for i in order[start:start + batch_size]]
@@ -327,7 +327,6 @@ def supervised_train(model, samples, cfg, batch_size=0, shuffle=True, seed=0, lo
                 losses.append(summary["total"])
                 if log is not None:
                     log.add(epoch, "train", start // batch_size, summary)
-            snapshot = model.store.snapshot()
     except NumericError:
         model.store.restore(snapshot)
         raise

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import QuadraticModel, QuadSample, synth_tasks
 from mkgd.data import SyntheticTaskSpec
-from mkgd.errors import ContractError, DataError
+from mkgd.errors import ContractError, DataError, NumericError
 from mkgd.meta import (
     MetaConfig,
     Task,
@@ -394,6 +394,16 @@ def test_supervised_train_quadratic_closed_form():
     _, losses = supervised_train(model, [QuadSample(1.0)], cfg, shuffle=False)
     assert losses == pytest.approx([1.0, 0.64], abs=1e-12)
     assert model.value() == pytest.approx(0.64, abs=1e-12)
+
+
+def test_supervised_train_divergence_restores_last_completed_epoch():
+    # one step per epoch: theta 1 -> -2e100 -> 4e200, then theta^2 overflows
+    # (deliberately) in epoch 3
+    cfg = MetaConfig(beta=1e100, meta_optimizer="sgd", max_episodes=5, clip_norm=0.0)
+    model = QuadraticModel(1.0)
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        supervised_train(model, [QuadSample(1.0)], cfg, shuffle=False)
+    assert model.value() == pytest.approx(4e200, rel=1e-12)
 
 
 def test_supervised_train_rejects_empty():
