@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from . import data as D
 from .config import PRESETS, RunConfig, make_run_config
 from .dialogue import START_MARKER
 from .errors import ContractError, DataError, DimensionError, NumericError, VocabError
-from .meta import OPTIMIZERS, TaskSampler, TrainingLog, adapt, meta_train, supervised_train
+from .meta import OPTIMIZERS, TaskSampler, adapt, meta_train, supervised_train
 from .metrics import Evaluator
 from .model import DialogueModel, infer_dims
 from .params import load_checkpoint, save_checkpoint, split_checkpoint
@@ -125,64 +126,63 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_meta_train(args):
+def _train_command(args, check_split, train):
+    """The body meta-train and train-baseline share.
+
+    check_split(train_raw, cfg) rejects a training split before anything is
+    built. train(model, train_raw, valid_raw, cfg) returns
+    (TrainResult, stdout line on success); no file is written before it
+    returns, so an input error leaves no output behind.
+    """
     cfg = _config_from_args(args)
     raw = D.load_task_pool(args.pool)
     train_raw, valid_raw, _ = D.split_pool(raw, seed=cfg.seed)
-    if len(train_raw) < cfg.num_tasks:
-        raise DataError(
-            f"training split has {len(train_raw)} tasks, need >= {cfg.num_tasks}"
-        )
+    check_split(train_raw, cfg)
     vocab = D.build_vocab(D.raw_task_token_stream(raw), cfg.max_vocab)
-    vocab.save(args.vocab_out)
-
     model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim,
                           seed=cfg.seed, loss_weights=cfg.loss_weights())
-    train_tasks = D.tasks_from_raw(train_raw, vocab, cfg.k_support, cfg.k_query,
-                                   seed=cfg.seed)
-    val_tasks = D.tasks_from_raw(valid_raw, vocab, cfg.k_support, cfg.k_query,
-                                 seed=cfg.seed) if valid_raw else None
-    sampler = TaskSampler(train_tasks, seed=cfg.seed)
-
-    model, result = meta_train(model, sampler, cfg, val_tasks)
+    result, done = train(model, train_raw, valid_raw, cfg)
+    vocab.save(args.vocab_out)
     save_checkpoint(args.checkpoint_out, model.store)
     result.log.write(args.log_out)
     if result.diverged:
         print("training diverged; best checkpoint retained", file=sys.stderr)
         return 3
-    print(f"trained {result.episodes} episodes; checkpoint at {args.checkpoint_out}")
+    print(done)
     return 0
+
+
+def cmd_meta_train(args):
+    def check_split(train_raw, cfg):
+        if len(train_raw) < cfg.num_tasks:
+            raise DataError(
+                f"training split has {len(train_raw)} tasks, need >= {cfg.num_tasks}"
+            )
+
+    def train(model, train_raw, valid_raw, cfg):
+        train_tasks = D.tasks_from_raw(train_raw, model.vocab, cfg.k_support, cfg.k_query,
+                                       seed=cfg.seed)
+        val_tasks = D.tasks_from_raw(valid_raw, model.vocab, cfg.k_support, cfg.k_query,
+                                     seed=cfg.seed) if valid_raw else None
+        _, result = meta_train(model, TaskSampler(train_tasks, seed=cfg.seed), cfg, val_tasks)
+        return result, f"trained {result.episodes} episodes; checkpoint at {args.checkpoint_out}"
+
+    return _train_command(args, check_split, train)
 
 
 def cmd_train_baseline(args):
-    cfg = _config_from_args(args)
-    raw = D.load_task_pool(args.pool)
-    train_raw, _, _ = D.split_pool(raw, seed=cfg.seed)
-    if not train_raw:
-        raise DataError("training split is empty")
-    vocab = D.build_vocab(D.raw_task_token_stream(raw), cfg.max_vocab)
-    vocab.save(args.vocab_out)
+    def check_split(train_raw, cfg):
+        if not train_raw:
+            raise DataError("training split is empty")
 
-    model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim,
-                          seed=cfg.seed, loss_weights=cfg.loss_weights())
-    samples = []
-    for raw_task in train_raw:
-        samples.extend(D.raw_task_to_samples(raw_task, vocab))
-    log = TrainingLog()
-    batch = cfg.num_tasks * (cfg.k_support + cfg.k_query)
-    try:
-        supervised_train(model, samples, cfg, batch_size=batch,
-                         seed=cfg.seed, log=log)
-        diverged = False
-    except NumericError:
-        diverged = True
-    save_checkpoint(args.checkpoint_out, model.store)
-    log.write(args.log_out)
-    if diverged:
-        print("training diverged; best checkpoint retained", file=sys.stderr)
-        return 3
-    print(f"baseline checkpoint at {args.checkpoint_out}")
-    return 0
+    def train(model, train_raw, valid_raw, cfg):
+        samples = [s for raw_task in train_raw
+                   for s in D.raw_task_to_samples(raw_task, model.vocab)]
+        batch = cfg.num_tasks * (cfg.k_support + cfg.k_query)
+        _, result = supervised_train(model, samples, cfg, batch_size=batch, seed=cfg.seed)
+        return result, f"baseline checkpoint at {args.checkpoint_out}"
+
+    return _train_command(args, check_split, train)
 
 
 def cmd_adapt_eval(args):
@@ -204,8 +204,7 @@ def cmd_adapt_eval(args):
         adapted, _, _ = adapt(model, task, cfg)
         post.add(adapted, task.query)
     pre_report, post_report = pre.report(), post.report()
-    payload = json.dumps({"pre": json.loads(pre_report.to_json()),
-                          "post": json.loads(post_report.to_json())}, indent=2)
+    payload = json.dumps({"pre": asdict(pre_report), "post": asdict(post_report)}, indent=2)
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")

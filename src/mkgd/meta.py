@@ -9,6 +9,10 @@ Every parameter update, whether an inner step, the meta step, a test-time
 adaptation step or a supervised baseline step, goes through ``_train_step``:
 record the objective on a fresh tape, backward, clip, then one SGD or Adam
 step.
+
+``meta_train`` (one episode a round) and ``supervised_train`` (one epoch a
+round) share one round driver, ``_fit``: it owns the round loop, the log,
+the kept parameters, early stopping and divergence.
 """
 
 from __future__ import annotations
@@ -232,55 +236,64 @@ class TrainResult:
     diverged: bool = False
 
 
-def meta_train(model, sampler, cfg, val_tasks=None):
-    """Episodic loop with early stopping on validation query loss.
+def _fit(model, run_round, cfg, val_tasks=None):
+    """The round loop both trainers share; returns (model, TrainResult).
 
-    The model ends holding the best-validation parameters (or the final ones
-    when no validation tasks are given). Numeric divergence stops training
-    and restores the best parameters instead of raising.
+    run_round(round, log) runs one round (an episode or an epoch) and adds
+    its log rows. The kept parameters are those with the best validation
+    loss, or those after the last completed round when no validation tasks
+    are given; early stopping watches the validation loss. A NumericError in
+    a round or in its validation ends training with ``diverged`` set. Either
+    way the model ends holding the kept parameters.
+    """
+    result = TrainResult(log=TrainingLog())
+    kept = model.store.snapshot()
+    best_val, stale = float("inf"), 0
+    for episode in range(1, cfg.max_episodes + 1):
+        try:
+            run_round(episode, result.log)
+            if val_tasks:
+                val, rows = validation_loss(model, val_tasks)
+        except NumericError:
+            result.diverged = True
+            break
+        result.episodes = episode
+        if not val_tasks:
+            kept = model.store.snapshot()
+            continue
+        for task_id, row in rows:
+            result.log.add(episode, "val", task_id, row)
+        if val < best_val:
+            best_val, stale = val, 0
+            kept = model.store.snapshot()
+        else:
+            stale += 1
+            if cfg.early_stop_patience and stale >= cfg.early_stop_patience:
+                break
+    model.store.restore(kept)
+    result.best_val = best_val if best_val != float("inf") else float("nan")
+    return model, result
+
+
+def meta_train(model, sampler, cfg, val_tasks=None):
+    """Episodic meta-training under ``_fit``, one meta_batch_step a round.
+
+    Logs each task's support row (when it took inner steps) and query row.
     """
     if len(sampler) < cfg.num_tasks:
         raise DataError(
             f"sampler pool has {len(sampler)} tasks, need >= {cfg.num_tasks}"
         )
-    log = TrainingLog()
-    result = TrainResult(log=log)
-    best_snap = model.store.snapshot()
-    best_val = float("inf")
-    stale = 0
     meta_state = _make_state(cfg.meta_optimizer, model.store)
 
-    for episode in range(1, cfg.max_episodes + 1):
-        batch = sampler.sample(cfg.num_tasks)
-        try:
-            _, meta_state, stats = meta_batch_step(model, batch, cfg, meta_state)
-        except NumericError:
-            result.diverged = True
-            break
-        result.episodes = episode
+    def episode(n, log):
+        _, _, stats = meta_batch_step(model, sampler.sample(cfg.num_tasks), cfg, meta_state)
         for task_row in stats.tasks:
             if task_row["support"] is not None:
-                log.add(episode, "support", task_row["task_id"], task_row["support"])
-            log.add(episode, "query", task_row["task_id"], task_row["query"])
+                log.add(n, "support", task_row["task_id"], task_row["support"])
+            log.add(n, "query", task_row["task_id"], task_row["query"])
 
-        if val_tasks:
-            val, rows = validation_loss(model, val_tasks)
-            for task_id, row in rows:
-                log.add(episode, "val", task_id, row)
-            if val < best_val:
-                best_val = val
-                best_snap = model.store.snapshot()
-                stale = 0
-            else:
-                stale += 1
-                if cfg.early_stop_patience and stale >= cfg.early_stop_patience:
-                    break
-        else:
-            best_snap = model.store.snapshot()
-
-    model.store.restore(best_snap)
-    result.best_val = best_val if best_val != float("inf") else float("nan")
-    return model, result
+    return _fit(model, episode, cfg, val_tasks)
 
 
 def adapt(model, task, cfg):
@@ -300,14 +313,12 @@ def adapt(model, task, cfg):
     return adapted, pre, post
 
 
-def supervised_train(model, samples, cfg, batch_size=0, shuffle=True, seed=0, log=None):
+def supervised_train(model, samples, cfg, batch_size=0, shuffle=True, seed=0):
     """Plain mini-batch optimization of the total loss; the non-meta baseline.
 
-    cfg.max_episodes epochs of meta-optimizer steps at rate beta; batch_size
-    0 means one batch per epoch. Returns (model, per-step mean losses).
-    On a NumericError the model is put back to its parameters at the end of
-    the last completed epoch (the initial ones before the first), and the
-    error propagates.
+    cfg.max_episodes epochs under ``_fit`` of meta-optimizer steps at rate
+    beta, one ``train`` log row a step; batch_size 0 means one batch per
+    epoch. Returns (model, TrainResult).
     """
     if not samples:
         raise ContractError("supervised_train on empty sample list")
@@ -315,19 +326,13 @@ def supervised_train(model, samples, cfg, batch_size=0, shuffle=True, seed=0, lo
         batch_size = len(samples)
     state = _make_state(cfg.meta_optimizer, model.store)
     rng = np.random.default_rng(seed)
-    losses = []
-    try:
-        for epoch in range(1, cfg.max_episodes + 1):
-            snapshot = model.store.snapshot()
-            order = rng.permutation(len(samples)) if shuffle else np.arange(len(samples))
-            for start in range(0, len(samples), batch_size):
-                batch = [samples[i] for i in order[start:start + batch_size]]
-                _, summary = _train_step(model, lambda: model.batch_objective(batch),
-                                         cfg.meta_optimizer, state, cfg.beta, cfg.clip_norm)
-                losses.append(summary["total"])
-                if log is not None:
-                    log.add(epoch, "train", start // batch_size, summary)
-    except NumericError:
-        model.store.restore(snapshot)
-        raise
-    return model, losses
+
+    def epoch(n, log):
+        order = rng.permutation(len(samples)) if shuffle else np.arange(len(samples))
+        for start in range(0, len(samples), batch_size):
+            batch = [samples[i] for i in order[start:start + batch_size]]
+            _, summary = _train_step(model, lambda: model.batch_objective(batch),
+                                     cfg.meta_optimizer, state, cfg.beta, cfg.clip_norm)
+            log.add(n, "train", start // batch_size, summary)
+
+    return _fit(model, epoch, cfg)

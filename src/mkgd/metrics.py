@@ -10,10 +10,9 @@ response never informs its own score.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,9 +114,6 @@ class EvalReport:
     distinct2: float
     sel_acc: float
     n_samples: int
-
-    def to_json(self):
-        return json.dumps(asdict(self))
 
 
 class Evaluator:

@@ -46,11 +46,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, node_id={self.node_id})"
 
 
-def tensor(values):
-    """Build a constant tensor (never receives gradients)."""
-    return Tensor(values)
-
-
 class Tape:
     """Ordered record of one forward pass.
 

@@ -180,9 +180,9 @@ class QuadraticModel:
         for sample in samples:
             coef = sample.coef if isinstance(sample, QuadSample) else float(sample)
             sq = T.sum_(T.mul(self.theta, self.theta))
-            loss = T.mul(sq, T.tensor(coef))
+            loss = T.mul(sq, T.Tensor(coef))
             total = loss if total is None else T.add(total, loss)
-        mean = T.mul(total, T.tensor(1.0 / len(samples)))
+        mean = T.mul(total, T.Tensor(1.0 / len(samples)))
         return mean, {"kl": 0.0, "nll": mean.item(), "bow": 0.0,
                       "total": mean.item(), "sel_acc": 0.0}
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mkgd import cli
-from mkgd.config import PRESETS, RunConfig
+from mkgd.config import PRESETS, RunConfig, make_run_config
 from mkgd.data import (
     RawTask,
     Vocab,
@@ -86,11 +86,12 @@ def test_synth_unwritable_path_exits_2(tmp_path):
 # meta-train
 
 
-def test_meta_train_writes_artifacts_and_reruns_identically(tmp_path):
+@pytest.mark.parametrize("command", ["meta-train", "train-baseline"])
+def test_meta_train_writes_artifacts_and_reruns_identically(tmp_path, command):
     pool = make_pool(tmp_path / "pool.jsonl")
 
     def train(tag):
-        code = run_cli("meta-train", "--pool", str(pool),
+        code = run_cli(command, "--pool", str(pool),
                        "--checkpoint-out", str(tmp_path / f"{tag}.ckpt"),
                        "--vocab-out", str(tmp_path / f"{tag}.vocab"),
                        "--log-out", str(tmp_path / f"{tag}.log"),
@@ -99,8 +100,8 @@ def test_meta_train_writes_artifacts_and_reruns_identically(tmp_path):
 
     train("one")
     train("two")
-    assert (tmp_path / "one.log").read_bytes() == (tmp_path / "two.log").read_bytes()
-    assert (tmp_path / "one.ckpt").read_bytes() == (tmp_path / "two.ckpt").read_bytes()
+    for ext in ("log", "ckpt", "vocab"):
+        assert (tmp_path / f"one.{ext}").read_bytes() == (tmp_path / f"two.{ext}").read_bytes()
     log = (tmp_path / "one.log").read_text().splitlines()
     assert log[0] == "episode,split,task_id,kl,nll,bow,total,sel_acc"
     assert len(log) > 1
@@ -126,6 +127,11 @@ def test_meta_train_zero_episodes_checkpoint_is_initialization(tmp_path):
     assert adam == {}  # no optimizer state is written
 
 
+def assert_no_outputs(tmp_path, tag):
+    for ext in ("ckpt", "vocab", "log"):
+        assert not (tmp_path / f"{tag}.{ext}").exists(), ext
+
+
 def test_meta_train_insufficient_tasks_exits_2(tmp_path):
     pool = make_pool(tmp_path / "small.jsonl", tasks=2)
     code = run_cli("meta-train", "--pool", str(pool),
@@ -134,6 +140,20 @@ def test_meta_train_insufficient_tasks_exits_2(tmp_path):
                    "--log-out", str(tmp_path / "x.log"),
                    "--num-tasks", "5")
     assert code == 2
+    assert_no_outputs(tmp_path, "x")
+
+
+def test_meta_train_short_tasks_exit_2_and_write_nothing(tmp_path, capsys):
+    # ten samples a task cannot split into the desk preset's 8 + 14
+    pool = make_pool(tmp_path / "short.jsonl", tasks=10, samples=10)
+    capsys.readouterr()
+    code = run_cli("meta-train", "--pool", str(pool),
+                   "--checkpoint-out", str(tmp_path / "x.ckpt"),
+                   "--vocab-out", str(tmp_path / "x.vocab"),
+                   "--log-out", str(tmp_path / "x.log"))
+    assert code == 2
+    assert capsys.readouterr().err == "error: need 22 samples to split 8+14, got 10 (short by 12)\n"
+    assert_no_outputs(tmp_path, "x")
 
 
 def test_meta_train_divergence_exits_3_and_keeps_checkpoint(tmp_path, capsys):
@@ -152,6 +172,27 @@ def test_meta_train_divergence_exits_3_and_keeps_checkpoint(tmp_path, capsys):
     assert (tmp_path / "div.ckpt").exists()
     arrays = load_checkpoint(tmp_path / "div.ckpt")
     assert all(np.isfinite(v).all() for v in arrays.values())
+
+
+def test_meta_train_validation_overflow_exits_3_and_keeps_initialization(tmp_path, capsys):
+    # The first episode trains, then its validation loss overflows, so the
+    # kept parameters are the initial ones.
+    pool = make_pool(tmp_path / "pool.jsonl", tasks=20, samples=24, seed=5)
+    capsys.readouterr()
+    code = run_cli("meta-train", "--pool", str(pool),
+                   "--checkpoint-out", str(tmp_path / "div.ckpt"),
+                   "--vocab-out", str(tmp_path / "div.vocab"),
+                   "--log-out", str(tmp_path / "div.log"),
+                   "--num-tasks", "2", "--k-support", "3", "--k-query", "3",
+                   "--inner-steps", "1", "--max-episodes", "3", "--beta", "1e200")
+    assert code == 3
+    assert capsys.readouterr().err == "training diverged; best checkpoint retained\n"
+    assert (tmp_path / "div.log").exists()
+    model = cli._load_model(tmp_path / "div.ckpt", tmp_path / "div.vocab")
+    cfg = make_run_config("desk")
+    fresh = DialogueModel(model.vocab, cfg.embed_dim, cfg.hidden_dim, seed=cfg.seed)
+    for name, t in model.store.items():
+        assert np.array_equal(t.values, fresh.store[name].values), name
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import QuadraticModel, QuadSample, synth_tasks
 from mkgd.data import SyntheticTaskSpec
-from mkgd.errors import ContractError, DataError, NumericError
+from mkgd.errors import ContractError, DataError
 from mkgd.meta import (
     MetaConfig,
     Task,
@@ -370,13 +370,18 @@ def test_adapt_default_steps_is_ten():
 # supervised baseline
 
 
+def step_totals(result):
+    """The total column of a training log, one value per row."""
+    return [float(row.split(",")[6]) for row in result.log.text().splitlines()[1:]]
+
+
 def test_supervised_train_deterministic_and_finite():
     def run():
         tasks, model = mini_pool(2, seed=8, hidden=8)
         samples = tasks[0].support + tasks[0].query
         cfg = MetaConfig(alpha=0.01, beta=0.01, max_episodes=3)
-        _, losses = supervised_train(model, samples, cfg, batch_size=5, seed=3)
-        return losses, model.store.snapshot()
+        _, result = supervised_train(model, samples, cfg, batch_size=5, seed=3)
+        return step_totals(result), model.store.snapshot()
 
     losses_a, snap_a = run()
     losses_b, snap_b = run()
@@ -391,19 +396,44 @@ def test_supervised_train_quadratic_closed_form():
     cfg = MetaConfig(alpha=0.3, beta=0.1, meta_optimizer="sgd", inner_optimizer="adam",
                      inner_steps=5, test_update_steps=5, max_episodes=2)
     model = QuadraticModel(1.0)
-    _, losses = supervised_train(model, [QuadSample(1.0)], cfg, shuffle=False)
-    assert losses == pytest.approx([1.0, 0.64], abs=1e-12)
+    _, result = supervised_train(model, [QuadSample(1.0)], cfg, shuffle=False)
+    assert step_totals(result) == pytest.approx([1.0, 0.64], abs=1e-12)
     assert model.value() == pytest.approx(0.64, abs=1e-12)
 
 
-def test_supervised_train_divergence_restores_last_completed_epoch():
-    # one step per epoch: theta 1 -> -2e100 -> 4e200, then theta^2 overflows
-    # (deliberately) in epoch 3
-    cfg = MetaConfig(beta=1e100, meta_optimizer="sgd", max_episodes=5, clip_norm=0.0)
+def supervised_quad(model, cfg):
+    return supervised_train(model, [QuadSample(1.0)], cfg, shuffle=False)
+
+
+def meta_quad(model, cfg, val_tasks=None):
+    return meta_train(model, TaskSampler([quad_task([1.0], [1.0])]), cfg, val_tasks)
+
+
+@pytest.mark.parametrize("train", [supervised_quad, meta_quad],
+                         ids=["supervised_train", "meta_train"])
+def test_divergence_restores_last_completed_round(train):
+    # one step per round: theta 1 -> -2e100 -> 4e200, then theta^2 overflows
+    # (deliberately) in round 3
+    cfg = MetaConfig(beta=1e100, meta_optimizer="sgd", inner_steps=0, num_tasks=1,
+                     max_episodes=5, clip_norm=0.0)
     model = QuadraticModel(1.0)
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
-        supervised_train(model, [QuadSample(1.0)], cfg, shuffle=False)
+    with np.errstate(over="ignore"):
+        _, result = train(model, cfg)
+    assert result.diverged and result.episodes == 2
     assert model.value() == pytest.approx(4e200, rel=1e-12)
+
+
+def test_meta_train_validation_overflow_restores_best_validation_round():
+    # round 1 reaches theta -2e100 (validation 4e200); round 2 reaches 4e200,
+    # whose validation loss overflows, so the round-1 parameters are kept
+    cfg = MetaConfig(beta=1e100, meta_optimizer="sgd", inner_steps=0, num_tasks=1,
+                     max_episodes=5, clip_norm=0.0)
+    model = QuadraticModel(1.0)
+    with np.errstate(over="ignore"):
+        _, result = meta_quad(model, cfg, [quad_task([1.0], [1.0], task_id=1)])
+    assert result.diverged and result.episodes == 1
+    assert model.value() == pytest.approx(-2e100, rel=1e-12)
+    assert result.best_val == pytest.approx(4e200, rel=1e-12)
 
 
 def test_supervised_train_rejects_empty():

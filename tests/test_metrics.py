@@ -1,5 +1,5 @@
-import json
 import math
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -256,7 +256,7 @@ def test_selection_accuracy_contract_errors():
 def test_eval_report_json_has_exactly_eight_keys():
     report = EvalReport(ppl=10.0, f1=0.5, bleu1=0.3, bleu2=0.2,
                         distinct1=0.1, distinct2=0.4, sel_acc=0.9, n_samples=7)
-    obj = json.loads(report.to_json())
+    obj = asdict(report)
     assert set(obj) == {"ppl", "f1", "bleu1", "bleu2",
                         "distinct1", "distinct2", "sel_acc", "n_samples"}
     assert EvalReport(**obj) == report

@@ -12,19 +12,19 @@ from mkgd.tensor import Tape, Tensor, backward
 
 
 def test_softmax_uniform_logits():
-    out = T.softmax(T.tensor([0.0, 0.0, 0.0, 0.0]))
+    out = T.softmax(T.Tensor([0.0, 0.0, 0.0, 0.0]))
     assert np.allclose(out.values, [0.25, 0.25, 0.25, 0.25], atol=1e-12)
 
 
 def test_sigmoid_at_zero():
-    assert T.sigmoid(T.tensor([0.0])).values[0] == pytest.approx(0.5, abs=1e-15)
+    assert T.sigmoid(T.Tensor([0.0])).values[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_matmul_against_triple_loop():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(2, 3))
     b = rng.normal(size=(3, 1))
-    got = T.matmul(T.tensor(a), T.tensor(b)).values
+    got = T.matmul(T.Tensor(a), T.Tensor(b)).values
     # naive triple-loop oracle
     want = np.zeros((2, 1))
     for i in range(2):
@@ -35,8 +35,8 @@ def test_matmul_against_triple_loop():
 
 
 def test_matmul_vector_cases():
-    A = T.tensor([[1.0, 2.0], [3.0, 4.0]])
-    v = T.tensor([1.0, -1.0])
+    A = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
+    v = T.Tensor([1.0, -1.0])
     assert np.allclose(T.matmul(A, v).values, [-1.0, -1.0])
     with pytest.raises(DimensionError):
         T.matmul(v, A)
@@ -44,32 +44,32 @@ def test_matmul_vector_cases():
 
 def test_shape_errors_name_op_and_shapes():
     with pytest.raises(DimensionError) as err:
-        T.matmul(T.tensor([[1.0, 2.0]]), T.tensor([[1.0, 2.0]]))
+        T.matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[1.0, 2.0]]))
     assert "matmul" in str(err.value)
     assert "(1, 2)" in str(err.value)
     with pytest.raises(DimensionError):
-        T.add(T.tensor([1.0, 2.0]), T.tensor([1.0, 2.0, 3.0]))
+        T.add(T.Tensor([1.0, 2.0]), T.Tensor([1.0, 2.0, 3.0]))
     with pytest.raises(DimensionError):
-        T.mul(T.tensor(np.ones((3, 2))), T.tensor(np.ones((3, 4))))
+        T.mul(T.Tensor(np.ones((3, 2))), T.Tensor(np.ones((3, 4))))
     with pytest.raises(DimensionError):
-        T.matmul(T.tensor(np.ones((2, 3, 4))), T.tensor(np.ones((3, 4, 2))))
+        T.matmul(T.Tensor(np.ones((2, 3, 4))), T.Tensor(np.ones((3, 4, 2))))
     with pytest.raises(DimensionError):
-        T.matmul(T.tensor(np.ones((3, 4))), T.tensor(np.ones((2, 4, 2))))
+        T.matmul(T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((2, 4, 2))))
     with pytest.raises(DimensionError):
-        T.stack([T.tensor(np.ones((2, 3))), T.tensor(np.ones((3, 2)))])
+        T.stack([T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 2)))])
 
 
 def test_non_finite_result_raises():
     # The overflow and log(0) are deliberate; only the NumericError matters.
     with np.errstate(over="ignore", divide="ignore"):
         with pytest.raises(NumericError):
-            T.matmul(T.tensor([[1e200]]), T.tensor([1e200]))
+            T.matmul(T.Tensor([[1e200]]), T.Tensor([1e200]))
         with pytest.raises(NumericError):
-            T.log(T.tensor([0.0]))
+            T.log(T.Tensor([0.0]))
 
 
 def test_log_floor():
-    out = T.log(T.tensor([0.0, 1.0]), floor=1e-12)
+    out = T.log(T.Tensor([0.0, 1.0]), floor=1e-12)
     assert out.values[0] == pytest.approx(math.log(1e-12))
     assert out.values[1] == 0.0
 
@@ -80,7 +80,7 @@ def test_softmax_empty_axis_rejected():
 
 
 def test_gather_rejects_out_of_range():
-    table = T.tensor([[1.0, 2.0], [3.0, 4.0]])
+    table = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(VocabError):
         T.gather(table, [2])
 
@@ -123,7 +123,7 @@ def test_backward_requires_recorded_loss():
     store.add("x", [1.0])
     tape = Tape()
     tape.watch(store)
-    loss = T.tensor([1.0])
+    loss = T.Tensor([1.0])
     with pytest.raises(ContractError):
         backward(tape, loss)
 
@@ -143,7 +143,7 @@ def test_unreachable_params_get_zero_gradients():
 def test_backward_twice_is_identical():
     store = ParamStore(3)
     w = store.create("w", (4, 3), init="uniform")
-    x = T.tensor(np.arange(3.0))
+    x = T.Tensor(np.arange(3.0))
     tape = Tape()
     tape.watch(store)
     with tape:
@@ -166,7 +166,7 @@ def test_mlp_gradients_match_finite_differences():
     x = rng.normal(size=4)
 
     def forward():
-        h = T.tanh(T.add(T.matmul(W0, T.tensor(x)), b0))
+        h = T.tanh(T.add(T.matmul(W0, T.Tensor(x)), b0))
         out = T.add(T.matmul(W1, h), b1)
         return T.sum_(T.mul(out, out))
 
@@ -227,9 +227,9 @@ def test_primitive_gradients_match_finite_differences(name, build, p_shape, c_sh
         rng = np.random.default_rng(1000 + 17 * point)
         store = ParamStore(0)
         p = store.add("p", rng.normal(size=p_shape) * 0.8)
-        const = T.tensor(rng.normal(size=c_shape) * 0.8) if c_shape else None
+        const = T.Tensor(rng.normal(size=c_shape) * 0.8) if c_shape else None
         out_shape = build(p, const).shape
-        probe = T.tensor(rng.normal(size=out_shape))
+        probe = T.Tensor(rng.normal(size=out_shape))
 
         def forward():
             out = build(p, const)
@@ -253,8 +253,8 @@ def test_leaf_reached_by_gather_and_dense_op_matches_finite_differences(gather_f
     rng = np.random.default_rng(21)
     store = ParamStore(0)
     W = store.add("W", rng.normal(size=(4, 3)) * 0.8)
-    x = T.tensor(rng.normal(size=3))
-    probe = T.tensor(rng.normal(size=(3, 3)))
+    x = T.Tensor(rng.normal(size=3))
+    probe = T.Tensor(rng.normal(size=(3, 3)))
 
     def rows():
         return T.sum_(T.tanh(T.mul(T.gather(W, [2, 0, 2]), probe)))
@@ -286,7 +286,7 @@ def test_backward_results_own_their_memory_and_match_finite_differences():
     y = store.add("y", rng.normal(size=(2, 3)))
     b = store.add("b", rng.normal(size=(3, 2)))
     c = store.add("c", rng.normal(size=(3, 2)))
-    probe = T.tensor(rng.normal(size=(2, 3)))
+    probe = T.Tensor(rng.normal(size=(2, 3)))
 
     def forward():
         parts = [T.add(a, a), T.add(x, y), T.reshape(b, (2, 3)), T.transpose(c)]
@@ -310,12 +310,12 @@ def test_backward_results_own_their_memory_and_match_finite_differences():
 
 def test_transpose_rejects_non_matrix():
     with pytest.raises(DimensionError):
-        T.transpose(T.tensor([1.0, 2.0]))
+        T.transpose(T.Tensor([1.0, 2.0]))
 
 
 @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8))
 def test_softmax_simplex_property(logits):
-    out = T.softmax(T.tensor(logits)).values
+    out = T.softmax(T.Tensor(logits)).values
     assert (out >= 0).all()
     assert abs(out.sum() - 1.0) <= 1e-9
 
@@ -325,4 +325,4 @@ def test_mul_matches_numpy_elementwise(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=5)
     b = rng.normal(size=5)
-    assert np.array_equal(T.mul(T.tensor(a), T.tensor(b)).values, a * b)
+    assert np.array_equal(T.mul(T.Tensor(a), T.Tensor(b)).values, a * b)
