@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -126,14 +127,28 @@ def cmd_synth(args):
     return 0
 
 
+def _check_output_paths(*paths):
+    """Reject an output path that cannot be written before any work is done."""
+    for path in paths:
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise DataError(f"output path {path} is a directory")
+        if not os.path.isdir(parent):
+            raise DataError(f"output path {path}: directory {parent} does not exist")
+        if not os.access(parent, os.W_OK):
+            raise DataError(f"output path {path}: directory {parent} is not writable")
+
+
 def _train_command(args, check_split, train):
     """The body meta-train and train-baseline share.
 
-    check_split(train_raw, cfg) rejects a training split before anything is
-    built. train(model, train_raw, valid_raw, cfg) returns
-    (TrainResult, stdout line on success); no file is written before it
-    returns, so an input error leaves no output behind.
+    The output paths are checked first, and check_split(train_raw, cfg)
+    rejects a training split before anything is built. train(model,
+    train_raw, valid_raw, cfg) returns (TrainResult, stdout line on
+    success); no file is written before it returns, so an input error
+    leaves no output behind.
     """
+    _check_output_paths(args.vocab_out, args.checkpoint_out, args.log_out)
     cfg = _config_from_args(args)
     raw = D.load_task_pool(args.pool)
     train_raw, valid_raw, _ = D.split_pool(raw, seed=cfg.seed)

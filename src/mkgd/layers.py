@@ -2,7 +2,9 @@
 
 All layers are pure functions of (parameters, inputs). Parameters live in a
 ParamStore and are registered under stable dotted names so checkpoints stay
-portable (e.g. "enc.fwd.W_z", "att.v").
+portable (e.g. "enc.fwd.W_z", "att.v"). gru_encode steps several GRUs in
+lockstep, their cells stacked along a leading axis, so a batch's encoders
+record one recurrence between them.
 """
 
 from __future__ import annotations
@@ -40,11 +42,14 @@ class GruCell:
 
     Inputs and states are (B, dim) matrices, one row per sample, so a step
     multiplies them by the transposed gate matrices from ``transposed()``.
+    A cell made by ``stack_cells`` holds G cells' parameters along a leading
+    axis and steps (G, B, dim) inputs and states, each cell on its own rows.
     """
 
     def __init__(self, params, input_dim, hidden_dim):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
+        self.params = params
         (self.W_z, self.U_z, self.b_z,
          self.W_r, self.U_r, self.b_r,
          self.W_h, self.U_h, self.b_h) = params
@@ -55,7 +60,7 @@ class GruCell:
                      (self.W_z, self.U_z, self.W_r, self.U_r, self.W_h, self.U_h))
 
     def step(self, x, h, mats):
-        if x.values.ndim != 2 or x.shape[1] != self.input_dim:
+        if x.values.ndim != self.W_z.values.ndim or x.shape[-1] != self.input_dim:
             raise DimensionError(f"gru input shape {x.shape}, expected (B, {self.input_dim})")
         W_z, U_z, W_r, U_r, W_h, U_h = mats
         z = T.sigmoid(T.add(T.add(T.matmul(x, W_z), T.matmul(h, U_z)), self.b_z))
@@ -76,58 +81,82 @@ def build_gru_cell(store, prefix, input_dim, hidden_dim):
     return GruCell(tuple(params), input_dim, hidden_dim)
 
 
-def _recur(cell, inputs, lengths, order):
-    """Step one cell over per-position (B, E) inputs, visiting positions in `order`.
+def stack_cells(cells):
+    """One cell stepping G same-shape cells at once: (G, H, ·) matrices, (G, 1, H) biases."""
+    first = cells[0]
+    if any((c.input_dim, c.hidden_dim) != (first.input_dim, first.hidden_dim) for c in cells):
+        raise DimensionError("stack_cells: cells differ in input or hidden size")
+    G, H = len(cells), first.hidden_dim
+    params = []
+    for group in zip(*(c.params for c in cells)):
+        p = T.stack(list(group))
+        params.append(T.reshape(p, (G, 1, H)) if p.values.ndim == 2 else p)
+    return GruCell(tuple(params), first.input_dim, H)
 
-    A row past its sequence's end keeps its state bit for bit, as
-    m * h' + (1 - m) * h with m in {0, 1}; a step where every row is still
-    running records no mask.
+
+class GruRun(NamedTuple):
+    """One recurrence of gru_encode: a cell over a batch of token-index sequences."""
+
+    cell: GruCell
+    sequences: list
+    reversed: bool  # read each sequence from its own last token
+
+
+class GruStates(NamedTuple):
+    """Every state of gru_encode's runs, as the rows of one (steps * G * R, H) table.
+
+    After step t, row r of run g holds its state at table row (t G + g) R + r.
     """
-    mats = cell.transposed()
-    h = cell.initial_state(len(lengths))
-    states = [None] * len(inputs)
-    for t in order:
-        new = cell.step(inputs[t], h, mats)
-        if all(t < n for n in lengths):
-            h = new
-        else:
-            m = np.array([[1.0 if t < n else 0.0] for n in lengths])
-            h = T.add(T.mul(Tensor(m), new), T.mul(Tensor(1.0 - m), h))
-        states[t] = h
-    return states
+
+    table: Tensor
+    runs: tuple  # the GruRuns, in order
+    rows: int    # R, the largest row count of any run
+
+    def index(self, run, row, position):
+        """Table row of the state after reading token `position` of sequence `row`."""
+        r = self.runs[run]
+        step = len(r.sequences[row]) - 1 - position if r.reversed else position
+        return (step * len(self.runs) + run) * self.rows + row
+
+    def finals(self, run):
+        """Table rows of each sequence's final state, after its last token read."""
+        r = self.runs[run]
+        return [self.index(run, i, 0 if r.reversed else len(s) - 1)
+                for i, s in enumerate(r.sequences)]
 
 
-def gru_encode(sequences, embedding, fwd, bwd=None):
-    """Run a (bi)directional GRU over a batch of token-index sequences.
+def gru_encode(embedding, runs):
+    """Step G GRU runs in lockstep, one step for every run's rows at once.
 
-    Each position is one cell step for the whole batch. Shorter sequences
-    are padded, and their state is held unchanged past their end, so the
-    forward state at the last position is each sequence's own final state
-    and the backward direction starts from zeros at each sequence's last
-    token.
-
-    Returns (per-position states, summary). A state is (B, H); in the
-    bidirectional case it is [forward_t; backward_t], (B, 2H), and the
-    summary is the concatenation of the final forward and final backward
-    states.
+    runs are (cell, sequences, reversed) triples over cells of one shape; a
+    reversed run reads each sequence from its own last token. The cells are
+    stacked once, with stack_cells, and each step multiplies (G, R, E)
+    inputs, R the largest row count, so the whole encoding takes as many
+    steps as the longest sequence of any run. A row past its sequence's end,
+    or past its run's rows, reads token 0 and steps on; its later states are
+    never read, so no mask is needed. Read a state with one gather of the
+    returned GruStates' table at GruStates.index or GruStates.finals.
     """
-    sequences = [list(s) for s in sequences]
-    if not sequences or not all(sequences):
+    runs = tuple(GruRun(cell, [list(s) for s in sequences], rev)
+                 for cell, sequences, rev in runs)
+    if not runs or not all(r.sequences and all(r.sequences) for r in runs):
         raise ContractError("gru_encode on empty sequence")
-    lengths = [len(s) for s in sequences]
-    positions = range(max(lengths))
-    # Past its end a sequence reads token 0; the held state never sees it.
-    embedded = [embedding.lookup([s[t] if t < len(s) else 0 for s in sequences])
-                for t in positions]
-
-    fwd_states = _recur(fwd, embedded, lengths, positions)
-    if bwd is None:
-        return fwd_states, fwd_states[-1]
-
-    bwd_states = _recur(bwd, embedded, lengths, reversed(positions))
-    states = [T.concat([f, b], axis=1) for f, b in zip(fwd_states, bwd_states)]
-    summary = T.concat([fwd_states[-1], bwd_states[0]], axis=1)
-    return states, summary
+    G, R = len(runs), max(len(r.sequences) for r in runs)
+    steps = max(len(s) for r in runs for s in r.sequences)
+    cell = stack_cells([r.cell for r in runs])
+    tokens = np.zeros((steps, G, R), dtype=np.int64)
+    for g, r in enumerate(runs):
+        for i, s in enumerate(r.sequences):
+            tokens[:len(s), g, i] = s[::-1] if r.reversed else s
+    mats = cell.transposed()
+    h = Tensor(np.zeros((G, R, cell.hidden_dim)))
+    states = []
+    for ids in tokens:
+        x = T.reshape(embedding.lookup(ids.reshape(-1)), (G, R, cell.input_dim))
+        h = cell.step(x, h, mats)
+        states.append(h)
+    table = T.reshape(T.stack(states), (steps * G * R, cell.hidden_dim))
+    return GruStates(table, runs, R)
 
 
 MASKED = -1e30  # added to the score of a padded key: its softmax weight is exactly 0

@@ -6,11 +6,13 @@ selection distributions, a knowledge-fused attentive GRU decoder, and the
 three training losses (selection KL, token NLL, bag-of-words) whose sum is
 the training objective.
 
-The encoders and the decoder run a whole sample batch at once, one GRU step
-per position, on (B, ·) matrices; selection, fusion and the losses run once
-per batch too, on (B, ·) rows, with a batch's smaller graphs padded and
-masked. ``forward`` and ``score`` take a sample batch; ``generate`` decodes
-one history greedily at batch size 1.
+Every encoder of a sample batch (history forward and backward, triplets,
+responses) steps in one lockstep recurrence, ``encode``, as many steps as
+the longest sequence of any of them. The decoder runs the whole batch one
+GRU step per position on (B, ·) matrices; selection, fusion and the losses
+run once per batch too, on (B, ·) rows, with a batch's smaller graphs
+padded and masked. ``forward`` and ``score`` take a sample batch;
+``generate`` decodes one history greedily at batch size 1.
 
 Knowledge fusion is the deterministic weighted sum of triplet vectors:
 posterior-weighted during training, prior-weighted at inference and when
@@ -140,6 +142,24 @@ class Knowledge(NamedTuple):
     mask: Tensor  # (B, n): 0 on real triplets, MASKED on padding; None without padding
 
 
+class Encoding(NamedTuple):
+    """A sample batch as DialogueModel.encode returns it."""
+
+    history: HistoryEncoding
+    knowledge: Knowledge
+    prior: Tensor     # (B, n): triplet selection from the history alone
+    response: Tensor  # (B, H): final response states; None unless responses were given
+
+
+# The runs of DialogueModel.encode, in order.
+HISTORY_FWD, HISTORY_BWD, KNOWLEDGE, RESPONSE = range(4)
+
+
+def _distinct(graphs):
+    """The distinct graphs of a batch, by identity, in first-seen order."""
+    return list({id(g): g for g in graphs}.values())
+
+
 class DialogueModel:
     """Full generator over a fixed vocabulary.
 
@@ -176,39 +196,69 @@ class DialogueModel:
 
     # -- encoders ----------------------------------------------------------
 
-    def encode_history(self, histories):
-        """Bidirectional GRU over a batch of token-index histories."""
-        states, summary = gru_encode(histories, self.embed, self.enc_fwd, self.enc_bwd)
-        x_summary = T.add(T.matmul(summary, T.transpose(self.enc_proj_W)), self.enc_proj_b)
-        return HistoryEncoding(T.stack(states, axis=1), tuple(len(h) for h in histories),
-                               x_summary)
+    def encode(self, histories, graphs, responses=None):
+        """Every encoder of a sample batch as one lockstep gru_encode.
 
-    def encode_response(self, responses):
-        """(B, H) final GRU states of a batch of token-index responses."""
-        _, summary = gru_encode(responses, self.embed, self.resp_cell)
-        return summary
-
-    def encode_knowledge(self, graphs):
-        """Sample i's graph as row i of a (B, n, H) triplet stack, n the largest graph.
-
-        A triplet vector is a GRU over its 'head relation tail' tokens,
-        projected to hidden_dim. Each distinct graph is encoded once, found by
-        identity, with the triplets of all of them as one batch; samples
-        sharing a graph share its rows (identical values, shared gradient
-        path). A smaller graph is padded with copies of its first row, which
-        the mask keeps out of every selection. Selection and fusion then run
-        once per batch over the whole stack.
+        The runs are the history forward and backward, each distinct graph's
+        triplets, found by identity, and, when responses are given, the
+        response encoder; encode_history, encode_knowledge and
+        encode_response read their results out of the shared states.
         """
         if not graphs or not all(isinstance(g, KnowledgeGraph) and len(g) for g in graphs):
-            raise ContractError("encode_knowledge needs non-empty knowledge graphs")
-        unique = list({id(g): g for g in graphs}.values())
-        ids = [self.vocab.encode(t.tokens()) for g in unique for t in g.triplets]
-        _, summary = gru_encode(ids, self.embed, self.know_cell)
-        rows = T.add(T.matmul(summary, T.transpose(self.know_proj_W)), self.know_proj_b)
+            raise ContractError("encode needs non-empty knowledge graphs")
+        triplets = [self.vocab.encode(t.tokens()) for g in _distinct(graphs) for t in g.triplets]
+        runs = [(self.enc_fwd, histories, False), (self.enc_bwd, histories, True),
+                (self.know_cell, triplets, False)]
+        if responses is not None:
+            runs.append((self.resp_cell, responses, False))
+        states = gru_encode(self.embed, runs)
+        history = self.encode_history(states)
+        knowledge = self.encode_knowledge(states, graphs)
+        prior = prior_distribution(knowledge.rows, history.summary, knowledge.mask)
+        response = None if responses is None else self.encode_response(states)
+        return Encoding(history, knowledge, prior, response)
+
+    def encode_history(self, states):
+        """The bidirectional history encoding, read out of encode's states.
+
+        A history's positions past its end repeat position 0; attention
+        masks them.
+        """
+        histories = states.runs[HISTORY_FWD].sequences
+        B, L, H = len(histories), max(len(h) for h in histories), self.hidden_dim
+        index = [states.index(run, i, p if p < len(h) else 0)
+                 for i, h in enumerate(histories) for p in range(L)
+                 for run in (HISTORY_FWD, HISTORY_BWD)]
+        rows = T.reshape(T.gather(states.table, index), (B, L, 2 * H))
+        finals = [i for pair in zip(states.finals(HISTORY_FWD), states.finals(HISTORY_BWD))
+                  for i in pair]
+        summary = T.reshape(T.gather(states.table, finals), (B, 2 * H))
+        x_summary = T.add(T.matmul(summary, T.transpose(self.enc_proj_W)), self.enc_proj_b)
+        return HistoryEncoding(rows, tuple(len(h) for h in histories), x_summary)
+
+    def encode_response(self, states):
+        """(B, H) final response states, read out of encode's states."""
+        return T.gather(states.table, states.finals(RESPONSE))
+
+    def encode_knowledge(self, states, graphs):
+        """Sample i's graph as row i of a (B, n, H) triplet stack, n the largest graph.
+
+        A triplet vector is the final state of the GRU over its 'head
+        relation tail' tokens, read out of encode's states and projected to
+        hidden_dim. Samples sharing a graph read the same states. A smaller
+        graph is padded with copies of its first row, which the mask keeps
+        out of every selection. Selection and fusion then run once per batch
+        over the whole stack.
+        """
+        unique = _distinct(graphs)
         starts = dict(zip(map(id, unique), accumulate((len(g) for g in unique), initial=0)))
+        finals = states.finals(KNOWLEDGE)
         n = max(len(g) for g in unique)
-        index = [starts[id(g)] + (j if j < len(g) else 0) for g in graphs for j in range(n)]
-        stack = T.reshape(T.gather(rows, index), (len(graphs), n, self.hidden_dim))
+        index = [finals[starts[id(g)] + (j if j < len(g) else 0)]
+                 for g in graphs for j in range(n)]
+        summary = T.gather(states.table, index)
+        rows = T.add(T.matmul(summary, T.transpose(self.know_proj_W)), self.know_proj_b)
+        stack = T.reshape(rows, (len(graphs), n, self.hidden_dim))
         mask = None
         if any(len(g) < n for g in graphs):
             mask = Tensor(np.array([[0.0] * len(g) + [MASKED] * (n - len(g)) for g in graphs]))
@@ -261,13 +311,6 @@ class DialogueModel:
         # W h^T, not h W^T, as in mlp_forward: out.W's gradient comes out C-ordered.
         return T.add(T.transpose(T.matmul(self.out_W, T.transpose(rows))), self.out_b)
 
-    def _encode_with_prior(self, histories, graphs):
-        """(history encoding, knowledge, (B, n) prior) of a batch, one graph per sample."""
-        history = self.encode_history(histories)
-        knowledge = self.encode_knowledge(graphs)
-        return history, knowledge, prior_distribution(knowledge.rows, history.summary,
-                                                      knowledge.mask)
-
     def generate(self, history, graph, max_len):
         """Greedy decoding from BOS, stopping at EOS or max_len.
 
@@ -276,11 +319,11 @@ class DialogueModel:
         """
         if max_len < 1:
             raise ContractError(f"max_len must be >= 1, got {max_len}")
-        encoded, knowledge, prior = self._encode_with_prior([history], [graph])
-        fused = self.fuse_knowledge(knowledge.rows, prior)
-        selected = int(np.argmax(prior.values[0]))
+        encoded = self.encode([history], [graph])
+        fused = self.fuse_knowledge(encoded.knowledge.rows, encoded.prior)
+        selected = int(np.argmax(encoded.prior.values[0]))
 
-        keys = self.att.prepare(encoded.states, encoded.lengths)
+        keys = self.att.prepare(encoded.history.states, encoded.history.lengths)
         mats = self.dec_cell.transposed()
         out_Wt = T.transpose(self.out_W)
         hidden = self.dec_cell.initial_state(1)
@@ -306,11 +349,10 @@ class DialogueModel:
         share of samples whose prior's top triplet is the gold one.
         """
         responses = [s.response for s in samples]
-        history, knowledge, prior = self._encode_with_prior(
-            [s.history for s in samples], [s.graph for s in samples])
-        posterior = posterior_distribution(knowledge.rows, history.summary,
-                                           self.encode_response(responses), self.post_mlp,
-                                           knowledge.mask)
+        history, knowledge, prior, response = self.encode(
+            [s.history for s in samples], [s.graph for s in samples], responses)
+        posterior = posterior_distribution(knowledge.rows, history.summary, response,
+                                           self.post_mlp, knowledge.mask)
         fused = self.fuse_knowledge(knowledge.rows, posterior)
         logits = self.decode_with_knowledge(history, fused, responses)
 
@@ -340,7 +382,7 @@ class DialogueModel:
         One ScoreResult per sample, in order, with the prior over its own graph.
         """
         responses = [s.response for s in samples]
-        history, knowledge, prior = self._encode_with_prior(
+        history, knowledge, prior, _ = self.encode(
             [s.history for s in samples], [s.graph for s in samples])
         logits = self.decode_with_knowledge(
             history, self.fuse_knowledge(knowledge.rows, prior), responses)

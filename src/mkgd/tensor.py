@@ -188,21 +188,21 @@ def gather(table, indices):
     tv = table.values
     if tv.ndim != 2:
         raise DimensionError(f"gather: table must be 2-d, got {table.shape}")
-    idx = list(indices)
-    if not idx:
-        raise ContractError("gather with no indices")
-    for i in idx:
-        if not (0 <= int(i) < tv.shape[0]):
-            raise VocabError(f"gather: index {i} out of range for table of {tv.shape[0]} rows")
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 1 or not idx.size:
+        raise ContractError(f"gather needs a non-empty list of indices, got shape {idx.shape}")
+    bad = (idx < 0) | (idx >= tv.shape[0])
+    if bad.any():
+        raise VocabError(f"gather: index {idx[bad][0]} out of range "
+                         f"for table of {tv.shape[0]} rows")
     return _out("gather", tv[idx], _ids((table,)), (tv.shape, idx))
 
 
 def transpose(t):
-    """Swap the two axes of a 2-d tensor."""
-    if t.values.ndim != 2:
-        raise DimensionError(f"transpose: tensor must be 2-d, got {t.shape}")
-    return _out("transpose", t.values.T, _ids((t,)), ())
+    """Swap the last two axes of a 2-d tensor, or of each matrix of a 3-d one."""
+    if not 2 <= t.values.ndim <= 3:
+        raise DimensionError(f"transpose: tensor must be 2- or 3-d, got {t.shape}")
+    return _out("transpose", np.swapaxes(t.values, -1, -2), _ids((t,)), ())
 
 
 def sigmoid(t):
@@ -262,6 +262,31 @@ def _reduce_to(grad, shape):
     return grad
 
 
+class _Outer:
+    """A matmul's gradient for its right operand, a^T g, left for backward to multiply.
+
+    A weight stepped through a recurrence gets one such term per step;
+    backward stacks them along the rows and forms one product per node
+    instead of one per step.
+    """
+
+    __slots__ = ("a", "g")
+
+    def __init__(self, a, g):
+        self.a = a
+        self.g = g
+
+
+def _settle(outers):
+    """Sum of a^T g over a node's _Outer terms, as one product over their stacked rows."""
+    if len(outers) == 1:
+        a, g = outers[0].a, outers[0].g
+    else:
+        a = np.concatenate([o.a for o in outers], axis=-2)
+        g = np.concatenate([o.g for o in outers], axis=-2)
+    return np.swapaxes(a, -1, -2) @ g
+
+
 def _vjp(kind, saved, out_grad):
     if kind == "add":
         a_shape, b_shape = saved
@@ -281,10 +306,10 @@ def _vjp(kind, saved, out_grad):
             return (out_grad[..., None] * bv, av.reshape(-1, n).T @ out_grad.reshape(-1))
         da = out_grad @ np.swapaxes(bv, -1, -2)
         if bv.ndim == 3:
-            return (da, np.swapaxes(av, -1, -2) @ out_grad)
+            return (da, _Outer(av, out_grad))
         # A shared 2-d b collects the products of every leading index of a.
         n, p = bv.shape
-        return (da, av.reshape(-1, n).T @ out_grad.reshape(-1, p))
+        return (da, _Outer(av.reshape(-1, n), out_grad.reshape(-1, p)))
     if kind == "concat":
         sizes, axis = saved
         lead = (slice(None),) * axis
@@ -306,7 +331,7 @@ def _vjp(kind, saved, out_grad):
         _, idx = saved
         return ((idx, out_grad),)
     if kind == "transpose":
-        return (out_grad.T,)
+        return (np.swapaxes(out_grad, -1, -2),)
     if kind == "sigmoid":
         (out,) = saved
         return (out_grad * out * (1.0 - out),)
@@ -352,7 +377,11 @@ def backward(tape, loss):
     Each node's gradient is one C-ordered array owned here: the first
     contribution is kept when a rule made it fresh and copied otherwise, and
     later ones are added in place. A gather contributes (indices, rows),
-    scattered into a zero table made once per node.
+    scattered into a zero table made once per node. A matmul contributes
+    its right operand's a^T g as an _Outer term, and a node's terms become
+    one product when the sweep reaches it. A node's gradient is dropped once
+    its rule has run, so memory holds the gradients of the frontier of the
+    sweep, not of the whole tape; leaves keep theirs.
     """
     if loss.tape is not tape or loss.node_id is None:
         raise ContractError("loss was not recorded on this tape")
@@ -361,7 +390,14 @@ def backward(tape, loss):
 
     grads = [None] * len(tape.nodes)
     grads[loss.node_id] = np.ones_like(loss.values)
+    outers = {}  # node id -> its pending _Outer terms
     for i in range(loss.node_id, -1, -1):
+        if i in outers:
+            product = _settle(outers.pop(i))
+            if grads[i] is None:
+                grads[i] = product
+            else:
+                grads[i] += product
         g = grads[i]
         if g is None:
             continue
@@ -369,6 +405,7 @@ def backward(tape, loss):
         if kind == "leaf":
             continue
         in_grads = _vjp(kind, saved, g)
+        grads[i] = None
         for nid, ig in zip(input_ids, in_grads):
             if nid < 0:
                 continue
@@ -376,6 +413,8 @@ def backward(tape, loss):
                 if grads[nid] is None:
                     grads[nid] = np.zeros(saved[0])
                 np.add.at(grads[nid], *ig)
+            elif type(ig) is _Outer:
+                outers.setdefault(nid, []).append(ig)
             elif grads[nid] is None:
                 grads[nid] = ig if _owned(ig, g) else np.array(ig, dtype=np.float64, order="C")
             else:

@@ -156,6 +156,28 @@ def test_meta_train_short_tasks_exit_2_and_write_nothing(tmp_path, capsys):
     assert_no_outputs(tmp_path, "x")
 
 
+@pytest.mark.parametrize("flag", ["--checkpoint-out", "--vocab-out", "--log-out"])
+def test_train_unwritable_output_exits_2_before_training(tmp_path, capsys, flag):
+    pool = make_pool(tmp_path / "pool.jsonl")
+    outputs = {"--checkpoint-out": tmp_path / "x.ckpt", "--vocab-out": tmp_path / "x.vocab",
+               "--log-out": tmp_path / "x.log"}
+    bad = tmp_path / "nodir" / "m.ckpt"
+    outputs[flag] = bad
+    argv = [a for pair in outputs.items() for a in (pair[0], str(pair[1]))]
+    for command in ("meta-train", "train-baseline"):
+        capsys.readouterr()
+        assert run_cli(command, "--pool", str(pool), *argv, *MINI_TRAIN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+        assert_no_outputs(tmp_path, "x")
+    # a directory is no output file either
+    outputs[flag] = tmp_path
+    argv = [a for pair in outputs.items() for a in (pair[0], str(pair[1]))]
+    assert run_cli("meta-train", "--pool", str(pool), *argv, *MINI_TRAIN_FLAGS) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+    assert_no_outputs(tmp_path, "x")
+
+
 def test_meta_train_divergence_exits_3_and_keeps_checkpoint(tmp_path, capsys):
     pool = make_pool(tmp_path / "pool.jsonl")
     code = run_cli("meta-train", "--pool", str(pool),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import helpers
 from helpers import assert_grads_close, finite_diff_grads
 from mkgd import tensor as T
 from mkgd.errors import ContractError, DimensionError, VocabError
@@ -110,27 +111,47 @@ def make_encoder(seed=0, vocab=7, embed=3, hidden=3, bidirectional=True):
     return store, emb, fwd, bwd
 
 
+def both_ways(fwd, bwd, sequences):
+    """A forward and a reversed run of one batch, as a bidirectional encoder runs them."""
+    return [(fwd, sequences, False), (bwd, sequences, True)]
+
+
+def read(states, run, row, position):
+    """A run's state after reading token `position` of sequence `row`."""
+    return states.table.values[states.index(run, row, position)]
+
+
+def finals(states, run):
+    """(rows, H) final states of a run's sequences."""
+    return states.table.values[states.finals(run)]
+
+
 def test_gru_encode_length_one_summary_is_the_state():
     _, emb, fwd, bwd = make_encoder()
-    states, summary = gru_encode([[3]], emb, fwd, bwd)
-    assert len(states) == 1
-    assert np.array_equal(states[0].values, summary.values)
+    states = gru_encode(emb, both_ways(fwd, bwd, [[3]]))
+    assert states.table.shape == (2, 3)  # one step of two one-row runs
+    for run in (0, 1):
+        assert np.array_equal(read(states, run, 0, 0), finals(states, run)[0])
     _, emb, fwd, _ = make_encoder(bidirectional=False)
-    states, summary = gru_encode([[3]], emb, fwd)
-    assert np.array_equal(states[0].values, summary.values)
+    states = gru_encode(emb, [(fwd, [[3]], False)])
+    assert np.array_equal(read(states, 0, 0, 0), finals(states, 0)[0])
     # in a ragged batch, a length-one sequence's summary is its first state
-    states, summary = gru_encode([[3], [1, 2, 4]], emb, fwd)
-    assert np.array_equal(states[0].values[0], summary.values[0])
+    states = gru_encode(emb, [(fwd, [[3], [1, 2, 4]], False)])
+    assert np.array_equal(read(states, 0, 0, 0), finals(states, 0)[0])
 
 
 def test_gru_encode_empty_sequence_rejected():
     _, emb, fwd, bwd = make_encoder()
     with pytest.raises(ContractError):
-        gru_encode([], emb, fwd, bwd)
+        gru_encode(emb, [])
     with pytest.raises(ContractError):
-        gru_encode([[]], emb, fwd, bwd)
+        gru_encode(emb, both_ways(fwd, bwd, []))
     with pytest.raises(ContractError):
-        gru_encode([[1, 2], []], emb, fwd, bwd)
+        gru_encode(emb, both_ways(fwd, bwd, [[]]))
+    with pytest.raises(ContractError):
+        gru_encode(emb, both_ways(fwd, bwd, [[1, 2], []]))
+    with pytest.raises(ContractError):
+        gru_encode(emb, [(fwd, [[1, 2]], False), (bwd, [], True)])
 
 
 def test_gru_encode_reversal_swaps_directions():
@@ -140,43 +161,113 @@ def test_gru_encode_reversal_swaps_directions():
     cell_a = build_gru_cell(store, "a", 3, 4)
     cell_b = build_gru_cell(store, "b", 3, 4)
     seqs = [[1, 5, 2, 7], [3, 8]]
-    _, summary_fwd = gru_encode(seqs, emb, cell_a, cell_b)
-    _, summary_rev = gru_encode([list(reversed(s)) for s in seqs], emb, cell_b, cell_a)
-    assert np.allclose(summary_fwd.values[:, :4], summary_rev.values[:, 4:], atol=1e-15)
+    summary_fwd = gru_encode(emb, both_ways(cell_a, cell_b, seqs))
+    summary_rev = gru_encode(emb, both_ways(cell_b, cell_a, [list(reversed(s)) for s in seqs]))
+    assert np.allclose(finals(summary_fwd, 0), finals(summary_rev, 1), atol=1e-15)
 
 
 def test_gru_encode_bidirectional_shapes():
     _, emb, fwd, bwd = make_encoder(hidden=3)
-    states, summary = gru_encode([[1, 2, 3]], emb, fwd, bwd)
-    assert len(states) == 3 and all(s.shape == (1, 6) for s in states)
-    assert summary.shape == (1, 6)
-    states, summary = gru_encode([[1, 2, 3], [4], [5, 6]], emb, fwd, bwd)
-    assert len(states) == 3 and all(s.shape == (3, 6) for s in states)
-    assert summary.shape == (3, 6)
+    states = gru_encode(emb, both_ways(fwd, bwd, [[1, 2, 3]]))
+    assert states.table.shape == (3 * 2 * 1, 3) and states.rows == 1
+    assert finals(states, 0).shape == finals(states, 1).shape == (1, 3)
+    states = gru_encode(emb, both_ways(fwd, bwd, [[1, 2, 3], [4], [5, 6]]))
+    assert states.table.shape == (3 * 2 * 3, 3) and states.rows == 3
+    assert finals(states, 0).shape == finals(states, 1).shape == (3, 3)
+    # runs of different row counts step together, as many steps as the longest sequence
+    runs = both_ways(fwd, bwd, [[1, 2]]) + [(fwd, [[3], [4], [5, 6, 1, 2]], False)]
+    states = gru_encode(emb, runs)
+    assert states.table.shape == (4 * 3 * 3, 3)
+    assert finals(states, 0).shape == (1, 3) and finals(states, 2).shape == (3, 3)
+
+
+def test_gru_encode_rejects_cells_of_different_sizes():
+    store = ParamStore(0)
+    emb = build_embedding(store, "emb", 5, 3)
+    with pytest.raises(DimensionError):
+        gru_encode(emb, [(build_gru_cell(store, "a", 3, 3), [[1]], False),
+                         (build_gru_cell(store, "b", 3, 4), [[1]], False)])
 
 
 def test_gru_encode_is_pure():
     _, emb, fwd, bwd = make_encoder(seed=11)
-    _, s1 = gru_encode([[1, 2, 3], [4, 5]], emb, fwd, bwd)
-    _, s2 = gru_encode([[1, 2, 3], [4, 5]], emb, fwd, bwd)
-    assert np.array_equal(s1.values, s2.values)
+    s1 = gru_encode(emb, both_ways(fwd, bwd, [[1, 2, 3], [4, 5]]))
+    s2 = gru_encode(emb, both_ways(fwd, bwd, [[1, 2, 3], [4, 5]]))
+    assert np.array_equal(s1.table.values, s2.table.values)
 
 
 def test_gru_encode_ragged_batch_matches_each_sequence_alone():
     _, emb, fwd, bwd = make_encoder(seed=3)
     seqs = [[1, 2, 3, 4], [5, 6], [0, 3, 1]]
-    states, summary = gru_encode(seqs, emb, fwd, bwd)
+    states = gru_encode(emb, both_ways(fwd, bwd, seqs))
     for i, seq in enumerate(seqs):
-        alone, alone_summary = gru_encode([seq], emb, fwd, bwd)
-        assert np.allclose(summary.values[i], alone_summary.values[0], rtol=1e-13, atol=1e-15)
-        for t in range(len(seq)):
-            assert np.allclose(states[t].values[i], alone[t].values[0],
+        alone = gru_encode(emb, both_ways(fwd, bwd, [seq]))
+        for run in (0, 1):
+            assert np.allclose(finals(states, run)[i], finals(alone, run)[0],
                                rtol=1e-13, atol=1e-15)
-        # Past its end a sequence's state is held bit for bit: the forward
-        # half keeps its last state, the backward half its zero start.
-        for t in range(len(seq), len(states)):
-            assert np.array_equal(states[t].values[i, :3], states[len(seq) - 1].values[i, :3])
-            assert not states[t].values[i, 3:].any()
+            for t in range(len(seq)):
+                assert np.allclose(read(states, run, i, t), read(alone, run, 0, t),
+                                   rtol=1e-13, atol=1e-15)
+
+
+def oracle_store(seed):
+    """Embedding and two cells under the names the numpy reference reads."""
+    store = ParamStore(seed)
+    emb = build_embedding(store, "model.embed", 6, 3)
+    a = build_gru_cell(store, "model.a", 3, 4)
+    return store, emb, a, build_gru_cell(store, "model.b", 3, 4)
+
+
+# a forward run of three sequences, a reversed run of two and the first cell
+# again over one: three row counts, and every run ragged against the others
+ORACLE_RUNS = (("model.a", [[1, 2, 3, 4], [5], [0, 3, 1]], False),
+               ("model.b", [[2, 4, 1], [3, 3, 5, 0, 1]], True),
+               ("model.a", [[4, 4]], False))
+
+
+def oracle_runs(cells):
+    return [(cells[prefix], seqs, rev) for prefix, seqs, rev in ORACLE_RUNS]
+
+
+def test_gru_encode_states_match_numpy_gru_on_each_sequence_alone():
+    store, emb, a, b = oracle_store(41)
+    states = gru_encode(emb, oracle_runs({"model.a": a, "model.b": b}))
+    P = store.snapshot()
+    for run, (prefix, seqs, rev) in enumerate(ORACLE_RUNS):
+        for row, seq in enumerate(seqs):
+            want = helpers.np_gru_run(P, prefix, seq[::-1] if rev else seq, 4)
+            if rev:
+                want = want[::-1]  # the state at a position has read it and all after it
+            for position, w in enumerate(want):
+                assert np.allclose(read(states, run, row, position), w, rtol=1e-13, atol=1e-15)
+            final = want[0] if rev else want[-1]
+            assert np.array_equal(finals(states, run)[row], read(states, run, row,
+                                                                  0 if rev else len(seq) - 1))
+            assert np.allclose(finals(states, run)[row], final, rtol=1e-13, atol=1e-15)
+
+
+def test_gru_encode_stacked_cell_gradients_match_finite_differences():
+    # 3 random points; the loss reads every state of every sequence, so the
+    # gradient reaches each stacked cell parameter and the shared embedding
+    for point in range(3):
+        store, emb, a, b = oracle_store(50 + point)
+        runs = oracle_runs({"model.a": a, "model.b": b})
+        states = gru_encode(emb, runs)
+        index = [states.index(run, row, p) for run, (_, seqs, _) in enumerate(runs)
+                 for row, seq in enumerate(seqs) for p in range(len(seq))]
+        probe = Tensor(np.random.default_rng(50 + point).normal(size=(len(index), 4)))
+
+        def forward():
+            picked = T.gather(gru_encode(emb, runs).table, index)
+            return T.sum_(T.tanh(T.mul(picked, probe)))
+
+        tape = Tape()
+        tape.watch(store)
+        with tape:
+            loss = forward()
+        analytic = backward(tape, loss)
+        numeric = finite_diff_grads(store, lambda: forward().item())
+        assert_grads_close(analytic, numeric)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +439,11 @@ def test_composite_layer_gradients_match_finite_differences():
         query = rng.normal(size=(2, 2))
 
         def forward():
-            states, _ = gru_encode(tokens, emb, fwd, bwd)
-            keys = att.prepare(T.stack(states, axis=1), [3, 2])
+            states = gru_encode(emb, both_ways(fwd, bwd, tokens))
+            # [forward; backward] per position; position 0 stands in for the padded one
+            index = [states.index(run, i, p if p < len(seq) else 0)
+                     for i, seq in enumerate(tokens) for p in range(3) for run in (0, 1)]
+            keys = att.prepare(T.reshape(T.gather(states.table, index), (2, 3, 4)), [3, 2])
             context, _ = attend(att, Tensor(query), keys)
             out = mlp_forward(mlp, context)
             return T.sum_(T.mul(out, out))

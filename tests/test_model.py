@@ -46,6 +46,16 @@ def tiny_sample(vocab, graph, history="a r0", response="b c"):
     )
 
 
+def encode_graphs(model, graphs):
+    """The knowledge read-out of encode, each graph under a one-token history."""
+    return model.encode([[4]] * len(graphs), graphs).knowledge
+
+
+def encode_histories(model, histories):
+    """The history read-out of encode, each history over a one-triplet graph."""
+    return model.encode(histories, [tiny_graph(1)] * len(histories)).history
+
+
 # ---------------------------------------------------------------------------
 # knowledge encoding
 
@@ -56,10 +66,10 @@ def test_encode_knowledge_identical_triplets_identical_rows():
         [KnowledgeTriplet("a", "r0", "b"), KnowledgeTriplet("a", "r0", "b")],
         DialogueGoal(("[start]", "a", "b")),
     )
-    k = model.encode_knowledge([graph]).rows.values[0]
+    k = encode_graphs(model, [graph]).rows.values[0]
     assert np.array_equal(k[0], k[1])
     # and across graphs encoded in one batch
-    k, k_other = model.encode_knowledge([graph, tiny_graph(1)]).rows.values
+    k, k_other = encode_graphs(model, [graph, tiny_graph(1)]).rows.values
     assert np.array_equal(k[0], k[1])
     assert np.allclose(k_other[0], k[0], atol=1e-15)
 
@@ -67,10 +77,10 @@ def test_encode_knowledge_identical_triplets_identical_rows():
 def test_encode_knowledge_single_triplet_shape():
     model = tiny_model(hidden=4)
     graph = tiny_graph(1)
-    knowledge = model.encode_knowledge([graph])
+    knowledge = encode_graphs(model, [graph])
     assert knowledge.rows.shape == (1, 1, 4)
     assert knowledge.mask is None
-    knowledge = model.encode_knowledge([graph, tiny_graph(2), graph])
+    knowledge = encode_graphs(model, [graph, tiny_graph(2), graph])
     assert knowledge.rows.shape == (3, 2, 4)
     assert np.array_equal(knowledge.mask.values,
                           [[0.0, MASKED], [0.0, 0.0], [0.0, MASKED]])
@@ -83,11 +93,12 @@ def test_encode_knowledge_row_matches_manual_gru_encode():
     longer = KnowledgeGraph([KnowledgeTriplet("a b", "r1", "x y c")],
                             DialogueGoal(("[start]", "a", "c")))
     for graphs in ([graph], [graph, longer]):
-        for k, g in zip(model.encode_knowledge(graphs).rows.values, graphs):
+        for k, g in zip(encode_graphs(model, graphs).rows.values, graphs):
             for i, triplet in enumerate(g.triplets):
                 ids = model.vocab.encode(triplet.tokens())
-                _, summary = gru_encode([ids], model.embed, model.know_cell)
-                row = model.store["model.know.proj.W"].values @ summary.values[0] \
+                states = gru_encode(model.embed, [(model.know_cell, [ids], False)])
+                summary = states.table.values[states.finals(0)]
+                row = model.store["model.know.proj.W"].values @ summary[0] \
                     + model.store["model.know.proj.b"].values
                 assert np.allclose(k[i], row, atol=1e-14)
 
@@ -95,9 +106,9 @@ def test_encode_knowledge_row_matches_manual_gru_encode():
 def test_encode_knowledge_rejects_empty():
     model = tiny_model()
     with pytest.raises(ContractError):
-        model.encode_knowledge(None)
+        model.encode([[4]], None)
     with pytest.raises(ContractError):
-        model.encode_knowledge([tiny_graph(), None])
+        model.encode([[4], [4]], [tiny_graph(), None])
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +156,7 @@ def test_prior_masked_triplets_get_zero_weight():
 
 def test_posterior_single_triplet_is_one():
     model = tiny_model()
-    k = model.encode_knowledge([tiny_graph(1)]).rows
+    k = encode_graphs(model, [tiny_graph(1)]).rows
     x = Tensor(np.zeros((1, 3)))
     y = Tensor(np.zeros((1, 3)))
     post = posterior_distribution(k, x, y, model.post_mlp)
@@ -350,7 +361,7 @@ def test_decode_logits_shape():
     model = tiny_model()
     V = len(model.vocab)
     for samples in ([tiny_sample(model.vocab, tiny_graph())], ragged_pair(model.vocab)):
-        history = model.encode_history([s.history for s in samples])
+        history = encode_histories(model, [s.history for s in samples])
         fused = Tensor(np.zeros((len(samples), model.hidden_dim)))
         logits = model.decode_with_knowledge(history, fused, [s.response for s in samples])
         assert logits.shape == (sum(len(s.response) for s in samples), V)
@@ -360,7 +371,7 @@ def test_decode_projects_all_positions_in_one_matmul():
     model = tiny_model()
     samples = ragged_pair(model.vocab)
     assert len(samples[0].response) > 1
-    history = model.encode_history([s.history for s in samples])
+    history = encode_histories(model, [s.history for s in samples])
     tape = T.Tape()
     tape.watch(model.store)
     with tape:
@@ -374,10 +385,10 @@ def test_decode_projects_all_positions_in_one_matmul():
 
 def test_decode_empty_response_rejected():
     model = tiny_model()
-    history = model.encode_history([[4]])
+    history = encode_histories(model, [[4]])
     with pytest.raises(ContractError):
         model.decode_with_knowledge(history, Tensor(np.zeros((1, 3))), [[]])
-    history = model.encode_history([[4], [5, 6]])
+    history = encode_histories(model, [[4], [5, 6]])
     with pytest.raises(ContractError):
         model.decode_with_knowledge(history, Tensor(np.zeros((2, 3))), [[4], []])
 
@@ -388,9 +399,9 @@ def test_decode_matches_numpy_reference():
     H = model.hidden_dim
     pair = ragged_pair(model.vocab)
     for samples in (pair[:1], pair):
-        history = model.encode_history([s.history for s in samples])
-        y_sum = model.encode_response([s.response for s in samples])
-        knowledge = model.encode_knowledge([s.graph for s in samples])
+        history, knowledge, _, y_sum = model.encode(
+            [s.history for s in samples], [s.graph for s in samples],
+            [s.response for s in samples])
         posts = posterior_distribution(knowledge.rows, history.summary, y_sum,
                                        model.post_mlp, knowledge.mask)
         fused = model.fuse_knowledge(knowledge.rows, posts)
@@ -419,7 +430,7 @@ def test_decode_zero_fusion_equals_plain_attentive_seq2seq():
     H = model.hidden_dim
     pair = ragged_pair(model.vocab)
     for samples in (pair[:1], pair):
-        history = model.encode_history([s.history for s in samples])
+        history = encode_histories(model, [s.history for s in samples])
         got = model.decode_with_knowledge(history, Tensor(np.zeros((len(samples), H))),
                                           [s.response for s in samples]).values
         want = []
@@ -624,11 +635,11 @@ def test_mixed_graph_batch_equals_single_samples():
     assert abs(loss.item() - mean) <= 1e-12 * abs(mean)
 
     # padded triplets get exactly no weight, from the prior or the posterior
-    history, knowledge, prior = model._encode_with_prior(
-        [s.history for s in samples], [s.graph for s in samples])
+    history, knowledge, prior, response = model.encode(
+        [s.history for s in samples], [s.graph for s in samples],
+        [s.response for s in samples])
     posterior = posterior_distribution(
-        knowledge.rows, history.summary, model.encode_response([s.response for s in samples]),
-        model.post_mlp, knowledge.mask)
+        knowledge.rows, history.summary, response, model.post_mlp, knowledge.mask)
     for i, s in enumerate(samples):
         for dist in (prior.values[i], posterior.values[i]):
             assert np.all(dist[len(s.graph):] == 0.0)
@@ -651,7 +662,7 @@ def test_masked_selection_gradients_match_finite_differences():
                            DialogueGoal(("[start]", "b", "a")))
     samples = [tiny_sample(model.vocab, one, history="a r0 b", response="b"),
                tiny_sample(model.vocab, three, history="r1 a", response="a b a")]
-    assert model.encode_knowledge([one, three]).mask is not None
+    assert encode_graphs(model, [one, three]).mask is not None
     names = [n for n in model.store.names()
              if n.startswith(("model.post.", "model.bow.", "model.know.", "model.enc.proj."))]
     _, analytic = _recorded_objective(model, samples)
@@ -674,6 +685,47 @@ def test_forward_tape_size_does_not_grow_with_batch():
         return len(tape.nodes)
 
     assert nodes(texts[:2]) == nodes(texts)
+
+
+def _sigmoid_nodes(run):
+    tape = T.Tape()
+    with tape:
+        run()
+    return sum(kind == "sigmoid" for kind, _, _ in tape.nodes)
+
+
+def test_encoders_step_in_lockstep():
+    # A GRU step records two sigmoid nodes. Every encoder steps together, as
+    # many steps as the longest history, response or triplet; the decoder
+    # then steps as many as the longest response.
+    model = tiny_model(seed=37)
+    vocab = model.vocab
+    long_triplet = KnowledgeGraph([KnowledgeTriplet("a b c", "r0", "x y a"),
+                                   KnowledgeTriplet("a", "r1", "b")],
+                                  DialogueGoal(("[start]", "a", "b")))
+    batches = {
+        "history": [tiny_sample(vocab, tiny_graph(), history="a r0 b c x y a b", response="b"),
+                    tiny_sample(vocab, tiny_graph(1))],
+        "response": [tiny_sample(vocab, tiny_graph(), history="a", response="a b c x y a b")],
+        "triplet": [tiny_sample(vocab, long_triplet, history="a", response="b"),
+                    tiny_sample(vocab, tiny_graph(), history="x y", response="c a b")],
+    }
+    for longest, samples in batches.items():
+        lengths = {
+            "history": max(len(s.history) for s in samples),
+            "response": max(len(s.response) for s in samples),
+            "triplet": max(len(vocab.encode(t.tokens()))
+                           for s in samples for t in s.graph.triplets),
+        }
+        assert max(lengths, key=lengths.get) == longest
+        assert _sigmoid_nodes(lambda: model.forward(samples)) == \
+            2 * (max(lengths.values()) + lengths["response"]), longest
+        # generate runs the history and triplet encoders only, then one decoder step
+        sample = samples[0]
+        encoder_steps = max(len(sample.history), max(len(vocab.encode(t.tokens()))
+                                                     for t in sample.graph.triplets))
+        assert _sigmoid_nodes(lambda: model.generate(sample.history, sample.graph, 1)) == \
+            2 * (encoder_steps + 1), longest
 
 
 def test_overfit_single_sample_decreases_nll_and_bow():

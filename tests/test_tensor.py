@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,35 @@ def test_backward_twice_is_identical():
     assert np.array_equal(first["w"].values, second["w"].values)
 
 
+def test_backward_peak_memory_does_not_grow_with_chain_length():
+    # Each node's gradient is dropped once its rule has run, so a chain of
+    # ops holds a few vectors' worth of gradients at a time, however long.
+    size = 20_000
+    nbytes = size * 8
+
+    def peak(length):
+        store = ParamStore(0)
+        x = store.add("x", np.linspace(-1.0, 1.0, size))
+        tape = Tape()
+        tape.watch(store)
+        with tape:
+            h = x
+            for _ in range(length):
+                h = T.tanh(h)
+            loss = T.sum_(h)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            backward(tape, loss)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(10), peak(80)
+    assert long < short + 2 * nbytes, (short, long)
+    assert long < 8 * nbytes, long
+
+
 def test_mlp_gradients_match_finite_differences():
     # 2-layer MLP with a scalar loss; the oracle is central differences.
     rng = np.random.default_rng(5)
@@ -217,6 +247,12 @@ PRIMITIVE_CASES = [
     ("stack_matrices", lambda p, c: T.stack([p, c, p]), (2, 3), (2, 3)),
     ("stack_axis1", lambda p, c: T.stack([c, p], axis=1), (2, 3), (2, 3)),
     ("concat_last_of_3d", lambda p, c: T.concat([p, c], axis=2), (2, 3, 2), (2, 3, 1)),
+    # the stacked gate matrices of a lockstep gru_encode
+    ("transpose_3d", lambda p, c: T.matmul(c, T.transpose(p)), (2, 4, 3), (2, 3, 3)),
+    # a right operand's deferred a^T g terms: two of them stacked, and one
+    # settled onto a gradient another rule started
+    ("matmul_rhs_twice", lambda p, c: T.matmul(T.matmul(c, p), p), (3, 3), (2, 4, 3)),
+    ("matmul_rhs_and_add", lambda p, c: T.add(T.matmul(c, p), p), (3, 3), (2, 3, 3)),
 ]
 
 
@@ -311,6 +347,8 @@ def test_backward_results_own_their_memory_and_match_finite_differences():
 def test_transpose_rejects_non_matrix():
     with pytest.raises(DimensionError):
         T.transpose(T.Tensor([1.0, 2.0]))
+    with pytest.raises(DimensionError):
+        T.transpose(T.Tensor(np.zeros((2, 2, 2, 2))))
 
 
 @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8))
