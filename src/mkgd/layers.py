@@ -1,4 +1,4 @@
-"""Recurrent and feed-forward building blocks: embedding, GRU, attention, MLP.
+"""Recurrent and feed-forward building blocks: GRU, attention, MLP, ragged batches.
 
 All layers are pure functions of (parameters, inputs). Parameters live in a
 ParamStore and are registered under stable dotted names so checkpoints stay
@@ -9,6 +9,7 @@ record one recurrence between them.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -16,20 +17,6 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from . import tensor as T
 from .tensor import Tensor
-
-
-class EmbeddingLayer:
-    def __init__(self, weight):
-        self.weight = weight
-
-    def lookup(self, indices):
-        """Rows `indices` of the table, as an (n, embed_dim) matrix."""
-        return T.gather(self.weight, indices)
-
-
-def build_embedding(store, prefix, vocab_size, embed_dim):
-    w = store.create(f"{prefix}.W", (vocab_size, embed_dim), init="uniform")
-    return EmbeddingLayer(w)
 
 
 class GruCell:
@@ -94,12 +81,28 @@ def stack_cells(cells):
     return GruCell(tuple(params), first.input_dim, H)
 
 
-class GruRun(NamedTuple):
-    """One recurrence of gru_encode: a cell over a batch of token-index sequences."""
+MASKED = -1e30  # added to the score of a padded key: its softmax weight is exactly 0
 
-    cell: GruCell
-    sequences: list
-    reversed: bool  # read each sequence from its own last token
+
+class Ragged:
+    """Rows of `lengths` padded to one (B, L) grid, L by default the longest row.
+
+    The one rule for every padded batch: a position past its row's length
+    reads position 0 (positions) or the fill token (tokens); mask is 0 on
+    real positions and MASKED past them, and None when nothing is padded.
+    """
+
+    def __init__(self, lengths, width=None):
+        columns = np.arange(np.max(lengths) if width is None else width)
+        self.real = columns < np.asarray(lengths)[:, None]  # (B, L) bools
+        self.positions = np.where(self.real, columns, 0)
+        self.mask = None if self.real.all() else Tensor(np.where(self.real, 0.0, MASKED))
+
+    def tokens(self, sequences, fill):
+        """(B, L) grid of each sequence's tokens in order, fill past its end."""
+        grid = np.full(self.real.shape, fill, dtype=np.int64)
+        grid[self.real] = np.fromiter(chain.from_iterable(sequences), np.int64)
+        return grid
 
 
 class GruStates(NamedTuple):
@@ -109,57 +112,52 @@ class GruStates(NamedTuple):
     """
 
     table: Tensor
-    runs: tuple  # the GruRuns, in order
-    rows: int    # R, the largest row count of any run
+    lengths: tuple   # per run, an int array of its sequences' lengths
+    reversed: tuple  # per run, whether it read each sequence from its last token
+    rows: int        # R, the largest row count of any run
 
-    def index(self, run, row, position):
-        """Table row of the state after reading token `position` of sequence `row`."""
-        r = self.runs[run]
-        step = len(r.sequences[row]) - 1 - position if r.reversed else position
-        return (step * len(self.runs) + run) * self.rows + row
+    def at(self, run, rows, positions):
+        """Table rows of the states after reading token `positions` (ints or arrays) of `rows`."""
+        step = self.lengths[run][rows] - 1 - positions if self.reversed[run] else positions
+        return (step * len(self.lengths) + run) * self.rows + rows
 
     def finals(self, run):
         """Table rows of each sequence's final state, after its last token read."""
-        r = self.runs[run]
-        return [self.index(run, i, 0 if r.reversed else len(s) - 1)
-                for i, s in enumerate(r.sequences)]
+        lengths = self.lengths[run]
+        return self.at(run, np.arange(len(lengths)), 0 if self.reversed[run] else lengths - 1)
 
 
 def gru_encode(embedding, runs):
     """Step G GRU runs in lockstep, one step for every run's rows at once.
 
-    runs are (cell, sequences, reversed) triples over cells of one shape; a
-    reversed run reads each sequence from its own last token. The cells are
-    stacked once, with stack_cells, and each step multiplies (G, R, E)
-    inputs, R the largest row count, so the whole encoding takes as many
-    steps as the longest sequence of any run. A row past its sequence's end,
-    or past its run's rows, reads token 0 and steps on; its later states are
-    never read, so no mask is needed. Read a state with one gather of the
-    returned GruStates' table at GruStates.index or GruStates.finals.
+    embedding is the (V, E) token table and runs are (cell, sequences,
+    reversed) triples over cells of one shape; a reversed run reads each
+    sequence from its own last token. The cells are stacked once, with
+    stack_cells, and each step multiplies (G, R, E) inputs, R the largest
+    row count, so the whole encoding takes as many steps as the longest
+    sequence of any run. A row past its sequence's end, or past its run's
+    rows, reads token 0 and steps on; its later states are never read, so
+    no mask is needed. Read states with one gather of the returned
+    GruStates' table at GruStates.at or GruStates.finals.
     """
-    runs = tuple(GruRun(cell, [list(s) for s in sequences], rev)
-                 for cell, sequences, rev in runs)
-    if not runs or not all(r.sequences and all(r.sequences) for r in runs):
+    if not runs or not all(seqs and all(len(s) for s in seqs) for _, seqs, _ in runs):
         raise ContractError("gru_encode on empty sequence")
-    G, R = len(runs), max(len(r.sequences) for r in runs)
-    steps = max(len(s) for r in runs for s in r.sequences)
-    cell = stack_cells([r.cell for r in runs])
-    tokens = np.zeros((steps, G, R), dtype=np.int64)
-    for g, r in enumerate(runs):
-        for i, s in enumerate(r.sequences):
-            tokens[:len(s), g, i] = s[::-1] if r.reversed else s
+    lengths = tuple(np.array([len(s) for s in seqs]) for _, seqs, _ in runs)
+    G, R = len(runs), max(map(len, lengths))
+    cell = stack_cells([c for c, _, _ in runs])
+    # One ragged batch of G * R rows; a row past its run's rows has length 0.
+    padded = np.concatenate([np.pad(n, (0, R - len(n))) for n in lengths])
+    grid = Ragged(padded).tokens([s[::-1] if rev else s for _, seqs, rev in runs for s in seqs], 0)
+    tokens = grid.T.reshape(-1, G, R)  # (steps, G, R)
     mats = cell.transposed()
     h = Tensor(np.zeros((G, R, cell.hidden_dim)))
     states = []
     for ids in tokens:
-        x = T.reshape(embedding.lookup(ids.reshape(-1)), (G, R, cell.input_dim))
+        x = T.reshape(T.gather(embedding, ids.reshape(-1)), (G, R, cell.input_dim))
         h = cell.step(x, h, mats)
         states.append(h)
-    table = T.reshape(T.stack(states), (steps * G * R, cell.hidden_dim))
-    return GruStates(table, runs, R)
-
-
-MASKED = -1e30  # added to the score of a padded key: its softmax weight is exactly 0
+    table = T.reshape(T.stack(states), (len(states) * G * R, cell.hidden_dim))
+    return GruStates(table, lengths, tuple(rev for _, _, rev in runs), R)
 
 
 class AttentionKeys(NamedTuple):
@@ -191,12 +189,10 @@ class AttentionLayer:
         if keys.values.ndim != 3 or not keys.shape[1]:
             raise ContractError(f"attend needs a non-empty (B, L, key_dim) key stack, "
                                 f"got {keys.shape}")
-        q, L = self.query_dim, keys.shape[1]
+        q = self.query_dim
         W_k = T.slice_(self.W, q, q + self.key_dim)
         projected = T.add(T.matmul(keys, W_k), self.b)
-        mask = None
-        if any(n < L for n in lengths):
-            mask = Tensor(np.array([[0.0] * n + [MASKED] * (L - n) for n in lengths]))
+        mask = Ragged(lengths, keys.shape[1]).mask
         return AttentionKeys(keys, projected, T.slice_(self.W, 0, q), mask)
 
     def scores(self, query, keys):

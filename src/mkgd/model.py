@@ -21,7 +21,7 @@ scoring (the response must not leak into its own score).
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -29,9 +29,8 @@ import numpy as np
 from .dialogue import KnowledgeGraph
 from .errors import ContractError, DimensionError
 from .layers import (
-    MASKED,
+    Ragged,
     build_attention,
-    build_embedding,
     build_gru_cell,
     build_mlp,
     attend,
@@ -85,12 +84,11 @@ def _neg_log_sums(kind, probs, rows, responses):
     constant (B, N) matrix of -1s sums them per response.
     """
     count, vocab = probs.shape
-    targets = [t for r in responses for t in r]
-    for target in targets:
-        if not (0 <= target < vocab):
-            raise ContractError(f"{kind}: target token {target} outside vocab of {vocab}")
-    picked = T.gather(T.reshape(probs, (count * vocab, 1)),
-                      [row * vocab + t for row, t in zip(rows, targets)])
+    targets = np.fromiter(chain.from_iterable(responses), np.int64)
+    bad = (targets < 0) | (targets >= vocab)
+    if bad.any():
+        raise ContractError(f"{kind}: target token {targets[bad][0]} outside vocab of {vocab}")
+    picked = T.gather(T.reshape(probs, (count * vocab, 1)), rows * vocab + targets)
     log_p = T.log(T.reshape(picked, (len(targets),)), floor=PROB_FLOOR)
     segments = -np.repeat(np.eye(len(responses)), [len(r) for r in responses], axis=1)
     return T.matmul(Tensor(segments), log_p)
@@ -108,7 +106,7 @@ def nll_loss(token_logits, responses):
         raise ContractError(
             f"nll: logits of shape {token_logits.shape} for {count} target tokens"
         )
-    return _neg_log_sums("nll", T.softmax(token_logits), range(count), responses)
+    return _neg_log_sums("nll", T.softmax(token_logits), np.arange(count), responses)
 
 
 def bow_loss(fused_knowledge, responses, bow_mlp):
@@ -117,7 +115,7 @@ def bow_loss(fused_knowledge, responses, bow_mlp):
         raise ContractError(f"bow: {fused_knowledge.shape[0]} knowledge rows "
                             f"for {len(responses)} responses")
     probs = T.softmax(mlp_forward(bow_mlp, fused_knowledge))
-    rows = [i for i, r in enumerate(responses) for _ in r]
+    rows = np.repeat(np.arange(len(responses)), list(map(len, responses)))
     return _neg_log_sums("bow", probs, rows, responses)
 
 
@@ -130,9 +128,9 @@ class ScoreResult(NamedTuple):
 class HistoryEncoding(NamedTuple):
     """A history batch as encode_history returns it."""
 
-    states: Tensor   # (B, L, 2H): [forward_t; backward_t] per position
-    lengths: tuple   # tokens per history; attention ignores positions past them
-    summary: Tensor  # (B, H): the projected [final forward; final backward]
+    states: Tensor       # (B, L, 2H): [forward_t; backward_t] per position
+    lengths: np.ndarray  # tokens per history; attention ignores positions past them
+    summary: Tensor      # (B, H): the projected [final forward; final backward]
 
 
 class Knowledge(NamedTuple):
@@ -177,7 +175,7 @@ class DialogueModel:
 
         V, E, H = len(vocab), embed_dim, hidden_dim
         store = ParamStore(seed)
-        self.embed = build_embedding(store, "model.embed", V, E)
+        self.embed = store.create("model.embed.W", (V, E), init="uniform")
         self.enc_fwd = build_gru_cell(store, "model.enc.fwd", E, H)
         self.enc_bwd = build_gru_cell(store, "model.enc.bwd", E, H)
         self.enc_proj_W = store.create("model.enc.proj.W", (H, 2 * H), init="xavier")
@@ -224,17 +222,17 @@ class DialogueModel:
         A history's positions past its end repeat position 0; attention
         masks them.
         """
-        histories = states.runs[HISTORY_FWD].sequences
-        B, L, H = len(histories), max(len(h) for h in histories), self.hidden_dim
-        index = [states.index(run, i, p if p < len(h) else 0)
-                 for i, h in enumerate(histories) for p in range(L)
-                 for run in (HISTORY_FWD, HISTORY_BWD)]
-        rows = T.reshape(T.gather(states.table, index), (B, L, 2 * H))
-        finals = [i for pair in zip(states.finals(HISTORY_FWD), states.finals(HISTORY_BWD))
-                  for i in pair]
-        summary = T.reshape(T.gather(states.table, finals), (B, 2 * H))
+        lengths = states.lengths[HISTORY_FWD]
+        positions = Ragged(lengths).positions
+        (B, L), H = positions.shape, self.hidden_dim
+        samples = np.arange(B)[:, None]
+        index = np.stack([states.at(run, samples, positions)
+                          for run in (HISTORY_FWD, HISTORY_BWD)], axis=-1)
+        rows = T.reshape(T.gather(states.table, index.reshape(-1)), (B, L, 2 * H))
+        finals = np.stack([states.finals(HISTORY_FWD), states.finals(HISTORY_BWD)], axis=1)
+        summary = T.reshape(T.gather(states.table, finals.reshape(-1)), (B, 2 * H))
         x_summary = T.add(T.matmul(summary, T.transpose(self.enc_proj_W)), self.enc_proj_b)
-        return HistoryEncoding(rows, tuple(len(h) for h in histories), x_summary)
+        return HistoryEncoding(rows, lengths, x_summary)
 
     def encode_response(self, states):
         """(B, H) final response states, read out of encode's states."""
@@ -251,18 +249,13 @@ class DialogueModel:
         over the whole stack.
         """
         unique = _distinct(graphs)
-        starts = dict(zip(map(id, unique), accumulate((len(g) for g in unique), initial=0)))
-        finals = states.finals(KNOWLEDGE)
-        n = max(len(g) for g in unique)
-        index = [finals[starts[id(g)] + (j if j < len(g) else 0)]
-                 for g in graphs for j in range(n)]
-        summary = T.gather(states.table, index)
+        starts = dict(zip(map(id, unique), accumulate(map(len, unique), initial=0)))
+        pad = Ragged(list(map(len, graphs)))
+        first = np.array([starts[id(g)] for g in graphs])
+        index = states.finals(KNOWLEDGE)[first[:, None] + pad.positions]
+        summary = T.gather(states.table, index.reshape(-1))
         rows = T.add(T.matmul(summary, T.transpose(self.know_proj_W)), self.know_proj_b)
-        stack = T.reshape(rows, (len(graphs), n, self.hidden_dim))
-        mask = None
-        if any(len(g) < n for g in graphs):
-            mask = Tensor(np.array([[0.0] * len(g) + [MASKED] * (n - len(g)) for g in graphs]))
-        return Knowledge(stack, mask)
+        return Knowledge(T.reshape(rows, index.shape + (self.hidden_dim,)), pad.mask)
 
     def fuse_knowledge(self, k_stack, weights):
         """Deterministic expectation: row i is sum_j weights_ij * k_ij."""
@@ -274,7 +267,7 @@ class DialogueModel:
     def _decode_step(self, prev_tokens, hidden, keys, fused, mats):
         """One attentive decoder step for a batch; projecting the new state is the caller's job."""
         context, _ = attend(self.att, hidden, keys)
-        x = T.concat([self.embed.lookup(prev_tokens), context, fused], axis=1)
+        x = T.concat([T.gather(self.embed, prev_tokens), context, fused], axis=1)
         return self.dec_cell.step(x, hidden, mats)
 
     def decode_with_knowledge(self, history, fused, responses):
@@ -295,19 +288,20 @@ class DialogueModel:
         keys = self.att.prepare(history.states, history.lengths)
         mats = self.dec_cell.transposed()
         hidden = self.dec_cell.initial_state(batch)
-        prev = [self.vocab.BOS] * batch
-        steps = max(len(r) for r in responses)
+        pad = Ragged(list(map(len, responses)))
         # A finished response keeps stepping on PAD; those states are dropped
         # below, so no mask is needed.
+        tokens = pad.tokens(responses, self.vocab.PAD)
+        steps = tokens.shape[1]
+        prev = np.full(batch, self.vocab.BOS)
         states = []
         for t in range(steps):
             hidden = self._decode_step(prev, hidden, keys, fused, mats)
             states.append(hidden)
-            prev = [r[t] if t < len(r) else self.vocab.PAD for r in responses]
+            prev = tokens[:, t]
         rows = T.reshape(T.stack(states, axis=1), (batch * steps, H))
-        if any(len(r) < steps for r in responses):
-            rows = T.gather(rows, [i * steps + t for i, r in enumerate(responses)
-                                   for t in range(len(r))])
+        if pad.mask is not None:
+            rows = T.gather(rows, np.flatnonzero(pad.real))
         # W h^T, not h W^T, as in mlp_forward: out.W's gradient comes out C-ordered.
         return T.add(T.transpose(T.matmul(self.out_W, T.transpose(rows))), self.out_b)
 

@@ -52,12 +52,14 @@ class Tape:
     Nodes are (kind, input_node_ids, saved) tuples appended in creation
     order; every node's inputs precede it, so a single reverse sweep in
     backward() visits each node exactly once. Use as a context manager to
-    enable recording.
+    record, once: leaving it detaches the watched parameters, so they do
+    not keep the tape alive.
     """
 
     def __init__(self):
         self.nodes = []
         self.watched = {}  # param name -> leaf node id
+        self.leaves = []  # the watched Tensors; None once recording has ended
 
     def watch(self, store):
         """Register every entry of a ParamStore as a leaf node."""
@@ -72,17 +74,23 @@ class Tape:
         t.node_id = nid
         t.tape = self
         self.watched[name] = nid
+        self.leaves.append(t)
 
     def __enter__(self):
         global _ACTIVE_TAPE
         if _ACTIVE_TAPE is not None:
             raise ContractError("a tape is already recording")
+        if self.leaves is None:
+            raise ContractError("a tape records once; use a fresh Tape")
         _ACTIVE_TAPE = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
         global _ACTIVE_TAPE
         _ACTIVE_TAPE = None
+        for t in self.leaves:
+            t.node_id = t.tape = None
+        self.leaves = None
         return False
 
 

@@ -5,11 +5,13 @@ from hypothesis import given, strategies as st
 import helpers
 from helpers import assert_grads_close, finite_diff_grads
 from mkgd import tensor as T
-from mkgd.errors import ContractError, DimensionError, VocabError
+from mkgd.errors import ContractError, DimensionError
 from mkgd.layers import (
+    MASKED,
+    GruStates,
+    Ragged,
     attend,
     build_attention,
-    build_embedding,
     build_gru_cell,
     build_mlp,
     gru_encode,
@@ -22,28 +24,6 @@ from mkgd.tensor import Tape, Tensor, backward
 def set_all(store, names_to_values):
     for name, vals in names_to_values.items():
         store.set_values(name, np.asarray(vals, dtype=np.float64))
-
-
-# ---------------------------------------------------------------------------
-# embedding
-
-
-def test_embedding_lookup_returns_exact_row():
-    store = ParamStore(0)
-    emb = build_embedding(store, "emb", 6, 3)
-    rows = emb.lookup([4, 1, 4])
-    assert rows.shape == (3, 3)
-    for row, index in zip(rows.values, [4, 1, 4]):
-        assert np.array_equal(row, store["emb.W"].values[index])
-
-
-def test_embedding_rejects_out_of_range():
-    store = ParamStore(0)
-    emb = build_embedding(store, "emb", 6, 3)
-    with pytest.raises(VocabError):
-        emb.lookup([6])
-    with pytest.raises(VocabError):
-        emb.lookup([2, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +85,7 @@ def test_gru_zero_weights_zero_input_is_fixed_map():
 
 def make_encoder(seed=0, vocab=7, embed=3, hidden=3, bidirectional=True):
     store = ParamStore(seed)
-    emb = build_embedding(store, "emb", vocab, embed)
+    emb = store.create("emb.W", (vocab, embed), init="uniform")
     fwd = build_gru_cell(store, "enc.fwd", embed, hidden)
     bwd = build_gru_cell(store, "enc.bwd", embed, hidden) if bidirectional else None
     return store, emb, fwd, bwd
@@ -118,7 +98,7 @@ def both_ways(fwd, bwd, sequences):
 
 def read(states, run, row, position):
     """A run's state after reading token `position` of sequence `row`."""
-    return states.table.values[states.index(run, row, position)]
+    return states.table.values[states.at(run, row, position)]
 
 
 def finals(states, run):
@@ -157,7 +137,7 @@ def test_gru_encode_empty_sequence_rejected():
 def test_gru_encode_reversal_swaps_directions():
     # forward summary of s equals backward summary of reverse(s) with cells swapped
     store = ParamStore(5)
-    emb = build_embedding(store, "emb", 9, 3)
+    emb = store.create("emb.W", (9, 3), init="uniform")
     cell_a = build_gru_cell(store, "a", 3, 4)
     cell_b = build_gru_cell(store, "b", 3, 4)
     seqs = [[1, 5, 2, 7], [3, 8]]
@@ -183,7 +163,7 @@ def test_gru_encode_bidirectional_shapes():
 
 def test_gru_encode_rejects_cells_of_different_sizes():
     store = ParamStore(0)
-    emb = build_embedding(store, "emb", 5, 3)
+    emb = store.create("emb.W", (5, 3), init="uniform")
     with pytest.raises(DimensionError):
         gru_encode(emb, [(build_gru_cell(store, "a", 3, 3), [[1]], False),
                          (build_gru_cell(store, "b", 3, 4), [[1]], False)])
@@ -210,10 +190,50 @@ def test_gru_encode_ragged_batch_matches_each_sequence_alone():
                                    rtol=1e-13, atol=1e-15)
 
 
+@st.composite
+def ragged_runs(draw):
+    """1-4 runs of 1-5 sequence lengths in 1-8, each forward or reversed."""
+    return [(draw(st.lists(st.integers(1, 8), min_size=1, max_size=5)), draw(st.booleans()))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@given(ragged_runs(), st.integers(0, 2))
+def test_ragged_readout_matches_per_element_formulas(runs, extra):
+    # No GRU runs: the states' table rows depend only on the runs' layout.
+    G, R = len(runs), max(len(n) for n, _ in runs)
+    states = GruStates(None, tuple(np.array(n) for n, _ in runs),
+                       tuple(rev for _, rev in runs), R)
+
+    def index(run, row, position):
+        """Table row of a state, one element at a time."""
+        n, rev = runs[run]
+        step = n[row] - 1 - position if rev else position
+        return (step * G + run) * R + row
+
+    for run, (n, rev) in enumerate(runs):
+        L = max(n) + extra
+        pad = Ragged(n, L)
+        padded = [[p if p < k else 0 for p in range(L)] for k in n]
+        assert pad.positions.tolist() == padded
+        assert pad.real.tolist() == [[p < k for p in range(L)] for k in n]
+        if all(k == L for k in n):
+            assert pad.mask is None
+        else:
+            assert pad.mask.values.tolist() == [[0.0] * k + [MASKED] * (L - k) for k in n]
+        sequences = [list(range(10 * i + 1, 10 * i + 1 + k)) for i, k in enumerate(n)]
+        assert pad.tokens(sequences, -1).tolist() == [
+            [s[p] if p < len(s) else -1 for p in range(L)] for s in sequences]
+        rows = np.arange(len(n))[:, None]
+        assert states.at(run, rows, pad.positions).tolist() == [
+            [index(run, i, p) for p in row] for i, row in enumerate(padded)]
+        assert states.finals(run).tolist() == [index(run, i, 0 if rev else k - 1)
+                                               for i, k in enumerate(n)]
+
+
 def oracle_store(seed):
     """Embedding and two cells under the names the numpy reference reads."""
     store = ParamStore(seed)
-    emb = build_embedding(store, "model.embed", 6, 3)
+    emb = store.create("model.embed.W", (6, 3), init="uniform")
     a = build_gru_cell(store, "model.a", 3, 4)
     return store, emb, a, build_gru_cell(store, "model.b", 3, 4)
 
@@ -253,7 +273,7 @@ def test_gru_encode_stacked_cell_gradients_match_finite_differences():
         store, emb, a, b = oracle_store(50 + point)
         runs = oracle_runs({"model.a": a, "model.b": b})
         states = gru_encode(emb, runs)
-        index = [states.index(run, row, p) for run, (_, seqs, _) in enumerate(runs)
+        index = [states.at(run, row, p) for run, (_, seqs, _) in enumerate(runs)
                  for row, seq in enumerate(seqs) for p in range(len(seq))]
         probe = Tensor(np.random.default_rng(50 + point).normal(size=(len(index), 4)))
 
@@ -429,7 +449,7 @@ def test_composite_layer_gradients_match_finite_differences():
     for point in range(20):
         rng = np.random.default_rng(6 + point)
         store = ParamStore(6 + point)
-        emb = build_embedding(store, "emb", 5, 2)
+        emb = store.create("emb.W", (5, 2), init="uniform")
         fwd = build_gru_cell(store, "enc.fwd", 2, 2)
         bwd = build_gru_cell(store, "enc.bwd", 2, 2)
         att = build_attention(store, "att", 2, 4, 2)
@@ -441,7 +461,7 @@ def test_composite_layer_gradients_match_finite_differences():
         def forward():
             states = gru_encode(emb, both_ways(fwd, bwd, tokens))
             # [forward; backward] per position; position 0 stands in for the padded one
-            index = [states.index(run, i, p if p < len(seq) else 0)
+            index = [states.at(run, i, p if p < len(seq) else 0)
                      for i, seq in enumerate(tokens) for p in range(3) for run in (0, 1)]
             keys = att.prepare(T.reshape(T.gather(states.table, index), (2, 3, 4)), [3, 2])
             context, _ = attend(att, Tensor(query), keys)

@@ -163,6 +163,15 @@ def test_inner_update_does_not_corrupt_snapshot():
         assert np.array_equal(t.values, snap[name])
 
 
+def test_inner_update_leaves_no_parameter_referencing_a_tape():
+    # A parameter still attached to the step's tape would keep its saved
+    # arrays (the stacked encoder gate matrices among them) alive.
+    tasks, model = mini_pool(1, seed=3)
+    inner_update(model, tasks[0], MetaConfig(alpha=0.01, inner_steps=1))
+    assert [name for name, t in model.store.items()
+            if t.tape is not None or t.node_id is not None] == []
+
+
 # ---------------------------------------------------------------------------
 # meta_batch_step
 

@@ -80,10 +80,21 @@ def test_softmax_empty_axis_rejected():
         T.softmax(Tensor(np.zeros((0,))))
 
 
+def test_gather_returns_exact_rows():
+    store = ParamStore(0)
+    table = store.create("emb.W", (6, 3), init="uniform")
+    rows = T.gather(table, [4, 1, 4])
+    assert rows.shape == (3, 3)
+    for row, index in zip(rows.values, [4, 1, 4]):
+        assert np.array_equal(row, table.values[index])
+
+
 def test_gather_rejects_out_of_range():
     table = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(VocabError):
         T.gather(table, [2])
+    with pytest.raises(VocabError):
+        T.gather(table, [1, -1])
 
 
 def test_backward_square():
@@ -95,6 +106,21 @@ def test_backward_square():
         loss = T.sum_(T.mul(x, x))
     grads = backward(tape, loss)
     assert grads["x"].values[0] == pytest.approx(6.0, abs=1e-12)
+
+
+def test_tape_records_once_and_detaches_its_parameters():
+    store = ParamStore(0)
+    x = store.add("x", [3.0])
+    tape = Tape()
+    tape.watch(store)
+    with tape:
+        loss = T.sum_(T.mul(x, x))
+    # the parameter no longer keeps the tape alive, and backward still reaches it
+    assert x.tape is None and x.node_id is None
+    assert backward(tape, loss)["x"].values[0] == pytest.approx(6.0, abs=1e-12)
+    with pytest.raises(ContractError):
+        with tape:
+            pass
 
 
 def test_backward_sigmoid_at_zero():
