@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 import helpers
 from helpers import assert_grads_close, finite_diff_grads
 from mkgd import tensor as T
-from mkgd.errors import ContractError, DimensionError
+from mkgd.errors import ContractError, DimensionError, VocabError
 from mkgd.layers import (
     MASKED,
     GruStates,
@@ -24,6 +24,20 @@ from mkgd.tensor import Tape, Tensor, backward
 def set_all(store, names_to_values):
     for name, vals in names_to_values.items():
         store.set_values(name, np.asarray(vals, dtype=np.float64))
+
+
+# ---------------------------------------------------------------------------
+# Embedding lookup
+
+
+def test_embedding_rejects_out_of_range():
+    store = ParamStore(0)
+    embed = store.create("emb.W", (6, 3), init="uniform")
+    cell = build_gru_cell(store, "g", 3, 2)
+    with pytest.raises(VocabError):
+        gru_encode(embed, [(cell, [[6]], False)])
+    with pytest.raises(VocabError):
+        gru_encode(embed, [(cell, [[2, -1]], False)])
 
 
 # ---------------------------------------------------------------------------
