@@ -2,6 +2,11 @@
 
 Subcommands: synth, meta-train, train-baseline, adapt-eval, chat.
 Exit codes: 0 success, 2 usage/data error, 3 numeric failure.
+
+The configuration flags are generated from the RunConfig fields: name, type,
+help text and the defaults the help states all come from the field and
+PRESETS. meta-train and train-baseline leave the checks of a training split
+to the trainers they call.
 """
 
 from __future__ import annotations
@@ -10,15 +15,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import data as D
-from .config import PRESETS, RunConfig, make_run_config
+from .config import FIELD_TYPES, PRESETS, RunConfig, make_run_config
 from .dialogue import START_MARKER
 from .errors import ContractError, DataError, DimensionError, NumericError, VocabError
-from .meta import OPTIMIZERS, TaskSampler, adapt, meta_train, supervised_train
+from .meta import TaskSampler, adapt, meta_train, supervised_train
 from .metrics import Evaluator
 from .model import DialogueModel, infer_dims
 from .params import load_checkpoint, save_checkpoint, split_checkpoint
@@ -27,52 +32,25 @@ from .params import load_checkpoint, save_checkpoint, split_checkpoint
 INPUT_ERRORS = (DataError, ContractError, VocabError, DimensionError, OSError)
 
 
+# The one configuration flag not named after its RunConfig field.
+_RENAMED_FLAGS = {"early_stop_patience": "--patience"}
+
+
 def _add_config_flags(parser):
+    """--preset, --config, and one flag per RunConfig field, built from the field."""
     g = parser.add_argument_group("configuration")
     g.add_argument("--preset", choices=sorted(PRESETS), default="desk",
                    help="named scale preset; 'paper' is the full-corpus scale")
     g.add_argument("--config", default=None, metavar="FILE",
                    help="key=value config file (overrides the preset)")
-    g.add_argument("--seed", type=int, default=None,
-                   help="run seed (config default 7; MKGD_SEED also accepted)")
-    g.add_argument("--embed-dim", type=int, default=None, dest="embed_dim",
-                   help="embedding size (config default 300, desk preset 32)")
-    g.add_argument("--hidden-dim", type=int, default=None, dest="hidden_dim",
-                   help="hidden size (config default 300, desk preset 32)")
-    g.add_argument("--max-vocab", type=int, default=None, dest="max_vocab",
-                   help="vocabulary cap (config default 30000, desk preset 200)")
-    g.add_argument("--max-len", type=int, default=None, dest="max_len",
-                   help="maximum generated length (config default 20)")
-    g.add_argument("--alpha", type=float, default=None,
-                   help="inner learning rate (config default 0.0001, desk preset 0.005)")
-    g.add_argument("--beta", type=float, default=None,
-                   help="meta learning rate (config default 0.0001, desk preset 0.005)")
-    g.add_argument("--num-tasks", type=int, default=None, dest="num_tasks",
-                   help="tasks per episode (config default 5)")
-    g.add_argument("--k-support", type=int, default=None, dest="k_support",
-                   help="support samples per task (config default 8)")
-    g.add_argument("--k-query", type=int, default=None, dest="k_query",
-                   help="query samples per task (config default 14)")
-    g.add_argument("--inner-steps", type=int, default=None, dest="inner_steps",
-                   help="inner update steps (config default 4)")
-    g.add_argument("--test-update-steps", type=int, default=None, dest="test_update_steps",
-                   help="adaptation steps at test time (config default 10)")
-    g.add_argument("--inner-optimizer", choices=OPTIMIZERS, default=None,
-                   dest="inner_optimizer", help="inner-loop optimizer (config default adam)")
-    g.add_argument("--meta-optimizer", choices=OPTIMIZERS, default=None,
-                   dest="meta_optimizer", help="outer-loop optimizer (config default adam)")
-    g.add_argument("--max-episodes", type=int, default=None, dest="max_episodes",
-                   help="training episode cap (config default 100, desk preset 40)")
-    g.add_argument("--patience", type=int, default=None, dest="early_stop_patience",
-                   help="early-stop patience in episodes (config default 10, desk preset 8)")
-    g.add_argument("--clip-norm", type=float, default=None, dest="clip_norm",
-                   help="global gradient-norm clip, <= 0 disables (config default 5.0)")
-    g.add_argument("--w-kl", type=float, default=None, dest="w_kl",
-                   help="selection-KL loss weight (config default 1.0)")
-    g.add_argument("--w-nll", type=float, default=None, dest="w_nll",
-                   help="token-NLL loss weight (config default 1.0)")
-    g.add_argument("--w-bow", type=float, default=None, dest="w_bow",
-                   help="bag-of-words loss weight (config default 1.0)")
+    desk = PRESETS["desk"]
+    for f in fields(RunConfig):
+        said = f"config default {f.default}"
+        if f.name in desk:
+            said += f", desk preset {desk[f.name]}"
+        g.add_argument(_RENAMED_FLAGS.get(f.name, "--" + f.name.replace("_", "-")),
+                       dest=f.name, type=FIELD_TYPES[f.name], default=None,
+                       help=f"{f.metadata['help']} ({said})")
 
 
 def _config_from_args(args):
@@ -139,20 +117,18 @@ def _check_output_paths(*paths):
             raise DataError(f"output path {path}: directory {parent} is not writable")
 
 
-def _train_command(args, check_split, train):
+def _train_command(args, train):
     """The body meta-train and train-baseline share.
 
-    The output paths are checked first, and check_split(train_raw, cfg)
-    rejects a training split before anything is built. train(model,
-    train_raw, valid_raw, cfg) returns (TrainResult, stdout line on
-    success); no file is written before it returns, so an input error
-    leaves no output behind.
+    The output paths are checked first. train(model, train_raw, valid_raw,
+    cfg) returns (TrainResult, stdout line on success), and the trainer it
+    calls rejects a training split it cannot use. No file is written before
+    it returns, so an input error leaves no output behind.
     """
     _check_output_paths(args.vocab_out, args.checkpoint_out, args.log_out)
     cfg = _config_from_args(args)
     raw = D.load_task_pool(args.pool)
     train_raw, valid_raw, _ = D.split_pool(raw, seed=cfg.seed)
-    check_split(train_raw, cfg)
     vocab = D.build_vocab(D.raw_task_token_stream(raw), cfg.max_vocab)
     model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim,
                           seed=cfg.seed, loss_weights=cfg.loss_weights())
@@ -168,12 +144,6 @@ def _train_command(args, check_split, train):
 
 
 def cmd_meta_train(args):
-    def check_split(train_raw, cfg):
-        if len(train_raw) < cfg.num_tasks:
-            raise DataError(
-                f"training split has {len(train_raw)} tasks, need >= {cfg.num_tasks}"
-            )
-
     def train(model, train_raw, valid_raw, cfg):
         train_tasks = D.tasks_from_raw(train_raw, model.vocab, cfg.k_support, cfg.k_query,
                                        seed=cfg.seed)
@@ -182,14 +152,10 @@ def cmd_meta_train(args):
         _, result = meta_train(model, TaskSampler(train_tasks, seed=cfg.seed), cfg, val_tasks)
         return result, f"trained {result.episodes} episodes; checkpoint at {args.checkpoint_out}"
 
-    return _train_command(args, check_split, train)
+    return _train_command(args, train)
 
 
 def cmd_train_baseline(args):
-    def check_split(train_raw, cfg):
-        if not train_raw:
-            raise DataError("training split is empty")
-
     def train(model, train_raw, valid_raw, cfg):
         samples = [s for raw_task in train_raw
                    for s in D.raw_task_to_samples(raw_task, model.vocab)]
@@ -197,10 +163,12 @@ def cmd_train_baseline(args):
         _, result = supervised_train(model, samples, cfg, batch_size=batch, seed=cfg.seed)
         return result, f"baseline checkpoint at {args.checkpoint_out}"
 
-    return _train_command(args, check_split, train)
+    return _train_command(args, train)
 
 
 def cmd_adapt_eval(args):
+    if args.report_out:
+        _check_output_paths(args.report_out)
     cfg = _config_from_args(args)
     model = _load_model(args.checkpoint, args.vocab, cfg.loss_weights())
     raw = _split_tasks(D.load_task_pool(args.pool), args.split, cfg.seed)
@@ -268,34 +236,28 @@ def build_parser():
     p.add_argument("--tasks", type=int, default=50, help="number of tasks to generate")
     p.add_argument("--seed", type=int, default=7, help="generator seed")
     p.add_argument("--out", required=True, help="output pool path (JSON lines)")
-    p.add_argument("--entities", type=int, default=20, help="entity pool size")
-    p.add_argument("--relations", type=int, default=6, help="relation pool size")
-    p.add_argument("--triplets", type=int, default=4, help="triplets per graph")
-    p.add_argument("--samples-per-task", type=int, default=24,
+    spec = D.SyntheticTaskSpec
+    p.add_argument("--entities", type=int, default=spec.n_entities, help="entity pool size")
+    p.add_argument("--relations", type=int, default=spec.n_relations, help="relation pool size")
+    p.add_argument("--triplets", type=int, default=spec.n_triplets, help="triplets per graph")
+    p.add_argument("--samples-per-task", type=int, default=spec.n_samples,
                    dest="samples_per_task", help="dialogue samples per task")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("meta-train", help="run the episodic meta-training loop")
-    p.add_argument("--pool", required=True, help="task pool path")
-    p.add_argument("--checkpoint-out", required=True, dest="checkpoint_out",
-                   help="where to write the best checkpoint")
-    p.add_argument("--vocab-out", required=True, dest="vocab_out",
-                   help="where to write the vocabulary file")
-    p.add_argument("--log-out", required=True, dest="log_out",
-                   help="where to write the training log (CSV)")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_meta_train)
-
-    p = sub.add_parser("train-baseline", help="train the non-meta supervised baseline")
-    p.add_argument("--pool", required=True, help="task pool path")
-    p.add_argument("--checkpoint-out", required=True, dest="checkpoint_out",
-                   help="where to write the checkpoint")
-    p.add_argument("--vocab-out", required=True, dest="vocab_out",
-                   help="where to write the vocabulary file")
-    p.add_argument("--log-out", required=True, dest="log_out",
-                   help="where to write the training log (CSV)")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_train_baseline)
+    for name, func, text in (
+        ("meta-train", cmd_meta_train, "run the episodic meta-training loop"),
+        ("train-baseline", cmd_train_baseline, "train the non-meta supervised baseline"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--pool", required=True, help="task pool path")
+        p.add_argument("--checkpoint-out", required=True, dest="checkpoint_out",
+                       help="where to write the kept checkpoint")
+        p.add_argument("--vocab-out", required=True, dest="vocab_out",
+                       help="where to write the vocabulary file")
+        p.add_argument("--log-out", required=True, dest="log_out",
+                       help="where to write the training log (CSV)")
+        _add_config_flags(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("adapt-eval", help="adapt to held-out tasks and report metrics")
     p.add_argument("--pool", required=True, help="task pool path")

@@ -2,7 +2,8 @@
 
 Precedence, lowest to highest: class defaults (the full-corpus scale),
 preset overrides, config file, the MKGD_SEED environment variable, and
-explicit command-line flags.
+explicit command-line flags. FIELD_TYPES parses the text of the last three,
+and the CLI builds its flags from the RunConfig fields.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .data import open_text
 from .errors import DataError
-from .meta import MetaConfig
+from .meta import MetaConfig, config_field
 
 SEED_ENV_VAR = "MKGD_SEED"
 
@@ -24,16 +25,16 @@ class RunConfig(MetaConfig):
     """MetaConfig's hyperparameters plus the model, loss-weight and seed fields."""
 
     # model dims (defaults are full-corpus scale)
-    embed_dim: int = 300
-    hidden_dim: int = 300
-    max_vocab: int = 30000
-    max_len: int = 20
+    embed_dim: int = config_field(300, "embedding size")
+    hidden_dim: int = config_field(300, "hidden size")
+    max_vocab: int = config_field(30000, "vocabulary cap")
+    max_len: int = config_field(20, "maximum generated length")
     # loss-term weights
-    w_kl: float = 1.0
-    w_nll: float = 1.0
-    w_bow: float = 1.0
+    w_kl: float = config_field(1.0, "selection-KL loss weight")
+    w_nll: float = config_field(1.0, "token-NLL loss weight")
+    w_bow: float = config_field(1.0, "bag-of-words loss weight")
     # run plumbing
-    seed: int = 7
+    seed: int = config_field(7, f"run seed; {SEED_ENV_VAR} also accepted")
 
     def __post_init__(self):
         for name in ("embed_dim", "hidden_dim", "max_len"):
@@ -67,19 +68,17 @@ PRESETS = {
     },
 }
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+# Each field's text-to-value parser, by its declared type. Config-file lines,
+# MKGD_SEED and the CLI's flags all read text through this one table.
+FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
+               for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(name, raw):
-    field = _FIELDS[name]
     try:
-        if field.type in ("int", int):
-            return int(raw)
-        if field.type in ("float", float):
-            return float(raw)
+        return FIELD_TYPES[name](raw)
     except ValueError as exc:
         raise DataError(f"config key {name!r}: cannot parse {raw!r}") from exc
-    return str(raw)
 
 
 def parse_config_file(path):
@@ -94,7 +93,7 @@ def parse_config_file(path):
                 raise DataError(f"{path} line {lineno}: expected key=value")
             key, raw = line.split("=", 1)
             key = key.strip()
-            if key not in _FIELDS:
+            if key not in FIELD_TYPES:
                 raise DataError(f"{path} line {lineno}: unknown config key {key!r}")
             values[key] = _coerce(key, raw.strip())
     return values
@@ -114,7 +113,7 @@ def make_run_config(preset="desk", config_path=None, overrides=None):
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key not in _FIELDS:
+        if key not in FIELD_TYPES:
             raise DataError(f"unknown config key {key!r}")
         values[key] = val
     return RunConfig(**values)

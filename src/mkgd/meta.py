@@ -18,7 +18,7 @@ the kept parameters, early stopping and divergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,22 +49,27 @@ class Task:
 OPTIMIZERS = ("sgd", "adam")
 
 
+def config_field(default, text):
+    """A configuration field and its one-line description, which the CLI's help shows."""
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass
 class MetaConfig:
     """Learning-rate / step-count / shot-count hyperparameters."""
 
-    alpha: float = 1e-4            # inner (task-level) learning rate
-    beta: float = 1e-4             # meta learning rate
-    num_tasks: int = 5             # tasks per episode
-    k_support: int = 8
-    k_query: int = 14
-    inner_steps: int = 4
-    test_update_steps: int = 10
-    inner_optimizer: str = "adam"
-    meta_optimizer: str = "adam"
-    max_episodes: int = 100
-    early_stop_patience: int = 10
-    clip_norm: float = 5.0
+    alpha: float = config_field(1e-4, "inner (task-level) learning rate")
+    beta: float = config_field(1e-4, "meta learning rate")
+    num_tasks: int = config_field(5, "tasks per episode")
+    k_support: int = config_field(8, "support samples per task")
+    k_query: int = config_field(14, "query samples per task")
+    inner_steps: int = config_field(4, "inner update steps")
+    test_update_steps: int = config_field(10, "adaptation steps at test time")
+    inner_optimizer: str = config_field("adam", f"inner-loop optimizer: {' or '.join(OPTIMIZERS)}")
+    meta_optimizer: str = config_field("adam", f"outer-loop optimizer: {' or '.join(OPTIMIZERS)}")
+    max_episodes: int = config_field(100, "training episode cap")
+    early_stop_patience: int = config_field(10, "early-stop patience in episodes")
+    clip_norm: float = config_field(5.0, "global gradient-norm clip, <= 0 disables")
 
     def __post_init__(self):
         # NaN passes every range check below, so refuse it first.
@@ -82,7 +87,8 @@ class MetaConfig:
                 raise ContractError(f"{name} must be >= 0")
         for name in ("inner_optimizer", "meta_optimizer"):
             if getattr(self, name) not in OPTIMIZERS:
-                raise ContractError(f"{name} must be {' or '.join(map(repr, OPTIMIZERS))}")
+                raise ContractError(f"{name} must be {' or '.join(map(repr, OPTIMIZERS))}, "
+                                    f"got {getattr(self, name)!r}")
 
 
 class TaskSampler:
@@ -282,7 +288,7 @@ def meta_train(model, sampler, cfg, val_tasks=None):
     """
     if len(sampler) < cfg.num_tasks:
         raise DataError(
-            f"sampler pool has {len(sampler)} tasks, need >= {cfg.num_tasks}"
+            f"training split has {len(sampler)} tasks, need >= num_tasks {cfg.num_tasks}"
         )
     meta_state = _make_state(cfg.meta_optimizer, model.store)
 
@@ -321,7 +327,7 @@ def supervised_train(model, samples, cfg, batch_size=0, shuffle=True, seed=0):
     epoch. Returns (model, TrainResult).
     """
     if not samples:
-        raise ContractError("supervised_train on empty sample list")
+        raise ContractError("training split has no samples")
     if batch_size <= 0:
         batch_size = len(samples)
     state = _make_state(cfg.meta_optimizer, model.store)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mkgd import cli
-from mkgd.config import PRESETS, RunConfig, make_run_config
+from mkgd.config import FIELD_TYPES, PRESETS, RunConfig, make_run_config
 from mkgd.data import (
     RawTask,
     Vocab,
@@ -153,6 +153,25 @@ def test_meta_train_short_tasks_exit_2_and_write_nothing(tmp_path, capsys):
                    "--log-out", str(tmp_path / "x.log"))
     assert code == 2
     assert capsys.readouterr().err == "error: need 22 samples to split 8+14, got 10 (short by 12)\n"
+    assert_no_outputs(tmp_path, "x")
+
+
+@pytest.mark.parametrize("command,tasks,message", [
+    # Three samples a side, so only the task-count rule can refuse the split.
+    ("meta-train", 4, "error: training split has 3 tasks, need >= num_tasks 5\n"),
+    ("train-baseline", 0, "error: training split has no samples\n"),
+])
+def test_trainer_rejects_training_split_and_writes_nothing(tmp_path, capsys, command, tasks,
+                                                           message):
+    pool = make_pool(tmp_path / "pool.jsonl", tasks=tasks)
+    capsys.readouterr()
+    code = run_cli(command, "--pool", str(pool),
+                   "--checkpoint-out", str(tmp_path / "x.ckpt"),
+                   "--vocab-out", str(tmp_path / "x.vocab"),
+                   "--log-out", str(tmp_path / "x.log"),
+                   "--k-support", "3", "--k-query", "3", "--num-tasks", "5")
+    assert code == 2
+    assert capsys.readouterr().err == message
     assert_no_outputs(tmp_path, "x")
 
 
@@ -321,6 +340,23 @@ def test_adapt_eval_missing_checkpoint_exits_2(tmp_path):
                    "--checkpoint", str(tmp_path / "nope.ckpt"),
                    "--vocab", str(tmp_path / "nope.vocab"))
     assert code == 2
+
+
+def test_adapt_eval_unwritable_report_exits_2_before_adapting(tmp_path, capsys, monkeypatch):
+    pool, ckpt, vocab_path, _ = memorizable_pool_and_model(tmp_path)
+
+    def no_adapt(*args, **kwargs):
+        raise AssertionError("adapt ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "adapt", no_adapt)
+    bad = tmp_path / "nodir" / "report.json"
+    code = run_cli("adapt-eval", "--pool", str(pool),
+                   "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                   "--report-out", str(bad), "--split", "all",
+                   "--embed-dim", "8", "--hidden-dim", "8")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0], err
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +635,63 @@ def test_help_defaults_match_config():
             assert type(default)(said.group(1)) == desk.get(action.dest), action.help
             described.add(action.dest)
     assert described == set(desk)
+
+
+# Every configuration option string and its dest; a renamed or lost flag fails here.
+CONFIG_OPTIONS = {
+    "--preset": "preset", "--config": "config", "--seed": "seed",
+    "--embed-dim": "embed_dim", "--hidden-dim": "hidden_dim", "--max-vocab": "max_vocab",
+    "--max-len": "max_len", "--alpha": "alpha", "--beta": "beta",
+    "--num-tasks": "num_tasks", "--k-support": "k_support", "--k-query": "k_query",
+    "--inner-steps": "inner_steps", "--test-update-steps": "test_update_steps",
+    "--inner-optimizer": "inner_optimizer", "--meta-optimizer": "meta_optimizer",
+    "--max-episodes": "max_episodes", "--patience": "early_stop_patience",
+    "--clip-norm": "clip_norm", "--w-kl": "w_kl", "--w-nll": "w_nll", "--w-bow": "w_bow",
+}
+
+
+def subcommand_parser(command):
+    return cli.build_parser()._subparsers._group_actions[0].choices[command]
+
+
+@pytest.mark.parametrize("command", ["meta-train", "train-baseline", "adapt-eval", "chat"])
+def test_config_option_strings_are_pinned(command):
+    group = next(g for g in subcommand_parser(command)._action_groups
+                 if g.title == "configuration")
+    assert {opt: a.dest for a in group._group_actions
+            for opt in a.option_strings} == CONFIG_OPTIONS
+
+
+def test_flag_and_config_file_line_give_equal_config(tmp_path, monkeypatch):
+    monkeypatch.delenv("MKGD_SEED", raising=False)
+    text = {int: "3", float: "0.25", str: "sgd"}
+    flags = {action.dest: action.option_strings[0]
+             for action in subcommand_parser("chat")._actions}
+    base = ["chat", "--checkpoint", "c", "--vocab", "v", "--graph", "g"]
+    for name, parse in FIELD_TYPES.items():
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(f"{name}={text[parse]}\n")
+        from_file = make_run_config("desk", config_path=config)
+        args = cli.build_parser().parse_args(base + [flags[name], text[parse]])
+        from_flag = cli._config_from_args(args)
+        assert from_flag == from_file, name
+        assert getattr(from_flag, name) == parse(text[parse]) != getattr(RunConfig(), name), name
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "1.5"), ("--alpha", "fast"),
+                                        ("--inner-optimizer", "rmsprop")])
+def test_bad_config_flag_value_exits_2_without_traceback(tmp_path, capsys, flag, value):
+    ckpt, vpath, graph = rigged_chat_model(tmp_path)
+    try:
+        code = run_cli("chat", "--checkpoint", str(ckpt), "--vocab", str(vpath),
+                       "--graph", str(graph), flag, value)
+    except SystemExit as exc:  # argparse rejects text its type cannot parse
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert "error: " in last and value in last, err
 
 
 def test_module_entry_point(tmp_path):
