@@ -1,5 +1,6 @@
 """Meta-learned knowledge-grounded dialogue generation."""
 
+from .config import RunConfig
 from .dialogue import (
     DialogueGoal,
     DialogueSample,
@@ -7,7 +8,7 @@ from .dialogue import (
     KnowledgeTriplet,
     START_MARKER,
 )
-from .meta import MetaConfig, Task, TaskSampler
+from .meta import Task, TaskSampler
 from .model import DialogueModel
 from .params import ParamStore
 from .tensor import Tape, Tensor
@@ -18,8 +19,8 @@ __all__ = [
     "DialogueModel",
     "KnowledgeGraph",
     "KnowledgeTriplet",
-    "MetaConfig",
     "ParamStore",
+    "RunConfig",
     "START_MARKER",
     "Tape",
     "Task",

@@ -105,9 +105,11 @@ def cmd_synth(args):
     return 0
 
 
-def _check_output_paths(*paths):
-    """Reject an output path that cannot be written before any work is done."""
-    for path in paths:
+def _check_output_paths(**paths):
+    """Reject, before any work is done, an output path that cannot be written
+    and two outputs that name one file. Keyed by each flag's dest."""
+    seen = {}
+    for dest, path in paths.items():
         parent = os.path.dirname(path) or "."
         if os.path.isdir(path):
             raise DataError(f"output path {path} is a directory")
@@ -115,6 +117,10 @@ def _check_output_paths(*paths):
             raise DataError(f"output path {path}: directory {parent} does not exist")
         if not os.access(parent, os.W_OK):
             raise DataError(f"output path {path}: directory {parent} is not writable")
+        flag = "--" + dest.replace("_", "-")
+        other = seen.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise DataError(f"{other} and {flag} name the same file {path}")
 
 
 def _train_command(args, train):
@@ -125,7 +131,8 @@ def _train_command(args, train):
     calls rejects a training split it cannot use. No file is written before
     it returns, so an input error leaves no output behind.
     """
-    _check_output_paths(args.vocab_out, args.checkpoint_out, args.log_out)
+    _check_output_paths(vocab_out=args.vocab_out, checkpoint_out=args.checkpoint_out,
+                        log_out=args.log_out)
     cfg = _config_from_args(args)
     raw = D.load_task_pool(args.pool)
     train_raw, valid_raw, _ = D.split_pool(raw, seed=cfg.seed)
@@ -159,8 +166,7 @@ def cmd_train_baseline(args):
     def train(model, train_raw, valid_raw, cfg):
         samples = [s for raw_task in train_raw
                    for s in D.raw_task_to_samples(raw_task, model.vocab)]
-        batch = cfg.num_tasks * (cfg.k_support + cfg.k_query)
-        _, result = supervised_train(model, samples, cfg, batch_size=batch, seed=cfg.seed)
+        _, result = supervised_train(model, samples, cfg)
         return result, f"baseline checkpoint at {args.checkpoint_out}"
 
     return _train_command(args, train)
@@ -168,7 +174,7 @@ def cmd_train_baseline(args):
 
 def cmd_adapt_eval(args):
     if args.report_out:
-        _check_output_paths(args.report_out)
+        _check_output_paths(report_out=args.report_out)
     cfg = _config_from_args(args)
     model = _load_model(args.checkpoint, args.vocab, cfg.loss_weights())
     raw = _split_tasks(D.load_task_pool(args.pool), args.split, cfg.seed)

@@ -1,5 +1,10 @@
 """Run configuration: defaults, presets, key=value config files, env override.
 
+RunConfig is the one configuration class: the meta-learning hyperparameters
+the training loops read, the model dims, the loss weights and the seed. Each
+field carries its help text, and __post_init__ rejects a bad value with a
+DataError naming the field and the value.
+
 Precedence, lowest to highest: class defaults (the full-corpus scale),
 preset overrides, config file, the MKGD_SEED environment variable, and
 explicit command-line flags. FIELD_TYPES parses the text of the last three,
@@ -8,22 +13,40 @@ and the CLI builds its flags from the RunConfig fields.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .data import open_text
 from .errors import DataError
-from .meta import MetaConfig, config_field
 
 SEED_ENV_VAR = "MKGD_SEED"
+OPTIMIZERS = ("sgd", "adam")
+
+
+def config_field(default, text):
+    """A configuration field and its one-line description, which the CLI's help shows."""
+    return field(default=default, metadata={"help": text})
 
 
 @dataclass
-class RunConfig(MetaConfig):
-    """MetaConfig's hyperparameters plus the model, loss-weight and seed fields."""
+class RunConfig:
+    """Every run hyperparameter: the meta-learning rates, shots, step counts
+    and optimizers, then the model dims, loss weights and seed."""
 
+    # meta-learning (defaults are the paper's)
+    alpha: float = config_field(1e-4, "inner (task-level) learning rate")
+    beta: float = config_field(1e-4, "meta learning rate")
+    num_tasks: int = config_field(5, "tasks per episode")
+    k_support: int = config_field(8, "support samples per task")
+    k_query: int = config_field(14, "query samples per task")
+    inner_steps: int = config_field(4, "inner update steps")
+    test_update_steps: int = config_field(10, "adaptation steps at test time")
+    inner_optimizer: str = config_field("adam", f"inner-loop optimizer: {' or '.join(OPTIMIZERS)}")
+    meta_optimizer: str = config_field("adam", f"outer-loop optimizer: {' or '.join(OPTIMIZERS)}")
+    max_episodes: int = config_field(100, "training episode cap")
+    early_stop_patience: int = config_field(10, "early-stop patience in episodes")
+    clip_norm: float = config_field(5.0, "global gradient-norm clip, <= 0 disables")
     # model dims (defaults are full-corpus scale)
     embed_dim: int = config_field(300, "embedding size")
     hidden_dim: int = config_field(300, "hidden size")
@@ -37,18 +60,24 @@ class RunConfig(MetaConfig):
     seed: int = config_field(7, f"run seed; {SEED_ENV_VAR} also accepted")
 
     def __post_init__(self):
-        for name in ("embed_dim", "hidden_dim", "max_len"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1, got {getattr(self, name)}")
-        super().__post_init__()
-        for name in ("w_kl", "w_nll", "w_bow"):
-            if not math.isfinite(getattr(self, name)):
-                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
+        # Finiteness comes first: NaN passes every range check after it.
+        for names, ok, rule in (
+            (("alpha", "beta", "clip_norm", "w_kl", "w_nll", "w_bow"), math.isfinite, "finite"),
+            (("alpha", "beta"), lambda v: v > 0, "> 0"),
+            (("num_tasks", "k_support", "k_query", "embed_dim", "hidden_dim", "max_len"),
+             lambda v: v >= 1, ">= 1"),
+            (("inner_steps", "test_update_steps", "max_episodes", "early_stop_patience", "seed"),
+             lambda v: v >= 0, ">= 0"),
+            (("inner_optimizer", "meta_optimizer"), OPTIMIZERS.__contains__,
+             " or ".join(map(repr, OPTIMIZERS))),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise DataError(f"{name} must be {rule}, got {value!r}")
 
     def meta_config(self):
-        """A RunConfig is its own MetaConfig; kept for callers that still ask."""
+        """The configuration the training loops read: this RunConfig itself."""
         return self
 
     def loss_weights(self):
@@ -71,7 +100,7 @@ PRESETS = {
 # Each field's text-to-value parser, by its declared type. Config-file lines,
 # MKGD_SEED and the CLI's flags all read text through this one table.
 FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
-               for f in dataclasses.fields(RunConfig)}
+               for f in fields(RunConfig)}
 
 
 def _coerce(name, raw):

@@ -22,7 +22,7 @@ from .dialogue import (
     KnowledgeGraph,
     KnowledgeTriplet,
 )
-from .errors import ContractError, DataError, ParseError, SchemaError
+from .errors import ContractError, DataError
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
@@ -106,7 +106,7 @@ def _graph(goal, knowledge):
 
 def _require(obj, key, where):
     if key not in obj:
-        raise SchemaError(f"{where}: missing field {key!r}")
+        raise DataError(f"{where}: missing field {key!r}")
     return obj[key]
 
 
@@ -118,23 +118,23 @@ def _parse_json(text, where):
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise ParseError(f"{where}: invalid JSON ({exc})") from exc
+        raise DataError(f"{where}: invalid JSON ({exc})") from exc
 
 
 def _graph_fields(obj, where):
     """Validate a JSON object's 'goal' and 'knowledge'; return them.
 
-    Raises SchemaError prefixed with ``where`` (a line or file name).
+    Raises DataError prefixed with ``where`` (a line or file name).
     """
     if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: record must be an object")
+        raise DataError(f"{where}: record must be an object")
     goal = _require(obj, "goal", where)
     if not (_is_strings(goal, 3) and goal[0] == START_MARKER):
-        raise SchemaError(f"{where}: field 'goal' must be [{START_MARKER!r}, a, b]")
+        raise DataError(f"{where}: field 'goal' must be [{START_MARKER!r}, a, b]")
     knowledge = _require(obj, "knowledge", where)
     if not (isinstance(knowledge, list) and knowledge
             and all(_is_strings(k, 3) for k in knowledge)):
-        raise SchemaError(f"{where}: field 'knowledge' must be non-empty [h, r, t] triples")
+        raise DataError(f"{where}: field 'knowledge' must be non-empty [h, r, t] triples")
     return goal, knowledge
 
 
@@ -305,7 +305,7 @@ def load_task_pool(path):
             goal, knowledge = _graph_fields(obj, where)
             task_id = _require(obj, "task_id", where)
             if type(task_id) is not int or task_id < 0:
-                raise SchemaError(f"{where}: field 'task_id' must be a non-negative integer")
+                raise DataError(f"{where}: field 'task_id' must be a non-negative integer")
             samples = _require(obj, "samples", where)
             _check_samples(samples, len(knowledge), where)
             raw_tasks.append(RawTask(task_id=task_id, goal=goal,
@@ -315,13 +315,13 @@ def load_task_pool(path):
 
 def _check_samples(samples, n_triplets, where):
     if not isinstance(samples, list):
-        raise SchemaError(f"{where}: field 'samples' must be a list")
+        raise DataError(f"{where}: field 'samples' must be a list")
     # One expression per sample: pools hold thousands of samples.
     for i, s in enumerate(samples):
         if not (type(s) is dict and type(s.get("history")) is str
                 and type(s.get("response")) is str and type(s.get("gold")) is int
                 and 0 <= s["gold"] < n_triplets):
-            raise SchemaError(
+            raise DataError(
                 f"{where} sample {i}: needs string 'history' and 'response' "
                 f"and an integer 'gold' below {n_triplets}"
             )

@@ -23,11 +23,3 @@ class VocabError(MkgdError):
 
 class DataError(MkgdError):
     """Input data is malformed or insufficient."""
-
-
-class ParseError(DataError):
-    """A serialized record could not be parsed."""
-
-
-class SchemaError(DataError):
-    """A parsed record is missing a required field or has the wrong shape."""

@@ -13,12 +13,14 @@ step.
 ``meta_train`` (one episode a round) and ``supervised_train`` (one epoch a
 round) share one round driver, ``_fit``: it owns the round loop, the log,
 the kept parameters, early stopping and divergence.
+
+Every loop reads its hyperparameters from ``cfg``, a ``config.RunConfig``;
+this module declares and checks none of them.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,51 +46,6 @@ class Task:
         graphs.discard(id(None))
         if len(graphs) > 1:
             raise ContractError("all samples in a task must share one knowledge graph")
-
-
-OPTIMIZERS = ("sgd", "adam")
-
-
-def config_field(default, text):
-    """A configuration field and its one-line description, which the CLI's help shows."""
-    return field(default=default, metadata={"help": text})
-
-
-@dataclass
-class MetaConfig:
-    """Learning-rate / step-count / shot-count hyperparameters."""
-
-    alpha: float = config_field(1e-4, "inner (task-level) learning rate")
-    beta: float = config_field(1e-4, "meta learning rate")
-    num_tasks: int = config_field(5, "tasks per episode")
-    k_support: int = config_field(8, "support samples per task")
-    k_query: int = config_field(14, "query samples per task")
-    inner_steps: int = config_field(4, "inner update steps")
-    test_update_steps: int = config_field(10, "adaptation steps at test time")
-    inner_optimizer: str = config_field("adam", f"inner-loop optimizer: {' or '.join(OPTIMIZERS)}")
-    meta_optimizer: str = config_field("adam", f"outer-loop optimizer: {' or '.join(OPTIMIZERS)}")
-    max_episodes: int = config_field(100, "training episode cap")
-    early_stop_patience: int = config_field(10, "early-stop patience in episodes")
-    clip_norm: float = config_field(5.0, "global gradient-norm clip, <= 0 disables")
-
-    def __post_init__(self):
-        # NaN passes every range check below, so refuse it first.
-        for name in ("alpha", "beta", "clip_norm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ContractError("learning rates must be positive")
-        for name in ("num_tasks", "k_support", "k_query"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1")
-        for name in ("inner_steps", "test_update_steps", "max_episodes",
-                     "early_stop_patience"):
-            if getattr(self, name) < 0:
-                raise ContractError(f"{name} must be >= 0")
-        for name in ("inner_optimizer", "meta_optimizer"):
-            if getattr(self, name) not in OPTIMIZERS:
-                raise ContractError(f"{name} must be {' or '.join(map(repr, OPTIMIZERS))}, "
-                                    f"got {getattr(self, name)!r}")
 
 
 class TaskSampler:
@@ -319,19 +276,20 @@ def adapt(model, task, cfg):
     return adapted, pre, post
 
 
-def supervised_train(model, samples, cfg, batch_size=0, shuffle=True, seed=0):
+def supervised_train(model, samples, cfg, shuffle=True):
     """Plain mini-batch optimization of the total loss; the non-meta baseline.
 
     cfg.max_episodes epochs under ``_fit`` of meta-optimizer steps at rate
-    beta, one ``train`` log row a step; batch_size 0 means one batch per
-    epoch. Returns (model, TrainResult).
+    beta, one ``train`` log row a step. A batch holds as many samples as one
+    meta-training episode, cfg.num_tasks * (cfg.k_support + cfg.k_query),
+    and each epoch's order is shuffled from cfg.seed. Returns (model,
+    TrainResult).
     """
     if not samples:
         raise ContractError("training split has no samples")
-    if batch_size <= 0:
-        batch_size = len(samples)
+    batch_size = cfg.num_tasks * (cfg.k_support + cfg.k_query)
     state = _make_state(cfg.meta_optimizer, model.store)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
 
     def epoch(n, log):
         order = rng.permutation(len(samples)) if shuffle else np.arange(len(samples))

@@ -54,14 +54,6 @@ class ParamStore:
         self._entries[name] = t
         return t
 
-    def add(self, name, values):
-        """Register an externally built parameter (checkpoint loads, tests)."""
-        if name in self._entries:
-            raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.array(values, dtype=np.float64))
-        self._entries[name] = t
-        return t
-
     def __getitem__(self, name):
         return self._entries[name]
 

@@ -9,6 +9,14 @@ from mkgd.params import ParamStore
 from mkgd import tensor as T
 
 
+def add_param(store, name, values):
+    """Register a parameter holding a copy of values: create, then set_values."""
+    values = np.array(values, dtype=np.float64)
+    tensor = store.create(name, values.shape, init="zeros")
+    store.set_values(name, values)
+    return tensor
+
+
 def synth_tasks(spec, n_tasks, k_support=8, k_query=14):
     """Seeded synthetic tasks split into support/query, with their vocabulary."""
     raw = synth_raw_tasks(spec, n_tasks)
@@ -173,7 +181,7 @@ class QuadraticModel:
 
     def __init__(self, theta=1.0):
         self.store = ParamStore(0)
-        self.theta = self.store.add("theta", [float(theta)])
+        self.theta = add_param(self.store, "theta", [float(theta)])
 
     def batch_objective(self, samples):
         total = None

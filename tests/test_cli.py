@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import add_param
 from mkgd import cli
 from mkgd.config import FIELD_TYPES, PRESETS, RunConfig, make_run_config
 from mkgd.data import (
@@ -20,7 +21,7 @@ from mkgd.data import (
     raw_task_token_stream,
     save_task_pool,
 )
-from mkgd.meta import MetaConfig, supervised_train
+from mkgd.meta import supervised_train
 from mkgd.model import DialogueModel
 from mkgd.params import ParamStore, load_checkpoint, save_checkpoint, split_checkpoint
 
@@ -197,6 +198,24 @@ def test_train_unwritable_output_exits_2_before_training(tmp_path, capsys, flag)
     assert_no_outputs(tmp_path, "x")
 
 
+@pytest.mark.parametrize("pair", [("--checkpoint-out", "--log-out"),
+                                  ("--vocab-out", "--checkpoint-out"),
+                                  ("--vocab-out", "--log-out")])
+def test_train_outputs_naming_one_file_exit_2_before_reading_input(tmp_path, capsys, pair):
+    outputs = {"--checkpoint-out": "x.ckpt", "--vocab-out": "x.vocab", "--log-out": "x.log"}
+    outputs = {flag: os.path.join(tmp_path, name) for flag, name in outputs.items()}
+    # A second spelling of the first output's path, equal after realpath.
+    outputs[pair[1]] = os.path.join(tmp_path, ".", os.path.basename(outputs[pair[0]]))
+    argv = [a for flag_path in outputs.items() for a in flag_path]
+    for command in ("meta-train", "train-baseline"):
+        # The pool does not exist, so only a check made before reading it can answer.
+        assert run_cli(command, "--pool", str(tmp_path / "missing.jsonl"), *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert pair[0] in err and pair[1] in err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_meta_train_divergence_exits_3_and_keeps_checkpoint(tmp_path, capsys):
     pool = make_pool(tmp_path / "pool.jsonl")
     code = run_cli("meta-train", "--pool", str(pool),
@@ -290,7 +309,7 @@ def memorizable_pool_and_model(tmp_path, response="the end"):
     vocab = build_vocab(raw_task_token_stream(raw), 200)
     model = DialogueModel(vocab, 8, 8, seed=1)
     train_samples = raw_task_to_samples(raw[0], vocab)
-    cfg = MetaConfig(alpha=0.02, beta=0.02, max_episodes=80)
+    cfg = RunConfig(alpha=0.02, beta=0.02, max_episodes=80)
     supervised_train(model, train_samples[:4], cfg, shuffle=False)
     ckpt = tmp_path / "memo.ckpt"
     vocab_path = tmp_path / "memo.vocab"
@@ -416,9 +435,9 @@ def test_checkpoint_with_adam_entries_still_loads(tmp_path, capsys):
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
     store = ParamStore(0)
     for name, vals in load_checkpoint(ckpt).items():
-        store.add(name, vals)
-    store.add("/adam/t", [3.0])
-    store.add("/adam/m/model.out.b", np.zeros_like(store["model.out.b"].values))
+        add_param(store, name, vals)
+    add_param(store, "/adam/t", [3.0])
+    add_param(store, "/adam/m/model.out.b", np.zeros_like(store["model.out.b"].values))
     save_checkpoint(ckpt, store)
     script = tmp_path / "script.txt"
     script.write_text("hello\n")
@@ -435,7 +454,8 @@ def replace_checkpoint_entry(ckpt, name, values):
     """Rewrite a checkpoint with one entry's values swapped, bypassing set_values."""
     store = ParamStore(0)
     for key, vals in load_checkpoint(ckpt).items():
-        store.add(key, values if key == name else vals)
+        add_param(store, key, vals)
+    store[name].values = np.array(values, dtype=np.float64)
     save_checkpoint(ckpt, store)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from mkgd.config import RunConfig, make_run_config, parse_config_file
@@ -78,3 +80,26 @@ def test_flag_overrides_skip_none():
     cfg = make_run_config(preset="desk", overrides={"alpha": None, "beta": 0.5})
     assert cfg.alpha == 0.005
     assert cfg.beta == 0.5
+
+
+# One out-of-range value for each field RunConfig checks. max_vocab is not
+# checked here: build_vocab rejects a cap too small for the reserved tokens.
+BAD_VALUES = {
+    "alpha": 0.0, "beta": -1e-4, "num_tasks": 0, "k_support": 0, "k_query": -2,
+    "inner_steps": -1, "test_update_steps": -1, "inner_optimizer": "rmsprop",
+    "meta_optimizer": "Adam", "max_episodes": -1, "early_stop_patience": -3,
+    "clip_norm": float("nan"), "embed_dim": 0, "hidden_dim": -1, "max_len": 0,
+    "w_kl": float("nan"), "w_nll": float("inf"), "w_bow": float("-inf"), "seed": -1,
+}
+
+
+def test_bad_values_cover_every_checked_field():
+    assert set(BAD_VALUES) == {f.name for f in dataclasses.fields(RunConfig)} - {"max_vocab"}
+
+
+@pytest.mark.parametrize("name,value", BAD_VALUES.items(), ids=list(BAD_VALUES))
+def test_out_of_range_value_raises_data_error_naming_field(name, value):
+    with pytest.raises(DataError) as err:
+        RunConfig(**{name: value})
+    assert str(err.value).startswith(f"{name} must be ")
+    assert str(err.value).endswith(f"got {value!r}")

@@ -22,7 +22,7 @@ from mkgd.data import (
     tokenize,
 )
 from mkgd.dialogue import START_MARKER
-from mkgd.errors import DataError, ParseError, SchemaError
+from mkgd.errors import DataError
 from mkgd.metrics import selection_accuracy
 
 GRAPH_FIXTURE = {
@@ -130,12 +130,12 @@ def test_parse_empty_stream(tmp_path):
 def test_parse_reports_line_numbers(tmp_path):
     path = tmp_path / "pool.jsonl"
     path.write_text('{"goal": [}\n', encoding="utf-8")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(DataError) as err:
         load_task_pool(path)
     assert "line 1" in str(err.value)
     path.write_text(json.dumps(POOL_FIXTURE[0]) + '\n{"knowledge": [["a","b","c"]]}\n',
                     encoding="utf-8")
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(DataError) as err:
         load_task_pool(path)
     assert "line 2" in str(err.value)
     assert "goal" in str(err.value)
@@ -261,18 +261,18 @@ def test_json_readers_reject_an_integer_past_the_digit_limit(tmp_path):
     huge = "1" * 5000
     pool = tmp_path / "pool.jsonl"
     pool.write_text('{"task_id": %s}\n' % huge, encoding="utf-8")
-    with pytest.raises(ParseError, match="line 1"):
+    with pytest.raises(DataError, match="line 1"):
         load_task_pool(pool)
     graph = tmp_path / "graph.json"
     graph.write_text('{"goal": %s}' % huge, encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError):
         load_graph(graph)
 
 
 def test_pool_rejects_missing_fields(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"task_id": 0}\n', encoding="utf-8")
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError):
         load_task_pool(path)
 
 
@@ -294,7 +294,7 @@ def test_pool_rejects_malformed_records(tmp_path, change):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change}) + "\n",
                     encoding="utf-8")
-    with pytest.raises(SchemaError, match="line 2"):
+    with pytest.raises(DataError, match="line 2"):
         load_task_pool(path)
 
 

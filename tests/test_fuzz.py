@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import add_param
 from mkgd.cli import INPUT_ERRORS
 from mkgd.config import RunConfig, make_run_config
 from mkgd.data import (
@@ -54,9 +55,9 @@ def mutate(data, mutations):
 
 def write_checkpoint(path):
     store = ParamStore(0)
-    store.add("model.embed.W", np.arange(6.0).reshape(2, 3))
-    store.add("model.out.b", [0.5, -1.0, 2.0])
-    store.add("scalar", 4.0)
+    add_param(store, "model.embed.W", np.arange(6.0).reshape(2, 3))
+    add_param(store, "model.out.b", [0.5, -1.0, 2.0])
+    add_param(store, "scalar", 4.0)
     save_checkpoint(path, store)
 
 

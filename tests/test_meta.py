@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import QuadraticModel, QuadSample, synth_tasks
+from mkgd.config import RunConfig
 from mkgd.data import SyntheticTaskSpec
 from mkgd.errors import ContractError, DataError
 from mkgd.meta import (
-    MetaConfig,
     Task,
     TaskSampler,
     TrainingLog,
@@ -32,7 +32,7 @@ def mini_pool(n_tasks=6, seed=0, hidden=12):
 
 
 # ---------------------------------------------------------------------------
-# Task / MetaConfig / sampler / split
+# Task / RunConfig / sampler / split
 
 
 def test_task_requires_disjoint_nonempty_sets():
@@ -54,7 +54,7 @@ def test_task_requires_shared_graph():
 
 
 def test_meta_config_paper_defaults():
-    cfg = MetaConfig()
+    cfg = RunConfig()
     assert cfg.alpha == 1e-4 and cfg.beta == 1e-4
     assert cfg.num_tasks == 5
     assert cfg.k_support == 8 and cfg.k_query == 14
@@ -63,20 +63,20 @@ def test_meta_config_paper_defaults():
 
 
 def test_meta_config_validation():
-    with pytest.raises(ContractError):
-        MetaConfig(alpha=0.0)
-    with pytest.raises(ContractError):
-        MetaConfig(num_tasks=0)
-    with pytest.raises(ContractError):
-        MetaConfig(inner_steps=-1)
-    with pytest.raises(ContractError):
-        MetaConfig(inner_optimizer="rmsprop")
+    with pytest.raises(DataError):
+        RunConfig(alpha=0.0)
+    with pytest.raises(DataError):
+        RunConfig(num_tasks=0)
+    with pytest.raises(DataError):
+        RunConfig(inner_steps=-1)
+    with pytest.raises(DataError):
+        RunConfig(inner_optimizer="rmsprop")
     # NaN passes every range check, and a NaN clip_norm would silently never clip.
     for bad in ({"alpha": float("nan")}, {"beta": float("inf")},
                 {"clip_norm": float("nan")}):
-        with pytest.raises(ContractError):
-            MetaConfig(**bad)
-    MetaConfig(inner_steps=0, max_episodes=0)  # zero step counts are legal
+        with pytest.raises(DataError):
+            RunConfig(**bad)
+    RunConfig(inner_steps=0, max_episodes=0)  # zero step counts are legal
 
 
 def test_split_support_query_paper_shot_sizes():
@@ -120,19 +120,19 @@ def test_sampler_without_replacement_and_deterministic():
 
 
 def test_inner_update_quadratic_closed_form():
-    cfg = MetaConfig(alpha=0.1, inner_optimizer="sgd", inner_steps=1)
+    cfg = RunConfig(alpha=0.1, inner_optimizer="sgd", inner_steps=1)
     model = QuadraticModel(1.0)
     task = quad_task([1.0], [1.0])
     inner_update(model, task, cfg)
     assert model.value() == pytest.approx(0.8, abs=1e-12)
-    cfg2 = MetaConfig(alpha=0.1, inner_optimizer="sgd", inner_steps=2)
+    cfg2 = RunConfig(alpha=0.1, inner_optimizer="sgd", inner_steps=2)
     model2 = QuadraticModel(1.0)
     inner_update(model2, task, cfg2)
     assert model2.value() == pytest.approx(0.64, abs=1e-12)
 
 
 def test_inner_update_zero_steps_is_identity():
-    cfg = MetaConfig(alpha=0.1, inner_steps=0)
+    cfg = RunConfig(alpha=0.1, inner_steps=0)
     model = QuadraticModel(1.0)
     inner_update(model, quad_task([1.0], [1.0]), cfg)
     assert model.value() == 1.0
@@ -143,7 +143,7 @@ def test_inner_update_reduces_support_loss_on_tiny_tasks():
     wins = 0
     for seed in range(10):
         tasks, model = mini_pool(1, seed=seed)
-        cfg = MetaConfig(alpha=0.01, inner_steps=3)
+        cfg = RunConfig(alpha=0.01, inner_steps=3)
         before = model.batch_objective(tasks[0].support)[0].item()
         inner_update(model, tasks[0], cfg)
         after = model.batch_objective(tasks[0].support)[0].item()
@@ -155,7 +155,7 @@ def test_inner_update_does_not_corrupt_snapshot():
     tasks, model = mini_pool(1, seed=3)
     snap = model.store.snapshot()
     frozen = {k: v.copy() for k, v in snap.items()}
-    inner_update(model, tasks[0], MetaConfig(alpha=0.01, inner_steps=1))
+    inner_update(model, tasks[0], RunConfig(alpha=0.01, inner_steps=1))
     for name in snap:
         assert np.array_equal(snap[name], frozen[name])
     model.store.restore(snap)
@@ -167,7 +167,7 @@ def test_inner_update_leaves_no_parameter_referencing_a_tape():
     # A parameter still attached to the step's tape would keep its saved
     # arrays (the stacked encoder gate matrices among them) alive.
     tasks, model = mini_pool(1, seed=3)
-    inner_update(model, tasks[0], MetaConfig(alpha=0.01, inner_steps=1))
+    inner_update(model, tasks[0], RunConfig(alpha=0.01, inner_steps=1))
     assert [name for name, t in model.store.items()
             if t.tape is not None or t.node_id is not None] == []
 
@@ -178,8 +178,8 @@ def test_inner_update_leaves_no_parameter_referencing_a_tape():
 
 def test_meta_step_sums_query_gradients():
     # per-task query gradients 0.2 and 0.4, sgd meta step with beta=0.1
-    cfg = MetaConfig(alpha=0.1, beta=0.1, num_tasks=2, inner_steps=0,
-                     meta_optimizer="sgd")
+    cfg = RunConfig(alpha=0.1, beta=0.1, num_tasks=2, inner_steps=0,
+                    meta_optimizer="sgd")
     model = QuadraticModel(1.0)
     batch = [quad_task([0.1], [0.1], 0), quad_task([0.2], [0.2], 1)]
     meta_batch_step(model, batch, cfg)
@@ -187,7 +187,7 @@ def test_meta_step_sums_query_gradients():
 
 
 def test_meta_step_zero_query_gradients_leave_params():
-    cfg = MetaConfig(alpha=0.1, beta=0.1, inner_steps=0, meta_optimizer="sgd")
+    cfg = RunConfig(alpha=0.1, beta=0.1, inner_steps=0, meta_optimizer="sgd")
     model = QuadraticModel(1.0)
     meta_batch_step(model, [quad_task([0.0], [0.0])], cfg)
     assert model.value() == 1.0
@@ -197,7 +197,7 @@ def test_meta_step_touches_110_distinct_samples():
     spec = SyntheticTaskSpec(seed=2)
     tasks, vocab = synth_tasks(spec, 5, k_support=8, k_query=14)
     model = DialogueModel(vocab, 8, 8, seed=0)
-    cfg = MetaConfig(alpha=0.01, beta=0.01, num_tasks=5, inner_steps=1)
+    cfg = RunConfig(alpha=0.01, beta=0.01, num_tasks=5, inner_steps=1)
     _, _, stats = meta_batch_step(model, tasks, cfg)
     samples = {id(s) for task in tasks for s in task.support + task.query}
     assert len(samples) == 5 * (8 + 14) == 110
@@ -210,13 +210,13 @@ def test_meta_step_touches_110_distinct_samples():
 def test_meta_step_empty_batch_rejected():
     model = QuadraticModel(1.0)
     with pytest.raises(ContractError):
-        meta_batch_step(model, [], MetaConfig())
+        meta_batch_step(model, [], RunConfig())
 
 
 def test_degenerate_meta_step_equals_supervised_single_step():
     # num_tasks=1, inner_steps=0 must reduce to one plain optimizer step
     tasks, model = mini_pool(1, seed=7, hidden=8)
-    cfg = MetaConfig(alpha=0.01, beta=0.01, num_tasks=1, inner_steps=0, max_episodes=1)
+    cfg = RunConfig(alpha=0.01, beta=0.01, num_tasks=1, inner_steps=0, max_episodes=1)
     twin = model.clone()
 
     meta_batch_step(model, [tasks[0]], cfg)
@@ -233,8 +233,8 @@ def test_degenerate_meta_step_equals_supervised_single_step():
 def test_meta_train_zero_episodes_returns_initial():
     tasks, model = mini_pool(3, seed=1, hidden=8)
     before = model.store.snapshot()
-    cfg = MetaConfig(alpha=0.01, beta=0.01, num_tasks=2, inner_steps=1,
-                     max_episodes=0)
+    cfg = RunConfig(alpha=0.01, beta=0.01, num_tasks=2, inner_steps=1,
+                    max_episodes=0)
     _, result = meta_train(model, TaskSampler(tasks, seed=0), cfg, tasks[:1])
     assert result.episodes == 0
     for name, t in model.store.items():
@@ -243,7 +243,7 @@ def test_meta_train_zero_episodes_returns_initial():
 
 def test_meta_train_requires_enough_tasks():
     tasks, model = mini_pool(2, seed=1, hidden=8)
-    cfg = MetaConfig(num_tasks=5)
+    cfg = RunConfig(num_tasks=5)
     with pytest.raises(DataError):
         meta_train(model, TaskSampler(tasks, seed=0), cfg)
 
@@ -251,8 +251,8 @@ def test_meta_train_requires_enough_tasks():
 def test_meta_train_improves_validation_loss_and_logs():
     tasks, model = mini_pool(6, seed=4, hidden=12)
     train, val = tasks[:4], tasks[4:]
-    cfg = MetaConfig(alpha=0.02, beta=0.02, num_tasks=2, inner_steps=2,
-                     max_episodes=6, early_stop_patience=6)
+    cfg = RunConfig(alpha=0.02, beta=0.02, num_tasks=2, inner_steps=2,
+                    max_episodes=6, early_stop_patience=6)
     init_val = np.mean([model.batch_objective(t.query)[0].item() for t in val])
     _, result = meta_train(model, TaskSampler(train, seed=0), cfg, val)
     final_val = np.mean([model.batch_objective(t.query)[0].item() for t in val])
@@ -274,8 +274,8 @@ def test_meta_train_log_rows_equal_means_of_single_sample_forwards():
     # time; each logged row must be the mean of those B=1 terms.
     tasks, model = mini_pool(5, seed=8, hidden=8)
     train, val = tasks[:3], tasks[3:]
-    cfg = MetaConfig(alpha=0.05, beta=0.05, num_tasks=2, inner_steps=2,
-                     max_episodes=3, early_stop_patience=3)
+    cfg = RunConfig(alpha=0.05, beta=0.05, num_tasks=2, inner_steps=2,
+                    max_episodes=3, early_stop_patience=3)
     calls = []  # (samples, parameters at the call), in call order
     forward = model.forward
 
@@ -312,8 +312,8 @@ def test_meta_train_log_rows_equal_means_of_single_sample_forwards():
 def test_meta_train_is_bit_reproducible():
     def run():
         tasks, model = mini_pool(5, seed=9, hidden=8)
-        cfg = MetaConfig(alpha=0.02, beta=0.02, num_tasks=2, inner_steps=1,
-                         max_episodes=3, early_stop_patience=3)
+        cfg = RunConfig(alpha=0.02, beta=0.02, num_tasks=2, inner_steps=1,
+                        max_episodes=3, early_stop_patience=3)
         _, result = meta_train(model, TaskSampler(tasks[:4], seed=2), cfg, tasks[4:])
         return result.log.text(), model.store.snapshot()
 
@@ -326,9 +326,9 @@ def test_meta_train_is_bit_reproducible():
 
 def test_meta_train_restores_best_validation_params():
     tasks, model = mini_pool(5, seed=6, hidden=8)
-    cfg = MetaConfig(alpha=0.5, beta=0.5, num_tasks=2, inner_steps=1,
-                     max_episodes=4, early_stop_patience=4,
-                     inner_optimizer="sgd", meta_optimizer="sgd")
+    cfg = RunConfig(alpha=0.5, beta=0.5, num_tasks=2, inner_steps=1,
+                    max_episodes=4, early_stop_patience=4,
+                    inner_optimizer="sgd", meta_optimizer="sgd")
     # huge rates force the loss to blow up after an initial improvement,
     # so the returned parameters must come from the best episode
     _, result = meta_train(model, TaskSampler(tasks[:4], seed=1), cfg, tasks[4:])
@@ -342,7 +342,7 @@ def test_meta_train_restores_best_validation_params():
 
 def test_adapt_zero_steps_keeps_query_loss():
     tasks, model = mini_pool(1, seed=2, hidden=8)
-    cfg = MetaConfig(alpha=0.01, test_update_steps=0)
+    cfg = RunConfig(alpha=0.01, test_update_steps=0)
     adapted, pre, post = adapt(model, tasks[0], cfg)
     assert pre == post
 
@@ -350,7 +350,7 @@ def test_adapt_zero_steps_keeps_query_loss():
 def test_adapt_leaves_caller_model_untouched():
     tasks, model = mini_pool(1, seed=2, hidden=8)
     before = model.store.snapshot()
-    cfg = MetaConfig(alpha=0.05, test_update_steps=3)
+    cfg = RunConfig(alpha=0.05, test_update_steps=3)
     adapted, pre, post = adapt(model, tasks[0], cfg)
     for name, t in model.store.items():
         assert np.array_equal(t.values, before[name])
@@ -361,8 +361,8 @@ def test_adapt_leaves_caller_model_untouched():
 
 def test_adapt_quadratic_closed_form():
     # theta <- theta - alpha * 2 theta per step: 1 -> 0.8 -> 0.64; beta must not be used
-    cfg = MetaConfig(alpha=0.1, beta=0.3, inner_optimizer="sgd", meta_optimizer="adam",
-                     inner_steps=5, test_update_steps=2)
+    cfg = RunConfig(alpha=0.1, beta=0.3, inner_optimizer="sgd", meta_optimizer="adam",
+                    inner_steps=5, test_update_steps=2)
     model = QuadraticModel(1.0)
     adapted, pre, post = adapt(model, quad_task([1.0], [1.0]), cfg)
     assert adapted.value() == pytest.approx(0.64, abs=1e-12)
@@ -372,7 +372,7 @@ def test_adapt_quadratic_closed_form():
 
 
 def test_adapt_default_steps_is_ten():
-    assert MetaConfig().test_update_steps == 10
+    assert RunConfig().test_update_steps == 10
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +388,9 @@ def test_supervised_train_deterministic_and_finite():
     def run():
         tasks, model = mini_pool(2, seed=8, hidden=8)
         samples = tasks[0].support + tasks[0].query
-        cfg = MetaConfig(alpha=0.01, beta=0.01, max_episodes=3)
-        _, result = supervised_train(model, samples, cfg, batch_size=5, seed=3)
+        cfg = RunConfig(alpha=0.01, beta=0.01, max_episodes=3,
+                        num_tasks=1, k_support=2, k_query=3, seed=3)
+        _, result = supervised_train(model, samples, cfg)
         return step_totals(result), model.store.snapshot()
 
     losses_a, snap_a = run()
@@ -402,8 +403,8 @@ def test_supervised_train_deterministic_and_finite():
 
 def test_supervised_train_quadratic_closed_form():
     # one step per epoch at rate beta: theta 1 -> 0.8 -> 0.64; alpha must not be used
-    cfg = MetaConfig(alpha=0.3, beta=0.1, meta_optimizer="sgd", inner_optimizer="adam",
-                     inner_steps=5, test_update_steps=5, max_episodes=2)
+    cfg = RunConfig(alpha=0.3, beta=0.1, meta_optimizer="sgd", inner_optimizer="adam",
+                    inner_steps=5, test_update_steps=5, max_episodes=2)
     model = QuadraticModel(1.0)
     _, result = supervised_train(model, [QuadSample(1.0)], cfg, shuffle=False)
     assert step_totals(result) == pytest.approx([1.0, 0.64], abs=1e-12)
@@ -423,8 +424,8 @@ def meta_quad(model, cfg, val_tasks=None):
 def test_divergence_restores_last_completed_round(train):
     # one step per round: theta 1 -> -2e100 -> 4e200, then theta^2 overflows
     # (deliberately) in round 3
-    cfg = MetaConfig(beta=1e100, meta_optimizer="sgd", inner_steps=0, num_tasks=1,
-                     max_episodes=5, clip_norm=0.0)
+    cfg = RunConfig(beta=1e100, meta_optimizer="sgd", inner_steps=0, num_tasks=1,
+                    max_episodes=5, clip_norm=0.0)
     model = QuadraticModel(1.0)
     with np.errstate(over="ignore"):
         _, result = train(model, cfg)
@@ -435,8 +436,8 @@ def test_divergence_restores_last_completed_round(train):
 def test_meta_train_validation_overflow_restores_best_validation_round():
     # round 1 reaches theta -2e100 (validation 4e200); round 2 reaches 4e200,
     # whose validation loss overflows, so the round-1 parameters are kept
-    cfg = MetaConfig(beta=1e100, meta_optimizer="sgd", inner_steps=0, num_tasks=1,
-                     max_episodes=5, clip_norm=0.0)
+    cfg = RunConfig(beta=1e100, meta_optimizer="sgd", inner_steps=0, num_tasks=1,
+                    max_episodes=5, clip_norm=0.0)
     model = QuadraticModel(1.0)
     with np.errstate(over="ignore"):
         _, result = meta_quad(model, cfg, [quad_task([1.0], [1.0], task_id=1)])
@@ -448,7 +449,7 @@ def test_meta_train_validation_overflow_restores_best_validation_round():
 def test_supervised_train_rejects_empty():
     _, model = mini_pool(1, seed=0, hidden=8)
     with pytest.raises(ContractError):
-        supervised_train(model, [], MetaConfig())
+        supervised_train(model, [], RunConfig())
 
 
 def test_training_log_format():

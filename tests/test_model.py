@@ -729,12 +729,13 @@ def test_encoders_step_in_lockstep():
 
 
 def test_overfit_single_sample_decreases_nll_and_bow():
-    from mkgd.meta import MetaConfig, supervised_train
+    from mkgd.config import RunConfig
+    from mkgd.meta import supervised_train
 
     model = DialogueModel(tiny_vocab(), 8, 8, seed=1)
     sample = tiny_sample(model.vocab, tiny_graph())
     _, first = model.forward([sample])
-    cfg = MetaConfig(alpha=0.01, beta=0.01, max_episodes=50)
+    cfg = RunConfig(alpha=0.01, beta=0.01, max_episodes=50)
     supervised_train(model, [sample], cfg, shuffle=False)
     _, last = model.forward([sample])
     assert last["nll"] < first["nll"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import add_param
 from mkgd.errors import ContractError, NumericError
 from mkgd.optim import (
     ADAM_BETA1,
@@ -19,7 +20,7 @@ from mkgd.tensor import Tensor
 def make_store(**values):
     store = ParamStore(0)
     for name, vals in values.items():
-        store.add(name, vals)
+        add_param(store, name, vals)
     return store
 
 

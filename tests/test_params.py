@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import add_param
 from mkgd.errors import ContractError, DataError
 from mkgd.optim import AdamState, adam_step, sgd_step
 from mkgd.params import (
@@ -76,7 +77,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "again.ckpt"
     restored = ParamStore(0)
     for name, vals in arrays.items():
-        restored.add(name, vals)
+        add_param(restored, name, vals)
     save_checkpoint(path2, restored)
     assert path.read_bytes() == path2.read_bytes()
 
@@ -93,8 +94,8 @@ def test_adam_state_rides_in_same_container(tmp_path):
     # checkpoints still load, with the state set apart from the parameters.
     store = ParamStore(3)
     store.create("w", (2, 2), init="uniform")
-    store.add("/adam/t", [1.0])
-    store.add("/adam/m/w", np.full((2, 2), 0.05))
+    add_param(store, "/adam/t", [1.0])
+    add_param(store, "/adam/m/w", np.full((2, 2), 0.05))
     path = tmp_path / "with_state.ckpt"
     save_checkpoint(path, store)
     params, adam = split_checkpoint(load_checkpoint(path))
@@ -108,7 +109,7 @@ def test_truncated_or_corrupt_checkpoint_raises_data_error(tmp_path):
     store = ParamStore(5)
     store.create("layer.W", (2, 3), init="uniform")
     store.create("layer.b", (2,), init="zeros")
-    store.add("scalar", 1.5)
+    add_param(store, "scalar", 1.5)
     path = tmp_path / "full.ckpt"
     save_checkpoint(path, store)
     data = path.read_bytes()

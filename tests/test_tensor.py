@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import assert_grads_close, finite_diff_grads
+from helpers import add_param, assert_grads_close, finite_diff_grads
 from mkgd import tensor as T
 from mkgd.errors import ContractError, DimensionError, NumericError, VocabError
 from mkgd.params import ParamStore
@@ -99,7 +99,7 @@ def test_gather_rejects_out_of_range():
 
 def test_backward_square():
     store = ParamStore(0)
-    x = store.add("x", [3.0])
+    x = add_param(store, "x", [3.0])
     tape = Tape()
     tape.watch(store)
     with tape:
@@ -110,7 +110,7 @@ def test_backward_square():
 
 def test_tape_records_once_and_detaches_its_parameters():
     store = ParamStore(0)
-    x = store.add("x", [3.0])
+    x = add_param(store, "x", [3.0])
     tape = Tape()
     tape.watch(store)
     with tape:
@@ -125,7 +125,7 @@ def test_tape_records_once_and_detaches_its_parameters():
 
 def test_backward_sigmoid_at_zero():
     store = ParamStore(0)
-    x = store.add("x", [0.0])
+    x = add_param(store, "x", [0.0])
     tape = Tape()
     tape.watch(store)
     with tape:
@@ -136,7 +136,7 @@ def test_backward_sigmoid_at_zero():
 
 def test_backward_requires_scalar_loss():
     store = ParamStore(0)
-    x = store.add("x", [1.0, 2.0])
+    x = add_param(store, "x", [1.0, 2.0])
     tape = Tape()
     tape.watch(store)
     with tape:
@@ -147,7 +147,7 @@ def test_backward_requires_scalar_loss():
 
 def test_backward_requires_recorded_loss():
     store = ParamStore(0)
-    store.add("x", [1.0])
+    add_param(store, "x", [1.0])
     tape = Tape()
     tape.watch(store)
     loss = T.Tensor([1.0])
@@ -157,8 +157,8 @@ def test_backward_requires_recorded_loss():
 
 def test_unreachable_params_get_zero_gradients():
     store = ParamStore(0)
-    x = store.add("x", [2.0])
-    store.add("unused", [[1.0, 2.0], [3.0, 4.0]])
+    x = add_param(store, "x", [2.0])
+    add_param(store, "unused", [[1.0, 2.0], [3.0, 4.0]])
     tape = Tape()
     tape.watch(store)
     with tape:
@@ -190,7 +190,7 @@ def test_backward_peak_memory_does_not_grow_with_chain_length():
 
     def peak(length):
         store = ParamStore(0)
-        x = store.add("x", np.linspace(-1.0, 1.0, size))
+        x = add_param(store, "x", np.linspace(-1.0, 1.0, size))
         tape = Tape()
         tape.watch(store)
         with tape:
@@ -215,10 +215,10 @@ def test_mlp_gradients_match_finite_differences():
     # 2-layer MLP with a scalar loss; the oracle is central differences.
     rng = np.random.default_rng(5)
     store = ParamStore(0)
-    W0 = store.add("W0", rng.normal(size=(5, 4)) * 0.5)
-    b0 = store.add("b0", rng.normal(size=5) * 0.1)
-    W1 = store.add("W1", rng.normal(size=(1, 5)) * 0.5)
-    b1 = store.add("b1", rng.normal(size=1) * 0.1)
+    W0 = add_param(store, "W0", rng.normal(size=(5, 4)) * 0.5)
+    b0 = add_param(store, "b0", rng.normal(size=5) * 0.1)
+    W1 = add_param(store, "W1", rng.normal(size=(1, 5)) * 0.5)
+    b1 = add_param(store, "b1", rng.normal(size=1) * 0.1)
     x = rng.normal(size=4)
 
     def forward():
@@ -288,7 +288,7 @@ def test_primitive_gradients_match_finite_differences(name, build, p_shape, c_sh
     for point in range(20):
         rng = np.random.default_rng(1000 + 17 * point)
         store = ParamStore(0)
-        p = store.add("p", rng.normal(size=p_shape) * 0.8)
+        p = add_param(store, "p", rng.normal(size=p_shape) * 0.8)
         const = T.Tensor(rng.normal(size=c_shape) * 0.8) if c_shape else None
         out_shape = build(p, const).shape
         probe = T.Tensor(rng.normal(size=out_shape))
@@ -314,7 +314,7 @@ def test_leaf_reached_by_gather_and_dense_op_matches_finite_differences(gather_f
     # orders start the leaf's gradient from a scattered and a dense part.
     rng = np.random.default_rng(21)
     store = ParamStore(0)
-    W = store.add("W", rng.normal(size=(4, 3)) * 0.8)
+    W = add_param(store, "W", rng.normal(size=(4, 3)) * 0.8)
     x = T.Tensor(rng.normal(size=3))
     probe = T.Tensor(rng.normal(size=(3, 3)))
 
@@ -343,11 +343,11 @@ def test_backward_results_own_their_memory_and_match_finite_differences():
     # a view of it (reshape, transpose) must not let two gradients share memory.
     rng = np.random.default_rng(31)
     store = ParamStore(0)
-    a = store.add("a", rng.normal(size=(2, 3)))
-    x = store.add("x", rng.normal(size=(2, 3)))
-    y = store.add("y", rng.normal(size=(2, 3)))
-    b = store.add("b", rng.normal(size=(3, 2)))
-    c = store.add("c", rng.normal(size=(3, 2)))
+    a = add_param(store, "a", rng.normal(size=(2, 3)))
+    x = add_param(store, "x", rng.normal(size=(2, 3)))
+    y = add_param(store, "y", rng.normal(size=(2, 3)))
+    b = add_param(store, "b", rng.normal(size=(3, 2)))
+    c = add_param(store, "c", rng.normal(size=(3, 2)))
     probe = T.Tensor(rng.normal(size=(2, 3)))
 
     def forward():

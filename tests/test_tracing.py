@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from mkgd import data, meta
+from mkgd.config import RunConfig
 from mkgd.model import DialogueModel
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -62,7 +63,7 @@ def test_a_training_step_and_a_reply_fire_every_expected_span_and_tape_counter(t
     vocab = data.build_vocab(data.raw_task_token_stream(raw), 200)
     [task] = data.tasks_from_raw(raw, vocab, 2, 2, seed=0)
     model = DialogueModel(vocab, 8, 8, seed=0)
-    cfg = meta.MetaConfig(alpha=0.01, beta=0.01, k_support=2, k_query=2, inner_steps=1)
+    cfg = RunConfig(alpha=0.01, beta=0.01, k_support=2, k_query=2, inner_steps=1)
     sample = task.query[0]
 
     tracer = tracing.Tracer()
