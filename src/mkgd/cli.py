@@ -150,12 +150,17 @@ def _train_command(args, train):
     return 0
 
 
+def _validation_tasks(valid_raw, vocab, cfg):
+    """The validation split as support/query tasks, or None when it is empty."""
+    return D.tasks_from_raw(valid_raw, vocab, cfg.k_support, cfg.k_query,
+                            seed=cfg.seed) if valid_raw else None
+
+
 def cmd_meta_train(args):
     def train(model, train_raw, valid_raw, cfg):
         train_tasks = D.tasks_from_raw(train_raw, model.vocab, cfg.k_support, cfg.k_query,
                                        seed=cfg.seed)
-        val_tasks = D.tasks_from_raw(valid_raw, model.vocab, cfg.k_support, cfg.k_query,
-                                     seed=cfg.seed) if valid_raw else None
+        val_tasks = _validation_tasks(valid_raw, model.vocab, cfg)
         _, result = meta_train(model, TaskSampler(train_tasks, seed=cfg.seed), cfg, val_tasks)
         return result, f"trained {result.episodes} episodes; checkpoint at {args.checkpoint_out}"
 
@@ -166,7 +171,8 @@ def cmd_train_baseline(args):
     def train(model, train_raw, valid_raw, cfg):
         samples = [s for raw_task in train_raw
                    for s in D.raw_task_to_samples(raw_task, model.vocab)]
-        _, result = supervised_train(model, samples, cfg)
+        val_tasks = _validation_tasks(valid_raw, model.vocab, cfg)
+        _, result = supervised_train(model, samples, cfg, val_tasks)
         return result, f"baseline checkpoint at {args.checkpoint_out}"
 
     return _train_command(args, train)
@@ -295,7 +301,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # A non-finite result raises NumericError; numpy's warnings would only repeat it.
+        # A non-finite result raises NumericError, trapped inside each model call
+        # and found by a scan elsewhere; numpy's warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except NumericError as exc:

@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .data import open_text
+from .data import RESERVED_TOKENS, open_text
 from .errors import DataError
 
 SEED_ENV_VAR = "MKGD_SEED"
@@ -66,6 +66,8 @@ class RunConfig:
             (("alpha", "beta"), lambda v: v > 0, "> 0"),
             (("num_tasks", "k_support", "k_query", "embed_dim", "hidden_dim", "max_len"),
              lambda v: v >= 1, ">= 1"),
+            # room for the reserved tokens and at least one word
+            (("max_vocab",), lambda v: v > len(RESERVED_TOKENS), f">= {len(RESERVED_TOKENS) + 1}"),
             (("inner_steps", "test_update_steps", "max_episodes", "early_stop_patience", "seed"),
              lambda v: v >= 0, ">= 0"),
             (("inner_optimizer", "meta_optimizer"), OPTIMIZERS.__contains__,

@@ -276,14 +276,15 @@ def adapt(model, task, cfg):
     return adapted, pre, post
 
 
-def supervised_train(model, samples, cfg, shuffle=True):
+def supervised_train(model, samples, cfg, val_tasks=None, shuffle=True):
     """Plain mini-batch optimization of the total loss; the non-meta baseline.
 
     cfg.max_episodes epochs under ``_fit`` of meta-optimizer steps at rate
     beta, one ``train`` log row a step. A batch holds as many samples as one
     meta-training episode, cfg.num_tasks * (cfg.k_support + cfg.k_query),
-    and each epoch's order is shuffled from cfg.seed. Returns (model,
-    TrainResult).
+    and each epoch's order is shuffled from cfg.seed. With val_tasks, each
+    epoch is validated on their query sets, as meta_train's episodes are.
+    Returns (model, TrainResult).
     """
     if not samples:
         raise ContractError("training split has no samples")
@@ -299,4 +300,4 @@ def supervised_train(model, samples, cfg, shuffle=True):
                                      cfg.meta_optimizer, state, cfg.beta, cfg.clip_norm)
             log.add(n, "train", start // batch_size, summary)
 
-    return _fit(model, epoch, cfg)
+    return _fit(model, epoch, cfg, val_tasks)

@@ -12,7 +12,8 @@ the longest sequence of any of them. The decoder runs the whole batch one
 GRU step per position on (B, ·) matrices; selection, fusion and the losses
 run once per batch too, on (B, ·) rows, with a batch's smaller graphs
 padded and masked. ``forward`` and ``score`` take a sample batch;
-``generate`` decodes one history greedily at batch size 1.
+``generate`` decodes one history greedily at batch size 1. Each of the three
+runs under one ``tensor.fp_trap``, so no primitive result is scanned.
 
 Knowledge fusion is the deterministic weighted sum of triplet vectors:
 posterior-weighted during training, prior-weighted at inference and when
@@ -305,6 +306,7 @@ class DialogueModel:
         # W h^T, not h W^T, as in mlp_forward: out.W's gradient comes out C-ordered.
         return T.add(T.transpose(T.matmul(self.out_W, T.transpose(rows))), self.out_b)
 
+    @T.fp_trap()
     def generate(self, history, graph, max_len):
         """Greedy decoding from BOS, stopping at EOS or max_len.
 
@@ -335,6 +337,7 @@ class DialogueModel:
 
     # -- objectives --------------------------------------------------------
 
+    @T.fp_trap()
     def forward(self, samples):
         """Full training pass over a sample batch; (recorded (B,) totals, loss summary).
 
@@ -370,6 +373,7 @@ class DialogueModel:
         totals, summary = self.forward(samples)
         return T.mul(T.sum_(totals), Tensor(1.0 / len(samples))), summary
 
+    @T.fp_trap()
     def score(self, samples):
         """Prior-fused teacher-forced NLL of a sample batch (no posterior, no recording).
 

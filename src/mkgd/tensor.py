@@ -6,17 +6,26 @@ sweeps the tape once in reverse and returns gradients for every watched
 parameter. Everything is float64: the engine is desk-scale and the
 finite-difference checks in the test suite need the precision.
 
-Every primitive raises NumericError on a non-finite result; the command line,
-not the engine, silences numpy's floating-point warnings with one np.errstate.
+A primitive raises NumericError on a non-finite result. Inside fp_trap, the
+scope each model call runs in, numpy's floating-point traps catch the first
+op that makes inf or NaN; outside it every result is scanned. The command
+line, not the engine, silences numpy's floating-point warnings with one
+np.errstate.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError, VocabError
 
 _ACTIVE_TAPE = None
+# Inside fp_trap numpy raises on overflow, invalid and divide. Per context, as
+# numpy's own error state is, so one thread's scope never skips another's scan.
+_TRAPPING = ContextVar("mkgd_fp_trap", default=False)
 
 
 class Tensor:
@@ -94,6 +103,39 @@ class Tape:
         return False
 
 
+@contextmanager
+def fp_trap():
+    """Raise NumericError at the first primitive that makes inf or NaN, without scanning results.
+
+    Inputs must be finite, as parameters are, so a floating-point flag fires
+    at the op that first makes a non-finite value; the op is named from the
+    innermost primitive frame of the trapped error. Underflow stays ignored:
+    the masked softmax and sigmoid's exp(-|v|) underflow to 0 by design.
+    Scopes nest.
+    """
+    token = _TRAPPING.set(True)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            yield
+    except FloatingPointError as exc:
+        kind = _trapped_kind(exc.__traceback__)
+        raise NumericError(f"non-finite result in op {kind!r}") from None
+    finally:
+        _TRAPPING.reset(token)
+
+
+def _trapped_kind(tb):
+    """The op kind of the innermost frame of this module in a traceback."""
+    kind = None
+    while tb is not None:
+        frame = tb.tb_frame
+        if frame.f_globals is globals():
+            # _elementwise names its op; every other primitive is named by its function.
+            kind = frame.f_locals.get("kind", frame.f_code.co_name.rstrip("_"))
+        tb = tb.tb_next
+    return kind
+
+
 def _node_id(t, tape):
     if tape is not None and t.tape is tape and t.node_id is not None:
         return t.node_id
@@ -102,7 +144,7 @@ def _node_id(t, tape):
 
 def _out(kind, values, input_ids, saved):
     out = Tensor(values)
-    if not np.isfinite(out.values).all():
+    if not _TRAPPING.get() and not np.isfinite(out.values).all():
         raise NumericError(f"non-finite result in op {kind!r}")
     tape = _ACTIVE_TAPE
     if tape is not None:

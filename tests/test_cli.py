@@ -281,16 +281,49 @@ def test_train_baseline_divergence_exits_3_and_keeps_checkpoint(tmp_path, capsys
         assert np.array_equal(t.values, fresh.store[name].values), name
 
 
-def test_train_baseline_runs(tmp_path):
+def test_train_baseline_runs(tmp_path, capsys):
     pool = make_pool(tmp_path / "pool.jsonl", tasks=4)
-    code = run_cli("train-baseline", "--pool", str(pool),
-                   "--checkpoint-out", str(tmp_path / "base.ckpt"),
-                   "--vocab-out", str(tmp_path / "base.vocab"),
-                   "--log-out", str(tmp_path / "base.log"),
-                   "--embed-dim", "8", "--hidden-dim", "8",
-                   "--max-episodes", "1")
+    argv = ["train-baseline", "--pool", str(pool),
+            "--checkpoint-out", str(tmp_path / "base.ckpt"),
+            "--vocab-out", str(tmp_path / "base.vocab"),
+            "--log-out", str(tmp_path / "base.log"),
+            "--embed-dim", "8", "--hidden-dim", "8",
+            "--max-episodes", "1"]
+    # The validation task splits as meta-train's do: ten samples cannot
+    # split into the desk preset's 8 + 14.
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == "error: need 22 samples to split 8+14, got 10 (short by 12)\n"
+    assert_no_outputs(tmp_path, "base")
+    code = run_cli(*argv, "--k-support", "3", "--k-query", "3")
     assert code == 0
     assert (tmp_path / "base.ckpt").exists()
+
+
+def test_train_baseline_keeps_the_epoch_with_the_best_validation_loss(tmp_path):
+    pool = make_pool(tmp_path / "pool.jsonl")
+
+    def train(tag, epochs):
+        code = run_cli("train-baseline", "--pool", str(pool),
+                       "--checkpoint-out", str(tmp_path / f"{tag}.ckpt"),
+                       "--vocab-out", str(tmp_path / f"{tag}.vocab"),
+                       "--log-out", str(tmp_path / f"{tag}.log"),
+                       *MINI_TRAIN_FLAGS, "--max-episodes", str(epochs), "--patience", "0")
+        assert code == 0
+        return (tmp_path / f"{tag}.log").read_text().splitlines()[1:]
+
+    val = {}
+    for row in train("full", 6):
+        episode, split, _, _, _, _, total, _ = row.split(",")
+        if split == "val":
+            val.setdefault(int(episode), []).append(float(total))
+    assert sorted(val) == [1, 2, 3, 4, 5, 6]
+    best = min(val, key=lambda e: sum(val[e]) / len(val[e]))
+    assert best < 6  # the kept parameters are not simply the last epoch's
+    # Training is deterministic, so a run that stops at the best epoch ends
+    # holding the parameters the full run kept.
+    train("best", best)
+    assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "best.ckpt").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +717,8 @@ def test_config_option_strings_are_pinned(command):
 
 def test_flag_and_config_file_line_give_equal_config(tmp_path, monkeypatch):
     monkeypatch.delenv("MKGD_SEED", raising=False)
-    text = {int: "3", float: "0.25", str: "sgd"}
+    # Valid for every field of its type (max_vocab needs >= 5) and no field's default.
+    text = {int: "6", float: "0.25", str: "sgd"}
     flags = {action.dest: action.option_strings[0]
              for action in subcommand_parser("chat")._actions}
     base = ["chat", "--checkpoint", "c", "--vocab", "v", "--graph", "g"]

@@ -82,19 +82,20 @@ def test_flag_overrides_skip_none():
     assert cfg.beta == 0.5
 
 
-# One out-of-range value for each field RunConfig checks. max_vocab is not
-# checked here: build_vocab rejects a cap too small for the reserved tokens.
+# One out-of-range value for each field RunConfig checks; a max_vocab of 4
+# holds only the reserved tokens.
 BAD_VALUES = {
     "alpha": 0.0, "beta": -1e-4, "num_tasks": 0, "k_support": 0, "k_query": -2,
     "inner_steps": -1, "test_update_steps": -1, "inner_optimizer": "rmsprop",
     "meta_optimizer": "Adam", "max_episodes": -1, "early_stop_patience": -3,
     "clip_norm": float("nan"), "embed_dim": 0, "hidden_dim": -1, "max_len": 0,
     "w_kl": float("nan"), "w_nll": float("inf"), "w_bow": float("-inf"), "seed": -1,
+    "max_vocab": 4,
 }
 
 
 def test_bad_values_cover_every_checked_field():
-    assert set(BAD_VALUES) == {f.name for f in dataclasses.fields(RunConfig)} - {"max_vocab"}
+    assert set(BAD_VALUES) == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 @pytest.mark.parametrize("name,value", BAD_VALUES.items(), ids=list(BAD_VALUES))

@@ -8,7 +8,7 @@ import helpers
 from mkgd import tensor as T
 from mkgd.data import Vocab
 from mkgd.dialogue import DialogueGoal, DialogueSample, KnowledgeGraph, KnowledgeTriplet
-from mkgd.errors import ContractError
+from mkgd.errors import ContractError, NumericError
 from mkgd.metrics import selection_accuracy
 from mkgd.layers import MASKED, build_mlp, gru_encode
 from mkgd.model import (
@@ -582,6 +582,58 @@ def _recorded_objective(model, samples):
     with tape:
         loss, _ = model.batch_objective(samples)
     return loss.item(), T.backward(tape, loss)
+
+
+def overflowing_model():
+    """A model whose first encoder matmul overflows: unit embeddings times W_z entries of 1e308."""
+    model = tiny_model()
+    for name, value in (("model.embed.W", 1.0), ("model.enc.fwd.W_z", 1e308)):
+        model.store.set_values(name, np.full(model.store[name].shape, value))
+    return model
+
+
+def test_overflow_in_recorded_forward_names_the_matmul():
+    model = overflowing_model()
+    tape = T.Tape()
+    tape.watch(model.store)
+    with pytest.raises(NumericError, match="non-finite result in op 'matmul'"), tape:
+        model.forward([tiny_sample(model.vocab, tiny_graph())])
+
+
+MODEL_CALLS = {
+    "forward": lambda model, sample: model.forward([sample]),
+    "score": lambda model, sample: model.score([sample]),
+    "generate": lambda model, sample: model.generate(sample.history, sample.graph, 3),
+}
+CLI_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+@pytest.mark.parametrize("outer", [{}, CLI_ERRSTATE], ids=["default", "cli"])
+@pytest.mark.parametrize("call", list(MODEL_CALLS))
+def test_model_call_traps_overflow_and_restores_the_error_state(call, outer):
+    with np.errstate(**outer):
+        before = np.geterr()
+        sample = tiny_sample(tiny_vocab(), tiny_graph())
+        MODEL_CALLS[call](tiny_model(), sample)
+        assert np.geterr() == before
+        with pytest.raises(NumericError, match="non-finite result in op 'matmul'"):
+            MODEL_CALLS[call](overflowing_model(), sample)
+        assert np.geterr() == before
+    assert not T._TRAPPING.get()
+
+
+@pytest.mark.parametrize("call", list(MODEL_CALLS))
+def test_model_call_runs_its_primitives_under_the_trap(call, monkeypatch):
+    seen = []
+
+    def tanh(t):
+        seen.append(T._TRAPPING.get())
+        return original(t)
+
+    original = T.tanh
+    monkeypatch.setattr(T, "tanh", tanh)
+    MODEL_CALLS[call](tiny_model(), tiny_sample(tiny_vocab(), tiny_graph()))
+    assert seen and all(seen)
 
 
 def test_ragged_batch_equals_mean_of_single_samples():

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,76 @@ def test_non_finite_result_raises():
             T.matmul(T.Tensor([[1e200]]), T.Tensor([1e200]))
         with pytest.raises(NumericError):
             T.log(T.Tensor([0.0]))
+
+
+# Every operand shape matmul admits: 2-d@2-d, 3-d@3-d, 3-d@2-d, 3-d@1-d, 2-d@1-d.
+MATMUL_SHAPES = [((2, 3), (3, 4)), ((2, 2, 3), (2, 3, 4)), ((2, 2, 3), (3, 4)),
+                 ((2, 2, 3), (3,)), ((2, 3), (3,))]
+
+
+@pytest.mark.parametrize("a_shape,b_shape", MATMUL_SHAPES)
+def test_fp_trap_names_an_overflowing_matmul(a_shape, b_shape):
+    a, b = T.Tensor(np.full(a_shape, 1e200)), T.Tensor(np.full(b_shape, 1e200))
+    with pytest.raises(NumericError, match="non-finite result in op 'matmul'"), T.fp_trap():
+        T.matmul(a, b)
+
+
+def test_fp_trap_catches_a_cancellation_inside_matmul():
+    # The products are +inf and -inf, so the scan would see their sum, NaN.
+    with pytest.raises(NumericError, match="op 'matmul'"), T.fp_trap():
+        T.matmul(T.Tensor([[1e200, 1e200]]), T.Tensor([1e200, -1e200]))
+
+
+@pytest.mark.parametrize("kind,a,b", [("mul", 1e200, 1e200), ("add", 1e308, 1e308),
+                                      ("sub", 1e308, -1e308)])
+def test_fp_trap_names_an_overflowing_elementwise_op(kind, a, b):
+    with pytest.raises(NumericError, match=f"non-finite result in op '{kind}'"), T.fp_trap():
+        getattr(T, kind)(T.Tensor([1.0, a]), T.Tensor([[1.0], [b]]))
+
+
+def test_fp_trap_names_sum_and_log():
+    with pytest.raises(NumericError, match="op 'sum'"), T.fp_trap():
+        T.sum_(T.Tensor([1e308, 1e308]))
+    with pytest.raises(NumericError, match="op 'log'"), T.fp_trap():
+        T.log(T.Tensor([1.0, 0.0]))
+
+
+def test_fp_trap_ignores_underflow():
+    with T.fp_trap():
+        out = T.softmax(T.Tensor([0.0, -1e30]))
+    assert out.values.tolist() == [1.0, 0.0]
+
+
+def test_fp_trap_nests_and_restores_the_error_state():
+    before = np.geterr()
+    with pytest.raises(NumericError, match="op 'mul'"), T.fp_trap():
+        with T.fp_trap():
+            T.mul(T.Tensor([2.0]), T.Tensor([3.0]))
+        # Leaving the inner scope leaves the outer one trapping.
+        assert T._TRAPPING.get()
+        T.mul(T.Tensor([1e200]), T.Tensor([1e200]))
+    assert not T._TRAPPING.get()
+    assert np.geterr() == before
+
+
+def test_fp_trap_in_one_thread_leaves_another_scanning():
+    entered, release = threading.Event(), threading.Event()
+
+    def hold_a_scope():
+        with T.fp_trap():
+            entered.set()
+            release.wait(10)
+
+    worker = threading.Thread(target=hold_a_scope)
+    worker.start()
+    try:
+        assert entered.wait(10)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="op 'mul'"):
+            T.mul(T.Tensor([1e200]), T.Tensor([1e200]))
+    finally:
+        release.set()
+        worker.join(10)
+    assert not worker.is_alive()
 
 
 def test_log_floor():
