@@ -150,17 +150,12 @@ def _train_command(args, train):
     return 0
 
 
-def _validation_tasks(valid_raw, vocab, cfg):
-    """The validation split as support/query tasks, or None when it is empty."""
-    return D.tasks_from_raw(valid_raw, vocab, cfg.k_support, cfg.k_query,
-                            seed=cfg.seed) if valid_raw else None
-
-
 def cmd_meta_train(args):
     def train(model, train_raw, valid_raw, cfg):
         train_tasks = D.tasks_from_raw(train_raw, model.vocab, cfg.k_support, cfg.k_query,
                                        seed=cfg.seed)
-        val_tasks = _validation_tasks(valid_raw, model.vocab, cfg)
+        val_tasks = D.tasks_from_raw(valid_raw, model.vocab, cfg.k_support, cfg.k_query,
+                                     seed=cfg.seed) if valid_raw else None
         _, result = meta_train(model, TaskSampler(train_tasks, seed=cfg.seed), cfg, val_tasks)
         return result, f"trained {result.episodes} episodes; checkpoint at {args.checkpoint_out}"
 
@@ -171,7 +166,12 @@ def cmd_train_baseline(args):
     def train(model, train_raw, valid_raw, cfg):
         samples = [s for raw_task in train_raw
                    for s in D.raw_task_to_samples(raw_task, model.vocab)]
-        val_tasks = _validation_tasks(valid_raw, model.vocab, cfg)
+        # Validate on meta-train's query sets when every validation task splits
+        # as they do; a pool whose tasks are too small trains without validation.
+        need, val_tasks = cfg.k_support + cfg.k_query, None
+        if valid_raw and all(len(raw_task.samples) >= need for raw_task in valid_raw):
+            val_tasks = D.tasks_from_raw(valid_raw, model.vocab, cfg.k_support, cfg.k_query,
+                                         seed=cfg.seed)
         _, result = supervised_train(model, samples, cfg, val_tasks)
         return result, f"baseline checkpoint at {args.checkpoint_out}"
 

@@ -13,7 +13,7 @@ GRU step per position on (B, ·) matrices; selection, fusion and the losses
 run once per batch too, on (B, ·) rows, with a batch's smaller graphs
 padded and masked. ``forward`` and ``score`` take a sample batch;
 ``generate`` decodes one history greedily at batch size 1. Each of the three
-runs under one ``tensor.fp_trap``, so no primitive result is scanned.
+runs under one ``tensor.fp_trap``, so only matmul results are scanned.
 
 Knowledge fusion is the deterministic weighted sum of triplet vectors:
 posterior-weighted during training, prior-weighted at inference and when

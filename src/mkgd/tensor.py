@@ -8,9 +8,9 @@ finite-difference checks in the test suite need the precision.
 
 A primitive raises NumericError on a non-finite result. Inside fp_trap, the
 scope each model call runs in, numpy's floating-point traps catch the first
-op that makes inf or NaN; outside it every result is scanned. The command
-line, not the engine, silences numpy's floating-point warnings with one
-np.errstate.
+elementwise op that makes inf or NaN; matmul results, and outside it every
+result, are scanned. The command line, not the engine, silences numpy's
+floating-point warnings with one np.errstate.
 """
 
 from __future__ import annotations
@@ -105,13 +105,14 @@ class Tape:
 
 @contextmanager
 def fp_trap():
-    """Raise NumericError at the first primitive that makes inf or NaN, without scanning results.
+    """Raise NumericError at the first primitive that makes inf or NaN, scanning only matmuls.
 
     Inputs must be finite, as parameters are, so a floating-point flag fires
     at the op that first makes a non-finite value; the op is named from the
-    innermost primitive frame of the trapped error. Underflow stays ignored:
-    the masked softmax and sigmoid's exp(-|v|) underflow to 0 by design.
-    Scopes nest.
+    innermost primitive frame of the trapped error. Flags are per thread and
+    BLAS may split a large matmul across worker threads, so matmul results
+    are still scanned. Underflow stays ignored: the masked softmax and
+    sigmoid's exp(-|v|) underflow to 0 by design. Scopes nest.
     """
     token = _TRAPPING.set(True)
     try:
@@ -144,7 +145,8 @@ def _node_id(t, tape):
 
 def _out(kind, values, input_ids, saved):
     out = Tensor(values)
-    if not _TRAPPING.get() and not np.isfinite(out.values).all():
+    # A BLAS worker thread's overflow sets no flag the trap sees (see fp_trap).
+    if (kind == "matmul" or not _TRAPPING.get()) and not np.isfinite(out.values).all():
         raise NumericError(f"non-finite result in op {kind!r}")
     tape = _ACTIVE_TAPE
     if tape is not None:

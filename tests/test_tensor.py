@@ -82,8 +82,17 @@ def test_fp_trap_names_an_overflowing_matmul(a_shape, b_shape):
         T.matmul(a, b)
 
 
+def test_fp_trap_names_an_overflow_in_a_threaded_matmul():
+    # Large enough for BLAS to split across threads, whose floating-point flags
+    # the trap does not see; only the last block's corner element overflows.
+    a, b = np.ones((300, 300)), np.ones((300, 2000))
+    a[-1], b[:, -1] = 1e200, 1e200
+    with pytest.raises(NumericError, match="non-finite result in op 'matmul'"), T.fp_trap():
+        T.matmul(T.Tensor(a), T.Tensor(b))
+
+
 def test_fp_trap_catches_a_cancellation_inside_matmul():
-    # The products are +inf and -inf, so the scan would see their sum, NaN.
+    # The products are +inf and -inf; their sum is NaN.
     with pytest.raises(NumericError, match="op 'matmul'"), T.fp_trap():
         T.matmul(T.Tensor([[1e200, 1e200]]), T.Tensor([1e200, -1e200]))
 
