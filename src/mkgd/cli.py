@@ -59,7 +59,7 @@ def _config_from_args(args):
                            overrides=overrides)
 
 
-def _load_model(checkpoint_path, vocab_path, loss_weights=(1.0, 1.0, 1.0)):
+def _load_model(checkpoint_path, vocab_path, loss_weights):
     arrays = load_checkpoint(checkpoint_path)
     params, _ = split_checkpoint(arrays)
     vocab = D.Vocab.load(vocab_path)
@@ -105,11 +105,14 @@ def cmd_synth(args):
     return 0
 
 
-def _check_output_paths(**paths):
-    """Reject, before any work is done, an output path that cannot be written
-    and two outputs that name one file. Keyed by each flag's dest."""
-    seen = {}
-    for dest, path in paths.items():
+def _check_output_paths(args, inputs, outputs):
+    """Reject, before any work is done, an output path that cannot be written,
+    two outputs that name one file and an output that names an input file.
+    inputs and outputs are dests of args; an input left unset is skipped."""
+    seen = {os.path.realpath(getattr(args, dest)): "--" + dest.replace("_", "-")
+            for dest in inputs if getattr(args, dest)}
+    for dest in outputs:
+        path = getattr(args, dest)
         parent = os.path.dirname(path) or "."
         if os.path.isdir(path):
             raise DataError(f"output path {path} is a directory")
@@ -126,20 +129,25 @@ def _check_output_paths(**paths):
 def _train_command(args, train):
     """The body meta-train and train-baseline share.
 
-    The output paths are checked first. train(model, train_raw, valid_raw,
-    cfg) returns (TrainResult, stdout line on success), and the trainer it
-    calls rejects a training split it cannot use. No file is written before
-    it returns, so an input error leaves no output behind.
+    The output paths are checked first. Both trainers validate each round on
+    the query sets of the validation split when every validation task splits
+    into k_support + k_query samples, and train without validation otherwise.
+    train(model, train_raw, val_tasks, cfg) returns (TrainResult, stdout line
+    on success), and the trainer it calls rejects a training split it cannot
+    use. No file is written before it returns, so an input error leaves no
+    output behind.
     """
-    _check_output_paths(vocab_out=args.vocab_out, checkpoint_out=args.checkpoint_out,
-                        log_out=args.log_out)
+    _check_output_paths(args, ("pool", "config"), ("vocab_out", "checkpoint_out", "log_out"))
     cfg = _config_from_args(args)
     raw = D.load_task_pool(args.pool)
     train_raw, valid_raw, _ = D.split_pool(raw, seed=cfg.seed)
     vocab = D.build_vocab(D.raw_task_token_stream(raw), cfg.max_vocab)
     model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim,
                           seed=cfg.seed, loss_weights=cfg.loss_weights())
-    result, done = train(model, train_raw, valid_raw, cfg)
+    need, val_tasks = cfg.k_support + cfg.k_query, None
+    if valid_raw and all(len(raw_task.samples) >= need for raw_task in valid_raw):
+        val_tasks = D.tasks_from_raw(valid_raw, vocab, cfg.k_support, cfg.k_query, seed=cfg.seed)
+    result, done = train(model, train_raw, val_tasks, cfg)
     vocab.save(args.vocab_out)
     save_checkpoint(args.checkpoint_out, model.store)
     result.log.write(args.log_out)
@@ -151,11 +159,9 @@ def _train_command(args, train):
 
 
 def cmd_meta_train(args):
-    def train(model, train_raw, valid_raw, cfg):
+    def train(model, train_raw, val_tasks, cfg):
         train_tasks = D.tasks_from_raw(train_raw, model.vocab, cfg.k_support, cfg.k_query,
                                        seed=cfg.seed)
-        val_tasks = D.tasks_from_raw(valid_raw, model.vocab, cfg.k_support, cfg.k_query,
-                                     seed=cfg.seed) if valid_raw else None
         _, result = meta_train(model, TaskSampler(train_tasks, seed=cfg.seed), cfg, val_tasks)
         return result, f"trained {result.episodes} episodes; checkpoint at {args.checkpoint_out}"
 
@@ -163,15 +169,9 @@ def cmd_meta_train(args):
 
 
 def cmd_train_baseline(args):
-    def train(model, train_raw, valid_raw, cfg):
+    def train(model, train_raw, val_tasks, cfg):
         samples = [s for raw_task in train_raw
                    for s in D.raw_task_to_samples(raw_task, model.vocab)]
-        # Validate on meta-train's query sets when every validation task splits
-        # as they do; a pool whose tasks are too small trains without validation.
-        need, val_tasks = cfg.k_support + cfg.k_query, None
-        if valid_raw and all(len(raw_task.samples) >= need for raw_task in valid_raw):
-            val_tasks = D.tasks_from_raw(valid_raw, model.vocab, cfg.k_support, cfg.k_query,
-                                         seed=cfg.seed)
         _, result = supervised_train(model, samples, cfg, val_tasks)
         return result, f"baseline checkpoint at {args.checkpoint_out}"
 
@@ -180,7 +180,7 @@ def cmd_train_baseline(args):
 
 def cmd_adapt_eval(args):
     if args.report_out:
-        _check_output_paths(report_out=args.report_out)
+        _check_output_paths(args, ("pool", "checkpoint", "vocab", "config"), ("report_out",))
     cfg = _config_from_args(args)
     model = _load_model(args.checkpoint, args.vocab, cfg.loss_weights())
     raw = _split_tasks(D.load_task_pool(args.pool), args.split, cfg.seed)

@@ -334,15 +334,13 @@ def load_graph(path):
     return _graph(*_graph_fields(obj, path))
 
 
-def split_pool(raw_tasks, seed=0, fractions=(0.70, 0.15, 0.15)):
+def split_pool(raw_tasks, seed=0):
     """Seeded 70/15/15 split by task into (train, valid, test)."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ContractError(f"split fractions must sum to 1, got {fractions}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(raw_tasks))
     n = len(raw_tasks)
-    n_train = int(round(fractions[0] * n))
-    n_valid = int(round(fractions[1] * n))
+    n_train = int(round(0.70 * n))
+    n_valid = int(round(0.15 * n))
     train = [raw_tasks[i] for i in order[:n_train]]
     valid = [raw_tasks[i] for i in order[n_train:n_train + n_valid]]
     test = [raw_tasks[i] for i in order[n_train + n_valid:]]

@@ -276,7 +276,7 @@ def adapt(model, task, cfg):
     return adapted, pre, post
 
 
-def supervised_train(model, samples, cfg, val_tasks=None, shuffle=True):
+def supervised_train(model, samples, cfg, val_tasks=None):
     """Plain mini-batch optimization of the total loss; the non-meta baseline.
 
     cfg.max_episodes epochs under ``_fit`` of meta-optimizer steps at rate
@@ -293,7 +293,7 @@ def supervised_train(model, samples, cfg, val_tasks=None, shuffle=True):
     rng = np.random.default_rng(cfg.seed)
 
     def epoch(n, log):
-        order = rng.permutation(len(samples)) if shuffle else np.arange(len(samples))
+        order = rng.permutation(len(samples))
         for start in range(0, len(samples), batch_size):
             batch = [samples[i] for i in order[start:start + batch_size]]
             _, summary = _train_step(model, lambda: model.batch_objective(batch),

@@ -20,6 +20,7 @@ from mkgd.data import (
     raw_task_to_samples,
     raw_task_token_stream,
     save_task_pool,
+    split_pool,
 )
 from mkgd.meta import supervised_train
 from mkgd.model import DialogueModel
@@ -216,6 +217,43 @@ def test_train_outputs_naming_one_file_exit_2_before_reading_input(tmp_path, cap
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,given,out", [
+    ("train-baseline", "--pool", "--checkpoint-out"),
+    ("train-baseline", "--config", "--vocab-out"),
+    ("meta-train", "--pool", "--vocab-out"),
+    ("meta-train", "--config", "--log-out"),
+    ("adapt-eval", "--pool", "--report-out"),
+    ("adapt-eval", "--checkpoint", "--report-out"),
+    ("adapt-eval", "--vocab", "--report-out"),
+    ("adapt-eval", "--config", "--report-out"),
+])
+def test_output_naming_an_input_exits_2_before_any_work(tmp_path, capsys, command, given, out):
+    pool = make_pool(tmp_path / "pool.jsonl")
+    config = tmp_path / "run.cfg"
+    config.write_text("max_len=12\n")
+    assert run_cli("meta-train", "--pool", str(pool), "--checkpoint-out", str(tmp_path / "m.ckpt"),
+                   "--vocab-out", str(tmp_path / "m.vocab"), "--log-out", str(tmp_path / "m.log"),
+                   *MINI_TRAIN_FLAGS, "--max-episodes", "0") == 0
+    inputs = {"--pool": pool, "--config": config,
+              "--checkpoint": tmp_path / "m.ckpt", "--vocab": tmp_path / "m.vocab"}
+    if command == "adapt-eval":
+        outputs = {"--report-out": tmp_path / "x.json"}
+    else:
+        inputs = {flag: inputs[flag] for flag in ("--pool", "--config")}
+        outputs = {"--checkpoint-out": tmp_path / "x.ckpt", "--vocab-out": tmp_path / "x.vocab",
+                   "--log-out": tmp_path / "x.log"}
+    # A second spelling of the input's path, equal after realpath.
+    outputs[out] = os.path.join(tmp_path, ".", inputs[given].name)
+    argv = [str(a) for flag_path in (*inputs.items(), *outputs.items()) for a in flag_path]
+    before, listing = inputs[given].read_bytes(), sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run_cli(command, *argv, *MINI_TRAIN_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {given} and {out} name the same file {outputs[out]}\n"
+    assert inputs[given].read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == listing
+
+
 def test_meta_train_divergence_exits_3_and_keeps_checkpoint(tmp_path, capsys):
     pool = make_pool(tmp_path / "pool.jsonl")
     code = run_cli("meta-train", "--pool", str(pool),
@@ -248,8 +286,8 @@ def test_meta_train_validation_overflow_exits_3_and_keeps_initialization(tmp_pat
     assert code == 3
     assert capsys.readouterr().err == "training diverged; best checkpoint retained\n"
     assert (tmp_path / "div.log").exists()
-    model = cli._load_model(tmp_path / "div.ckpt", tmp_path / "div.vocab")
     cfg = make_run_config("desk")
+    model = cli._load_model(tmp_path / "div.ckpt", tmp_path / "div.vocab", cfg.loss_weights())
     fresh = DialogueModel(model.vocab, cfg.embed_dim, cfg.hidden_dim, seed=cfg.seed)
     for name, t in model.store.items():
         assert np.array_equal(t.values, fresh.store[name].values), name
@@ -275,7 +313,8 @@ def test_train_baseline_divergence_exits_3_and_keeps_checkpoint(tmp_path, capsys
     log = (tmp_path / "div.log").read_text().splitlines()
     assert log[0] == "episode,split,task_id,kl,nll,bow,total,sel_acc"
     assert [row.split(",")[:3] for row in log[1:]] == [["1", "train", "0"]]
-    model = cli._load_model(tmp_path / "div.ckpt", tmp_path / "div.vocab")
+    model = cli._load_model(tmp_path / "div.ckpt", tmp_path / "div.vocab",
+                            RunConfig().loss_weights())
     fresh = DialogueModel(model.vocab, 8, 8, seed=3)
     for name, t in model.store.items():
         assert np.array_equal(t.values, fresh.store[name].values), name
@@ -322,6 +361,32 @@ def test_train_baseline_keeps_the_epoch_with_the_best_validation_loss(tmp_path):
     assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "best.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("valid_samples", [None, 5])
+def test_trainers_validate_by_one_rule(tmp_path, valid_samples):
+    # Ten samples a task split 3 + 3; five do not, so that pool trains both
+    # ways without validation, though its training tasks split.
+    pool = make_pool(tmp_path / "pool.jsonl")
+    if valid_samples:
+        raw = load_task_pool(pool)
+        _, valid, _ = split_pool(raw, seed=make_run_config("desk").seed)
+        for raw_task in valid:
+            raw_task.samples = raw_task.samples[:valid_samples]
+        save_task_pool(pool, raw)
+    val = {}
+    for command in ("meta-train", "train-baseline"):
+        code = run_cli(command, "--pool", str(pool),
+                       "--checkpoint-out", str(tmp_path / f"{command}.ckpt"),
+                       "--vocab-out", str(tmp_path / f"{command}.vocab"),
+                       "--log-out", str(tmp_path / f"{command}.log"), *MINI_TRAIN_FLAGS)
+        assert code == 0
+        rows = [row.split(",") for row in
+                (tmp_path / f"{command}.log").read_text().splitlines()[1:]]
+        val[command] = [(row[0], row[2]) for row in rows if row[1] == "val"]
+    assert val["meta-train"] == val["train-baseline"]
+    # episodes 1 and 2 each validate on the one validation task, or on none
+    assert len(val["meta-train"]) == (0 if valid_samples else 2)
+
+
 # ---------------------------------------------------------------------------
 # adapt-eval
 
@@ -339,7 +404,7 @@ def memorizable_pool_and_model(tmp_path, response="the end"):
     model = DialogueModel(vocab, 8, 8, seed=1)
     train_samples = raw_task_to_samples(raw[0], vocab)
     cfg = RunConfig(alpha=0.02, beta=0.02, max_episodes=80)
-    supervised_train(model, train_samples[:4], cfg, shuffle=False)
+    supervised_train(model, train_samples[:4], cfg)
     ckpt = tmp_path / "memo.ckpt"
     vocab_path = tmp_path / "memo.vocab"
     save_checkpoint(ckpt, model.store)

@@ -218,9 +218,14 @@ def test_degenerate_meta_step_equals_supervised_single_step():
     tasks, model = mini_pool(1, seed=7, hidden=8)
     cfg = RunConfig(alpha=0.01, beta=0.01, num_tasks=1, inner_steps=0, max_episodes=1)
     twin = model.clone()
+    # Lay the query set out so that the epoch's shuffle reads it back in its
+    # own order: the batch loss must sum its samples as the meta step does.
+    query = tasks[0].query
+    order = np.random.default_rng(cfg.seed).permutation(len(query))
+    laid_out = [query[i] for i in np.argsort(order)]
 
     meta_batch_step(model, [tasks[0]], cfg)
-    supervised_train(twin, tasks[0].query, cfg, shuffle=False)
+    supervised_train(twin, laid_out, cfg)
 
     for name, t in model.store.items():
         assert np.array_equal(t.values, twin.store[name].values), name
@@ -406,13 +411,13 @@ def test_supervised_train_quadratic_closed_form():
     cfg = RunConfig(alpha=0.3, beta=0.1, meta_optimizer="sgd", inner_optimizer="adam",
                     inner_steps=5, test_update_steps=5, max_episodes=2)
     model = QuadraticModel(1.0)
-    _, result = supervised_train(model, [QuadSample(1.0)], cfg, shuffle=False)
+    _, result = supervised_train(model, [QuadSample(1.0)], cfg)
     assert step_totals(result) == pytest.approx([1.0, 0.64], abs=1e-12)
     assert model.value() == pytest.approx(0.64, abs=1e-12)
 
 
 def supervised_quad(model, cfg):
-    return supervised_train(model, [QuadSample(1.0)], cfg, shuffle=False)
+    return supervised_train(model, [QuadSample(1.0)], cfg)
 
 
 def meta_quad(model, cfg, val_tasks=None):

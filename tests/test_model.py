@@ -788,7 +788,7 @@ def test_overfit_single_sample_decreases_nll_and_bow():
     sample = tiny_sample(model.vocab, tiny_graph())
     _, first = model.forward([sample])
     cfg = RunConfig(alpha=0.01, beta=0.01, max_episodes=50)
-    supervised_train(model, [sample], cfg, shuffle=False)
+    supervised_train(model, [sample], cfg)
     _, last = model.forward([sample])
     assert last["nll"] < first["nll"]
     assert last["bow"] < first["bow"]
