@@ -97,12 +97,16 @@ def _train_step(model, objective, kind, state, lr, clip_norm):
     tape.watch(model.store)
     with tape:
         loss, summary = objective()
-    grads = clip_global_norm(backward(tape, loss), clip_norm)
+    grads = backward(tape, loss)
+    value = loss.item()
+    # The tape holds every saved activation; free them before clip and the update.
+    del tape, loss
+    grads = clip_global_norm(grads, clip_norm)
     if kind == "adam":
         adam_step(model.store, grads, state, lr)
     else:
         sgd_step(model.store, grads, lr)
-    return loss.item(), summary
+    return value, summary
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -85,6 +88,60 @@ class AdamState:
         self.v = {name: np.zeros(t.shape) for name, t in params.items()}
 
 
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no affinity call
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _helper():
+    """The worker thread that takes half of a large parameter's update.
+
+    Adam runs at most min(2, _cpus()) ways, the calling thread being one of
+    them, so one worker; made on first use, never at import.
+    """
+    # Imported here: concurrent.futures loads logging, about 1 MB that runs
+    # whose parameters all fit in one block never use.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="mkgd-adam")
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows
+    # A forked child inherits no worker thread, only an executor that thinks
+    # it has an idle one and would never start it; the child makes its own.
+    os.register_at_fork(after_in_child=_helper.cache_clear)
+
+
+def _adam_range(name, flats, begin, end, b1t, b2t, lr, bufs):
+    """Update flat values begin:end of one parameter, one ADAM_BLOCK block at a time.
+
+    flats are the flat gradient, moments, old values and new values; bufs
+    the two scratch buffers, at least one block wide, that no other thread
+    uses.
+    """
+    g_flat, m_flat, v_flat, theta_flat, new_flat = flats
+    step_buf, denom_buf = bufs
+    for lo in range(begin, end, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, end)
+        g, m, v = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+        step, denom = step_buf[: hi - lo], denom_buf[: hi - lo]
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(g, g, out=step), 1.0 - ADAM_BETA2, out=step)
+        # theta - lr * m_hat / (sqrt(v_hat) + eps)
+        np.multiply(np.divide(m, b1t, out=step), lr, out=step)
+        np.sqrt(np.divide(v, b2t, out=denom), out=denom)
+        step /= np.add(denom, ADAM_EPS, out=denom)
+        if not np.isfinite(np.subtract(theta_flat[lo:hi], step, out=new_flat[lo:hi])).all():
+            raise NumericError(f"non-finite update for parameter {name!r}")
+
+
 def adam_step(params, grads, state, lr):
     """One bias-corrected Adam update; increments the step counter once.
 
@@ -95,6 +152,14 @@ def adam_step(params, grads, state, lr):
     new values go into a fresh array, finite-checked block by block and
     installed only when complete. Neither the gradients nor the parameters'
     previous value arrays are written.
+
+    When the process may run on two CPUs, a parameter of more than one block
+    is split into two contiguous block ranges: a worker thread updates the
+    first in the caller's context (numpy's error state is a context
+    variable) while the caller updates the second. numpy releases the GIL
+    inside each ufunc, so the halves overlap. Both halves finish before the
+    parameter is installed, the next one started, or an error raised, so
+    the values do not depend on whether the split happened.
     """
     _check_lr(lr)
     work = []
@@ -108,29 +173,25 @@ def adam_step(params, grads, state, lr):
                                 f"of shape {gv.shape}")
         work.append((name, gv, m_par, v_par))
     state.t += 1
-    b1t = 1.0 - ADAM_BETA1 ** state.t
-    b2t = 1.0 - ADAM_BETA2 ** state.t
+    coeffs = (1.0 - ADAM_BETA1 ** state.t, 1.0 - ADAM_BETA2 ** state.t, lr)
     width = min(ADAM_BLOCK, max((gv.size for _, gv, _, _ in work), default=0))
-    step_buf, denom_buf = np.empty(width), np.empty(width)
+    bufs, helper_bufs = (np.empty(width), np.empty(width)), None
     for name, gv, m_par, v_par in work:
         theta = params[name].values
         new = np.empty(theta.shape)
-        g_flat, theta_flat, new_flat = gv.reshape(-1), theta.reshape(-1), new.reshape(-1)
-        m_flat, v_flat = m_par.reshape(-1), v_par.reshape(-1)
-        for lo in range(0, new.size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, new.size)
-            g, m, v = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
-            step, denom = step_buf[: hi - lo], denom_buf[: hi - lo]
-            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
-            v *= ADAM_BETA2
-            v += np.multiply(np.multiply(g, g, out=step), 1.0 - ADAM_BETA2, out=step)
-            # theta - lr * m_hat / (sqrt(v_hat) + eps)
-            np.multiply(np.divide(m, b1t, out=step), lr, out=step)
-            np.sqrt(np.divide(v, b2t, out=denom), out=denom)
-            step /= np.add(denom, ADAM_EPS, out=denom)
-            if not np.isfinite(np.subtract(theta_flat[lo:hi], step, out=new_flat[lo:hi])).all():
-                raise NumericError(f"non-finite update for parameter {name!r}")
+        flats = (gv.reshape(-1), m_par.reshape(-1), v_par.reshape(-1),
+                 theta.reshape(-1), new.reshape(-1))
+        # The first half of the blocks, rounded down: 0 below two blocks.
+        mid = -(-new.size // ADAM_BLOCK) // 2 * ADAM_BLOCK
+        if mid and _cpus() > 1:
+            helper_bufs = helper_bufs or (np.empty(width), np.empty(width))
+            future = _helper().submit(contextvars.copy_context().run, _adam_range,
+                                      name, flats, 0, mid, *coeffs, helper_bufs)
+            try:
+                _adam_range(name, flats, mid, new.size, *coeffs, bufs)
+            finally:
+                future.result()
+        else:
+            _adam_range(name, flats, 0, new.size, *coeffs, bufs)
         params[name].values = new
     return params, state

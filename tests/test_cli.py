@@ -24,6 +24,7 @@ from mkgd.data import (
 )
 from mkgd.meta import supervised_train
 from mkgd.model import DialogueModel
+from mkgd.optim import ADAM_BLOCK
 from mkgd.params import ParamStore, load_checkpoint, save_checkpoint, split_checkpoint
 
 
@@ -107,6 +108,39 @@ def test_meta_train_writes_artifacts_and_reruns_identically(tmp_path, command):
     log = (tmp_path / "one.log").read_text().splitlines()
     assert log[0] == "episode,split,task_id,kl,nll,bow,total,sel_acc"
     assert len(log) > 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_meta_train_output_does_not_depend_on_the_cpus_it_may_use(tmp_path):
+    # At these dims Adam splits the large parameters across two threads when
+    # it may use two CPUs; the run pinned to one CPU updates them in one.
+    # OpenBLAS sizes its own thread pool by the CPUs too, and its matmul
+    # sums depend on that, so both runs pin it to one thread.
+    pool = make_pool(tmp_path / "pool.jsonl")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    one_cpu = {min(os.sched_getaffinity(0))}
+    flags = MINI_TRAIN_FLAGS + ["--max-vocab", "200", "--embed-dim", "200",
+                                "--hidden-dim", "200"]
+
+    def train(tag, preexec_fn=None):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mkgd", "meta-train", "--pool", str(pool),
+             "--checkpoint-out", str(tmp_path / f"{tag}.ckpt"),
+             "--vocab-out", str(tmp_path / f"{tag}.vocab"),
+             "--log-out", str(tmp_path / f"{tag}.log"), *flags],
+            capture_output=True, text=True, env=env, preexec_fn=preexec_fn, timeout=600,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout.replace(str(tmp_path / tag), "")
+
+    assert train("any") == train("one", lambda: os.sched_setaffinity(0, one_cpu))
+    for ext in ("log", "ckpt", "vocab"):
+        assert (tmp_path / f"any.{ext}").read_bytes() == (tmp_path / f"one.{ext}").read_bytes()
+    store = load_checkpoint(str(tmp_path / "any.ckpt"))
+    assert max(t.size for _, t in store.items()) > ADAM_BLOCK
 
 
 def test_meta_train_zero_episodes_checkpoint_is_initialization(tmp_path):

@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from helpers import QuadraticModel, QuadSample, synth_tasks
 from mkgd.config import RunConfig
 from mkgd.data import SyntheticTaskSpec
+from mkgd import meta
 from mkgd.errors import ContractError, DataError
 from mkgd.meta import (
     Task,
@@ -170,6 +173,32 @@ def test_inner_update_leaves_no_parameter_referencing_a_tape():
     inner_update(model, tasks[0], RunConfig(alpha=0.01, inner_steps=1))
     assert [name for name, t in model.store.items()
             if t.tape is not None or t.node_id is not None] == []
+
+
+def test_train_step_frees_its_tape_before_clip_and_update(monkeypatch):
+    # The tape holds every saved activation; at paper dims that is megabytes
+    # that clip and Adam's fresh arrays would otherwise sit on top of.
+    tapes, checked = [], []
+
+    class RecordedTape(meta.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    def after_tape(step):
+        def wrapped(*args):
+            assert tapes and all(ref() is None for ref in tapes)
+            checked.append(step.__name__)
+            return step(*args)
+        return wrapped
+
+    monkeypatch.setattr(meta, "Tape", RecordedTape)
+    for step in (meta.clip_global_norm, meta.adam_step):
+        monkeypatch.setattr(meta, step.__name__, after_tape(step))
+    tasks, model = mini_pool(1, seed=3)
+    inner_update(model, tasks[0], RunConfig(alpha=0.01, inner_steps=2))
+    assert checked == ["clip_global_norm", "adam_step"] * 2
+    assert len(tapes) == 2
 
 
 # ---------------------------------------------------------------------------
