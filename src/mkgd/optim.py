@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
-import os
+import threading
 
 import numpy as np
 
@@ -88,32 +87,31 @@ class AdamState:
         self.v = {name: np.zeros(t.shape) for name, t in params.items()}
 
 
-def _cpus():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # macOS and Windows have no affinity call
-        return os.cpu_count() or 1
+def _start(fn, *args):
+    """Run fn(*args) on a new thread in the caller's contextvars context.
 
-
-@functools.cache
-def _helper():
-    """The worker thread that takes half of a large parameter's update.
-
-    Adam runs at most min(2, _cpus()) ways, the calling thread being one of
-    them, so one worker; made on first use, never at import.
+    numpy's error state is a context variable, so the thread sees the
+    caller's. Returns a join that waits for the thread and raises what fn
+    raised.
     """
-    # Imported here: concurrent.futures loads logging, about 1 MB that runs
-    # whose parameters all fit in one block never use.
-    from concurrent.futures import ThreadPoolExecutor
+    raised = []
 
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="mkgd-adam")
+    def run():
+        try:
+            fn(*args)
+        except BaseException as exc:
+            raised.append(exc)
 
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,),
+                              name="mkgd-adam")
+    thread.start()
 
-if hasattr(os, "register_at_fork"):  # not on Windows
-    # A forked child inherits no worker thread, only an executor that thinks
-    # it has an idle one and would never start it; the child makes its own.
-    os.register_at_fork(after_in_child=_helper.cache_clear)
+    def join():
+        thread.join()
+        if raised:
+            raise raised[0]
+
+    return join
 
 
 def _adam_range(name, flats, begin, end, b1t, b2t, lr, bufs):
@@ -153,13 +151,12 @@ def adam_step(params, grads, state, lr):
     installed only when complete. Neither the gradients nor the parameters'
     previous value arrays are written.
 
-    When the process may run on two CPUs, a parameter of more than one block
-    is split into two contiguous block ranges: a worker thread updates the
-    first in the caller's context (numpy's error state is a context
-    variable) while the caller updates the second. numpy releases the GIL
-    inside each ufunc, so the halves overlap. Both halves finish before the
-    parameter is installed, the next one started, or an error raised, so
-    the values do not depend on whether the split happened.
+    A parameter of more than one block is split into two contiguous block
+    ranges: a new thread updates the first while the caller updates the
+    second. numpy releases the GIL inside each ufunc, so on two CPUs the
+    halves overlap. Both halves finish before the parameter is installed,
+    the next one started, or an error raised, and every value is computed
+    the same way whichever thread computes it.
     """
     _check_lr(lr)
     work = []
@@ -183,14 +180,13 @@ def adam_step(params, grads, state, lr):
                  theta.reshape(-1), new.reshape(-1))
         # The first half of the blocks, rounded down: 0 below two blocks.
         mid = -(-new.size // ADAM_BLOCK) // 2 * ADAM_BLOCK
-        if mid and _cpus() > 1:
+        if mid:
             helper_bufs = helper_bufs or (np.empty(width), np.empty(width))
-            future = _helper().submit(contextvars.copy_context().run, _adam_range,
-                                      name, flats, 0, mid, *coeffs, helper_bufs)
+            join = _start(_adam_range, name, flats, 0, mid, *coeffs, helper_bufs)
             try:
                 _adam_range(name, flats, mid, new.size, *coeffs, bufs)
             finally:
-                future.result()
+                join()
         else:
             _adam_range(name, flats, 0, new.size, *coeffs, bufs)
         params[name].values = new

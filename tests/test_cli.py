@@ -110,10 +110,11 @@ def test_meta_train_writes_artifacts_and_reruns_identically(tmp_path, command):
     assert len(log) > 1
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
 def test_meta_train_output_does_not_depend_on_the_cpus_it_may_use(tmp_path):
-    # At these dims Adam splits the large parameters across two threads when
-    # it may use two CPUs; the run pinned to one CPU updates them in one.
+    # At these dims Adam splits the large parameters across two threads,
+    # which run on two CPUs in one run and share one CPU in the other.
     # OpenBLAS sizes its own thread pool by the CPUs too, and its matmul
     # sums depend on that, so both runs pin it to one thread.
     pool = make_pool(tmp_path / "pool.jsonl")

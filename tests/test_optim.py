@@ -1,17 +1,12 @@
-import os
-import signal
-import subprocess
-import sys
 import threading
-import time
-from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import add_param
 from mkgd import optim
+from mkgd.config import make_run_config
+from mkgd.data import build_vocab
 from mkgd.errors import ContractError, NumericError
 from mkgd.optim import (
     ADAM_BETA1,
@@ -23,6 +18,7 @@ from mkgd.optim import (
     clip_global_norm,
     sgd_step,
 )
+from mkgd.model import DialogueModel
 from mkgd.params import ParamStore
 from mkgd.tensor import Tensor
 
@@ -284,50 +280,61 @@ def test_adam_rejects_moments_whose_flat_view_would_copy():
     assert state.t == 0
 
 
-def set_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+def record_ranges(monkeypatch):
+    """Record (parameter, begin, end, thread name) for every block range Adam updates."""
+    ranges, update = [], optim._adam_range
+
+    def recorded(name, flats, begin, end, *rest):
+        ranges.append((name, begin, end, threading.current_thread().name))
+        return update(name, flats, begin, end, *rest)
+
+    monkeypatch.setattr(optim, "_adam_range", recorded)
+    return ranges
 
 
-def record_submissions(monkeypatch):
-    """Route Adam's worker through a recorder; returns the futures it was given."""
-    futures, helper = [], optim._helper()
+def run_here(fn, *args):
+    """Stand-in for optim._start: run fn on the calling thread, at once."""
+    fn(*args)
+    return lambda: None
 
-    def submit(*args):
-        futures.append(helper.submit(*args))
-        return futures[-1]
 
-    monkeypatch.setattr(optim, "_helper", lambda: SimpleNamespace(submit=submit))
-    return futures
+def adam_threads_alive():
+    return [t for t in threading.enumerate() if t.name == "mkgd-adam" and t.is_alive()]
 
 
 def test_adam_split_across_two_threads_bit_equal_to_one_thread_and_textbook(monkeypatch):
     shapes = {"W": (19, ADAM_BLOCK // 2), "U": (2, ADAM_BLOCK), "b": (3,)}  # 9.5, 2 blocks
-    futures = record_submissions(monkeypatch)
+    ranges = record_ranges(monkeypatch)
     runs = {}
-    for cpus in (1, 2):
-        set_cpus(monkeypatch, cpus)
+    for threads in ("two", "one"):
+        if threads == "one":
+            monkeypatch.setattr(optim, "_start", run_here)
         rng = np.random.default_rng(9)
         store = make_store(**{name: rng.normal(size=shape) for name, shape in shapes.items()})
         state = _check_three_textbook_steps(
             store, lambda: {name: rng.normal(size=shape) for name, shape in shapes.items()})
-        runs[cpus] = store, state
-        # W and U split on every step when a second CPU is there, b never does
-        assert len(futures) == (0 if cpus == 1 else 6)
-    (one_store, one_state), (two_store, two_state) = runs[1], runs[2]
+        runs[threads] = store, state
+    main = threading.current_thread().name
+    w_mid, w_end = 5 * ADAM_BLOCK, 19 * ADAM_BLOCK // 2
+    first_step = [("W", 0, w_mid, "mkgd-adam"), ("W", w_mid, w_end, main),
+                  ("U", 0, ADAM_BLOCK, "mkgd-adam"), ("U", ADAM_BLOCK, 2 * ADAM_BLOCK, main),
+                  ("b", 0, 3, main)]
+    assert sorted(ranges[:5]) == sorted(first_step)
+    assert sorted(ranges[:15]) == sorted(first_step * 3)
+    assert [r[3] for r in ranges[15:]] == [main] * 15
+    (two_store, two_state), (one_store, one_state) = runs["two"], runs["one"]
     for name in shapes:
         assert np.array_equal(one_store[name].values, two_store[name].values)
         assert np.array_equal(one_state.m[name], two_state.m[name])
         assert np.array_equal(one_state.v[name], two_state.v[name])
-    assert all(f.done() for f in futures)
-    assert any(t.name.startswith("mkgd-adam") for t in threading.enumerate())
+    assert adam_threads_alive() == []
 
 
 @pytest.mark.parametrize("rows", [(0,), (10,), (0, 10)], ids=["worker", "caller", "both"])
 def test_adam_non_finite_update_in_either_half_keeps_old_values(monkeypatch, rows):
     # One block a row: the worker updates rows 0-9, the calling thread rows
     # 10-19, so a caller failing at its first block leaves the worker busy.
-    set_cpus(monkeypatch, 2)
-    futures = record_submissions(monkeypatch)
+    ranges = record_ranges(monkeypatch)
     rng = np.random.default_rng(10)
     shape = (20, ADAM_BLOCK)
     store = make_store(W=rng.normal(size=shape))
@@ -342,68 +349,29 @@ def test_adam_non_finite_update_in_either_half_keeps_old_values(monkeypatch, row
         adam_step(store, {"W": g}, AdamState(store), lr=0.01)
     assert store["W"].values is old
     assert np.array_equal(old, old_copy)
-    assert len(futures) == 1 and futures[0].done()
+    assert adam_threads_alive() == []
+    assert [r[3] for r in ranges].count("mkgd-adam") == 1
 
 
-@pytest.mark.parametrize("cpu_count,submitted", [(None, 0), (1, 0), (2, 3)])
-def test_adam_counts_cpus_where_there_is_no_affinity_call(monkeypatch, cpu_count, submitted):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    futures = record_submissions(monkeypatch)
-    rng = np.random.default_rng(11)
-    shape = (2, ADAM_BLOCK)
-    store = make_store(W=rng.normal(size=shape))
-    _check_three_textbook_steps(store, lambda: {"W": rng.normal(size=shape)})
-    assert len(futures) == submitted
-
-
-def test_desk_model_adam_step_starts_no_thread():
-    # A fresh interpreter, so no earlier test's worker thread is counted.
-    script = """
-import os, threading
-import numpy as np
-from mkgd.config import make_run_config
-from mkgd.data import build_vocab
-from mkgd.model import DialogueModel
-from mkgd.optim import ADAM_BLOCK, AdamState, adam_step
-os.sched_getaffinity = lambda pid: {0, 1}
-cfg = make_run_config("desk")
-vocab = build_vocab([f"w{i}" for i in range(2 * cfg.max_vocab)], cfg.max_vocab)
-model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim, seed=cfg.seed)
-grads = {name: np.ones(t.shape) for name, t in model.store.items()}
-adam_step(model.store, grads, AdamState(model.store), cfg.alpha)
-assert len(vocab) == cfg.max_vocab
-print(max(t.size for _, t in model.store.items()) <= ADAM_BLOCK,
-      [t.name for t in threading.enumerate() if t.name.startswith("mkgd-adam")])
-"""
-    src = str(Path(optim.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True []\n")
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_adam_splits_in_a_child_forked_after_a_split(monkeypatch):
-    # The child inherits the executor but not its thread.
-    set_cpus(monkeypatch, 2)
+def test_adam_worker_error_reaches_the_caller():
     shape = (2, ADAM_BLOCK)
     store = make_store(W=np.ones(shape))
-    state = AdamState(store)
-    adam_step(store, {"W": np.ones(shape)}, state, lr=0.01)
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            adam_step(store, {"W": np.ones(shape)}, state, lr=0.01)
-            code = 0
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+    old = store["W"].values
+    g = np.ones(shape)
+    g[0, 0] = np.inf  # in the worker's half
+    with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
+        adam_step(store, {"W": g}, AdamState(store), lr=0.01)
+    assert store["W"].values is old
+    assert adam_threads_alive() == []
+
+
+def test_desk_model_adam_step_starts_no_thread(monkeypatch):
+    ranges = record_ranges(monkeypatch)
+    cfg = make_run_config("desk")
+    vocab = build_vocab([f"w{i}" for i in range(2 * cfg.max_vocab)], cfg.max_vocab)
+    assert len(vocab) == cfg.max_vocab
+    model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim, seed=cfg.seed)
+    grads = {name: np.ones(t.shape) for name, t in model.store.items()}
+    adam_step(model.store, grads, AdamState(model.store), cfg.alpha)
+    assert len(ranges) == len(grads)
+    assert {r[3] for r in ranges} == {threading.current_thread().name}
