@@ -3,7 +3,8 @@
 A forward pass records primitive applications onto an explicit Tape (one
 tape per training step, creation order == topological order). backward()
 sweeps the tape once in reverse and returns gradients for every watched
-parameter. Everything is float64: the engine is desk-scale and the
+parameter. With no tape recording, a primitive records nothing and reads
+no input node ids. Everything is float64: the engine is desk-scale and the
 finite-difference checks in the test suite need the precision.
 
 A primitive raises NumericError on a non-finite result. Inside fp_trap, the
@@ -137,28 +138,27 @@ def _trapped_kind(tb):
     return kind
 
 
-def _node_id(t, tape):
-    if tape is not None and t.tape is tape and t.node_id is not None:
-        return t.node_id
-    return -1
+def _out(kind, values, inputs, saved):
+    """Wrap a primitive's fresh float64 result; under a tape, record it.
 
-
-def _out(kind, values, input_ids, saved):
-    out = Tensor(values)
+    Only a recording tape reads input node ids (-1 for an input of another
+    tape or of none). np.sum, and a ufunc on 0-d inputs, return numpy scalars.
+    """
+    if type(values) is not np.ndarray:
+        values = np.asarray(values)
     # A BLAS worker thread's overflow sets no flag the trap sees (see fp_trap).
-    if (kind == "matmul" or not _TRAPPING.get()) and not np.isfinite(out.values).all():
+    if (kind == "matmul" or not _TRAPPING.get()) and not np.isfinite(values).all():
         raise NumericError(f"non-finite result in op {kind!r}")
-    tape = _ACTIVE_TAPE
-    if tape is not None:
+    out = Tensor.__new__(Tensor)
+    out.values = values
+    tape = out.tape = _ACTIVE_TAPE
+    if tape is None:
+        out.node_id = None
+    else:
         out.node_id = len(tape.nodes)
-        out.tape = tape
-        tape.nodes.append((kind, input_ids, saved))
+        ids = tuple([t.node_id if t.tape is tape else -1 for t in inputs])
+        tape.nodes.append((kind, ids, saved))
     return out
-
-
-def _ids(tensors):
-    tape = _ACTIVE_TAPE
-    return tuple(_node_id(t, tape) for t in tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def _elementwise(kind, fn, a, b, saved):
         out = fn(a.values, b.values)
     except ValueError:
         raise DimensionError(f"{kind}: incompatible shapes {a.shape} and {b.shape}") from None
-    return _out(kind, out, _ids((a, b)), saved)
+    return _out(kind, out, (a, b), saved)
 
 
 def add(a, b):
@@ -197,7 +197,7 @@ def matmul(a, b):
           and (bv.ndim < 3 or (av.ndim == 3 and av.shape[0] == bv.shape[0])))
     if not ok:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _out("matmul", av @ bv, _ids((a, b)), (av, bv))
+    return _out("matmul", av @ bv, (a, b), (av, bv))
 
 
 def concat(parts, axis=0):
@@ -211,7 +211,7 @@ def concat(parts, axis=0):
         )
     vals = np.concatenate([p.values for p in parts], axis=axis)
     sizes = tuple(p.values.shape[axis] for p in parts)
-    return _out("concat", vals, _ids(parts), (sizes, axis))
+    return _out("concat", vals, parts, (sizes, axis))
 
 
 def stack(parts, axis=0):
@@ -225,14 +225,14 @@ def stack(parts, axis=0):
             + ", ".join(str(p.shape) for p in parts)
         )
     vals = np.stack([p.values for p in parts], axis=axis)
-    return _out("stack", vals, _ids(parts), (len(parts), axis))
+    return _out("stack", vals, parts, (len(parts), axis))
 
 
 def slice_(t, start, stop):
     n = t.values.shape[0] if t.values.ndim >= 1 else 0
     if t.values.ndim == 0 or not (0 <= start < stop <= n):
         raise DimensionError(f"slice: range [{start}:{stop}] invalid for shape {t.shape}")
-    return _out("slice", t.values[start:stop], _ids((t,)), (t.shape, start, stop))
+    return _out("slice", t.values[start:stop], (t,), (t.shape, start, stop))
 
 
 def gather(table, indices):
@@ -247,26 +247,26 @@ def gather(table, indices):
     if bad.any():
         raise VocabError(f"gather: index {idx[bad][0]} out of range "
                          f"for table of {tv.shape[0]} rows")
-    return _out("gather", tv[idx], _ids((table,)), (tv.shape, idx))
+    return _out("gather", tv[idx], (table,), (tv.shape, idx))
 
 
 def transpose(t):
     """Swap the last two axes of a 2-d tensor, or of each matrix of a 3-d one."""
     if not 2 <= t.values.ndim <= 3:
         raise DimensionError(f"transpose: tensor must be 2- or 3-d, got {t.shape}")
-    return _out("transpose", np.swapaxes(t.values, -1, -2), _ids((t,)), ())
+    return _out("transpose", np.swapaxes(t.values, -1, -2), (t,), ())
 
 
 def sigmoid(t):
     v = t.values
     e = np.exp(-np.abs(v))
-    out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return _out("sigmoid", out, _ids((t,)), (out,))
+    out = np.where(v >= 0, 1.0, e) / (1.0 + e)
+    return _out("sigmoid", out, (t,), (out,))
 
 
 def tanh(t):
     out = np.tanh(t.values)
-    return _out("tanh", out, _ids((t,)), (out,))
+    return _out("tanh", out, (t,), (out,))
 
 
 def softmax(t):
@@ -277,24 +277,24 @@ def softmax(t):
     shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
-    return _out("softmax", out, _ids((t,)), (out,))
+    return _out("softmax", out, (t,), (out,))
 
 
 def log(t, floor=0.0):
     """Natural log; with floor > 0, computes log(max(x, floor))."""
     v = t.values if floor <= 0.0 else np.maximum(t.values, floor)
-    return _out("log", np.log(v), _ids((t,)), (t.values, floor))
+    return _out("log", np.log(v), (t,), (t.values, floor))
 
 
 def sum_(t):
-    return _out("sum", np.sum(t.values), _ids((t,)), (t.shape,))
+    return _out("sum", np.sum(t.values), (t,), (t.shape,))
 
 
 def reshape(t, shape):
     shape = tuple(shape)
     if int(np.prod(shape, dtype=np.int64)) != t.values.size:
         raise DimensionError(f"reshape: {t.shape} -> {shape} changes element count")
-    return _out("reshape", t.values.reshape(shape), _ids((t,)), (t.shape,))
+    return _out("reshape", t.values.reshape(shape), (t,), (t.shape,))
 
 
 # ---------------------------------------------------------------------------

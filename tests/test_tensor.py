@@ -470,3 +470,106 @@ def test_mul_matches_numpy_elementwise(seed):
     a = rng.normal(size=5)
     b = rng.normal(size=5)
     assert np.array_equal(T.mul(T.Tensor(a), T.Tensor(b)).values, a * b)
+
+
+def test_untaped_primitives_record_nothing_and_taped_ones_record_exact_inputs():
+    rng = np.random.default_rng(41)
+    store = ParamStore(0)
+    W = add_param(store, "W", rng.normal(size=(3, 2)) * 0.5)
+    b = add_param(store, "b", rng.normal(size=3) * 0.5)
+    x = T.Tensor(rng.normal(size=2))
+    with Tape():
+        stale = T.tanh(T.Tensor(rng.normal(size=3)))
+    stale_id = stale.node_id
+
+    def forward():
+        h = T.sigmoid(T.add(T.matmul(W, x), b))
+        both = T.stack([h, stale])
+        return T.sum_(T.mul(both, T.tanh(h)))
+
+    untaped = forward()
+    assert untaped.node_id is None and untaped.tape is None
+
+    tape = Tape()
+    tape.watch(store)
+    with tape:
+        loss = forward()
+    # A constant and a tensor of an exited tape are both -1.
+    assert [(kind, ids) for kind, ids, _ in tape.nodes] == [
+        ("leaf", ()), ("leaf", ()),
+        ("matmul", (0, -1)), ("add", (2, 1)), ("sigmoid", (3,)),
+        ("stack", (4, -1)), ("tanh", (4,)), ("mul", (5, 6)), ("sum", (7,)),
+    ]
+    assert stale.node_id == stale_id and stale.tape is not tape
+    assert loss.values == untaped.values
+    assert_grads_close(backward(tape, loss), finite_diff_grads(store, lambda: forward().item()))
+
+
+def _is_float64_array(values):
+    return type(values) is np.ndarray and values.dtype == np.float64
+
+
+@pytest.mark.parametrize("name,build,p_shape,c_shape", PRIMITIVE_CASES)
+def test_primitive_results_are_float64_arrays_taped_and_untaped(name, build, p_shape, c_shape):
+    rng = np.random.default_rng(3)
+    store = ParamStore(0)
+    p = add_param(store, "p", rng.normal(size=p_shape))
+    const = T.Tensor(rng.normal(size=c_shape)) if c_shape else None
+
+    def run():
+        out = build(p, const)
+        return out, T.sum_(out)
+
+    untaped = run()
+    tape = Tape()
+    tape.watch(store)
+    with tape:
+        taped = run()
+    for out in untaped + taped:
+        assert _is_float64_array(out.values)
+    for out in untaped:
+        assert out.node_id is None and out.tape is None
+    assert taped[1].tape is tape and taped[1].node_id == len(tape.nodes) - 1
+    assert np.array_equal(untaped[0].values, taped[0].values)
+
+
+def test_scalar_results_are_0d_float64_arrays():
+    x, y = T.Tensor([1.0, 2.0]), T.Tensor([3.0, -4.0])
+    a, b = T.Tensor(1.5), T.Tensor(-2.0)
+    # numpy itself hands back scalars for these.
+    assert not isinstance(np.sum(x.values), np.ndarray)
+    assert not isinstance(a.values * b.values, np.ndarray)
+
+    def run():
+        return [T.add(T.sum_(x), T.sum_(y)), T.mul(a, b), T.sub(a, b),
+                T.sigmoid(a), T.tanh(b), T.log(a)]
+
+    untaped = run()
+    with Tape():
+        taped = run()
+    for out in untaped + taped:
+        assert _is_float64_array(out.values) and out.shape == ()
+    assert [out.item() for out in untaped[:3]] == [2.0, -3.0, 3.5]
+    assert [out.item() for out in taped] == [out.item() for out in untaped]
+    # matmul admits no 1-d left operand, so it makes no scalar.
+    with pytest.raises(DimensionError):
+        T.matmul(x, y)
+
+
+def _two_branch_sigmoid(v):
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 745.0, -745.0, 1e308, -1e308]
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(EDGE_FLOATS)), min_size=1, max_size=8))
+def test_sigmoid_is_bit_equal_to_the_two_branch_formula(values):
+    v = np.array(values, dtype=np.float64)
+    want = _two_branch_sigmoid(v).view(np.int64)
+    assert np.array_equal(T.sigmoid(T.Tensor(v)).values.view(np.int64), want)
+    with T.fp_trap():
+        got = T.sigmoid(T.Tensor(v)).values
+    assert np.array_equal(got.view(np.int64), want)
