@@ -6,7 +6,8 @@ Exit codes: 0 success, 2 usage/data error, 3 numeric failure.
 The configuration flags are generated from the RunConfig fields: name, type,
 help text and the defaults the help states all come from the field and
 PRESETS. meta-train and train-baseline leave the checks of a training split
-to the trainers they call.
+to the trainers they call. Each input has one way in: adapt-eval's support
+size is --k-support, and chat reads its turns from stdin as UTF-8 text.
 """
 
 from __future__ import annotations
@@ -186,11 +187,7 @@ def cmd_adapt_eval(args):
     raw = _split_tasks(D.load_task_pool(args.pool), args.split, cfg.seed)
     if not raw:
         raise DataError(f"split {args.split!r} holds no tasks")
-    support_size = cfg.k_support if args.support_size is None else args.support_size
-    if support_size < 1:
-        raise DataError(f"--support-size must be >= 1, got {support_size}")
-    tasks = D.tasks_from_raw(raw, model.vocab, support_size, cfg.k_query,
-                             seed=cfg.seed)
+    tasks = D.tasks_from_raw(raw, model.vocab, cfg.k_support, cfg.k_query, seed=cfg.seed)
 
     pre = Evaluator(max_len=cfg.max_len)
     post = Evaluator(max_len=cfg.max_len)
@@ -212,14 +209,8 @@ def cmd_chat(args):
     model = _load_model(args.checkpoint, args.vocab, cfg.loss_weights())
     graph = D.load_graph(args.graph)
 
-    if args.script:
-        with D.open_text(args.script) as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = (line.rstrip("\n") for line in sys.stdin)
-
     history = model.vocab.encode([START_MARKER])
-    for line in lines:
+    for line in _stdin_lines():
         if not line.strip():
             print("you> ", flush=True)
             continue
@@ -231,6 +222,13 @@ def cmd_chat(args):
         print(f"triplet: {triplet.head} {triplet.relation} {triplet.tail}")
         history = history + response_ids
     return 0
+
+
+def _stdin_lines():
+    """stdin's lines, read as UTF-8; bytes that are not UTF-8 raise DataError."""
+    sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    with D.utf8_errors("stdin"):
+        yield from sys.stdin
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +269,9 @@ def build_parser():
         _add_config_flags(p)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("adapt-eval", help="adapt to held-out tasks and report metrics")
+    p = sub.add_parser("adapt-eval", help="adapt to held-out tasks and report metrics",
+                       description="Adapt to each task on --k-support samples and report "
+                       "metrics on --k-query others, before and after adaptation.")
     p.add_argument("--pool", required=True, help="task pool path")
     p.add_argument("--checkpoint", required=True, help="checkpoint to evaluate")
     p.add_argument("--vocab", required=True, help="vocabulary file")
@@ -279,18 +279,15 @@ def build_parser():
                    help="where to write the pre/post report JSON")
     p.add_argument("--split", choices=["train", "valid", "test", "all"],
                    default="test", help="pool split to evaluate (default test)")
-    p.add_argument("--support-size", type=int, default=None, dest="support_size",
-                   help="override support size per task (default k_support)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_adapt_eval)
 
-    p = sub.add_parser("chat", help="interactive generation over one knowledge graph")
+    p = sub.add_parser("chat", help="interactive generation over one knowledge graph",
+                       description="Reply to each line of stdin, read as UTF-8 text.")
     p.add_argument("--checkpoint", required=True, help="checkpoint to load")
     p.add_argument("--vocab", required=True, help="vocabulary file")
     p.add_argument("--graph", required=True,
                    help="JSON file with 'goal' and 'knowledge' fields")
-    p.add_argument("--script", default=None,
-                   help="read user turns from this file instead of stdin")
     _add_config_flags(p)
     p.set_defaults(func=cmd_chat)
 

@@ -1,4 +1,4 @@
-"""Run configuration: defaults, presets, key=value config files, env override.
+"""Run configuration: defaults, presets and key=value config files.
 
 RunConfig is the one configuration class: the meta-learning hyperparameters
 the training loops read, the model dims, the loss weights and the seed. Each
@@ -6,21 +6,19 @@ field carries its help text, and __post_init__ rejects a bad value with a
 DataError naming the field and the value.
 
 Precedence, lowest to highest: class defaults (the full-corpus scale),
-preset overrides, config file, the MKGD_SEED environment variable, and
-explicit command-line flags. FIELD_TYPES parses the text of the last three,
-and the CLI builds its flags from the RunConfig fields.
+preset overrides, config file and explicit command-line flags. FIELD_TYPES
+parses the text of the last two, and the CLI builds its flags from the
+RunConfig fields.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, fields
 
 from .data import RESERVED_TOKENS, open_text
 from .errors import DataError
 
-SEED_ENV_VAR = "MKGD_SEED"
 OPTIMIZERS = ("sgd", "adam")
 
 
@@ -57,7 +55,7 @@ class RunConfig:
     w_nll: float = config_field(1.0, "token-NLL loss weight")
     w_bow: float = config_field(1.0, "bag-of-words loss weight")
     # run plumbing
-    seed: int = config_field(7, f"run seed; {SEED_ENV_VAR} also accepted")
+    seed: int = config_field(7, "run seed")
 
     def __post_init__(self):
         # Finiteness comes first: NaN passes every range check after it.
@@ -99,17 +97,10 @@ PRESETS = {
     },
 }
 
-# Each field's text-to-value parser, by its declared type. Config-file lines,
-# MKGD_SEED and the CLI's flags all read text through this one table.
+# Each field's text-to-value parser, by its declared type. Config-file lines
+# and the CLI's flags both read text through this one table.
 FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
                for f in fields(RunConfig)}
-
-
-def _coerce(name, raw):
-    try:
-        return FIELD_TYPES[name](raw)
-    except ValueError as exc:
-        raise DataError(f"config key {name!r}: cannot parse {raw!r}") from exc
 
 
 def parse_config_file(path):
@@ -122,11 +113,14 @@ def parse_config_file(path):
                 continue
             if "=" not in line:
                 raise DataError(f"{path} line {lineno}: expected key=value")
-            key, raw = line.split("=", 1)
-            key = key.strip()
+            key, raw = (part.strip() for part in line.split("=", 1))
             if key not in FIELD_TYPES:
                 raise DataError(f"{path} line {lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw.strip())
+            try:
+                values[key] = FIELD_TYPES[key](raw)
+            except ValueError as exc:
+                raise DataError(f"{path} line {lineno}: config key {key!r}: "
+                                f"cannot parse {raw!r}") from exc
     return values
 
 
@@ -138,9 +132,6 @@ def make_run_config(preset="desk", config_path=None, overrides=None):
     values.update(PRESETS[preset])
     if config_path:
         values.update(parse_config_file(config_path))
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        values["seed"] = _coerce("seed", env_seed)
     for key, val in (overrides or {}).items():
         if val is None:
             continue

@@ -29,13 +29,19 @@ RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
 
 
 @contextmanager
+def utf8_errors(name):
+    """Raise bytes that are not UTF-8, met while reading ``name``, as DataError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{name}: not UTF-8 text ({exc.reason})") from exc
+
+
+@contextmanager
 def open_text(path):
     """Open a UTF-8 text file for reading; bytes that are not UTF-8 raise DataError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    with utf8_errors(path), open(path, encoding="utf-8") as fh:
+        yield fh
 
 
 def tokenize(utterance):
@@ -117,7 +123,7 @@ def _is_strings(items, n):
 def _parse_json(text, where):
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad syntax, a huge integer, deep nesting
         raise DataError(f"{where}: invalid JSON ({exc})") from exc
 
 
@@ -135,6 +141,8 @@ def _graph_fields(obj, where):
     if not (isinstance(knowledge, list) and knowledge
             and all(_is_strings(k, 3) for k in knowledge)):
         raise DataError(f"{where}: field 'knowledge' must be non-empty [h, r, t] triples")
+    if not all(all(map(str.strip, k)) for k in knowledge):
+        raise DataError(f"{where}: every field of a 'knowledge' triple must hold a token")
     return goal, knowledge
 
 

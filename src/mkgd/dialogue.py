@@ -16,8 +16,8 @@ class KnowledgeTriplet:
     tail: str
 
     def __post_init__(self):
-        if not (self.head and self.relation and self.tail):
-            raise ContractError(f"triplet fields must be non-empty: {self!r}")
+        if not all(map(str.strip, (self.head, self.relation, self.tail))):
+            raise ContractError(f"every triplet field must hold a token: {self!r}")
 
     def tokens(self):
         """Linearize to 'head relation tail' with no separators."""

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import re
@@ -30,6 +31,11 @@ from mkgd.params import ParamStore, load_checkpoint, save_checkpoint, split_chec
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def feed_stdin(monkeypatch, data):
+    """Give the CLI these bytes on stdin."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
 
 
 def make_pool(path, tasks=8, samples=10, seed=7):
@@ -531,13 +537,11 @@ def rigged_chat_model(tmp_path):
     return ckpt, vpath, graph
 
 
-def test_chat_scripted_session(tmp_path, capsys):
+def test_chat_scripted_session(tmp_path, capsys, monkeypatch):
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
-    script = tmp_path / "script.txt"
-    script.write_text("hello\n\nthere\nhello there\n")
+    feed_stdin(monkeypatch, b"hello\n\nthere\nhello there\n")
     code = run_cli("chat", "--checkpoint", str(ckpt), "--vocab", str(vpath),
-                   "--graph", str(graph), "--script", str(script),
-                   "--max-len", "5")
+                   "--graph", str(graph), "--max-len", "5")
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     bot_lines = [ln for ln in out if ln.startswith("bot:")]
@@ -559,7 +563,16 @@ def test_chat_missing_graph_exits_2(tmp_path):
     assert code == 2
 
 
-def test_checkpoint_with_adam_entries_still_loads(tmp_path, capsys):
+def test_chat_turn_holding_a_form_feed_gets_one_reply(tmp_path, capsys, monkeypatch):
+    ckpt, vpath, graph = rigged_chat_model(tmp_path)
+    feed_stdin(monkeypatch, b"hello\x0cthere\n")
+    assert run_cli("chat", "--checkpoint", str(ckpt), "--vocab", str(vpath),
+                   "--graph", str(graph)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["bot: ", "triplet: e0 r0 e1"]
+
+
+def test_checkpoint_with_adam_entries_still_loads(tmp_path, capsys, monkeypatch):
     # Checkpoints from older meta-train runs carry '/adam/' optimizer state.
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
     store = ParamStore(0)
@@ -568,10 +581,9 @@ def test_checkpoint_with_adam_entries_still_loads(tmp_path, capsys):
     add_param(store, "/adam/t", [3.0])
     add_param(store, "/adam/m/model.out.b", np.zeros_like(store["model.out.b"].values))
     save_checkpoint(ckpt, store)
-    script = tmp_path / "script.txt"
-    script.write_text("hello\n")
+    feed_stdin(monkeypatch, b"hello\n")
     code = run_cli("chat", "--checkpoint", str(ckpt), "--vocab", str(vpath),
-                   "--graph", str(graph), "--script", str(script))
+                   "--graph", str(graph))
     assert code == 0
     assert "triplet: e0 r0 e1" in capsys.readouterr().out.splitlines()
 
@@ -596,23 +608,48 @@ def replace_checkpoint_entry(ckpt, name, values):
                                   "nan-alpha-flag", "inf-beta-flag", "nan-w-kl-flag",
                                   "nan-clip-norm-flag", "nan-alpha-config",
                                   "negative-seed-flag", "negative-seed-config",
-                                  "negative-seed-env", "synth-zero-entities",
+                                  "synth-zero-entities",
                                   "synth-zero-triplets", "synth-negative-samples",
                                   "synth-negative-seed", "synth-negative-tasks",
                                   "zero-max-len-flag", "negative-max-len-chat",
-                                  "negative-task-id"])
-def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, monkeypatch, case):
+                                  "negative-task-id", "blank-triplet-pool-meta-train",
+                                  "blank-triplet-pool-train-baseline",
+                                  "empty-relation-pool-meta-train",
+                                  "blank-tail-pool-train-baseline", "blank-triplet-graph",
+                                  "empty-head-graph", "deep-json-graph", "deep-json-pool"])
+def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
     argv = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath), "--graph", str(graph)]
     # Big enough for meta-train to build its model and for adapt-eval to run.
     pool = make_pool(tmp_path / "pool.jsonl")
     adapt_eval = ["adapt-eval", "--pool", str(pool), "--checkpoint", str(ckpt),
                   "--vocab", str(vpath), "--k-support", "3", "--k-query", "3"]
-    meta_train = ["meta-train", "--pool", str(pool),
-                  "--checkpoint-out", str(tmp_path / "out.ckpt"),
-                  "--vocab-out", str(tmp_path / "out.vocab"),
-                  "--log-out", str(tmp_path / "out.csv")]
-    if case == "truncated-checkpoint":
+    outputs = ["--checkpoint-out", str(tmp_path / "out.ckpt"),
+               "--vocab-out", str(tmp_path / "out.vocab"),
+               "--log-out", str(tmp_path / "out.csv")]
+    meta_train = ["meta-train", "--pool", str(pool), *outputs]
+    where = None  # the file (and line) the error must name, for the cases that check it
+    if case.startswith(("blank-", "empty-")) and "-pool-" in case:
+        field = {"blank-triplet": [" ", " ", " "], "empty-relation": ["e0", "", "e1"],
+                 "blank-tail": ["e0", "r0", " "]}[case.split("-pool-")[0]]
+        records = [json.loads(line) for line in pool.read_text().splitlines()]
+        records[1]["knowledge"][0] = field
+        pool.write_text("".join(json.dumps(r) + "\n" for r in records))
+        command = case.split("-pool-")[1]
+        argv = [command, "--pool", str(pool), *outputs] + MINI_TRAIN_FLAGS
+        where = f"{pool} line 2"
+    elif case in ("blank-triplet-graph", "empty-head-graph"):
+        field = [" ", " ", " "] if case == "blank-triplet-graph" else ["", "r0", "e1"]
+        graph.write_text(json.dumps({"goal": GOAL, "knowledge": [["e0", "r0", "e1"], field]}))
+        where = str(graph)
+    elif case == "deep-json-graph":
+        graph.write_text("[" * 200_000)
+        where = str(graph)
+    elif case == "deep-json-pool":
+        pool.write_text(pool.read_text() + "[" * 200_000 + "\n")
+        argv = adapt_eval + ["--split", "all"]
+        where = f"{pool} line 9"
+    elif case == "truncated-checkpoint":
         ckpt.write_bytes(ckpt.read_bytes()[:1000])
     elif case == "graph-without-goal":
         graph.write_text(json.dumps({"knowledge": [["e0", "r0", "e1"]]}))
@@ -642,7 +679,7 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, monkeypat
         config.write_text("embed_dim=-2\n")
         argv = meta_train + ["--config", str(config)]
     elif case == "zero-support-size":
-        argv = adapt_eval + ["--support-size", "0"]
+        argv = adapt_eval + ["--k-support", "0"]
     elif case == "nan-alpha-config":
         config = tmp_path / "run.cfg"
         config.write_text("alpha=nan\n")
@@ -653,13 +690,8 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, monkeypat
         config = tmp_path / "run.cfg"
         config.write_text("seed=-1\n")
         argv = meta_train + ["--config", str(config)]
-    elif case == "negative-seed-env":
-        monkeypatch.setenv("MKGD_SEED", "-2")
-        argv = meta_train + MINI_TRAIN_FLAGS
     elif case == "negative-max-len-chat":
-        script = tmp_path / "script.txt"
-        script.write_text("")  # no turn reaches generate
-        argv += ["--script", str(script), "--max-len", "-3"]
+        argv += ["--max-len", "-3"]
     elif case.startswith("synth-"):
         flag, value = {"synth-zero-entities": ("--entities", "0"),
                        "synth-zero-triplets": ("--triplets", "0"),
@@ -677,6 +709,10 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, monkeypat
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    if where:
+        assert err[0].startswith(f"error: {where}: "), err
+    for name in ("out.ckpt", "out.vocab", "out.csv"):
+        assert not (tmp_path / name).exists(), name
 
 
 @pytest.mark.parametrize("case", ["meta-train-zero-k-support", "train-baseline-rmsprop-config",
@@ -694,10 +730,8 @@ def test_bad_config_fails_before_writing_anything(tmp_path, capsys, case):
         argv = ["train-baseline", "--pool", str(pool), *outputs, "--config", str(config)]
     else:
         ckpt, vpath, graph = rigged_chat_model(tmp_path)
-        script = tmp_path / "script.txt"
-        script.write_text("hello\n")
         argv = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath),
-                "--graph", str(graph), "--script", str(script), "--alpha", "0"]
+                "--graph", str(graph), "--alpha", "0"]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
@@ -705,12 +739,13 @@ def test_bad_config_fails_before_writing_anything(tmp_path, capsys, case):
         assert not (tmp_path / name).exists(), name
 
 
-@pytest.mark.parametrize("reader", ["pool", "vocab", "config", "script"])
-def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, reader):
+@pytest.mark.parametrize("reader", ["pool", "vocab", "config", "stdin"])
+def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, monkeypatch, reader):
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
+    data = b"\xff\xfe" + "hello=there\n".encode("utf-16-le")
     bad = tmp_path / f"{reader}.utf16"
-    bad.write_bytes(b"\xff\xfe" + "hello=there\n".encode("utf-16-le"))
-    chat = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath), "--graph", str(graph)]
+    bad.write_bytes(data)
+    feed_stdin(monkeypatch, data)
     argv = {
         "pool": ["adapt-eval", "--pool", str(bad), "--checkpoint", str(ckpt),
                  "--vocab", str(vpath), "--split", "all"],
@@ -719,12 +754,14 @@ def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, reader):
                    "--checkpoint-out", str(tmp_path / "out.ckpt"),
                    "--vocab-out", str(tmp_path / "out.vocab"),
                    "--log-out", str(tmp_path / "out.csv")],
-        "script": chat + ["--script", str(bad)],
+        "stdin": ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath),
+                  "--graph", str(graph)],
     }[reader]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-    assert str(bad) in err[0] and "UTF-8" in err[0]
+    name = "stdin" if reader == "stdin" else str(bad)
+    assert err[0].startswith(f"error: {name}: ") and "UTF-8" in err[0]
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +777,8 @@ def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, reader):
                     "--max-episodes", "--patience", "--clip-norm"]),
     ("train-baseline", ["--pool", "--checkpoint-out", "--max-episodes"]),
     ("adapt-eval", ["--pool", "--checkpoint", "--vocab", "--report-out",
-                    "--split", "--support-size", "--test-update-steps"]),
-    ("chat", ["--checkpoint", "--vocab", "--graph", "--script", "--max-len"]),
+                    "--split", "--k-support", "--test-update-steps"]),
+    ("chat", ["--checkpoint", "--vocab", "--graph", "--max-len"]),
 ])
 def test_help_lists_flags_with_defaults(command, flags, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -751,6 +788,15 @@ def test_help_lists_flags_with_defaults(command, flags, capsys):
     for flag in flags:
         assert flag in text, f"{command} --help is missing {flag}"
     assert "default" in text
+
+
+# Each input has one way in: adapt-eval's support size is --k-support, and
+# chat's turns come from stdin.
+@pytest.mark.parametrize("command,flag", [("adapt-eval", "--support-size"), ("chat", "--script")])
+def test_second_ways_in_are_gone(command, flag, capsys):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    assert flag not in capsys.readouterr().out
 
 
 def test_every_run_config_field_has_a_flag():
@@ -811,8 +857,7 @@ def test_config_option_strings_are_pinned(command):
             for opt in a.option_strings} == CONFIG_OPTIONS
 
 
-def test_flag_and_config_file_line_give_equal_config(tmp_path, monkeypatch):
-    monkeypatch.delenv("MKGD_SEED", raising=False)
+def test_flag_and_config_file_line_give_equal_config(tmp_path):
     # Valid for every field of its type (max_vocab needs >= 5) and no field's default.
     text = {int: "6", float: "0.25", str: "sgd"}
     flags = {action.dest: action.option_strings[0]

@@ -21,8 +21,8 @@ from mkgd.data import (
     tasks_from_raw,
     tokenize,
 )
-from mkgd.dialogue import START_MARKER
-from mkgd.errors import DataError
+from mkgd.dialogue import START_MARKER, KnowledgeTriplet
+from mkgd.errors import ContractError, DataError
 from mkgd.metrics import selection_accuracy
 
 GRAPH_FIXTURE = {
@@ -296,6 +296,13 @@ def test_pool_rejects_malformed_records(tmp_path, change):
                     encoding="utf-8")
     with pytest.raises(DataError, match="line 2"):
         load_task_pool(path)
+
+
+@pytest.mark.parametrize("fields", [("a", "r", " \t"), ("", "r", "b"), (" ", " ", " ")])
+def test_triplet_fields_must_each_hold_a_token(fields):
+    with pytest.raises(ContractError, match="must hold a token"):
+        KnowledgeTriplet(*fields)
+    assert KnowledgeTriplet("a b", " r ", "c").tokens() == ["a", "b", "r", "c"]
 
 
 def test_split_pool_fractions_and_determinism():
