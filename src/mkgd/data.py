@@ -12,6 +12,7 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -252,9 +253,9 @@ def synth_raw_tasks(spec, n_tasks):
 
 def raw_task_token_stream(raw_tasks):
     for task in raw_tasks:
-        yield from task.goal
-        for h, r, t in task.knowledge:
-            yield from (h, r, t)
+        # Split as KnowledgeTriplet.tokens() does, so every word is an entry.
+        for text in chain(task.goal, *task.knowledge):
+            yield from tokenize(text)
         for s in task.samples:
             yield from tokenize(s["history"])
             yield from tokenize(s["response"])

@@ -29,6 +29,8 @@ class GruCell:
 
     Inputs and states are (B, dim) matrices, one row per sample, so a step
     multiplies them by the transposed gate matrices from ``transposed()``.
+    Each gate's two products and bias are one ``affine`` node, so a step
+    records 10 nodes.
     A cell made by ``stack_cells`` holds G cells' parameters along a leading
     axis and steps (G, B, dim) inputs and states, each cell on its own rows.
     """
@@ -50,9 +52,9 @@ class GruCell:
         if x.values.ndim != self.W_z.values.ndim or x.shape[-1] != self.input_dim:
             raise DimensionError(f"gru input shape {x.shape}, expected (B, {self.input_dim})")
         W_z, U_z, W_r, U_r, W_h, U_h = mats
-        z = T.sigmoid(T.add(T.add(T.matmul(x, W_z), T.matmul(h, U_z)), self.b_z))
-        r = T.sigmoid(T.add(T.add(T.matmul(x, W_r), T.matmul(h, U_r)), self.b_r))
-        c = T.tanh(T.add(T.add(T.matmul(x, W_h), T.matmul(T.mul(r, h), U_h)), self.b_h))
+        z = T.sigmoid(T.affine(((x, W_z), (h, U_z)), self.b_z))
+        r = T.sigmoid(T.affine(((x, W_r), (h, U_r)), self.b_r))
+        c = T.tanh(T.affine(((x, W_h), (T.mul(r, h), U_h)), self.b_h))
         return T.add(c, T.mul(z, T.sub(h, c)))
 
     def initial_state(self, batch):
@@ -191,7 +193,7 @@ class AttentionLayer:
                                 f"got {keys.shape}")
         q = self.query_dim
         W_k = T.slice_(self.W, q, q + self.key_dim)
-        projected = T.add(T.matmul(keys, W_k), self.b)
+        projected = T.affine(((keys, W_k),), self.b)
         mask = Ragged(lengths, keys.shape[1]).mask
         return AttentionKeys(keys, projected, T.slice_(self.W, 0, q), mask)
 

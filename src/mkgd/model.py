@@ -13,7 +13,7 @@ GRU step per position on (B, ·) matrices; selection, fusion and the losses
 run once per batch too, on (B, ·) rows, with a batch's smaller graphs
 padded and masked. ``forward`` and ``score`` take a sample batch;
 ``generate`` decodes one history greedily at batch size 1. Each of the three
-runs under one ``tensor.fp_trap``, so only matmul results are scanned.
+runs under one ``tensor.fp_trap``; only matmul and affine results are scanned.
 
 Knowledge fusion is the deterministic weighted sum of triplet vectors:
 posterior-weighted during training, prior-weighted at inference and when
@@ -232,7 +232,7 @@ class DialogueModel:
         rows = T.reshape(T.gather(states.table, index.reshape(-1)), (B, L, 2 * H))
         finals = np.stack([states.finals(HISTORY_FWD), states.finals(HISTORY_BWD)], axis=1)
         summary = T.reshape(T.gather(states.table, finals.reshape(-1)), (B, 2 * H))
-        x_summary = T.add(T.matmul(summary, T.transpose(self.enc_proj_W)), self.enc_proj_b)
+        x_summary = T.affine(((summary, T.transpose(self.enc_proj_W)),), self.enc_proj_b)
         return HistoryEncoding(rows, lengths, x_summary)
 
     def encode_response(self, states):
@@ -255,7 +255,7 @@ class DialogueModel:
         first = np.array([starts[id(g)] for g in graphs])
         index = states.finals(KNOWLEDGE)[first[:, None] + pad.positions]
         summary = T.gather(states.table, index.reshape(-1))
-        rows = T.add(T.matmul(summary, T.transpose(self.know_proj_W)), self.know_proj_b)
+        rows = T.affine(((summary, T.transpose(self.know_proj_W)),), self.know_proj_b)
         return Knowledge(T.reshape(rows, index.shape + (self.hidden_dim,)), pad.mask)
 
     def fuse_knowledge(self, k_stack, weights):
@@ -327,7 +327,7 @@ class DialogueModel:
         out = []
         for _ in range(max_len):
             hidden = self._decode_step([prev], hidden, keys, fused, mats)
-            logits = T.add(T.matmul(hidden, out_Wt), self.out_b)
+            logits = T.affine(((hidden, out_Wt),), self.out_b)
             nxt = int(np.argmax(logits.values))
             if nxt == self.vocab.EOS:
                 break

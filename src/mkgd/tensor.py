@@ -9,13 +9,15 @@ finite-difference checks in the test suite need the precision.
 
 A primitive raises NumericError on a non-finite result. Inside fp_trap, the
 scope each model call runs in, numpy's floating-point traps catch the first
-elementwise op that makes inf or NaN; matmul results, and outside it every
-result, are scanned. The command line, not the engine, silences numpy's
-floating-point warnings with one np.errstate.
+elementwise op that makes inf or NaN, and matmul and affine results are
+scanned with one dot product; outside it every result is scanned. The
+command line, not the engine, silences numpy's floating-point warnings with
+one np.errstate.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -106,14 +108,14 @@ class Tape:
 
 @contextmanager
 def fp_trap():
-    """Raise NumericError at the first primitive that makes inf or NaN, scanning only matmuls.
+    """Raise NumericError at the first primitive that makes inf or NaN, scanning only products.
 
     Inputs must be finite, as parameters are, so a floating-point flag fires
     at the op that first makes a non-finite value; the op is named from the
     innermost primitive frame of the trapped error. Flags are per thread and
-    BLAS may split a large matmul across worker threads, so matmul results
-    are still scanned. Underflow stays ignored: the masked softmax and
-    sigmoid's exp(-|v|) underflow to 0 by design. Scopes nest.
+    BLAS may split a large matmul across worker threads, so matmul and
+    affine results are still scanned. Underflow stays ignored: the masked
+    softmax and sigmoid's exp(-|v|) underflow to 0 by design. Scopes nest.
     """
     token = _TRAPPING.set(True)
     try:
@@ -146,8 +148,12 @@ def _out(kind, values, inputs, saved):
     """
     if type(values) is not np.ndarray:
         values = np.asarray(values)
-    # A BLAS worker thread's overflow sets no flag the trap sees (see fp_trap).
-    if (kind == "matmul" or not _TRAPPING.get()) and not np.isfinite(values).all():
+    if _TRAPPING.get():
+        # A BLAS worker thread's overflow sets no flag the trap sees (see fp_trap).
+        finite = (kind != "matmul" and kind != "affine") or _squares_finite(values)
+    else:
+        finite = np.isfinite(values).all()
+    if not finite:
         raise NumericError(f"non-finite result in op {kind!r}")
     out = Tensor.__new__(Tensor)
     out.values = values
@@ -159,6 +165,20 @@ def _out(kind, values, inputs, saved):
         ids = tuple([t.node_id if t.tape is tape else -1 for t in inputs])
         tape.nodes.append((kind, ids, saved))
     return out
+
+
+def _squares_finite(values):
+    """Whether every entry is finite: one dot product, or a scan if the sum of squares is not.
+
+    Only inside fp_trap, where the dot raises rather than warns on overflow.
+    """
+    flat = values.reshape(-1)
+    try:
+        if math.isfinite(np.dot(flat, flat)):
+            return True
+    except FloatingPointError:
+        pass
+    return np.isfinite(values).all()
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +206,46 @@ def mul(a, b):
     return _elementwise("mul", np.multiply, a, b, (a.values, b.values))
 
 
+def _operands(op, a, b, min_b_ndim=1):
+    """The values of a matmul's operands, checked: see matmul."""
+    av, bv = a.values, b.values
+    ok = (2 <= av.ndim <= 3 and min_b_ndim <= bv.ndim <= 3
+          and av.shape[-1] == bv.shape[0 if bv.ndim == 1 else -2]
+          and (bv.ndim < 3 or (av.ndim == 3 and av.shape[0] == bv.shape[0])))
+    if not ok:
+        raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+    return av, bv
+
+
 def matmul(a, b):
     """numpy matmul of a 2- or 3-d a by a 1- to 3-d b; a 3-d b needs a 3-d a of equal batch size.
 
     A 3-d a is a batch of matrices over its leading axis, sharing a 1- or 2-d b.
     """
-    av, bv = a.values, b.values
-    ok = (2 <= av.ndim <= 3 and 1 <= bv.ndim <= 3
-          and av.shape[-1] == bv.shape[0 if bv.ndim == 1 else -2]
-          and (bv.ndim < 3 or (av.ndim == 3 and av.shape[0] == bv.shape[0])))
-    if not ok:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    av, bv = _operands("matmul", a, b)
     return _out("matmul", av @ bv, (a, b), (av, bv))
+
+
+def affine(pairs, b):
+    """a_1 @ w_1 + ... + a_k @ w_k + b as one node; each (a, w) as matmul admits it, w 2- or 3-d.
+
+    The products, all of one shape, are summed in order and b is added last,
+    as add(add(matmul, matmul), b) would, so the result is bit-equal to it.
+    """
+    if not pairs:
+        raise ContractError("affine of zero products")
+    saved = tuple(_operands("affine", a, w, min_b_ndim=2) for a, w in pairs)
+    out = saved[0][0] @ saved[0][1]
+    for av, wv in saved[1:]:
+        product = av @ wv
+        if product.shape != out.shape:
+            raise DimensionError(f"affine: products of shape {out.shape} and {product.shape}")
+        out += product
+    try:
+        out += b.values
+    except ValueError:
+        raise DimensionError(f"affine: bias {b.shape} does not broadcast to {out.shape}") from None
+    return _out("affine", out, [t for pair in pairs for t in pair] + [b], (saved, b.shape))
 
 
 def concat(parts, axis=0):
@@ -243,7 +291,8 @@ def gather(table, indices):
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1 or not idx.size:
         raise ContractError(f"gather needs a non-empty list of indices, got shape {idx.shape}")
-    bad = (idx < 0) | (idx >= tv.shape[0])
+    # One unsigned compare: a negative index reads as a huge one.
+    bad = idx.view(np.uint64) >= tv.shape[0]
     if bad.any():
         raise VocabError(f"gather: index {idx[bad][0]} out of range "
                          f"for table of {tv.shape[0]} rows")
@@ -292,7 +341,7 @@ def sum_(t):
 
 def reshape(t, shape):
     shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != t.values.size:
+    if math.prod(shape) != t.values.size:
         raise DimensionError(f"reshape: {t.shape} -> {shape} changes element count")
     return _out("reshape", t.values.reshape(shape), (t,), (t.shape,))
 
@@ -339,6 +388,21 @@ def _settle(outers):
     return np.swapaxes(a, -1, -2) @ g
 
 
+def _matmul_grads(av, bv, out_grad):
+    """The gradients of av @ bv for a and for b; a 2- or 3-d b's is an _Outer term."""
+    if bv.ndim == 1:
+        # (..., n) @ (n,): an outer product back to a, a contraction over
+        # every leading axis back to b.
+        n = bv.shape[0]
+        return (out_grad[..., None] * bv, av.reshape(-1, n).T @ out_grad.reshape(-1))
+    da = out_grad @ np.swapaxes(bv, -1, -2)
+    if bv.ndim == 3:
+        return (da, _Outer(av, out_grad))
+    # A shared 2-d b collects the products of every leading index of a.
+    n, p = bv.shape
+    return (da, _Outer(av.reshape(-1, n), out_grad.reshape(-1, p)))
+
+
 def _vjp(kind, saved, out_grad):
     if kind == "add":
         a_shape, b_shape = saved
@@ -350,18 +414,11 @@ def _vjp(kind, saved, out_grad):
         av, bv = saved
         return (_reduce_to(out_grad * bv, av.shape), _reduce_to(out_grad * av, bv.shape))
     if kind == "matmul":
-        av, bv = saved
-        if bv.ndim == 1:
-            # (..., n) @ (n,): an outer product back to a, a contraction over
-            # every leading axis back to b.
-            n = bv.shape[0]
-            return (out_grad[..., None] * bv, av.reshape(-1, n).T @ out_grad.reshape(-1))
-        da = out_grad @ np.swapaxes(bv, -1, -2)
-        if bv.ndim == 3:
-            return (da, _Outer(av, out_grad))
-        # A shared 2-d b collects the products of every leading index of a.
-        n, p = bv.shape
-        return (da, _Outer(av.reshape(-1, n), out_grad.reshape(-1, p)))
+        return _matmul_grads(*saved, out_grad)
+    if kind == "affine":
+        pairs, b_shape = saved
+        grads = [g for av, wv in pairs for g in _matmul_grads(av, wv, out_grad)]
+        return grads + [_reduce_to(out_grad, b_shape)]
     if kind == "concat":
         sizes, axis = saved
         lead = (slice(None),) * axis

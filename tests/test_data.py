@@ -174,6 +174,17 @@ def test_raw_task_to_samples_invariants():
     assert per_task[0][0].graph is per_task[0][1].graph
 
 
+def test_multi_word_fields_build_one_entry_per_word():
+    raw = [RawTask(**POOL_FIXTURE[0])]
+    vocab = build_vocab(raw_task_token_stream(raw), max_size=100)
+    for word in ("Vera", "Belmont", "The", "Row"):
+        assert word in vocab
+    assert "Vera Belmont" not in vocab and "The Row" not in vocab
+    triplet = KnowledgeTriplet("Milena", "director", "Vera Belmont")
+    ids = vocab.encode(triplet.tokens())
+    assert len(ids) == 4 and vocab.UNK not in ids
+
+
 # ---------------------------------------------------------------------------
 # synthetic tasks
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from mkgd.layers import (
     build_mlp,
     gru_encode,
     mlp_forward,
+    stack_cells,
 )
 from mkgd.params import ParamStore
 from mkgd.tensor import Tape, Tensor, backward
@@ -91,6 +94,61 @@ def test_gru_zero_weights_zero_input_is_fixed_map():
                   cell.transposed()).values
     # z = r = 0.5, candidate = 0 -> h' = 0.5 h
     assert np.allclose(h, [[0.5, 1.0], [-2.0, 0.0]], atol=1e-15)
+
+
+def composed_step(cell, x, h, mats):
+    """GruCell.step as separate matmul and add nodes: the oracle for its affine gates."""
+    W_z, U_z, W_r, U_r, W_h, U_h = mats
+    z = T.sigmoid(T.add(T.add(T.matmul(x, W_z), T.matmul(h, U_z)), cell.b_z))
+    r = T.sigmoid(T.add(T.add(T.matmul(x, W_r), T.matmul(h, U_r)), cell.b_r))
+    c = T.tanh(T.add(T.add(T.matmul(x, W_h), T.matmul(T.mul(r, h), U_h)), cell.b_h))
+    return T.add(c, T.mul(z, T.sub(h, c)))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-cell", "stacked"])
+def test_gru_step_is_bit_equal_to_the_matmul_and_add_composition(stacked):
+    rng = np.random.default_rng(8)
+    store = ParamStore(3)
+    cells = [build_gru_cell(store, f"g{i}", 4, 3) for i in range(2)]
+    for name in store.names():  # non-zero biases, so the bias gradients are tested too
+        store.set_values(name, rng.normal(size=store[name].shape) * 0.7)
+    lead = (2,) if stacked else ()
+    xs = [Tensor(rng.normal(size=lead + (5, 4))) for _ in range(3)]
+    probe = Tensor(rng.normal(size=lead + (5, 3)))
+
+    def run(step):
+        cell = stack_cells(cells) if stacked else cells[0]
+        mats = cell.transposed()
+        h = Tensor(np.zeros(lead + (5, 3)))
+        for x in xs:  # a recurrence, so each weight collects one term per step
+            h = step(cell, x, h, mats)
+        return h, T.sum_(T.tanh(T.mul(h, probe)))
+
+    results = []
+    for step in (lambda cell, x, h, mats: cell.step(x, h, mats), composed_step):
+        tape = Tape()
+        tape.watch(store)
+        with tape:
+            h, loss = run(step)
+        results.append((h.values, backward(tape, loss)))
+    (got, got_grads), (want, want_grads) = results
+    assert np.array_equal(got, want)
+    assert got_grads.keys() == want_grads.keys()
+    for name in want_grads:
+        assert np.array_equal(got_grads[name].values, want_grads[name].values), name
+
+
+def test_gru_step_records_ten_nodes():
+    store = ParamStore(0)
+    cell = build_gru_cell(store, "g", 2, 3)
+    tape = Tape()
+    tape.watch(store)
+    with tape:
+        mats = cell.transposed()
+        before = len(tape.nodes)
+        cell.step(Tensor(np.ones((4, 2))), Tensor(np.ones((4, 3))), mats)
+    kinds = Counter(kind for kind, _, _ in tape.nodes[before:])
+    assert kinds == {"affine": 3, "sigmoid": 2, "tanh": 1, "mul": 2, "sub": 1, "add": 1}
 
 
 # ---------------------------------------------------------------------------

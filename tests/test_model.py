@@ -585,18 +585,18 @@ def _recorded_objective(model, samples):
 
 
 def overflowing_model():
-    """A model whose first encoder matmul overflows: unit embeddings times W_z entries of 1e308."""
+    """A model whose first encoder gate overflows: its affine node, unit embeddings times W_z of 1e308."""
     model = tiny_model()
     for name, value in (("model.embed.W", 1.0), ("model.enc.fwd.W_z", 1e308)):
         model.store.set_values(name, np.full(model.store[name].shape, value))
     return model
 
 
-def test_overflow_in_recorded_forward_names_the_matmul():
+def test_overflow_in_recorded_forward_names_the_affine():
     model = overflowing_model()
     tape = T.Tape()
     tape.watch(model.store)
-    with pytest.raises(NumericError, match="non-finite result in op 'matmul'"), tape:
+    with pytest.raises(NumericError, match="non-finite result in op 'affine'"), tape:
         model.forward([tiny_sample(model.vocab, tiny_graph())])
 
 
@@ -616,7 +616,7 @@ def test_model_call_traps_overflow_and_restores_the_error_state(call, outer):
         sample = tiny_sample(tiny_vocab(), tiny_graph())
         MODEL_CALLS[call](tiny_model(), sample)
         assert np.geterr() == before
-        with pytest.raises(NumericError, match="non-finite result in op 'matmul'"):
+        with pytest.raises(NumericError, match="non-finite result in op 'affine'"):
             MODEL_CALLS[call](overflowing_model(), sample)
         assert np.geterr() == before
     assert not T._TRAPPING.get()

@@ -70,6 +70,71 @@ def test_non_finite_result_raises():
             T.log(T.Tensor([0.0]))
 
 
+def test_affine_rejects_a_bad_pair_and_a_bias_that_does_not_broadcast():
+    a, w = T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 4)))
+    bad_pairs = [((a, T.Tensor(np.ones((4, 2)))),),  # inner sizes differ
+                 ((a, T.Tensor(np.ones(3))),),  # a 1-d w
+                 ((a, w), (T.Tensor(np.ones((5, 3))), w))]  # products of two shapes
+    for pairs in bad_pairs:
+        with pytest.raises(DimensionError, match="affine"):
+            T.affine(pairs, T.Tensor(np.zeros(4)))
+    for b_shape in [(3,), (2, 1, 4), (3, 4)]:
+        with pytest.raises(DimensionError, match="affine: bias"):
+            T.affine(((a, w),), T.Tensor(np.zeros(b_shape)))
+    with pytest.raises(ContractError):
+        T.affine((), T.Tensor(np.zeros(4)))
+
+
+def test_affine_is_bit_equal_to_the_matmul_and_add_composition():
+    rng = np.random.default_rng(7)
+    x, W, h, U = (T.Tensor(rng.normal(size=s)) for s in [(2, 3, 4), (2, 4, 5),
+                                                          (2, 3, 5), (2, 5, 5)])
+    b = T.Tensor(rng.normal(size=(2, 1, 5)))
+    want = T.add(T.add(T.matmul(x, W), T.matmul(h, U)), b).values
+    assert np.array_equal(T.affine(((x, W), (h, U)), b).values, want)
+
+
+def test_fp_trap_names_an_overflowing_affine():
+    big = T.Tensor(np.full((2, 2), 1e200))
+    with pytest.raises(NumericError, match="non-finite result in op 'affine'"), T.fp_trap():
+        T.affine(((big, big),), T.Tensor(np.zeros(2)))
+    # The overflow is in adding the bias to a finite product.
+    near = T.Tensor([[1e308]])
+    with pytest.raises(NumericError, match="non-finite result in op 'affine'"), T.fp_trap():
+        T.affine(((near, T.Tensor([[1.0]])),), near)
+
+
+PRODUCTS = {
+    "matmul": lambda a, w: T.matmul(a, w),
+    "affine": lambda a, w: T.affine(((a, w),), T.Tensor(np.zeros(w.shape[-1]))),
+}
+
+
+@pytest.mark.parametrize("kind", list(PRODUCTS))
+def test_fp_trap_passes_a_product_whose_squares_overflow(kind):
+    # Finite entries of 1e200: the sum of squares overflows, the scan must not.
+    a, w = T.Tensor([[1e100, 0.0], [0.0, -1e100]]), T.Tensor([[1e100, 1.0], [1.0, 1e100]])
+    with T.fp_trap():
+        out = PRODUCTS[kind](a, w)
+    assert out.values.tolist() == [[1e200, 1e100], [-1e100, -1e200]]
+
+
+@pytest.mark.parametrize("trapped", [True, False], ids=["trapped", "untrapped"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("kind", list(PRODUCTS))
+def test_a_non_finite_product_names_its_op_inside_and_outside_the_trap(kind, bad, trapped):
+    # A NaN input reaches the result with no floating-point flag, so only the scan
+    # catches it; BLAS may flag an inf as invalid, which the trap names too.
+    a, w = T.Tensor([[1.0, bad], [2.0, 3.0]]), T.Tensor(np.ones((2, 3)))
+    with pytest.raises(NumericError, match=f"non-finite result in op '{kind}'"):
+        if trapped:
+            with T.fp_trap():
+                PRODUCTS[kind](a, w)
+        else:
+            with np.errstate(invalid="ignore"):
+                PRODUCTS[kind](a, w)
+
+
 # Every operand shape matmul admits: 2-d@2-d, 3-d@3-d, 3-d@2-d, 3-d@1-d, 2-d@1-d.
 MATMUL_SHAPES = [((2, 3), (3, 4)), ((2, 2, 3), (2, 3, 4)), ((2, 2, 3), (3, 4)),
                  ((2, 2, 3), (3,)), ((2, 3), (3,))]
@@ -175,6 +240,21 @@ def test_gather_rejects_out_of_range():
         T.gather(table, [2])
     with pytest.raises(VocabError):
         T.gather(table, [1, -1])
+
+
+@pytest.mark.parametrize("bad", [-1, 2, -2**63, 2**63 - 1])
+def test_gather_names_the_first_bad_index(bad):
+    table = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(VocabError) as err:
+        T.gather(table, np.array([1, bad, 0, -3]))
+    assert str(err.value) == f"gather: index {bad} out of range for table of 2 rows"
+
+
+def test_reshape_rejects_a_shape_that_changes_the_element_count():
+    for shape in [(3,), (2, 3), (-1, 4), (4, 0)]:
+        with pytest.raises(DimensionError) as err:
+            T.reshape(T.Tensor(np.ones(4)), shape)
+        assert str(err.value) == f"reshape: (4,) -> {shape} changes element count"
 
 
 def test_backward_square():
@@ -359,7 +439,26 @@ PRIMITIVE_CASES = [
     # settled onto a gradient another rule started
     ("matmul_rhs_twice", lambda p, c: T.matmul(T.matmul(c, p), p), (3, 3), (2, 4, 3)),
     ("matmul_rhs_and_add", lambda p, c: T.add(T.matmul(c, p), p), (3, 3), (2, 3, 3)),
+    # affine: a shared 2-d w twice in one node, a batched 3-d w, a transposed
+    # view, a GRU cell's (G, 1, H) bias, and a pair recorded on no tape
+    ("affine_shared_matrix", lambda p, c: T.affine(((c, p), (T.tanh(c), p)), _const(2)),
+     (4, 2), (2, 3, 4)),
+    ("affine_batched", lambda p, c: T.affine(((c, p), (T.mul(c, c), p)), _const(1, 3)),
+     (2, 4, 3), (2, 3, 4)),
+    ("affine_transposed_view", lambda p, c: T.affine(((c, T.transpose(p)),), _const(3)),
+     (3, 4), (2, 4)),
+    ("affine_stacked_bias", lambda p, c: T.affine(((c, _const(2, 5, 3)),
+                                                   (T.tanh(c), _const(2, 5, 3))), p),
+     (2, 1, 3), (2, 4, 5)),
+    ("affine_untaped_pair", lambda p, c: T.affine(((p, _const(3, 4)), (c, _const(2, 4))),
+                                                  _const(4)),
+     (2, 3), (2, 2)),
 ]
+
+
+def _const(*shape):
+    """A fixed constant of this shape, the same on every call."""
+    return T.Tensor(np.linspace(-0.9, 0.7, math.prod(shape)).reshape(shape))
 
 
 @pytest.mark.parametrize("name,build,p_shape,c_shape", PRIMITIVE_CASES)
