@@ -89,6 +89,8 @@ class Vocab:
             toks = [line.rstrip("\n") for line in fh]
         if toks[:4] != list(RESERVED_TOKENS):
             raise DataError(f"{path}: not a vocabulary file (reserved slots missing)")
+        if len(set(toks)) != len(toks):
+            raise DataError(f"{path}: vocabulary tokens must be unique")
         return cls(toks[4:])
 
 

@@ -2,9 +2,9 @@
 
 All layers are pure functions of (parameters, inputs). Parameters live in a
 ParamStore and are registered under stable dotted names so checkpoints stay
-portable (e.g. "enc.fwd.W_z", "att.v"). gru_encode steps several GRUs in
-lockstep, their cells stacked along a leading axis, so a batch's encoders
-record one recurrence between them.
+portable (e.g. "model.enc.fwd.W_z", "model.att.v"). gru_encode steps several
+GRUs in lockstep, their cells stacked along a leading axis, so a batch's
+encoders record one recurrence between them.
 """
 
 from __future__ import annotations
@@ -228,17 +228,11 @@ def attend(layer, query, keys):
     return T.reshape(context, (B, key_dim)), weights
 
 
-class Mlp:
+class Mlp(NamedTuple):
     """Affine stack with tanh hidden activations and a linear output layer."""
 
-    def __init__(self, weights, biases, dims):
-        self.weights = weights
-        self.biases = biases
-        self.dims = list(dims)
-
-    @property
-    def input_dim(self):
-        return self.dims[0]
+    weights: list  # (output_dim, input_dim) per layer
+    biases: list
 
 
 def build_mlp(store, prefix, dims):
@@ -248,18 +242,16 @@ def build_mlp(store, prefix, dims):
     for i in range(len(dims) - 1):
         weights.append(store.create(f"{prefix}.W{i}", (dims[i + 1], dims[i]), init="xavier"))
         biases.append(store.create(f"{prefix}.b{i}", (dims[i + 1],), init="zeros"))
-    return Mlp(weights, biases, dims)
+    return Mlp(weights, biases)
 
 
 def mlp_forward(m, x):
     """(B, output_dim) rows from a (B, input_dim) batch: one pass for every sample's row."""
-    if x.values.ndim != 2 or x.shape[1] != m.input_dim:
-        raise DimensionError(f"mlp input shape {x.shape}, expected (B, {m.input_dim})")
-    h = x
-    last = len(m.weights) - 1
+    input_dim = m.weights[0].shape[1]
+    if x.values.ndim != 2 or x.shape[1] != input_dim:
+        raise DimensionError(f"mlp input shape {x.shape}, expected (B, {input_dim})")
     for i, (W, b) in enumerate(zip(m.weights, m.biases)):
-        # W h^T, not h W^T: W's gradient comes out C-ordered, so backward copies no (V, H) view.
-        h = T.add(T.transpose(T.matmul(W, T.transpose(h))), b)
-        if i != last:
-            h = T.tanh(h)
-    return h
+        if i:
+            x = T.tanh(x)
+        x = T.affine(((x, T.transpose(W)),), b)
+    return x

@@ -303,8 +303,7 @@ class DialogueModel:
         rows = T.reshape(T.stack(states, axis=1), (batch * steps, H))
         if pad.mask is not None:
             rows = T.gather(rows, np.flatnonzero(pad.real))
-        # W h^T, not h W^T, as in mlp_forward: out.W's gradient comes out C-ordered.
-        return T.add(T.transpose(T.matmul(self.out_W, T.transpose(rows))), self.out_b)
+        return T.affine(((rows, T.transpose(self.out_W)),), self.out_b)
 
     @T.fp_trap()
     def generate(self, history, graph, max_len):

@@ -378,14 +378,21 @@ class _Outer:
         self.g = g
 
 
-def _settle(outers):
-    """Sum of a^T g over a node's _Outer terms, as one product over their stacked rows."""
+def _settle(outers, plus, swapped=False):
+    """The sum of a^T g over a node's _Outer terms, as one product over their stacked rows.
+
+    The node's own gradient `plus`, unless None, is added to it. swapped forms
+    the transpose, g^T a, which comes out C-ordered, and adds `plus` swapped.
+    """
     if len(outers) == 1:
         a, g = outers[0].a, outers[0].g
     else:
         a = np.concatenate([o.a for o in outers], axis=-2)
         g = np.concatenate([o.g for o in outers], axis=-2)
-    return np.swapaxes(a, -1, -2) @ g
+    product = np.swapaxes(g, -1, -2) @ a if swapped else np.swapaxes(a, -1, -2) @ g
+    if plus is not None:
+        product += np.swapaxes(plus, -1, -2) if swapped else plus
+    return product
 
 
 def _matmul_grads(av, bv, out_grad):
@@ -488,9 +495,12 @@ def backward(tape, loss):
     later ones are added in place. A gather contributes (indices, rows),
     scattered into a zero table made once per node. A matmul contributes
     its right operand's a^T g as an _Outer term, and a node's terms become
-    one product when the sweep reaches it. A node's gradient is dropped once
-    its rule has run, so memory holds the gradients of the frontier of the
-    sweep, not of the whole tape; leaves keep theirs.
+    one product when the sweep reaches it. At a transpose node the product
+    is formed as g^T a, already C-ordered in the layout of the transposed
+    input, and the node's own gradient, if any, is added to it swapped; the
+    input gets the sum uncopied. A node's gradient is dropped once its rule
+    has run, so memory holds the gradients of the frontier of the sweep,
+    not of the whole tape; leaves keep theirs.
     """
     if loss.tape is not tape or loss.node_id is None:
         raise ContractError("loss was not recorded on this tape")
@@ -501,19 +511,16 @@ def backward(tape, loss):
     grads[loss.node_id] = np.ones_like(loss.values)
     outers = {}  # node id -> its pending _Outer terms
     for i in range(loss.node_id, -1, -1):
-        if i in outers:
-            product = _settle(outers.pop(i))
-            if grads[i] is None:
-                grads[i] = product
-            else:
-                grads[i] += product
-        g = grads[i]
-        if g is None:
-            continue
         kind, input_ids, saved = tape.nodes[i]
-        if kind == "leaf":
-            continue
-        in_grads = _vjp(kind, saved, g)
+        g = grads[i]
+        if i in outers and kind == "transpose":
+            in_grads = (_settle(outers.pop(i), g, swapped=True),)
+        else:
+            if i in outers:
+                g = grads[i] = _settle(outers.pop(i), g)
+            if g is None or kind == "leaf":
+                continue
+            in_grads = _vjp(kind, saved, g)
         grads[i] = None
         for nid, ig in zip(input_ids, in_grads):
             if nid < 0:

@@ -616,7 +616,8 @@ def replace_checkpoint_entry(ckpt, name, values):
                                   "blank-triplet-pool-train-baseline",
                                   "empty-relation-pool-meta-train",
                                   "blank-tail-pool-train-baseline", "blank-triplet-graph",
-                                  "empty-head-graph", "deep-json-graph", "deep-json-pool"])
+                                  "empty-head-graph", "deep-json-graph", "deep-json-pool",
+                                  "duplicate-token-vocab"])
 def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
     argv = ["chat", "--checkpoint", str(ckpt), "--vocab", str(vpath), "--graph", str(graph)]
@@ -649,6 +650,9 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
         pool.write_text(pool.read_text() + "[" * 200_000 + "\n")
         argv = adapt_eval + ["--split", "all"]
         where = f"{pool} line 9"
+    elif case == "duplicate-token-vocab":
+        vpath.write_text(vpath.read_text() + "e0\n")
+        where = str(vpath)
     elif case == "truncated-checkpoint":
         ckpt.write_bytes(ckpt.read_bytes()[:1000])
     elif case == "graph-without-goal":

@@ -367,7 +367,7 @@ def test_decode_logits_shape():
         assert logits.shape == (sum(len(s.response) for s in samples), V)
 
 
-def test_decode_projects_all_positions_in_one_matmul():
+def test_decode_projects_all_positions_in_one_affine():
     model = tiny_model()
     samples = ragged_pair(model.vocab)
     assert len(samples[0].response) > 1
@@ -375,12 +375,13 @@ def test_decode_projects_all_positions_in_one_matmul():
     tape = T.Tape()
     tape.watch(model.store)
     with tape:
-        model.decode_with_knowledge(history, Tensor(np.zeros((2, model.hidden_dim))),
-                                    [s.response for s in samples])
+        logits = model.decode_with_knowledge(history, Tensor(np.zeros((2, model.hidden_dim))),
+                                             [s.response for s in samples])
     out_w = tape.watched["model.out.W"]
-    uses = [(kind, ids) for kind, ids, _ in tape.nodes if out_w in ids]
-    # out.W is the left operand, so its (V, H) gradient is made C-ordered
-    assert len(uses) == 1 and uses[0][0] == "matmul" and uses[0][1][0] == out_w
+    uses = [i for i, (_, ids, _) in enumerate(tape.nodes) if out_w in ids]
+    assert [tape.nodes[i][0] for i in uses] == ["transpose"]
+    assert [kind for kind, ids, _ in tape.nodes if uses[0] in ids] == ["affine"]
+    assert logits.values.flags.c_contiguous
 
 
 def test_decode_empty_response_rejected():

@@ -371,6 +371,30 @@ def test_backward_peak_memory_does_not_grow_with_chain_length():
     assert long < 8 * nbytes, long
 
 
+def test_transposed_weight_gradient_is_made_once_c_ordered():
+    # backward forms W's gradient as g^T a at the transpose node, in W's own
+    # layout, so no swapped (V, H) view is copied on its way to W.
+    rng = np.random.default_rng(8)
+    store = ParamStore(0)
+    W = add_param(store, "W", rng.normal(size=(4096, 256)) * 0.01)
+    b = add_param(store, "b", np.zeros(4096))
+    x = T.Tensor(rng.normal(size=(8, 256)))
+    tape = Tape()
+    tape.watch(store)
+    with tape:
+        loss = T.sum_(T.affine(((x, T.transpose(W)),), b))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        grads = backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * W.values.nbytes, peak
+    assert grads["W"].values.flags.c_contiguous
+    assert np.allclose(grads["W"].values, np.broadcast_to(x.values.sum(axis=0), (4096, 256)))
+
+
 def test_mlp_gradients_match_finite_differences():
     # 2-layer MLP with a scalar loss; the oracle is central differences.
     rng = np.random.default_rng(5)
@@ -405,7 +429,7 @@ PRIMITIVE_CASES = [
     ("mul_scalar", lambda p, c: T.mul(c, p), (1,), (4,)),
     ("matmul_mm", lambda p, c: T.matmul(p, c), (2, 3), (3, 2)),
     ("matmul_mv", lambda p, c: T.matmul(p, c), (2, 3), (3,)),
-    # out.W's projection in decode_with_knowledge: W rows^T, transposed back
+    # W rows^T, transposed back: a left operand reached through two transposes
     ("matmul_w_rows_t", lambda p, c: T.transpose(T.matmul(p, T.transpose(c))), (4, 3), (2, 3)),
     ("concat", lambda p, c: T.concat([p, c]), (3,), (2,)),
     ("concat_cols", lambda p, c: T.concat([p, c], axis=1), (2, 2), (2, 3)),
@@ -453,7 +477,29 @@ PRIMITIVE_CASES = [
     ("affine_untaped_pair", lambda p, c: T.affine(((p, _const(3, 4)), (c, _const(2, 4))),
                                                   _const(4)),
      (2, 3), (2, 2)),
+    # a transposed weight's deferred products, settled as g^T a at the
+    # transpose: read by two affine nodes, stacked 3-d and read twice by one,
+    # and with a direct gradient of its own added swapped
+    ("transpose_read_by_two_affines", lambda p, c: _two_affines(c, T.transpose(p)),
+     (3, 4), (2, 4)),
+    ("transpose_stacked_3d",
+     lambda p, c: _one_affine_twice(c, T.transpose(T.stack([p, T.tanh(p)]))),
+     (3, 4), (2, 5, 4)),
+    ("transpose_with_direct_grad", lambda p, c: _affine_plus_sum(c, T.transpose(p)),
+     (3, 4), (2, 4)),
 ]
+
+
+def _two_affines(c, wt):
+    return T.add(T.affine(((c, wt),), _const(3)), T.affine(((T.tanh(c), wt),), _const(3)))
+
+
+def _one_affine_twice(c, wt):
+    return T.affine(((c, wt), (T.tanh(c), wt)), _const(2, 1, 3))
+
+
+def _affine_plus_sum(c, wt):
+    return T.add(T.affine(((c, wt),), _const(3)), T.sum_(T.mul(wt, wt)))
 
 
 def _const(*shape):

@@ -97,7 +97,8 @@ def assert_matches(observed, expected, where="observation"):
         assert type(observed) is type(expected) and observed == expected, where
 
 
-@pytest.mark.parametrize("name", ["meta-train-desk", "adapt-eval-desk", "chat-desk"])
+@pytest.mark.parametrize("name", ["meta-train-desk", "step-paper", "adapt-eval-desk",
+                                  "chat-desk"])
 def test_a_workload_operation_fires_its_spans_and_matches_its_golden(tmp_path, name):
     tracing, workloads = load_tracing(), load_bench_module("workloads")
     workload = workloads.WORKLOADS[name](0, tmp_path)
