@@ -3,7 +3,10 @@
 The meta step runs the inner updates for the whole task batch IN SEQUENCE on
 one shared, evolving parameter store (no per-task copies), then takes a
 single first-order optimizer step on the summed query losses evaluated at
-the resulting parameters.
+the resulting parameters. Those query losses come from one forward over
+every task's query set, and validation runs one tape-free forward per group
+of tasks whose logits fit VALIDATION_LOGITS_CELLS; each task's log row is
+summarised from its own rows of the batch.
 
 Every parameter update, whether an inner step, the meta step, a test-time
 adaptation step or a supervised baseline step, goes through ``_train_step``:
@@ -21,12 +24,17 @@ this module declares and checks none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ContractError, DataError, NumericError
 from .optim import AdamState, adam_step, clip_global_norm, sgd_step
-from .tensor import Tape, add, backward
+from .tensor import Tape, Tensor, backward, mul, sum_
+
+# Most logits cells (response tokens times vocabulary size) one validation
+# forward may hold; a task larger than that still runs, alone.
+VALIDATION_LOGITS_CELLS = 2 ** 24
 
 
 @dataclass
@@ -134,14 +142,23 @@ class EpisodeStats:
     meta_loss: float
 
 
+def _task_rows(model, tasks):
+    """One forward over the tasks' query sets; (recorded totals, terms, each task's row range)."""
+    bounds = list(accumulate((len(task.query) for task in tasks), initial=0))
+    totals, terms = model.forward([s for task in tasks for s in task.query])
+    return totals, terms, list(zip(bounds, bounds[1:]))
+
+
 def _query_objective(model, batch):
-    """Query losses summed over tasks at the current parameters; one summary per task."""
-    total, summaries = None, []
-    for task in batch:
-        loss, summary = model.batch_objective(task.query)
-        summaries.append(summary)
-        total = loss if total is None else add(total, loss)
-    return total, summaries
+    """Per-task mean query losses summed at the current parameters; one summary per task.
+
+    One forward runs every task's query set, and each row is weighted by
+    1 / its task's query size.
+    """
+    totals, terms, ranges = _task_rows(model, batch)
+    sizes = [len(task.query) for task in batch]
+    loss = sum_(mul(totals, Tensor(np.repeat([1.0 / n for n in sizes], sizes))))
+    return loss, [terms.summary(start, stop) for start, stop in ranges]
 
 
 def meta_batch_step(model, batch, cfg, meta_state=None):
@@ -189,9 +206,30 @@ class TrainingLog:
             fh.write(self.text())
 
 
+def _validation_groups(tasks, vocab_size):
+    """Consecutive groups of tasks whose query responses fill at most VALIDATION_LOGITS_CELLS."""
+    groups, cells = [], 0
+    for task in tasks:
+        size = vocab_size * sum(len(s.response) for s in task.query)
+        if groups and cells + size <= VALIDATION_LOGITS_CELLS:
+            groups[-1].append(task)
+            cells += size
+        else:
+            groups.append([task])
+            cells = size
+    return groups
+
+
 def validation_loss(model, tasks):
-    """Mean query total loss over tasks at the current parameters; (task id, summary) rows."""
-    rows = [(task.task_id, model.batch_objective(task.query)[1]) for task in tasks]
+    """Mean query total loss over tasks at the current parameters; (task id, summary) rows.
+
+    Runs one tape-free forward per group of _validation_groups.
+    """
+    rows = []
+    for group in _validation_groups(tasks, len(model.vocab)):
+        _, terms, ranges = _task_rows(model, group)
+        rows += [(task.task_id, terms.summary(start, stop))
+                 for task, (start, stop) in zip(group, ranges)]
     return sum(r["total"] for _, r in rows) / len(rows), rows
 
 

@@ -11,9 +11,12 @@ responses) steps in one lockstep recurrence, ``encode``, as many steps as
 the longest sequence of any of them. The decoder runs the whole batch one
 GRU step per position on (B, ·) matrices; selection, fusion and the losses
 run once per batch too, on (B, ·) rows, with a batch's smaller graphs
-padded and masked. ``forward`` and ``score`` take a sample batch;
-``generate`` decodes one history greedily at batch size 1. Each of the three
-runs under one ``tensor.fp_trap``; only matmul and affine results are scanned.
+padded and masked. ``forward`` and ``score`` take a sample batch, whose
+samples may come from many tasks; ``forward`` returns each sample's loss terms,
+so a caller batching several tasks summarises each task's rows with
+``SampleTerms.summary``. ``generate`` decodes one history greedily at batch
+size 1. Each of the three runs under one ``tensor.fp_trap``; only matmul and
+affine results are scanned.
 
 Knowledge fusion is the deterministic weighted sum of triplet vectors:
 posterior-weighted during training, prior-weighted at inference and when
@@ -38,7 +41,6 @@ from .layers import (
     gru_encode,
     mlp_forward,
 )
-from .metrics import selection_accuracy
 from .params import ParamStore
 from . import tensor as T
 from .tensor import Tensor
@@ -118,6 +120,29 @@ def bow_loss(fused_knowledge, responses, bow_mlp):
     probs = T.softmax(mlp_forward(bow_mlp, fused_knowledge))
     rows = np.repeat(np.arange(len(responses)), list(map(len, responses)))
     return _neg_log_sums("bow", probs, rows, responses)
+
+
+class SampleTerms(NamedTuple):
+    """Each sample's weighted loss terms and selection hit, as forward returns them."""
+
+    kl: np.ndarray     # (B,)
+    nll: np.ndarray    # (B,)
+    bow: np.ndarray    # (B,)
+    total: np.ndarray  # (B,): kl + nll + bow
+    hit: np.ndarray    # (B,) bool: the prior's top triplet is the gold one
+
+    def summary(self, start=0, stop=None):
+        """The loss summary of rows start:stop.
+
+        The means of ``kl``, ``nll``, ``bow`` and ``total``, and ``sel_acc``:
+        the share of those samples whose prior's top triplet is the gold one.
+        """
+        rows = slice(start, stop)
+        count = len(self.total[rows])
+        out = {key: sum(getattr(self, key)[rows].tolist()) / count
+               for key in ("kl", "nll", "bow", "total")}
+        out["sel_acc"] = int(np.count_nonzero(self.hit[rows])) / count
+        return out
 
 
 class ScoreResult(NamedTuple):
@@ -338,11 +363,12 @@ class DialogueModel:
 
     @T.fp_trap()
     def forward(self, samples):
-        """Full training pass over a sample batch; (recorded (B,) totals, loss summary).
+        """Full training pass over a sample batch; (recorded (B,) totals, SampleTerms).
 
-        The summary holds the batch means of the weighted loss terms ``kl``,
-        ``nll`` and ``bow`` and of their sum ``total``, and ``sel_acc``: the
-        share of samples whose prior's top triplet is the gold one.
+        The terms hold each sample's weighted loss terms ``kl``, ``nll`` and
+        ``bow``, their sum ``total``, and whether the prior's top triplet is
+        the gold one. A padded triplet's prior weight is exactly 0 and a real
+        one's above 0, so one argmax over the padded rows finds each top.
         """
         responses = [s.response for s in samples]
         history, knowledge, prior, response = self.encode(
@@ -357,20 +383,16 @@ class DialogueModel:
         kl, nll, bow = (t if w == 1.0 else T.mul(t, Tensor(w))
                         for t, w in zip(terms, self.loss_weights))
         totals = T.add(T.add(kl, nll), bow)
-        summary = {key: sum(t.values.tolist()) / len(samples)
-                   for key, t in (("kl", kl), ("nll", nll), ("bow", bow), ("total", totals))}
-        summary["sel_acc"] = selection_accuracy(
-            [prior.values[i, :len(s.graph)] for i, s in enumerate(samples)],
-            [s.gold_triplet for s in samples])
-        return totals, summary
+        hit = prior.values.argmax(axis=1) == [s.gold_triplet for s in samples]
+        return totals, SampleTerms(kl.values, nll.values, bow.values, totals.values, hit)
 
     def batch_objective(self, samples):
-        """(Recorded mean total loss over a sample batch, forward's loss summary).
+        """(Recorded mean total loss over a sample batch, the batch's loss summary).
 
         Runs under whatever tape is currently recording (or none).
         """
-        totals, summary = self.forward(samples)
-        return T.mul(T.sum_(totals), Tensor(1.0 / len(samples))), summary
+        totals, terms = self.forward(samples)
+        return T.mul(T.sum_(totals), Tensor(1.0 / len(samples))), terms.summary()
 
     @T.fp_trap()
     def score(self, samples):

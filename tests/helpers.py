@@ -5,6 +5,7 @@ the training loops."""
 import numpy as np
 
 from mkgd.data import build_vocab, raw_task_token_stream, synth_raw_tasks, tasks_from_raw
+from mkgd.model import SampleTerms
 from mkgd.params import ParamStore
 from mkgd import tensor as T
 
@@ -167,32 +168,40 @@ def np_nll(all_logits, response, floor=1e-12):
 
 
 class QuadSample:
-    """Coefficient wrapper so surrogate samples are distinct objects."""
+    """Coefficient wrapper so surrogate samples are distinct objects.
+
+    Its one-token response sizes validation groups as a dialogue sample's does.
+    """
+
+    response = (0,)
 
     def __init__(self, coef):
         self.coef = float(coef)
 
 
 class QuadraticModel:
-    """Scalar surrogate: loss over a batch is mean(coef * theta^2).
+    """Scalar surrogate: a sample's loss is coef * theta^2, a batch's their mean.
 
     Closed-form updates make the training loops easy to verify.
     """
+
+    vocab = ("theta",)
 
     def __init__(self, theta=1.0):
         self.store = ParamStore(0)
         self.theta = add_param(self.store, "theta", [float(theta)])
 
+    def forward(self, samples):
+        """(Recorded (B,) losses, their SampleTerms), the whole loss counted as nll."""
+        coefs = [s.coef if isinstance(s, QuadSample) else float(s) for s in samples]
+        totals = T.mul(T.mul(self.theta, self.theta), T.Tensor(coefs))
+        zeros = np.zeros(len(samples))
+        return totals, SampleTerms(zeros, totals.values, zeros, totals.values,
+                                   np.zeros(len(samples), dtype=bool))
+
     def batch_objective(self, samples):
-        total = None
-        for sample in samples:
-            coef = sample.coef if isinstance(sample, QuadSample) else float(sample)
-            sq = T.sum_(T.mul(self.theta, self.theta))
-            loss = T.mul(sq, T.Tensor(coef))
-            total = loss if total is None else T.add(total, loss)
-        mean = T.mul(total, T.Tensor(1.0 / len(samples)))
-        return mean, {"kl": 0.0, "nll": mean.item(), "bow": 0.0,
-                      "total": mean.item(), "sel_acc": 0.0}
+        totals, terms = self.forward(samples)
+        return T.mul(T.sum_(totals), T.Tensor(1.0 / len(samples))), terms.summary()
 
     def clone(self):
         return QuadraticModel(self.store["theta"].values[0])

@@ -5,7 +5,13 @@ import pytest
 
 from helpers import QuadraticModel, QuadSample, synth_tasks
 from mkgd.config import RunConfig
-from mkgd.data import SyntheticTaskSpec
+from mkgd.data import (
+    SyntheticTaskSpec,
+    build_vocab,
+    raw_task_token_stream,
+    synth_raw_tasks,
+    tasks_from_raw,
+)
 from mkgd import meta
 from mkgd.errors import ContractError, DataError
 from mkgd.meta import (
@@ -20,6 +26,7 @@ from mkgd.meta import (
     supervised_train,
 )
 from mkgd.model import DialogueModel
+from mkgd.tensor import Tape, add, backward
 
 
 def quad_task(support, query, task_id=0):
@@ -261,6 +268,101 @@ def test_degenerate_meta_step_equals_supervised_single_step():
 
 
 # ---------------------------------------------------------------------------
+# one forward per task batch: the meta step's query sets, the validation tasks
+
+
+def mixed_tasks():
+    """Four tasks over graphs of 2 and 4 triplets, with query sets of 6, 3, 5 and 2 samples."""
+    raw = (synth_raw_tasks(SyntheticTaskSpec(seed=5, n_samples=10, n_triplets=2), 2)
+           + synth_raw_tasks(SyntheticTaskSpec(seed=6, n_samples=10), 2))
+    vocab = build_vocab(raw_task_token_stream(raw), 200)
+    tasks = tasks_from_raw(raw, vocab, 4, 6, seed=1)
+    tasks = [Task(t.support, t.query[:n], task_id=i)
+             for i, (t, n) in enumerate(zip(tasks, (6, 3, 5, 2)))]
+    assert [len(t.query[0].graph) for t in tasks] == [2, 2, 4, 4]
+    return tasks, DialogueModel(vocab, 6, 7, seed=3, loss_weights=(0.5, 1.0, 2.0))
+
+
+def close(got, want):
+    # Relative, except below 1: KL is a difference of order-one
+    # log-probabilities, so its rounding error is absolute.
+    return abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def recorded(model, objective):
+    tape = Tape()
+    tape.watch(model.store)
+    with tape:
+        loss, summaries = objective()
+    return loss.item(), backward(tape, loss), summaries
+
+
+def test_batched_query_objective_equals_sum_of_per_task_objectives():
+    tasks, model = mixed_tasks()
+
+    def per_task():
+        results = [model.batch_objective(task.query) for task in tasks]
+        total = results[0][0]
+        for loss, _ in results[1:]:
+            total = add(total, loss)
+        return total, [summary for _, summary in results]
+
+    loss, grads, summaries = recorded(model, lambda: meta._query_objective(model, tasks))
+    want_loss, want_grads, want_summaries = recorded(model, per_task)
+    assert close(loss, want_loss)
+    scale = max(np.max(np.abs(g.values)) for g in want_grads.values())
+    for name, g in grads.items():
+        assert np.max(np.abs(g.values - want_grads[name].values)) <= 1e-12 * scale, name
+    assert len(summaries) == len(tasks)
+    for got, want in zip(summaries, want_summaries):
+        assert got.keys() == want.keys()
+        assert all(close(got[key], want[key]) for key in want), (got, want)
+
+
+def test_validation_rows_equal_per_task_rows(monkeypatch):
+    tasks, model = mixed_tasks()
+    forwards = []
+    forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda samples: forwards.append(samples) or
+                        forward(samples))
+    val, rows = meta.validation_loss(model, tasks)
+    assert len(forwards) == 1
+    want = [model.batch_objective(task.query)[1] for task in tasks]
+    assert [task_id for task_id, _ in rows] == [task.task_id for task in tasks]
+    for (_, got), row in zip(rows, want):
+        assert got.keys() == row.keys()
+        assert all(close(got[key], row[key]) for key in row), (got, row)
+    assert close(val, sum(row["total"] for row in want) / len(want))
+
+
+def test_validation_splits_tasks_under_the_logits_budget(monkeypatch):
+    tasks, model = mixed_tasks()
+    whole = meta.validation_loss(model, tasks)
+    cells = [len(model.vocab) * sum(len(s.response) for s in task.query) for task in tasks]
+    forwards = []
+    forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda samples: forwards.append(len(samples)) or
+                        forward(samples))
+
+    # exactly room for the middle two tasks together; the first two overflow it
+    monkeypatch.setattr(meta, "VALIDATION_LOGITS_CELLS", cells[1] + cells[2])
+    assert cells[0] + cells[1] > cells[1] + cells[2]
+    val, rows = meta.validation_loss(model, tasks)
+    assert forwards == [6, 3 + 5, 2]
+    assert [task_id for task_id, _ in rows] == [task_id for task_id, _ in whole[1]]
+    for (_, got), (_, want) in zip(rows, whole[1]):
+        assert all(close(got[key], want[key]) for key in want), (got, want)
+    assert close(val, whole[0])
+
+    # a budget below any one task still runs every task, alone
+    monkeypatch.setattr(meta, "VALIDATION_LOGITS_CELLS", 1)
+    forwards.clear()
+    _, rows = meta.validation_loss(model, tasks)
+    assert forwards == [6, 3, 5, 2]
+    assert rows == [(task.task_id, model.batch_objective(task.query)[1]) for task in tasks]
+
+
+# ---------------------------------------------------------------------------
 # meta_train
 
 
@@ -305,7 +407,9 @@ def test_meta_train_improves_validation_loss_and_logs():
 
 def test_meta_train_log_rows_equal_means_of_single_sample_forwards():
     # Every forward is replayed at the parameters it ran at, one sample at a
-    # time; each logged row must be the mean of those B=1 terms.
+    # time; each logged row must be the mean of those B=1 terms. A task's
+    # rows lie within one call's samples: its support batch, the meta step's
+    # query sets or the validation tasks.
     tasks, model = mini_pool(5, seed=8, hidden=8)
     train, val = tasks[:3], tasks[3:]
     cfg = RunConfig(alpha=0.05, beta=0.05, num_tasks=2, inner_steps=2,
@@ -320,8 +424,15 @@ def test_meta_train_log_rows_equal_means_of_single_sample_forwards():
     model.forward = recording_forward
     _, result = meta_train(model, TaskSampler(train, seed=4), cfg, val)
 
-    per_episode = cfg.num_tasks * (cfg.inner_steps + 1) + len(val)
+    # the inner steps, one meta step, one validation forward
+    per_episode = cfg.num_tasks * cfg.inner_steps + 2
     assert len(calls) == result.episodes * per_episode == 3 * per_episode
+
+    def holds(batch, samples):
+        ids = [id(s) for s in batch]
+        return any(ids[i:i + len(samples)] == [id(s) for s in samples]
+                   for i in range(len(ids) - len(samples) + 1))
+
     replay = DialogueModel(model.vocab, 8, 8)
     by_id = {t.task_id: t for t in tasks}
     keys = ("kl", "nll", "bow", "total", "sel_acc")
@@ -332,9 +443,9 @@ def test_meta_train_log_rows_equal_means_of_single_sample_forwards():
         samples = task.support if split == "support" else task.query
         episode_calls = calls[(int(episode) - 1) * per_episode:int(episode) * per_episode]
         # a support row comes from the task's last inner step
-        params = [p for batch, p in episode_calls if batch is samples][-1]
+        params = [p for batch, p in episode_calls if holds(batch, samples)][-1]
         replay.store.restore(params)
-        singles = [replay.forward([s])[1] for s in samples]
+        singles = [replay.forward([s])[1].summary() for s in samples]
         for key, value in zip(keys, map(float, logged)):
             want = sum(single[key] for single in singles) / len(samples)
             # Relative, except below 1: KL (about 1e-5 here) is a difference of

@@ -504,13 +504,15 @@ def test_generate_needs_positive_max_len():
 def test_forward_output_consistency():
     model = tiny_model(seed=9)
     for samples in ([tiny_sample(model.vocab, tiny_graph())], ragged_pair(model.vocab)):
-        totals, summary = model.forward(samples)
+        totals, terms = model.forward(samples)
+        summary = terms.summary()
         assert totals.shape == (len(samples),)
+        assert np.array_equal(terms.total, totals.values)
         assert summary["total"] == sum(totals.values.tolist()) / len(samples)
         assert summary["total"] == pytest.approx(
             summary["kl"] + summary["nll"] + summary["bow"], rel=1e-12)
         for sample, total in zip(samples, totals.values):
-            _, single = model.forward([sample])
+            single = model.forward([sample])[1].summary()
             assert single["total"] == pytest.approx(total, rel=1e-12)
             assert single["total"] == pytest.approx(
                 single["kl"] + single["nll"] + single["bow"], rel=1e-12)
@@ -523,7 +525,8 @@ def test_forward_output_consistency():
 def test_forward_weighted_terms_sum_to_total():
     model = DialogueModel(tiny_vocab(), 3, 3, seed=9, loss_weights=(0.5, 2.0, 0.0))
     sample = tiny_sample(model.vocab, tiny_graph())
-    totals, summary = model.forward([sample])
+    totals, terms = model.forward([sample])
+    summary = terms.summary()
     assert summary["bow"] == 0.0
     assert summary["total"] == pytest.approx(
         summary["kl"] + summary["nll"] + summary["bow"], rel=1e-12)
@@ -571,7 +574,7 @@ def test_clone_is_bit_exact_and_independent():
     model = tiny_model(seed=13)
     sample = tiny_sample(model.vocab, tiny_graph())
     twin = model.clone()
-    assert model.forward([sample])[1] == twin.forward([sample])[1]
+    assert model.forward([sample])[1].summary() == twin.forward([sample])[1].summary()
     twin.store.set_values("model.out.b", np.ones(len(model.vocab)))
     assert not np.array_equal(model.store["model.out.b"].values,
                               twin.store["model.out.b"].values)
@@ -676,8 +679,9 @@ def test_mixed_graph_batch_equals_single_samples():
     model = DialogueModel(tiny_vocab(), 4, 5, seed=23, loss_weights=(0.5, 1.0, 2.0))
     samples = mixed_graph_batch(model.vocab)
     assert [len(s.graph) for s in samples] == [1, 3, 4]
-    totals, summary = model.forward(samples)
-    singles = [model.forward([s])[1] for s in samples]
+    totals, terms = model.forward(samples)
+    summary = terms.summary()
+    singles = [model.forward([s])[1].summary() for s in samples]
     for total, want in zip(totals.values, singles):
         assert abs(total - want["total"]) <= 1e-12 * abs(want["total"])
     for key in ("kl", "nll", "bow", "total", "sel_acc"):
@@ -705,6 +709,7 @@ def test_mixed_graph_batch_equals_single_samples():
         assert np.allclose(r.prior, prior.values[i, :len(s.graph)], rtol=0.0, atol=1e-15)
     golds = [s.gold_triplet for s in samples]
     assert selection_accuracy([r.prior for r in scored], golds) == summary["sel_acc"]
+    assert terms.hit.tolist() == [int(np.argmax(r.prior)) == g for r, g in zip(scored, golds)]
 
 
 def test_masked_selection_gradients_match_finite_differences():
@@ -787,10 +792,10 @@ def test_overfit_single_sample_decreases_nll_and_bow():
 
     model = DialogueModel(tiny_vocab(), 8, 8, seed=1)
     sample = tiny_sample(model.vocab, tiny_graph())
-    _, first = model.forward([sample])
+    first = model.forward([sample])[1].summary()
     cfg = RunConfig(alpha=0.01, beta=0.01, max_episodes=50)
     supervised_train(model, [sample], cfg)
-    _, last = model.forward([sample])
+    last = model.forward([sample])[1].summary()
     assert last["nll"] < first["nll"]
     assert last["bow"] < first["bow"]
     assert last["nll"] >= 0.0 and last["bow"] >= 0.0
