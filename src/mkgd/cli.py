@@ -69,7 +69,8 @@ def _load_model(checkpoint_path, vocab_path, loss_weights):
         raise DataError(
             f"checkpoint vocab size {V} does not match vocabulary file ({len(vocab)})"
         )
-    model = DialogueModel(vocab, E, H, seed=0, loss_weights=loss_weights)
+    # Every value comes from the checkpoint, so nothing is drawn.
+    model = DialogueModel(vocab, E, H, seed=None, loss_weights=loss_weights)
     model.load_values(params)
     return model
 

@@ -188,7 +188,8 @@ class DialogueModel:
     """Full generator over a fixed vocabulary.
 
     Parameter naming is stable and checkpoint-visible: everything lives
-    under "model.*" ("model.enc.fwd.W_z", "model.att.v", ...).
+    under "model.*" ("model.enc.fwd.W_z", "model.att.v", ...). seed None
+    draws nothing: every parameter starts at zero, for a clone to restore.
     """
 
     def __init__(self, vocab, embed_dim, hidden_dim, seed=0,
@@ -196,26 +197,26 @@ class DialogueModel:
         self.vocab = vocab
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
-        self.seed = seed
         self.loss_weights = tuple(float(w) for w in loss_weights)
 
         V, E, H = len(vocab), embed_dim, hidden_dim
         store = ParamStore(seed)
-        self.embed = store.create("model.embed.W", (V, E), init="uniform")
-        self.enc_fwd = build_gru_cell(store, "model.enc.fwd", E, H)
-        self.enc_bwd = build_gru_cell(store, "model.enc.bwd", E, H)
-        self.enc_proj_W = store.create("model.enc.proj.W", (H, 2 * H), init="xavier")
-        self.enc_proj_b = store.create("model.enc.proj.b", (H,), init="zeros")
-        self.resp_cell = build_gru_cell(store, "model.resp.fwd", E, H)
-        self.know_cell = build_gru_cell(store, "model.know.fwd", E, H)
-        self.know_proj_W = store.create("model.know.proj.W", (H, H), init="xavier")
-        self.know_proj_b = store.create("model.know.proj.b", (H,), init="zeros")
-        self.post_mlp = build_mlp(store, "model.post", (2 * H, H, H))
-        self.att = build_attention(store, "model.att", query_dim=H, key_dim=2 * H, att_dim=H)
-        self.dec_cell = build_gru_cell(store, "model.dec", E + 2 * H + H, H)
-        self.out_W = store.create("model.out.W", (V, H), init="xavier")
-        self.out_b = store.create("model.out.b", (V,), init="zeros")
-        self.bow_mlp = build_mlp(store, "model.bow", (H, V))
+        with store.building():
+            self.embed = store.create("model.embed.W", (V, E), init="uniform")
+            self.enc_fwd = build_gru_cell(store, "model.enc.fwd", E, H)
+            self.enc_bwd = build_gru_cell(store, "model.enc.bwd", E, H)
+            self.enc_proj_W = store.create("model.enc.proj.W", (H, 2 * H), init="xavier")
+            self.enc_proj_b = store.create("model.enc.proj.b", (H,), init="zeros")
+            self.resp_cell = build_gru_cell(store, "model.resp.fwd", E, H)
+            self.know_cell = build_gru_cell(store, "model.know.fwd", E, H)
+            self.know_proj_W = store.create("model.know.proj.W", (H, H), init="xavier")
+            self.know_proj_b = store.create("model.know.proj.b", (H,), init="zeros")
+            self.post_mlp = build_mlp(store, "model.post", (2 * H, H, H))
+            self.att = build_attention(store, "model.att", query_dim=H, key_dim=2 * H, att_dim=H)
+            self.dec_cell = build_gru_cell(store, "model.dec", E + 2 * H + H, H)
+            self.out_W = store.create("model.out.W", (V, H), init="xavier")
+            self.out_b = store.create("model.out.b", (V,), init="zeros")
+            self.bow_mlp = build_mlp(store, "model.bow", (H, V))
         self.store = store
 
     # -- encoders ----------------------------------------------------------
@@ -413,8 +414,8 @@ class DialogueModel:
     # -- persistence -------------------------------------------------------
 
     def clone(self):
-        twin = DialogueModel(self.vocab, self.embed_dim, self.hidden_dim,
-                             seed=self.seed, loss_weights=self.loss_weights)
+        twin = DialogueModel(self.vocab, self.embed_dim, self.hidden_dim, seed=None,
+                             loss_weights=self.loss_weights)
         twin.store.restore(self.store.snapshot())
         return twin
 

@@ -1,4 +1,13 @@
-"""Parameter update rules: plain gradient descent and Adam, plus norm clipping."""
+"""Update rules over a ParamStore's one vector: gradient descent, Adam and norm clipping.
+
+backward's gradients, and clip_global_norm's result for them, are a
+Gradients over one vector laid out as the store, which the optimizers
+read whole. Any other name -> gradient map is first copied into such a
+vector, over the slots it covers; parameters it does not cover keep their
+values and moments. A step builds the new values in a fresh vector and
+installs it only when every value is finite, so it writes neither the
+gradients nor a previous values array.
+"""
 
 from __future__ import annotations
 
@@ -9,56 +18,86 @@ import threading
 import numpy as np
 
 from .errors import ContractError, NumericError
+from .tensor import Gradients
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # float64 values per Adam block: 128 KiB per array, so a block's arrays stay in cache
 ADAM_BLOCK = 2 ** 14
+# Adam splits a range across two threads from this many blocks: a split lost at 4 and 8
+ADAM_SPLIT_BLOCKS = 64
 
 
-def _grad_values(params, grads):
-    pairs = []
+def _values(g):
+    return g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
+
+
+def _flat_grads(params, grads):
+    """(gradient vector laid out as params, the (start, stop) ranges of it grads cover)."""
+    if isinstance(grads, Gradients) and grads.store is params and grads.flat.size == params.size:
+        return grads.flat, [(0, params.size)]
+    flat = np.empty(params.size)
+    slots = []
     for name, g in grads.items():
         if name not in params:
             raise ContractError(f"gradient for unknown parameter {name!r}")
-        gv = g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
-        pv = params[name].values
+        gv, pv = _values(g), params[name].values
         if gv.shape != pv.shape:
             raise ContractError(
                 f"gradient shape {gv.shape} does not match parameter "
                 f"{name!r} of shape {pv.shape}"
             )
-        pairs.append((name, gv))
-    return pairs
+        start, stop = params.slot(name)
+        flat[start:stop] = gv.reshape(-1)
+        slots.append((start, stop))
+    ranges = []
+    for start, stop in sorted(slots):
+        if ranges and ranges[-1][1] == start:
+            ranges[-1] = (ranges[-1][0], stop)
+        else:
+            ranges.append((start, stop))
+    return flat, ranges
+
+
+def _new_vector(theta, ranges):
+    """The vector a step writes: uncovered values carried over from theta."""
+    return np.empty_like(theta) if ranges == [(0, theta.size)] else theta.copy()
+
+
+def _non_finite(params, vector, start):
+    """The NumericError naming the parameter of vector's first non-finite value."""
+    index = start + int(np.argmin(np.isfinite(vector)))
+    return NumericError(f"non-finite update for parameter {params.name_at(index)!r}")
 
 
 def clip_global_norm(grads, max_norm):
     """Scale the whole gradient map so its global L2 norm is <= max_norm.
 
-    max_norm <= 0 disables clipping. Returns a plain name -> array map. If
-    the sum of squares overflows, the norm is taken again on gradients
-    divided by the largest |g|; a NaN gradient passes through unscaled, for
-    the optimizer's finite check to reject.
+    max_norm <= 0 disables clipping. Returns a name -> array map, a
+    Gradients over one (scaled) vector when grads is one. The sum of squares
+    adds each gradient's dot product in map order. If it overflows, the norm
+    is taken again on gradients divided by the largest |g|; a NaN gradient
+    passes through unscaled, for the optimizer's finite check to reject.
     """
-    out = {}
+    out = {name: _values(g) for name, g in grads.items()}
     total = 0.0
-    for name, g in grads.items():
-        gv = g.values if hasattr(g, "values") else np.asarray(g, dtype=np.float64)
-        out[name] = gv
+    for gv in out.values():
         total += float(np.vdot(gv, gv))
-    if max_norm is None or max_norm <= 0:
-        return out
-    norm = np.sqrt(total)
-    if math.isinf(total):
-        big = max((float(np.max(np.abs(gv))) for gv in out.values() if gv.size), default=0.0)
-        if math.isfinite(big):
-            scaled = (gv / big for gv in out.values())
-            norm = big * np.sqrt(sum(float(np.vdot(s, s)) for s in scaled))
-    if norm > max_norm:
-        scale = max_norm / norm
-        out = {name: gv * scale for name, gv in out.items()}
-    return out
+    if max_norm is not None and max_norm > 0:
+        norm = np.sqrt(total)
+        if math.isinf(total):
+            big = max((float(np.max(np.abs(gv))) for gv in out.values() if gv.size), default=0.0)
+            if math.isfinite(big):
+                scaled = (gv / big for gv in out.values())
+                norm = big * np.sqrt(sum(float(np.vdot(s, s)) for s in scaled))
+        if norm > max_norm:
+            scale = max_norm / norm
+            if isinstance(grads, Gradients):
+                flat = grads.flat * scale
+                return Gradients(grads.store, flat, grads.store.views(flat))
+            return {name: gv * scale for name, gv in out.items()}
+    return Gradients(grads.store, grads.flat, out) if isinstance(grads, Gradients) else out
 
 
 def _check_lr(lr):
@@ -69,22 +108,25 @@ def _check_lr(lr):
 def sgd_step(params, grads, lr):
     """theta <- theta - lr * g for every parameter covered by grads."""
     _check_lr(lr)
-    for name, gv in _grad_values(params, grads):
-        params.set_values(name, params[name].values - lr * gv)
+    g, ranges = _flat_grads(params, grads)
+    theta = params.vector
+    new = _new_vector(theta, ranges)
+    for lo, hi in ranges:
+        out = new[lo:hi]
+        np.subtract(theta[lo:hi], np.multiply(g[lo:hi], lr, out=out), out=out)
+        if not np.isfinite(out).all():
+            raise _non_finite(params, out, lo)
+    params.install(new)
     return params
 
 
 class AdamState:
-    """First/second moment accumulators plus the shared step counter.
-
-    The moments are C-contiguous whatever the parameters' layout, so their
-    flat views alias them.
-    """
+    """First/second moment vectors, laid out as the store, plus the shared step counter."""
 
     def __init__(self, params):
         self.t = 0
-        self.m = {name: np.zeros(t.shape) for name, t in params.items()}
-        self.v = {name: np.zeros(t.shape) for name, t in params.items()}
+        self.m = np.zeros(params.size)
+        self.v = np.zeros(params.size)
 
 
 def _start(fn, *args):
@@ -114,19 +156,19 @@ def _start(fn, *args):
     return join
 
 
-def _adam_range(name, flats, begin, end, b1t, b2t, lr, bufs):
-    """Update flat values begin:end of one parameter, one ADAM_BLOCK block at a time.
+def _adam_range(params, flats, begin, end, b1t, b2t, lr, buf):
+    """Update values begin:end of params' vector, one ADAM_BLOCK block at a time.
 
-    flats are the flat gradient, moments, old values and new values; bufs
-    the two scratch buffers, at least one block wide, that no other thread
-    uses.
+    flats are the gradient, moments, old values and new values, laid out as
+    params; buf a scratch buffer, at least one block wide, that no other
+    thread uses. The step is built in the new values' block. Stops at the
+    first block with a non-finite value.
     """
     g_flat, m_flat, v_flat, theta_flat, new_flat = flats
-    step_buf, denom_buf = bufs
     for lo in range(begin, end, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, end)
         g, m, v = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
-        step, denom = step_buf[: hi - lo], denom_buf[: hi - lo]
+        step, denom = new_flat[lo:hi], buf[: hi - lo]
         # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
         m *= ADAM_BETA1
         m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
@@ -136,58 +178,51 @@ def _adam_range(name, flats, begin, end, b1t, b2t, lr, bufs):
         np.multiply(np.divide(m, b1t, out=step), lr, out=step)
         np.sqrt(np.divide(v, b2t, out=denom), out=denom)
         step /= np.add(denom, ADAM_EPS, out=denom)
-        if not np.isfinite(np.subtract(theta_flat[lo:hi], step, out=new_flat[lo:hi])).all():
-            raise NumericError(f"non-finite update for parameter {name!r}")
+        if not np.isfinite(np.subtract(theta_flat[lo:hi], step, out=step)).all():
+            raise _non_finite(params, step, lo)
 
 
 def adam_step(params, grads, state, lr):
     """One bias-corrected Adam update; increments the step counter once.
 
-    Each parameter is updated over ADAM_BLOCK-value blocks of its flattened
-    arrays, so every block's dozen passes stay in cache. Within a block the
-    moments are updated in place and the step is built in two scratch
-    buffers, with the arithmetic and its order of the textbook formula; the
-    new values go into a fresh array, finite-checked block by block and
-    installed only when complete. Neither the gradients nor the parameters'
-    previous value arrays are written.
+    The update runs over ADAM_BLOCK-value blocks of the store's vector, so
+    every block's dozen passes stay in cache. Within a block the moments
+    are updated in place and the step is built in the fresh vector's block
+    and one scratch buffer, with the arithmetic and its order of the
+    textbook formula; the new values are finite-checked block by block and
+    installed only when complete, so a non-finite value installs nothing
+    and names its parameter.
 
-    A parameter of more than one block is split into two contiguous block
-    ranges: a new thread updates the first while the caller updates the
-    second. numpy releases the GIL inside each ufunc, so on two CPUs the
-    halves overlap. Both halves finish before the parameter is installed,
-    the next one started, or an error raised, and every value is computed
-    the same way whichever thread computes it.
+    A range of at least ADAM_SPLIT_BLOCKS blocks is split into two
+    contiguous block ranges: a new thread updates the first while the
+    caller updates the second. numpy releases the GIL inside each ufunc, so
+    on two CPUs the halves overlap. Both halves finish before the vector is
+    installed or an error raised, and every value is computed the same way
+    whichever thread computes it.
     """
     _check_lr(lr)
-    work = []
-    for name, gv in _grad_values(params, grads):
-        if name not in state.m:
-            raise ContractError(f"optimizer state missing parameter {name!r}")
-        m_par, v_par = state.m[name], state.v[name]
-        if not (m_par.flags.c_contiguous and v_par.flags.c_contiguous
-                and m_par.shape == v_par.shape == gv.shape):
-            raise ContractError(f"optimizer state for {name!r} is not C-contiguous "
-                                f"of shape {gv.shape}")
-        work.append((name, gv, m_par, v_par))
+    g, ranges = _flat_grads(params, grads)
+    for moment in (state.m, state.v):
+        if not (type(moment) is np.ndarray and moment.dtype == np.float64
+                and moment.shape == (params.size,) and moment.flags.c_contiguous):
+            raise ContractError(f"optimizer state is not a C-contiguous float64 vector "
+                                f"of the store's {params.size} values")
     state.t += 1
     coeffs = (1.0 - ADAM_BETA1 ** state.t, 1.0 - ADAM_BETA2 ** state.t, lr)
-    width = min(ADAM_BLOCK, max((gv.size for _, gv, _, _ in work), default=0))
-    bufs, helper_bufs = (np.empty(width), np.empty(width)), None
-    for name, gv, m_par, v_par in work:
-        theta = params[name].values
-        new = np.empty(theta.shape)
-        flats = (gv.reshape(-1), m_par.reshape(-1), v_par.reshape(-1),
-                 theta.reshape(-1), new.reshape(-1))
-        # The first half of the blocks, rounded down: 0 below two blocks.
-        mid = -(-new.size // ADAM_BLOCK) // 2 * ADAM_BLOCK
-        if mid:
-            helper_bufs = helper_bufs or (np.empty(width), np.empty(width))
-            join = _start(_adam_range, name, flats, 0, mid, *coeffs, helper_bufs)
+    theta = params.vector
+    new = _new_vector(theta, ranges)
+    flats = (g, state.m, state.v, theta, new)
+    buf = np.empty(min(ADAM_BLOCK, max((hi - lo for lo, hi in ranges), default=0)))
+    for lo, hi in ranges:
+        blocks = -(-(hi - lo) // ADAM_BLOCK)
+        if blocks >= ADAM_SPLIT_BLOCKS:
+            mid = lo + blocks // 2 * ADAM_BLOCK
+            join = _start(_adam_range, params, flats, lo, mid, *coeffs, np.empty_like(buf))
             try:
-                _adam_range(name, flats, mid, new.size, *coeffs, bufs)
+                _adam_range(params, flats, mid, hi, *coeffs, buf)
             finally:
                 join()
         else:
-            _adam_range(name, flats, 0, new.size, *coeffs, bufs)
-        params[name].values = new
+            _adam_range(params, flats, lo, hi, *coeffs, buf)
+    params.install(new)
     return params, state

@@ -1,4 +1,13 @@
-"""Named parameter storage, seeded initialization, and the checkpoint format.
+"""Named parameters in one float64 vector, seeded initialization, and the checkpoint format.
+
+A ParamStore lays its parameters out back to back, in creation order, in
+one contiguous vector, and each parameter's Tensor values are a C-ordered
+view of its slot. So an optimizer step, a snapshot or a restore works on
+one array. A step or a restore installs a new vector and re-points every
+view at it, so it never writes a previous values array; ``set_values``
+writes its parameter's slot. Values are drawn straight into their views:
+parameters created inside ``building()`` share one allocation, and a lone
+``create`` grows the vector by a copy.
 
 Checkpoint layout (binary, little-endian): the magic bytes ``MKGD1``, a u32
 entry count, then per entry a u32 name length, the UTF-8 name, a u32 rank,
@@ -11,8 +20,10 @@ never stores one; ``load_checkpoint`` rejects it. Entries under the
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,14 +32,24 @@ from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"MKGD1"
 INIT_UNIFORM_RANGE = 0.08
+# float64 values drawn and scaled at a time, so the scaling passes stay in cache
+DRAW_BLOCK = 2 ** 14
 
 
 class ParamStore:
-    """Ordered map of trainable tensors, snapshotable bit-exactly."""
+    """Ordered map of trainable tensors, each a view of one vector, snapshotable bit-exactly.
+
+    seed None draws nothing: every parameter starts at zero.
+    """
 
     def __init__(self, seed=0):
-        self._rng = np.random.default_rng(seed)
+        self._rng = None if seed is None else np.random.default_rng(seed)
         self._entries = {}
+        self._slots = {}  # name -> (start, stop, shape) in the vector
+        self._size = 0
+        self._vector = np.zeros(0)
+        self._pending = []  # (name, init) of parameters created but not yet drawn
+        self._building = False
 
     def create(self, name, shape, init="uniform"):
         """Create and register a parameter.
@@ -38,21 +59,67 @@ class ParamStore:
         """
         if name in self._entries:
             raise ContractError(f"duplicate parameter name {name!r}")
-        shape = tuple(shape)
-        if init == "zeros":
-            vals = np.zeros(shape)
-        elif init == "uniform":
-            vals = self._rng.uniform(-INIT_UNIFORM_RANGE, INIT_UNIFORM_RANGE, shape)
-        elif init == "xavier":
-            fan_in = shape[-1] if len(shape) > 1 else shape[0]
-            fan_out = shape[0]
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            vals = self._rng.uniform(-bound, bound, shape)
-        else:
+        if init not in ("uniform", "xavier", "zeros"):
             raise ContractError(f"unknown init {init!r}")
-        t = Tensor(vals)
-        self._entries[name] = t
+        shape = tuple(shape)
+        placeholder = np.zeros(shape)  # untouched pages cost no memory
+        t = self._entries[name] = Tensor(placeholder)
+        start = self._size
+        self._size += placeholder.size
+        self._slots[name] = (start, self._size, shape)
+        self._pending.append((name, init))
+        if not self._building:
+            self._draw()
         return t
+
+    @contextmanager
+    def building(self):
+        """Create parameters inside; on leaving, grow the vector once and draw them.
+
+        Draws follow creation order, so the values are bit-equal to creating
+        the parameters one at a time. Inside, a new parameter holds zeros of
+        its shape that are not part of the vector.
+        """
+        if self._building:
+            raise ContractError("building() does not nest")
+        self._building = True
+        try:
+            yield self
+        finally:
+            self._building = False
+            self._draw()
+
+    def _draw(self):
+        """Grow the vector to every created parameter, then draw the pending ones in order.
+
+        Adjacent parameters of one bound are drawn as one range: the
+        generator fills values in order either way.
+        """
+        vector = np.zeros(self._size)
+        vector[: self._vector.size] = self._vector
+        runs = []  # [start, stop, bound] of ranges to draw
+        for name, init in self._pending:
+            if init == "zeros" or self._rng is None:
+                continue
+            start, stop, shape = self._slots[name]
+            if init == "uniform":
+                bound = INIT_UNIFORM_RANGE
+            else:
+                fan_in = shape[-1] if len(shape) > 1 else shape[0]
+                bound = math.sqrt(6.0 / (fan_in + shape[0]))
+            if runs and runs[-1][1] == start and runs[-1][2] == bound:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop, bound])
+        for start, stop, bound in runs:
+            # uniform(-bound, bound) is -bound + (2 * bound) * random(): the same bits.
+            for lo in range(start, stop, DRAW_BLOCK):
+                block = vector[lo:min(lo + DRAW_BLOCK, stop)]
+                self._rng.random(out=block)
+                block *= 2 * bound
+                block += -bound
+        self._pending = []
+        self._install(vector, self.views(vector))
 
     def __getitem__(self, name):
         return self._entries[name]
@@ -63,33 +130,73 @@ class ParamStore:
     def __len__(self):
         return len(self._entries)
 
+    @property
+    def size(self):
+        """The number of values in every parameter together."""
+        return self._size
+
+    @property
+    def vector(self):
+        """The one vector every parameter's values view."""
+        return self._vector
+
     def names(self):
         return list(self._entries.keys())
 
     def items(self):
         return self._entries.items()
 
+    def slot(self, name):
+        """(start, stop) of a parameter's values in the vector."""
+        start, stop, _ = self._slots[name]
+        return start, stop
+
+    def views(self, vector):
+        """Name -> that parameter's slot of a vector laid out as this store, as a view."""
+        return {name: vector[start:stop].reshape(shape)
+                for name, (start, stop, shape) in self._slots.items()}
+
+    def install(self, vector):
+        """Make a C-contiguous float64 vector of `size` values the one every parameter views."""
+        if not (type(vector) is np.ndarray and vector.dtype == np.float64
+                and vector.shape == (self._size,) and vector.flags.c_contiguous):
+            raise ContractError(f"a store of {self._size} values needs a C-contiguous "
+                                f"float64 vector of that size")
+        self._install(vector, self.views(vector))
+
+    def _install(self, vector, views):
+        for name, view in views.items():
+            self._entries[name].values = view
+        self._vector = vector
+
+    def name_at(self, index):
+        """The name of the parameter whose slot holds vector position index."""
+        starts = [start for start, _, _ in self._slots.values()]
+        return list(self._slots)[bisect.bisect_right(starts, index) - 1]
+
     def snapshot(self):
-        """Copy of every value array; independent of later training steps."""
-        return {name: t.values.copy() for name, t in self._entries.items()}
+        """Name -> values, views of one copy of the vector; independent of later training steps."""
+        return self.views(self._vector.copy())
 
     def restore(self, snap):
+        """Install one copy of a snapshot's values."""
         if set(snap.keys()) != set(self._entries.keys()):
             raise ContractError("snapshot names do not match store entries")
-        for name, vals in snap.items():
-            t = self._entries[name]
-            if vals.shape != t.values.shape:
+        for name, (_, _, shape) in self._slots.items():
+            if snap[name].shape != shape:
                 raise ContractError(f"snapshot shape mismatch for {name!r}")
-            t.values = vals.copy()
+        parts = [snap[name].reshape(-1) for name in self._slots]
+        self.install(np.concatenate(parts, dtype=np.float64) if parts else np.zeros(0))
 
     def set_values(self, name, values):
+        """Write a parameter's slot; the values must be finite and of its shape."""
         t = self._entries[name]
         values = np.asarray(values, dtype=np.float64)
         if values.shape != t.values.shape:
             raise ContractError(f"shape mismatch for parameter {name!r}")
         if not np.all(np.isfinite(values)):
             raise NumericError(f"non-finite update for parameter {name!r}")
-        t.values = values
+        t.values[...] = values
 
 
 def save_checkpoint(path, store):

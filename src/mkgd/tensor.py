@@ -2,8 +2,10 @@
 
 A forward pass records primitive applications onto an explicit Tape (one
 tape per training step, creation order == topological order). backward()
-sweeps the tape once in reverse and returns gradients for every watched
-parameter. With no tape recording, a primitive records nothing and reads
+sweeps the tape once in reverse and returns the gradient of every parameter
+of the watched store, each a view of one vector laid out as the store, so
+the optimizers update the store's one vector from one array. With no tape
+recording, a primitive records nothing and reads
 no input node ids. Everything is float64: the engine is desk-scale and the
 finite-difference checks in the test suite need the precision.
 
@@ -70,23 +72,22 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
+        self.store = None  # the watched ParamStore
         self.watched = {}  # param name -> leaf node id
         self.leaves = []  # the watched Tensors; None once recording has ended
 
     def watch(self, store):
-        """Register every entry of a ParamStore as a leaf node."""
+        """Register every entry of a ParamStore as a leaf node; a tape watches one store."""
+        if self.store is not None:
+            raise ContractError("a tape watches one parameter store")
+        self.store = store
         for name, t in store.items():
-            self.watch_tensor(t, name)
-
-    def watch_tensor(self, t, name):
-        if name in self.watched:
-            raise ContractError(f"duplicate watch name {name!r}")
-        nid = len(self.nodes)
-        self.nodes.append(("leaf", (), (t.shape,)))
-        t.node_id = nid
-        t.tape = self
-        self.watched[name] = nid
-        self.leaves.append(t)
+            nid = len(self.nodes)
+            self.nodes.append(("leaf", (), (t.shape,)))
+            t.node_id = nid
+            t.tape = self
+            self.watched[name] = nid
+            self.leaves.append(t)
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -378,21 +379,20 @@ class _Outer:
         self.g = g
 
 
-def _settle(outers, plus, swapped=False):
+def _settle(outers, swapped=False, out=None):
     """The sum of a^T g over a node's _Outer terms, as one product over their stacked rows.
 
-    The node's own gradient `plus`, unless None, is added to it. swapped forms
-    the transpose, g^T a, which comes out C-ordered, and adds `plus` swapped.
+    swapped forms the transpose, g^T a, which comes out C-ordered. The
+    product goes into `out` when one is given.
     """
     if len(outers) == 1:
         a, g = outers[0].a, outers[0].g
     else:
         a = np.concatenate([o.a for o in outers], axis=-2)
         g = np.concatenate([o.g for o in outers], axis=-2)
-    product = np.swapaxes(g, -1, -2) @ a if swapped else np.swapaxes(a, -1, -2) @ g
-    if plus is not None:
-        product += np.swapaxes(plus, -1, -2) if swapped else plus
-    return product
+    if swapped:
+        return np.matmul(np.swapaxes(g, -1, -2), a, out=out)
+    return np.matmul(np.swapaxes(a, -1, -2), g, out=out)
 
 
 def _matmul_grads(av, bv, out_grad):
@@ -484,28 +484,53 @@ def _owned(ig, g):
             and ig.dtype == np.float64 and ig.flags.c_contiguous)
 
 
+class Gradients(dict):
+    """Parameter name -> gradient, each a view of `flat`, one vector laid out as `store`.
+
+    backward returns one of Tensors, clip_global_norm one of arrays; the
+    optimizers read `flat` whole when `store` is the store they update.
+    """
+
+    def __init__(self, store, flat, grads):
+        super().__init__(grads)
+        self.store = store
+        self.flat = flat
+
+
 def backward(tape, loss):
-    """Return gradients of a scalar loss for every watched parameter.
+    """Return the gradients of a scalar loss for every parameter of the watched store.
 
-    Watched parameters unreachable from the loss get zero gradients. The
-    tape is not mutated, so a second call returns identical results.
+    The result is a Gradients over one zeroed vector laid out as the store,
+    so parameters unreachable from the loss get zero gradients. The tape is
+    not mutated, so a second call returns identical results.
 
-    Each node's gradient is one C-ordered array owned here: the first
-    contribution is kept when a rule made it fresh and copied otherwise, and
-    later ones are added in place. A gather contributes (indices, rows),
-    scattered into a zero table made once per node. A matmul contributes
-    its right operand's a^T g as an _Outer term, and a node's terms become
-    one product when the sweep reaches it. At a transpose node the product
-    is formed as g^T a, already C-ordered in the layout of the transposed
-    input, and the node's own gradient, if any, is added to it swapped; the
-    input gets the sum uncopied. A node's gradient is dropped once its rule
-    has run, so memory holds the gradients of the frontier of the sweep,
-    not of the whole tape; leaves keep theirs.
+    Each node's gradient is one C-ordered array owned here, and a
+    parameter's is its slot of the vector. An inner node's first
+    contribution is kept when a rule made it fresh, or when it is a
+    C-contiguous part of a stack's gradient, which the stack drops right
+    after; it is copied otherwise. A parameter's first contribution is
+    copied into its slot. Later contributions are added in place. A gather
+    contributes (indices, rows), scattered into a zero table made once per
+    node, or into the slot. A matmul contributes its right operand's a^T g
+    as an _Outer term, and a node's terms become one product, written into
+    the slot of a parameter with no gradient yet, when the sweep reaches
+    it. At a transpose node the product is formed as g^T a, already
+    C-ordered in the layout of the transposed input, and the node's own
+    gradient, if any, is added to it swapped; the input gets the sum
+    uncopied. A node's gradient is dropped once its rule has run, so memory
+    holds the gradients of the frontier of the sweep, not of the whole
+    tape; parameters keep theirs.
     """
     if loss.tape is not tape or loss.node_id is None:
         raise ContractError("loss was not recorded on this tape")
     if loss.values.size != 1:
         raise ContractError(f"loss must be a scalar, got shape {loss.shape}")
+    store = tape.store
+    if store is not None and len(store) != len(tape.watched):
+        raise ContractError("the watched store gained parameters after watch()")
+    flat = np.zeros(0 if store is None else store.size)
+    views = {} if store is None else store.views(flat)
+    slots = {nid: views[name] for name, nid in tape.watched.items()}
 
     grads = [None] * len(tape.nodes)
     grads[loss.node_id] = np.ones_like(loss.values)
@@ -514,10 +539,19 @@ def backward(tape, loss):
         kind, input_ids, saved = tape.nodes[i]
         g = grads[i]
         if i in outers and kind == "transpose":
-            in_grads = (_settle(outers.pop(i), g, swapped=True),)
+            nid = input_ids[0]
+            ig = _settle(outers.pop(i), swapped=True,
+                         out=slots.get(nid) if grads[nid] is None else None)
+            if g is not None:
+                ig += np.swapaxes(g, -1, -2)
+            in_grads = (ig,)
         else:
             if i in outers:
-                g = grads[i] = _settle(outers.pop(i), g)
+                product = _settle(outers.pop(i), out=slots.get(i) if g is None else None)
+                if g is None:
+                    g = grads[i] = product
+                else:
+                    g += product
             if g is None or kind == "leaf":
                 continue
             in_grads = _vjp(kind, saved, g)
@@ -527,20 +561,19 @@ def backward(tape, loss):
                 continue
             if kind == "gather":
                 if grads[nid] is None:
-                    grads[nid] = np.zeros(saved[0])
+                    grads[nid] = slots[nid] if nid in slots else np.zeros(saved[0])
                 np.add.at(grads[nid], *ig)
             elif type(ig) is _Outer:
                 outers.setdefault(nid, []).append(ig)
-            elif grads[nid] is None:
-                grads[nid] = ig if _owned(ig, g) else np.array(ig, dtype=np.float64, order="C")
-            else:
+            elif grads[nid] is not None:
                 grads[nid] += ig
-
-    out = {}
-    for name, nid in tape.watched.items():
-        g = grads[nid]
-        if g is None:
-            (shape,) = tape.nodes[nid][2]
-            g = np.zeros(shape)
-        out[name] = Tensor(g)
-    return out
+            elif nid in slots:
+                grads[nid] = slots[nid]
+                if ig is not slots[nid]:
+                    np.copyto(slots[nid], ig)
+            elif _owned(ig, g) or (kind == "stack" and ig.flags.c_contiguous):
+                grads[nid] = ig
+            else:
+                grads[nid] = np.array(ig, dtype=np.float64, order="C")
+    return Gradients(store, flat, {name: Tensor(slots[nid])
+                                   for name, nid in tape.watched.items()})

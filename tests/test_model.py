@@ -580,6 +580,19 @@ def test_clone_is_bit_exact_and_independent():
                               twin.store["model.out.b"].values)
 
 
+def test_clone_draws_no_random_numbers(monkeypatch):
+    model = tiny_model(seed=13)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("clone made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    twin = model.clone()
+    assert twin.store.names() == model.store.names()
+    assert np.array_equal(twin.store.vector, model.store.vector)
+    assert not np.shares_memory(twin.store.vector, model.store.vector)
+
+
 def _recorded_objective(model, samples):
     tape = T.Tape()
     tape.watch(model.store)

@@ -20,7 +20,7 @@ from mkgd.optim import (
 )
 from mkgd.model import DialogueModel
 from mkgd.params import ParamStore
-from mkgd.tensor import Tensor
+from mkgd.tensor import Gradients, Tensor
 
 
 def make_store(**values):
@@ -28,6 +28,11 @@ def make_store(**values):
     for name, vals in values.items():
         add_param(store, name, vals)
     return store
+
+
+def moments(store, state):
+    """The state's first and second moments as name -> view maps."""
+    return store.views(state.m), store.views(state.v)
 
 
 def test_sgd_literal_update():
@@ -120,6 +125,7 @@ def test_adam_bit_equal_to_textbook_and_writes_no_input():
         old_values = {name: store[name].values for name in theta}
         old_copies = {name: vals.copy() for name, vals in old_values.items()}
         adam_step(store, grads, state, lr=lr)
+        state_m, state_v = moments(store, state)
         for name in theta:
             g = grads_before[name]
             m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
@@ -128,8 +134,8 @@ def test_adam_bit_equal_to_textbook_and_writes_no_input():
             v_hat = v[name] / (1.0 - ADAM_BETA2 ** t)
             theta[name] = theta[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             assert np.array_equal(store[name].values, theta[name])
-            assert np.array_equal(state.m[name], m[name])
-            assert np.array_equal(state.v[name], v[name])
+            assert np.array_equal(state_m[name], m[name])
+            assert np.array_equal(state_v[name], v[name])
             assert np.array_equal(grads[name].values, grads_before[name])
             assert np.array_equal(old_values[name], old_copies[name])
     assert state.t == 3
@@ -138,8 +144,10 @@ def test_adam_bit_equal_to_textbook_and_writes_no_input():
 def test_adam_moment_shapes_follow_params():
     store = make_store(W=[[1.0, 2.0], [3.0, 4.0]], b=[0.0, 0.0])
     state = AdamState(store)
-    assert state.m["W"].shape == (2, 2)
-    assert state.v["b"].shape == (2,)
+    assert state.m.shape == state.v.shape == (store.size,) == (6,)
+    state_m, state_v = moments(store, state)
+    assert state_m["W"].shape == (2, 2)
+    assert state_v["b"].shape == (2,)
 
 
 def test_clip_global_norm():
@@ -179,6 +187,28 @@ def test_clip_passes_nan_to_the_finite_check():
     assert np.array_equal(store["a"].values, [1.0, 2.0])
 
 
+def test_clip_keeps_one_gradient_vector_and_optimizers_read_it_whole():
+    store = make_store(a=[3.0, 0.0], b=[[0.0], [4.0]])
+    flat = np.array([3.0, 0.0, 0.0, 4.0])
+    grads = Gradients(store, flat, {name: Tensor(v) for name, v in store.views(flat).items()})
+    kept = clip_global_norm(grads, 5.0)
+    assert isinstance(kept, Gradients) and kept.flat is flat and kept.store is store
+    clipped = clip_global_norm(grads, 1.0)
+    assert isinstance(clipped, Gradients) and clipped.store is store
+    assert np.array_equal(clipped.flat, flat * 0.2)
+    assert np.array_equal(flat, [3.0, 0.0, 0.0, 4.0])
+    assert all(g.base is clipped.flat for g in clipped.values())
+    # The vector and a plain name -> array map give the same update, bit for bit.
+    for step in (lambda st, g: sgd_step(st, g, lr=0.1),
+                 lambda st, g: adam_step(st, g, AdamState(st), lr=0.1)):
+        whole, by_name = (make_store(a=[1.0, 2.0], b=[[3.0], [4.0]]) for _ in range(2))
+        g = np.array([0.5, -1.0, 2.0, 0.25])
+        step(whole, Gradients(whole, g, whole.views(g)))
+        step(by_name, {name: v.copy() for name, v in by_name.views(g).items()})
+        assert np.array_equal(whole.vector, by_name.vector)
+        assert np.array_equal(g, [0.5, -1.0, 2.0, 0.25])
+
+
 def test_clip_disabled():
     grads = {"a": Tensor([30.0])}
     assert clip_global_norm(grads, 0)["a"][0] == 30.0
@@ -198,7 +228,7 @@ def test_lr_must_be_positive():
         with pytest.raises(ContractError):
             adam_step(store, {"a": Tensor([1.0])}, state, lr=lr)
         assert state.t == 0
-        assert state.m["a"][0] == 0.0 and state.v["a"][0] == 0.0
+        assert not state.m.any() and not state.v.any()
     assert store["a"].values[0] == 1.0
 
 
@@ -212,6 +242,7 @@ def _check_three_textbook_steps(store, make_grads, lr=0.01):
         grads = make_grads()
         grads_before = {name: g.copy() for name, g in grads.items()}
         adam_step(store, grads, state, lr=lr)
+        state_m, state_v = moments(store, state)
         for name, g in grads_before.items():
             m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
             v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
@@ -219,8 +250,8 @@ def _check_three_textbook_steps(store, make_grads, lr=0.01):
             v_hat = v[name] / (1.0 - ADAM_BETA2 ** t)
             theta[name] = theta[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             assert np.array_equal(store[name].values, theta[name])
-            assert np.array_equal(state.m[name], m[name])
-            assert np.array_equal(state.v[name], v[name])
+            assert np.array_equal(state_m[name], m[name])
+            assert np.array_equal(state_v[name], v[name])
             assert np.array_equal(grads[name], grads_before[name])
     return state
 
@@ -234,13 +265,17 @@ def test_adam_blocks_with_partial_last_block_bit_equal_to_textbook():
 
 
 def test_adam_fortran_ordered_parameter_bit_equal_to_textbook():
+    # A Fortran-ordered array set as values lands C-ordered in the store's
+    # vector, and Fortran-ordered gradients are laid out the same way.
     rng = np.random.default_rng(6)
     shape = (130, 300)
-    store = make_store(W=np.zeros(shape))
+    store = make_store(b=np.ones(3), W=np.zeros(shape))
     store.set_values("W", np.asfortranarray(rng.normal(size=shape)))
-    assert store["W"].values.flags.f_contiguous
-    state = _check_three_textbook_steps(store, lambda: {"W": rng.normal(size=shape)})
-    assert state.m["W"].flags.c_contiguous and state.v["W"].flags.c_contiguous
+    values = store["W"].values
+    assert values.flags.c_contiguous and values.base is store.vector
+    _check_three_textbook_steps(store, lambda: {"b": rng.normal(size=3),
+                                                "W": np.asfortranarray(rng.normal(size=shape))})
+    assert store["W"].values.flags.c_contiguous and store["W"].values.base is store.vector
 
 
 def test_adam_non_contiguous_gradient_view_bit_equal_to_textbook():
@@ -257,36 +292,44 @@ def test_adam_non_contiguous_gradient_view_bit_equal_to_textbook():
 
 
 def test_adam_non_finite_update_in_second_block_keeps_old_values():
+    # The failing block is W's second; A, updated before it, is not installed either.
     rng = np.random.default_rng(8)
-    shape = (3, ADAM_BLOCK)
-    store = make_store(W=rng.normal(size=shape))
-    old = store["W"].values
-    old_copy = old.copy()
-    g = rng.normal(size=shape)
-    g[1, 7] = np.inf
-    with pytest.raises(NumericError, match="non-finite update for parameter 'W'"), \
+    shapes = {"A": (ADAM_BLOCK // 2,), "W": (3, ADAM_BLOCK)}
+    store = make_store(**{name: rng.normal(size=shape) for name, shape in shapes.items()})
+    old = {name: t.values for name, t in store.items()}
+    old_copy = {name: vals.copy() for name, vals in old.items()}
+    grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    grads["W"][1, 7] = np.inf
+    with pytest.raises(NumericError, match="^non-finite update for parameter 'W'$"), \
             np.errstate(invalid="ignore"):  # inf / inf in the step
-        adam_step(store, {"W": g}, AdamState(store), lr=0.01)
-    assert store["W"].values is old
-    assert np.array_equal(old, old_copy)
+        adam_step(store, grads, AdamState(store), lr=0.01)
+    for name, vals in old.items():
+        assert store[name].values is vals
+        assert np.array_equal(vals, old_copy[name])
 
 
 def test_adam_rejects_moments_whose_flat_view_would_copy():
+    # Moments must be C-contiguous vectors laid out as the store: a strided
+    # one, or one made before the store grew, is refused before any update.
     store = make_store(W=np.ones((3, 4)))
     state = AdamState(store)
-    state.m["W"] = np.asfortranarray(state.m["W"])
+    state.m = np.zeros(2 * store.size)[::2]
+    with pytest.raises(ContractError, match="C-contiguous"):
+        adam_step(store, {"W": np.ones((3, 4))}, state, lr=0.01)
+    state = AdamState(store)
+    add_param(store, "b", [1.0])
     with pytest.raises(ContractError, match="C-contiguous"):
         adam_step(store, {"W": np.ones((3, 4))}, state, lr=0.01)
     assert state.t == 0
 
 
 def record_ranges(monkeypatch):
-    """Record (parameter, begin, end, thread name) for every block range Adam updates."""
+    """Record (begin, end, thread name) for every block range Adam updates."""
     ranges, update = [], optim._adam_range
 
-    def recorded(name, flats, begin, end, *rest):
-        ranges.append((name, begin, end, threading.current_thread().name))
-        return update(name, flats, begin, end, *rest)
+    def recorded(params, flats, begin, end, *rest):
+        ranges.append((begin, end, threading.current_thread().name))
+        return update(params, flats, begin, end, *rest)
 
     monkeypatch.setattr(optim, "_adam_range", recorded)
     return ranges
@@ -303,57 +346,60 @@ def adam_threads_alive():
 
 
 def test_adam_split_across_two_threads_bit_equal_to_one_thread_and_textbook(monkeypatch):
-    shapes = {"W": (19, ADAM_BLOCK // 2), "U": (2, ADAM_BLOCK), "b": (3,)}  # 9.5, 2 blocks
+    shapes = {"W": (19, ADAM_BLOCK // 2), "U": (2, ADAM_BLOCK), "b": (3,)}  # 12 blocks
+    size = 23 * ADAM_BLOCK // 2 + 3
     ranges = record_ranges(monkeypatch)
     runs = {}
-    for threads in ("two", "one"):
-        if threads == "one":
+    for threads, split_blocks in (("two", 12), ("one", 13), ("here", 12)):
+        monkeypatch.setattr(optim, "ADAM_SPLIT_BLOCKS", split_blocks)
+        if threads == "here":
             monkeypatch.setattr(optim, "_start", run_here)
         rng = np.random.default_rng(9)
         store = make_store(**{name: rng.normal(size=shape) for name, shape in shapes.items()})
+        assert store.size == size
         state = _check_three_textbook_steps(
             store, lambda: {name: rng.normal(size=shape) for name, shape in shapes.items()})
         runs[threads] = store, state
     main = threading.current_thread().name
-    w_mid, w_end = 5 * ADAM_BLOCK, 19 * ADAM_BLOCK // 2
-    first_step = [("W", 0, w_mid, "mkgd-adam"), ("W", w_mid, w_end, main),
-                  ("U", 0, ADAM_BLOCK, "mkgd-adam"), ("U", ADAM_BLOCK, 2 * ADAM_BLOCK, main),
-                  ("b", 0, 3, main)]
-    assert sorted(ranges[:5]) == sorted(first_step)
-    assert sorted(ranges[:15]) == sorted(first_step * 3)
-    assert [r[3] for r in ranges[15:]] == [main] * 15
-    (two_store, two_state), (one_store, one_state) = runs["two"], runs["one"]
-    for name in shapes:
-        assert np.array_equal(one_store[name].values, two_store[name].values)
-        assert np.array_equal(one_state.m[name], two_state.m[name])
-        assert np.array_equal(one_state.v[name], two_state.v[name])
+    mid = 6 * ADAM_BLOCK
+    assert sorted(ranges[:6]) == sorted([(0, mid, "mkgd-adam"), (mid, size, main)] * 3)
+    assert ranges[6:9] == [(0, size, main)] * 3
+    assert ranges[9:] == [(0, mid, main), (mid, size, main)] * 3
+    one_store, one_state = runs["one"]
+    for two_store, two_state in (runs["two"], runs["here"]):
+        assert np.array_equal(one_store.vector, two_store.vector)
+        assert np.array_equal(one_state.m, two_state.m)
+        assert np.array_equal(one_state.v, two_state.v)
     assert adam_threads_alive() == []
 
 
-@pytest.mark.parametrize("rows", [(0,), (10,), (0, 10)], ids=["worker", "caller", "both"])
-def test_adam_non_finite_update_in_either_half_keeps_old_values(monkeypatch, rows):
-    # One block a row: the worker updates rows 0-9, the calling thread rows
-    # 10-19, so a caller failing at its first block leaves the worker busy.
+@pytest.mark.parametrize("rows,name", [((0,), "A"), ((10,), "W"), ((0, 10), "A")],
+                         ids=["worker", "caller", "both"])
+def test_adam_non_finite_update_in_either_half_keeps_old_values(monkeypatch, rows, name):
+    # One block a row: the worker updates A's rows 0-9, the calling thread W's
+    # rows 10-19, so a caller failing at its first block leaves the worker busy.
+    monkeypatch.setattr(optim, "ADAM_SPLIT_BLOCKS", 20)
     ranges = record_ranges(monkeypatch)
     rng = np.random.default_rng(10)
-    shape = (20, ADAM_BLOCK)
-    store = make_store(W=rng.normal(size=shape))
-    old = store["W"].values
+    shape = (10, ADAM_BLOCK)
+    store = make_store(A=rng.normal(size=shape), W=rng.normal(size=shape))
+    old = store.vector
     old_copy = old.copy()
-    g = rng.normal(size=shape)
+    g = rng.normal(size=(20, ADAM_BLOCK))
     for row in rows:
         g[row, 7] = np.inf
     # inf / inf in the step; the worker must see this error state too
-    with pytest.raises(NumericError, match="^non-finite update for parameter 'W'$"), \
+    with pytest.raises(NumericError, match=f"^non-finite update for parameter '{name}'$"), \
             np.errstate(invalid="ignore"):
-        adam_step(store, {"W": g}, AdamState(store), lr=0.01)
-    assert store["W"].values is old
+        adam_step(store, {"A": g[:10], "W": g[10:]}, AdamState(store), lr=0.01)
+    assert store.vector is old and store["A"].values.base is old
     assert np.array_equal(old, old_copy)
     assert adam_threads_alive() == []
-    assert [r[3] for r in ranges].count("mkgd-adam") == 1
+    assert [r[2] for r in ranges].count("mkgd-adam") == 1
 
 
-def test_adam_worker_error_reaches_the_caller():
+def test_adam_worker_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(optim, "ADAM_SPLIT_BLOCKS", 2)
     shape = (2, ADAM_BLOCK)
     store = make_store(W=np.ones(shape))
     old = store["W"].values
@@ -371,7 +417,8 @@ def test_desk_model_adam_step_starts_no_thread(monkeypatch):
     vocab = build_vocab([f"w{i}" for i in range(2 * cfg.max_vocab)], cfg.max_vocab)
     assert len(vocab) == cfg.max_vocab
     model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim, seed=cfg.seed)
+    size = model.store.size
+    assert size < optim.ADAM_SPLIT_BLOCKS * ADAM_BLOCK
     grads = {name: np.ones(t.shape) for name, t in model.store.items()}
     adam_step(model.store, grads, AdamState(model.store), cfg.alpha)
-    assert len(ranges) == len(grads)
-    assert {r[3] for r in ranges} == {threading.current_thread().name}
+    assert ranges == [(0, size, threading.current_thread().name)]

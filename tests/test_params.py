@@ -1,10 +1,14 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 from helpers import add_param
+from mkgd.config import make_run_config
+from mkgd.data import build_vocab
 from mkgd.errors import ContractError, DataError
+from mkgd.model import DialogueModel
 from mkgd.optim import AdamState, adam_step, sgd_step
 from mkgd.params import (
     CHECKPOINT_MAGIC,
@@ -154,3 +158,115 @@ def test_restore_rejects_wrong_names():
     store.create("a", (2,))
     with pytest.raises(ContractError):
         store.restore({"b": np.zeros(2)})
+
+
+def assert_views_one_vector(store):
+    """Every parameter is a C-ordered view of the store's vector, at its own slot."""
+    vector = store.vector
+    assert vector.flags.c_contiguous and vector.shape == (store.size,)
+    for name, t in store.items():
+        start, stop = store.slot(name)
+        assert t.values.base is vector and t.values.flags.c_contiguous
+        assert np.shares_memory(t.values, vector[start:stop]) or not t.size
+        assert not np.shares_memory(t.values, vector[:start])
+        assert not np.shares_memory(t.values, vector[stop:])
+
+
+def test_every_parameter_views_the_one_vector_after_each_update():
+    rng = np.random.default_rng(12)
+    store = ParamStore(2)
+    store.create("W", (3, 4), init="xavier")
+    store.create("b", (4,), init="zeros")
+    with store.building():
+        store.create("U", (2, 3))
+        store.create("c", (0,))
+        store.create("v", (5,), init="xavier")
+    assert store.size == 12 + 4 + 6 + 0 + 5
+    assert_views_one_vector(store)
+    store.set_values("W", np.asfortranarray(rng.normal(size=(3, 4))))
+    assert_views_one_vector(store)
+    store.restore(store.snapshot())
+    assert_views_one_vector(store)
+    grads = {name: rng.normal(size=t.shape) for name, t in store.items()}
+    sgd_step(store, grads, lr=0.1)
+    assert_views_one_vector(store)
+    sgd_step(store, {"b": np.ones(4)}, lr=0.1)
+    assert_views_one_vector(store)
+    adam_step(store, grads, AdamState(store), lr=0.1)
+    assert_views_one_vector(store)
+    snap = store.snapshot()
+    assert list(snap) == store.names()
+    for name, vals in snap.items():
+        assert np.array_equal(vals, store[name].values)
+        assert not np.shares_memory(vals, store.vector)
+
+
+def test_model_load_values_keeps_every_parameter_a_view(tmp_path):
+    cfg = make_run_config("desk")
+    vocab = build_vocab([f"w{i}" for i in range(30)], 30)
+    model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim, seed=3)
+    assert_views_one_vector(model.store)
+    other = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim, seed=4)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, other.store)
+    model.load_values(load_checkpoint(path))
+    assert_views_one_vector(model.store)
+    assert np.array_equal(model.store.vector, other.store.vector)
+
+
+def test_building_draws_the_bits_of_one_by_one_creation():
+    specs = [("E", (7, 3), "uniform"), ("b", (3,), "zeros"), ("W", (3, 5), "xavier"),
+             ("v", (4,), "xavier"), ("U", (2, 2), "uniform")]
+    one_by_one, built = ParamStore(5), ParamStore(5)
+    for name, shape, init in specs:
+        one_by_one.create(name, shape, init)
+    with built.building():
+        for name, shape, init in specs:
+            t = built.create(name, shape, init)
+            # Zeros of the right shape, outside the vector, until building ends.
+            assert t.shape == shape and not t.values.any() and built.size > built.vector.size
+    assert np.array_equal(one_by_one.vector, built.vector)
+    # The draws are those of Generator.uniform over each shape, in creation order.
+    rng = np.random.default_rng(5)
+    for name, shape, init in specs:
+        if init == "zeros":
+            want = np.zeros(shape)
+        else:
+            bound = 0.08 if init == "uniform" else np.sqrt(6.0 / (shape[-1] + shape[0]))
+            want = rng.uniform(-bound, bound, shape)
+        assert np.array_equal(built[name].values, want)
+
+
+def test_store_without_seed_starts_at_zero():
+    store = ParamStore(None)
+    store.create("W", (3, 3))
+    store.create("v", (2,), init="xavier")
+    assert store.size == 11 and not store.vector.any()
+
+
+# sha256 of save_checkpoint for a fresh desk-preset model (the vocabulary of
+# w0..w399 cut to 200 entries, seed 7), and after three Adam steps at the
+# preset's alpha on standard normal gradients drawn per parameter in store
+# order from default_rng(11). Neither path multiplies matrices, so neither
+# depends on BLAS or the CPU count.
+DESK_CHECKPOINT_SHA256 = "21697aa976a8d051c919ed7a21436d3e3308e7ab5d5252e06b6a61841a073a44"
+DESK_AFTER_ADAM_SHA256 = "717961323c3abeb6b63b3684fa6c2c427cf33eba778c787c578a85bdc44e3038"
+
+
+def test_desk_checkpoint_bits_are_pinned(tmp_path):
+    cfg = make_run_config("desk")
+    vocab = build_vocab([f"w{i}" for i in range(2 * cfg.max_vocab)], cfg.max_vocab)
+    model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim, seed=7)
+    path = tmp_path / "desk.ckpt"
+
+    def digest():
+        save_checkpoint(path, model.store)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert digest() == DESK_CHECKPOINT_SHA256
+    rng = np.random.default_rng(11)
+    state = AdamState(model.store)
+    for _ in range(3):
+        grads = {name: rng.standard_normal(t.shape) for name, t in model.store.items()}
+        adam_step(model.store, grads, state, cfg.alpha)
+    assert digest() == DESK_AFTER_ADAM_SHA256

@@ -487,7 +487,17 @@ PRIMITIVE_CASES = [
      (3, 4), (2, 5, 4)),
     ("transpose_with_direct_grad", lambda p, c: _affine_plus_sum(c, T.transpose(p)),
      (3, 4), (2, 4)),
+    # one input stacked twice: a parameter's two parts meet in its slot, an
+    # inner node's second part is added onto the first, handed over uncopied
+    ("stack_same_leaf_twice", lambda p, c: T.stack([p, p]), (2, 3), None),
+    ("stack_same_inner_twice", lambda p, c: _stack_twice(T.tanh(T.mul(p, c))), (2, 3), (2, 3)),
+    ("stack_of_stacks", lambda p, c: T.stack([_stack_twice(T.tanh(p)), T.stack([c, p])]),
+     (2, 3), (2, 3)),
 ]
+
+
+def _stack_twice(a):
+    return T.stack([a, a])
 
 
 def _two_affines(c, wt):
@@ -563,9 +573,32 @@ def test_leaf_reached_by_gather_and_dense_op_matches_finite_differences(gather_f
     assert_grads_close(analytic, numeric)
 
 
+def test_a_tape_watches_one_store_and_backward_lays_its_gradients_out_as_it():
+    rng = np.random.default_rng(30)
+    store = ParamStore(0)
+    W = add_param(store, "W", rng.normal(size=(3, 2)))
+    add_param(store, "unused", rng.normal(size=4))
+    b = add_param(store, "b", rng.normal(size=2))
+    tape = Tape()
+    tape.watch(store)
+    with pytest.raises(ContractError, match="one parameter store"):
+        tape.watch(ParamStore(0))
+    with tape:
+        loss = T.sum_(T.tanh(T.add(T.matmul(T.Tensor(rng.normal(size=(5, 3))), W), b)))
+    grads = backward(tape, loss)
+    assert grads.store is store and grads.flat.shape == (store.size,)
+    assert list(grads) == store.names()
+    for name, view in store.views(grads.flat).items():
+        assert grads[name].values.base is grads.flat
+        assert np.shares_memory(grads[name].values, view)
+        assert np.array_equal(grads[name].values, view)
+    assert not grads["unused"].values.any() and grads["W"].values.any()
+
+
 def test_backward_results_own_their_memory_and_match_finite_differences():
     # Rules that hand back their own output gradient (add, to both inputs) or
-    # a view of it (reshape, transpose) must not let two gradients share memory.
+    # a view of it (reshape, transpose) must not let two gradients share memory:
+    # each is its own slot of the one gradient vector.
     rng = np.random.default_rng(31)
     store = ParamStore(0)
     a = add_param(store, "a", rng.normal(size=(2, 3)))
@@ -590,7 +623,7 @@ def test_backward_results_own_their_memory_and_match_finite_differences():
     assert_grads_close(analytic, finite_diff_grads(store, lambda: forward().item()))
     arrays = [g.values for g in analytic.values()]
     for i, first in enumerate(arrays):
-        assert first.base is None
+        assert first.base is analytic.flat and first.flags.c_contiguous
         for second in arrays[i + 1:]:
             assert not np.shares_memory(first, second)
 
