@@ -8,15 +8,20 @@ help text and the defaults the help states all come from the field and
 PRESETS. meta-train and train-baseline leave the checks of a training split
 to the trainers they call. Each input has one way in: adapt-eval's support
 size is --k-support, and chat reads its turns from stdin as UTF-8 text.
+main runs numpy's bundled OpenBLAS on one thread, so a command's output does
+not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -295,13 +300,55 @@ def build_parser():
     return parser
 
 
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled scipy-openblas; None for any other BLAS.
+
+    The library is the one numpy's wheels keep in numpy.libs, found by name
+    without its build hash.
+    """
+    site = Path(np.__file__).resolve().parent.parent
+    for path in sorted(site.glob("numpy.libs/libscipy_openblas64_*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy loaded: one file is loaded once
+        try:
+            get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                         lib.scipy_openblas_set_num_threads64_)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def blas_on_one_thread():
+    """Run BLAS on one thread inside the scope, so no product's sums depend on the CPU count.
+
+    OpenBLAS sizes its thread pool from the CPUs it sees when numpy loads
+    it, which is before any environment variable set here would count. Only
+    numpy's bundled scipy-openblas is pinned; any other BLAS is left as it is.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         # A non-finite result raises NumericError, trapped inside each model call
         # and found by a scan elsewhere; numpy's warnings would only repeat it.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with blas_on_one_thread(), np.errstate(over="ignore", invalid="ignore",
+                                               divide="ignore"):
             return args.func(args)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)

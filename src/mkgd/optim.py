@@ -7,25 +7,29 @@ vector, over the slots it covers; parameters it does not cover keep their
 values and moments. A step builds the new values in a fresh vector and
 installs it only when every value is finite, so it writes neither the
 gradients nor a previous values array.
+
+One rule decides threading, by size alone: a pass over at least
+ADAM_SPLIT_BLOCKS blocks of ADAM_BLOCK values, Adam's update or clip's dot
+products and scaling, runs in two halves through tensor.in_two_threads,
+the first on a new thread, and ends only when both have. Each value, and
+the norm, comes out as on one thread, whatever the CPU count.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import threading
 
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .tensor import Gradients
+from .tensor import Gradients, in_two_threads
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # float64 values per Adam block: 128 KiB per array, so a block's arrays stay in cache
 ADAM_BLOCK = 2 ** 14
-# Adam splits a range across two threads from this many blocks: a split lost at 4 and 8
+# Adam and clip split a pass across two threads from this many blocks: a split lost at 4 and 8
 ADAM_SPLIT_BLOCKS = 64
 
 
@@ -71,6 +75,29 @@ def _non_finite(params, vector, start):
     return NumericError(f"non-finite update for parameter {params.name_at(index)!r}")
 
 
+def _splits(size):
+    """Whether a pass over size values is split across two threads: from ADAM_SPLIT_BLOCKS blocks."""
+    return -(-size // ADAM_BLOCK) >= ADAM_SPLIT_BLOCKS
+
+
+def _cut(sizes):
+    """The k that parts arrays of these sizes into [:k] and [k:] of most equal totals.
+
+    0 when they do not split: fewer than two arrays, or fewer values in all
+    than _splits asks for.
+    """
+    if len(sizes) < 2 or not _splits(sum(sizes)):
+        return 0
+    ends = np.cumsum(sizes[:-1])
+    return int(np.argmin(np.abs(2 * ends - sum(sizes)))) + 1
+
+
+def _dots(arrays, dots, lo, hi):
+    """dots[i] = arrays[i] . arrays[i] for i in lo:hi."""
+    for i in range(lo, hi):
+        dots[i] = float(np.vdot(arrays[i], arrays[i]))
+
+
 def clip_global_norm(grads, max_norm):
     """Scale the whole gradient map so its global L2 norm is <= max_norm.
 
@@ -79,11 +106,23 @@ def clip_global_norm(grads, max_norm):
     adds each gradient's dot product in map order. If it overflows, the norm
     is taken again on gradients divided by the largest |g|; a NaN gradient
     passes through unscaled, for the optimizer's finite check to reject.
+
+    From ADAM_SPLIT_BLOCKS blocks in all, as for Adam, a new thread takes
+    the dot products of the leading gradients, about half the values, while
+    the caller takes the rest; they are still added in map order, so the
+    norm is the same. Scaling a Gradients' vector splits it the same way.
     """
     out = {name: _values(g) for name, g in grads.items()}
+    arrays = list(out.values())
+    dots = [0.0] * len(arrays)
+    cut = _cut([gv.size for gv in arrays])
+    if cut:
+        in_two_threads(_dots, (arrays, dots, 0, cut), (arrays, dots, cut, len(arrays)))
+    else:
+        _dots(arrays, dots, 0, len(arrays))
     total = 0.0
-    for gv in out.values():
-        total += float(np.vdot(gv, gv))
+    for dot in dots:
+        total += dot
     if max_norm is not None and max_norm > 0:
         norm = np.sqrt(total)
         if math.isinf(total):
@@ -94,7 +133,13 @@ def clip_global_norm(grads, max_norm):
         if norm > max_norm:
             scale = max_norm / norm
             if isinstance(grads, Gradients):
-                flat = grads.flat * scale
+                flat = np.empty_like(grads.flat)
+                if _splits(flat.size):
+                    mid = flat.size // 2
+                    in_two_threads(np.multiply, (grads.flat[:mid], scale, flat[:mid]),
+                                   (grads.flat[mid:], scale, flat[mid:]))
+                else:
+                    np.multiply(grads.flat, scale, out=flat)
                 return Gradients(grads.store, flat, grads.store.views(flat))
             return {name: gv * scale for name, gv in out.items()}
     return Gradients(grads.store, grads.flat, out) if isinstance(grads, Gradients) else out
@@ -127,33 +172,6 @@ class AdamState:
         self.t = 0
         self.m = np.zeros(params.size)
         self.v = np.zeros(params.size)
-
-
-def _start(fn, *args):
-    """Run fn(*args) on a new thread in the caller's contextvars context.
-
-    numpy's error state is a context variable, so the thread sees the
-    caller's. Returns a join that waits for the thread and raises what fn
-    raised.
-    """
-    raised = []
-
-    def run():
-        try:
-            fn(*args)
-        except BaseException as exc:
-            raised.append(exc)
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,),
-                              name="mkgd-adam")
-    thread.start()
-
-    def join():
-        thread.join()
-        if raised:
-            raise raised[0]
-
-    return join
 
 
 def _adam_range(params, flats, begin, end, b1t, b2t, lr, buf):
@@ -214,14 +232,11 @@ def adam_step(params, grads, state, lr):
     flats = (g, state.m, state.v, theta, new)
     buf = np.empty(min(ADAM_BLOCK, max((hi - lo for lo, hi in ranges), default=0)))
     for lo, hi in ranges:
-        blocks = -(-(hi - lo) // ADAM_BLOCK)
-        if blocks >= ADAM_SPLIT_BLOCKS:
+        if _splits(hi - lo):
+            blocks = -(-(hi - lo) // ADAM_BLOCK)
             mid = lo + blocks // 2 * ADAM_BLOCK
-            join = _start(_adam_range, params, flats, lo, mid, *coeffs, np.empty_like(buf))
-            try:
-                _adam_range(params, flats, mid, hi, *coeffs, buf)
-            finally:
-                join()
+            in_two_threads(_adam_range, (params, flats, lo, mid, *coeffs, np.empty_like(buf)),
+                           (params, flats, mid, hi, *coeffs, buf))
         else:
             _adam_range(params, flats, lo, hi, *coeffs, buf)
     params.install(new)

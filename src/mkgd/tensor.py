@@ -19,7 +19,9 @@ one np.errstate.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -31,6 +33,11 @@ _ACTIVE_TAPE = None
 # Inside fp_trap numpy raises on overflow, invalid and divide. Per context, as
 # numpy's own error state is, so one thread's scope never skips another's scan.
 _TRAPPING = ContextVar("mkgd_fp_trap", default=False)
+# A 2-d product of at least this many multiply-adds is split across two threads.
+# At paper dims the vocabulary logits and the (V, H) weight gradients reach it
+# (the BOW head's, 30000 x 1 x 300, just); no desk-preset product, at most about
+# 3M at V=200, does.
+SPLIT_MULADDS = 2 ** 23
 
 
 class Tensor:
@@ -113,10 +120,13 @@ def fp_trap():
 
     Inputs must be finite, as parameters are, so a floating-point flag fires
     at the op that first makes a non-finite value; the op is named from the
-    innermost primitive frame of the trapped error. Flags are per thread and
-    BLAS may split a large matmul across worker threads, so matmul and
-    affine results are still scanned. Underflow stays ignored: the masked
-    softmax and sigmoid's exp(-|v|) underflow to 0 by design. Scopes nest.
+    innermost primitive frame of the trapped error. A product split by
+    in_two_threads raises in its worker under the same error state, and the
+    error reaches the caller. Flags are per thread, though, and a BLAS left
+    unpinned may split a large matmul across threads of its own, so matmul
+    and affine results are still scanned. Underflow stays ignored: the
+    masked softmax and sigmoid's exp(-|v|) underflow to 0 by design. Scopes
+    nest.
     """
     token = _TRAPPING.set(True)
     try:
@@ -139,6 +149,34 @@ def _trapped_kind(tb):
             kind = frame.f_locals.get("kind", frame.f_code.co_name.rstrip("_"))
         tb = tb.tb_next
     return kind
+
+
+def in_two_threads(fn, first, second):
+    """Run fn(*first) on a new thread and fn(*second) on the calling one; return once both end.
+
+    The new thread runs in the caller's contextvars context, so numpy's
+    error state and the fp_trap scope hold there too. An error the new
+    thread raised is raised here, after both halves have finished, and
+    wins over one the caller's half raised. So no thread outlives the call,
+    and nothing the halves write changes after it returns.
+    """
+    raised = []
+
+    def run():
+        try:
+            fn(*first)
+        except BaseException as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,),
+                              name="mkgd-split")
+    thread.start()
+    try:
+        fn(*second)
+    finally:
+        thread.join()
+        if raised:
+            raise raised[0]
 
 
 def _out(kind, values, inputs, saved):
@@ -218,6 +256,34 @@ def _operands(op, a, b, min_b_ndim=1):
     return av, bv
 
 
+def _product(kind, a, b, out=None):
+    """a @ b, written into out when given; a 2-d product of SPLIT_MULADDS multiply-adds splits.
+
+    The split halves the longer output axis, each half one np.matmul into
+    its slice of the one output array, so each entry is summed over the
+    same inner axis as without the split. kind names the op whose product
+    this is, for fp_trap.
+    """
+    if a.ndim != 2 or b.ndim != 2 or a.size * b.shape[1] < SPLIT_MULADDS:
+        return a @ b if out is None else np.matmul(a, b, out=out)
+    rows, cols = a.shape[0], b.shape[1]
+    if out is None:
+        out = np.empty((rows, cols))
+    if rows >= cols:
+        mid = rows // 2
+        halves = (a[:mid], b, out[:mid]), (a[mid:], b, out[mid:])
+    else:
+        mid = cols // 2
+        halves = (a, b[:, :mid], out[:, :mid]), (a, b[:, mid:], out[:, mid:])
+    in_two_threads(_product_half, (kind, *halves[0]), (kind, *halves[1]))
+    return out
+
+
+def _product_half(kind, a, b, out):
+    # kind is a local so that _trapped_kind names the op, not this frame.
+    np.matmul(a, b, out=out)
+
+
 def matmul(a, b):
     """numpy matmul of a 2- or 3-d a by a 1- to 3-d b; a 3-d b needs a 3-d a of equal batch size.
 
@@ -236,9 +302,9 @@ def affine(pairs, b):
     if not pairs:
         raise ContractError("affine of zero products")
     saved = tuple(_operands("affine", a, w, min_b_ndim=2) for a, w in pairs)
-    out = saved[0][0] @ saved[0][1]
+    out = _product("affine", *saved[0])
     for av, wv in saved[1:]:
-        product = av @ wv
+        product = _product("affine", av, wv)
         if product.shape != out.shape:
             raise DimensionError(f"affine: products of shape {out.shape} and {product.shape}")
         out += product
@@ -391,8 +457,8 @@ def _settle(outers, swapped=False, out=None):
         a = np.concatenate([o.a for o in outers], axis=-2)
         g = np.concatenate([o.g for o in outers], axis=-2)
     if swapped:
-        return np.matmul(np.swapaxes(g, -1, -2), a, out=out)
-    return np.matmul(np.swapaxes(a, -1, -2), g, out=out)
+        return _product("backward", np.swapaxes(g, -1, -2), a, out=out)
+    return _product("backward", np.swapaxes(a, -1, -2), g, out=out)
 
 
 def _matmul_grads(av, bv, out_grad):

@@ -116,18 +116,24 @@ def test_meta_train_writes_artifacts_and_reruns_identically(tmp_path, command):
     assert len(log) > 1
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
-                    or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
-def test_meta_train_output_does_not_depend_on_the_cpus_it_may_use(tmp_path):
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+NEEDS_TWO_CPUS = pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                                    or len(os.sched_getaffinity(0)) < 2,
+                                    reason="needs two CPUs")
+
+
+def assert_meta_train_on_two_cpus_equals_one(tmp_path, blas_env):
+    """meta-train's stdout and files on every CPU this process may use equal those on one."""
     # At these dims Adam splits the large parameters across two threads,
     # which run on two CPUs in one run and share one CPU in the other.
     # OpenBLAS sizes its own thread pool by the CPUs too, and its matmul
-    # sums depend on that, so both runs pin it to one thread.
-    pool = make_pool(tmp_path / "pool.jsonl")
+    # sums depend on that. With 24 samples a task the vocabulary is large
+    # enough for an unpinned OpenBLAS on two CPUs to change the bytes.
+    pool = make_pool(tmp_path / "pool.jsonl", samples=24)
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARS}
+    env.update(blas_env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     one_cpu = {min(os.sched_getaffinity(0))}
     flags = MINI_TRAIN_FLAGS + ["--max-vocab", "200", "--embed-dim", "200",
                                 "--hidden-dim", "200"]
@@ -148,6 +154,28 @@ def test_meta_train_output_does_not_depend_on_the_cpus_it_may_use(tmp_path):
         assert (tmp_path / f"any.{ext}").read_bytes() == (tmp_path / f"one.{ext}").read_bytes()
     store = load_checkpoint(str(tmp_path / "any.ckpt"))
     assert max(t.size for _, t in store.items()) > ADAM_BLOCK
+
+
+@NEEDS_TWO_CPUS
+def test_meta_train_output_does_not_depend_on_the_cpus_it_may_use(tmp_path):
+    assert_meta_train_on_two_cpus_equals_one(tmp_path, {name: "1" for name in BLAS_THREAD_VARS})
+
+
+@NEEDS_TWO_CPUS
+def test_meta_train_pins_blas_itself_without_the_thread_variables(tmp_path):
+    # The command line pins numpy's bundled OpenBLAS to one thread at run time.
+    assert_meta_train_on_two_cpus_equals_one(tmp_path, {})
+
+
+def test_blas_on_one_thread_restores_the_thread_count():
+    threads = cli._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    get, set_ = threads
+    before = get()
+    with cli.blas_on_one_thread():
+        assert get() == 1
+    assert get() == before
 
 
 def test_meta_train_zero_episodes_checkpoint_is_initialization(tmp_path):

@@ -3,11 +3,12 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import add_param
+from helpers import add_param, synth_tasks
 from mkgd import optim
 from mkgd.config import make_run_config
-from mkgd.data import build_vocab
+from mkgd.data import SyntheticTaskSpec, build_vocab
 from mkgd.errors import ContractError, NumericError
+from mkgd.meta import meta_batch_step, validation_loss
 from mkgd.optim import (
     ADAM_BETA1,
     ADAM_BLOCK,
@@ -335,14 +336,14 @@ def record_ranges(monkeypatch):
     return ranges
 
 
-def run_here(fn, *args):
-    """Stand-in for optim._start: run fn on the calling thread, at once."""
-    fn(*args)
-    return lambda: None
+def run_here(fn, first, second):
+    """Stand-in for in_two_threads: run both halves on the calling thread, in order."""
+    fn(*first)
+    fn(*second)
 
 
-def adam_threads_alive():
-    return [t for t in threading.enumerate() if t.name == "mkgd-adam" and t.is_alive()]
+def split_threads_alive():
+    return [t for t in threading.enumerate() if t.name == "mkgd-split" and t.is_alive()]
 
 
 def test_adam_split_across_two_threads_bit_equal_to_one_thread_and_textbook(monkeypatch):
@@ -353,7 +354,7 @@ def test_adam_split_across_two_threads_bit_equal_to_one_thread_and_textbook(monk
     for threads, split_blocks in (("two", 12), ("one", 13), ("here", 12)):
         monkeypatch.setattr(optim, "ADAM_SPLIT_BLOCKS", split_blocks)
         if threads == "here":
-            monkeypatch.setattr(optim, "_start", run_here)
+            monkeypatch.setattr(optim, "in_two_threads", run_here)
         rng = np.random.default_rng(9)
         store = make_store(**{name: rng.normal(size=shape) for name, shape in shapes.items()})
         assert store.size == size
@@ -362,7 +363,7 @@ def test_adam_split_across_two_threads_bit_equal_to_one_thread_and_textbook(monk
         runs[threads] = store, state
     main = threading.current_thread().name
     mid = 6 * ADAM_BLOCK
-    assert sorted(ranges[:6]) == sorted([(0, mid, "mkgd-adam"), (mid, size, main)] * 3)
+    assert sorted(ranges[:6]) == sorted([(0, mid, "mkgd-split"), (mid, size, main)] * 3)
     assert ranges[6:9] == [(0, size, main)] * 3
     assert ranges[9:] == [(0, mid, main), (mid, size, main)] * 3
     one_store, one_state = runs["one"]
@@ -370,7 +371,7 @@ def test_adam_split_across_two_threads_bit_equal_to_one_thread_and_textbook(monk
         assert np.array_equal(one_store.vector, two_store.vector)
         assert np.array_equal(one_state.m, two_state.m)
         assert np.array_equal(one_state.v, two_state.v)
-    assert adam_threads_alive() == []
+    assert split_threads_alive() == []
 
 
 @pytest.mark.parametrize("rows,name", [((0,), "A"), ((10,), "W"), ((0, 10), "A")],
@@ -394,8 +395,8 @@ def test_adam_non_finite_update_in_either_half_keeps_old_values(monkeypatch, row
         adam_step(store, {"A": g[:10], "W": g[10:]}, AdamState(store), lr=0.01)
     assert store.vector is old and store["A"].values.base is old
     assert np.array_equal(old, old_copy)
-    assert adam_threads_alive() == []
-    assert [r[2] for r in ranges].count("mkgd-adam") == 1
+    assert split_threads_alive() == []
+    assert [r[2] for r in ranges].count("mkgd-split") == 1
 
 
 def test_adam_worker_error_reaches_the_caller(monkeypatch):
@@ -408,17 +409,99 @@ def test_adam_worker_error_reaches_the_caller(monkeypatch):
     with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
         adam_step(store, {"W": g}, AdamState(store), lr=0.01)
     assert store["W"].values is old
-    assert adam_threads_alive() == []
+    assert split_threads_alive() == []
+
+
+def record_thread_starts(monkeypatch):
+    """Record the name of every thread started from now on."""
+    started, start = [], threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started
 
 
 def test_desk_model_adam_step_starts_no_thread(monkeypatch):
+    # The desk workloads must run the one-thread code path: no product, gradient
+    # vector or Adam range at the desk preset reaches a split, even at the
+    # desk's largest vocabulary.
     ranges = record_ranges(monkeypatch)
+    started = record_thread_starts(monkeypatch)
     cfg = make_run_config("desk")
+    tasks, _ = synth_tasks(SyntheticTaskSpec(seed=3), cfg.num_tasks,
+                           cfg.k_support, cfg.k_query)
     vocab = build_vocab([f"w{i}" for i in range(2 * cfg.max_vocab)], cfg.max_vocab)
     assert len(vocab) == cfg.max_vocab
-    model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim, seed=cfg.seed)
+    model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim, seed=cfg.seed,
+                          loss_weights=cfg.loss_weights())
     size = model.store.size
-    assert size < optim.ADAM_SPLIT_BLOCKS * ADAM_BLOCK
-    grads = {name: np.ones(t.shape) for name, t in model.store.items()}
-    adam_step(model.store, grads, AdamState(model.store), cfg.alpha)
-    assert ranges == [(0, size, threading.current_thread().name)]
+    assert not optim._splits(size)
+    meta_batch_step(model, tasks, cfg)
+    validation_loss(model, tasks)
+    main = threading.current_thread().name
+    assert ranges == [(0, size, main)] * (cfg.num_tasks * cfg.inner_steps + 1)
+    assert started == []
+
+
+# ---------------------------------------------------------------------------
+# clip_global_norm over two threads
+
+
+def record_dots(monkeypatch):
+    """Record (lo, hi, thread name) for every run of dot products clip takes."""
+    runs, dots = [], optim._dots
+
+    def recorded(arrays, out, lo, hi):
+        runs.append((lo, hi, threading.current_thread().name))
+        return dots(arrays, out, lo, hi)
+
+    monkeypatch.setattr(optim, "_dots", recorded)
+    return runs
+
+
+def textbook_clip(grads, max_norm):
+    """The one-thread clip: dot products added in map order, every gradient scaled."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.vdot(g, g))
+    return {name: g * (max_norm / np.sqrt(total)) for name, g in grads.items()}
+
+
+@pytest.mark.parametrize("as_gradients", [True, False], ids=["vector", "map"])
+def test_clip_split_across_two_threads_bit_equal_to_one_thread(monkeypatch, as_gradients):
+    shapes = {"E": (7, ADAM_BLOCK // 2), "b": (5,), "W": (3, ADAM_BLOCK), "U": (2, 999)}
+    rng = np.random.default_rng(11)
+    store = make_store(**{name: rng.normal(size=shape) for name, shape in shapes.items()})
+    flat = rng.normal(size=store.size)
+    flat_copy = flat.copy()
+    grads = (Gradients(store, flat, store.views(flat)) if as_gradients
+             else {name: v.copy() for name, v in store.views(flat).items()})
+    runs = record_dots(monkeypatch)
+    split, in_two_threads = [], optim.in_two_threads
+
+    def recorded(fn, first, second):
+        split.append(fn)
+        in_two_threads(fn, first, second)
+
+    monkeypatch.setattr(optim, "in_two_threads", recorded)
+    monkeypatch.setattr(optim, "ADAM_SPLIT_BLOCKS", 7)  # the store spans 6.6 blocks
+    two = clip_global_norm(grads, 1.0)
+    monkeypatch.setattr(optim, "ADAM_SPLIT_BLOCKS", 8)
+    one = clip_global_norm(grads, 1.0)
+    main = threading.current_thread().name
+    # E's 3.5 blocks against the rest's 3.1: the cut falls after E.
+    assert sorted(runs[:2]) == [(0, 1, "mkgd-split"), (1, 4, main)]
+    assert runs[2:] == [(0, 4, main)]
+    # The scaled vector splits too; a map is scaled one gradient at a time.
+    assert split == [optim._dots, np.multiply] if as_gradients else [optim._dots]
+    if as_gradients:
+        assert np.array_equal(two.flat, one.flat)
+    textbook = textbook_clip(store.views(flat_copy), 1.0)
+    for name in shapes:
+        assert np.array_equal(two[name], one[name])
+        assert np.array_equal(two[name], textbook[name])
+    assert np.array_equal(flat, flat_copy)
+    assert split_threads_alive() == []

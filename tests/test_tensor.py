@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -212,6 +213,146 @@ def test_fp_trap_in_one_thread_leaves_another_scanning():
         release.set()
         worker.join(10)
     assert not worker.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# products and passes over two threads
+
+
+def split_threads_alive():
+    return [t for t in threading.enumerate() if t.name == "mkgd-split" and t.is_alive()]
+
+
+def record_product_splits(monkeypatch, split_muladds=1):
+    """Lower SPLIT_MULADDS; record (thread name, output shape) for each half of every split."""
+    halves, half = [], T._product_half
+
+    def recorded(kind, a, b, out):
+        halves.append((threading.current_thread().name, out.shape))
+        half(kind, a, b, out)
+
+    monkeypatch.setattr(T, "_product_half", recorded)
+    monkeypatch.setattr(T, "SPLIT_MULADDS", split_muladds)
+    return halves
+
+
+# (rows, inner, cols) of x @ W^T: split by rows, by columns, and the paper's
+# teacher-forced and BOW logits, V=30000 and H=300.
+AFFINE_SPLITS = [(37, 13, 5), (3, 13, 50), (13, 300, 3001), (10, 300, 30000), (1, 300, 30000)]
+
+
+@pytest.mark.parametrize("rows,inner,cols", AFFINE_SPLITS)
+def test_affine_split_over_two_threads_is_bit_equal(monkeypatch, rows, inner, cols):
+    rng = np.random.default_rng(rows * cols)
+    x, y = (T.Tensor(rng.normal(size=(rows, inner))) for _ in range(2))
+    W, U = (T.Tensor(rng.normal(size=(cols, inner))) for _ in range(2))
+    b = T.Tensor(rng.normal(size=cols))
+
+    def logits():
+        return T.affine(((x, T.transpose(W)), (y, T.transpose(U))), b).values
+
+    one = logits()
+    halves = record_product_splits(monkeypatch)
+    two = logits()
+    assert np.array_equal(one, two)
+    main = threading.current_thread().name
+    first = (rows // 2, cols) if rows >= cols else (rows, cols // 2)
+    second = (rows - first[0], cols) if rows >= cols else (rows, cols - first[1])
+    assert sorted(halves) == sorted([("mkgd-split", first), (main, second)] * 2)
+    assert split_threads_alive() == []
+
+
+# (rows, cols) of the weight, and K, the rows of the stacked input: odd row
+# counts, outer products (K = 1), and the paper's out.W gradient at K = 10.
+SETTLE_SPLITS = [((53, 6), 1), ((53, 6), 10), ((6, 53), 10), ((53, 6), 301), ((7, 9), 301),
+                 ((30000, 300), 10)]
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["plain", "transposed"])
+@pytest.mark.parametrize("w_shape,k", SETTLE_SPLITS)
+def test_weight_gradient_split_over_two_threads_is_bit_equal(monkeypatch, w_shape, k,
+                                                              transposed):
+    # A plain weight gets a^T g, one behind a transpose node g^T a; either is
+    # formed into the weight's gradient slot, half on each thread.
+    rng = np.random.default_rng(k)
+    store = ParamStore(0)
+    W = add_param(store, "W", rng.normal(size=w_shape))
+    x = T.Tensor(rng.normal(size=(k, w_shape[1] if transposed else w_shape[0])))
+    c = T.Tensor(rng.normal(size=(k, w_shape[0] if transposed else w_shape[1])))
+
+    def grad():
+        tape = Tape()
+        tape.watch(store)
+        with tape:
+            out = T.matmul(x, T.transpose(W) if transposed else W)
+            loss = T.sum_(T.mul(out, c))
+        return backward(tape, loss)["W"].values
+
+    one = grad()
+    halves = record_product_splits(monkeypatch)
+    two = grad()
+    assert np.array_equal(one, two)
+    rows, cols = w_shape
+    first = (rows // 2, cols) if rows >= cols else (rows, cols // 2)
+    assert [h[1] for h in halves if h[0] == "mkgd-split"] == [first]
+    assert len(halves) == 2
+    assert split_threads_alive() == []
+
+
+def test_products_below_the_split_size_and_3d_products_run_on_one_thread(monkeypatch):
+    halves = record_product_splits(monkeypatch, split_muladds=4 * 5 * 6)
+    small = T.affine(((T.Tensor(np.ones((4, 5))), T.Tensor(np.ones((5, 5)))),),
+                     T.Tensor(np.zeros(5)))
+    stacked = T.affine(((T.Tensor(np.ones((2, 40, 5))), T.Tensor(np.ones((2, 5, 6)))),),
+                       T.Tensor(np.zeros(6)))
+    assert small.shape == (4, 5) and stacked.shape == (2, 40, 6)
+    assert halves == []
+    T.affine(((T.Tensor(np.ones((4, 5))), T.Tensor(np.ones((5, 6)))),), T.Tensor(np.zeros(6)))
+    assert len(halves) == 2
+
+
+@pytest.mark.parametrize("row", [0, 3], ids=["worker", "caller"])
+def test_fp_trap_names_affine_when_a_split_half_overflows(monkeypatch, row):
+    # The worker raises under the caller's error state; its error, raised again
+    # in the caller, still names the primitive, not a frame of the split.
+    halves = record_product_splits(monkeypatch)
+    a = np.ones((4, 3))
+    a[row] = 1e200
+    big = T.Tensor(np.full((3, 2), 1e200))
+    with pytest.raises(NumericError, match="^non-finite result in op 'affine'$"), T.fp_trap():
+        T.affine(((T.Tensor(a), big),), T.Tensor(np.zeros(2)))
+    assert len(halves) == 2
+    assert split_threads_alive() == []
+
+
+@pytest.mark.parametrize("fails", [("first",), ("second",), ("first", "second")],
+                         ids=["worker", "caller", "both"])
+def test_in_two_threads_raises_a_half_error_once_both_halves_end(fails):
+    ended = []
+
+    def half(name):
+        if name in fails:
+            raise ValueError(name)
+        time.sleep(0.05)  # the other half fails first, and must wait for this one
+        ended.append(name)
+
+    with pytest.raises(ValueError, match=f"^{fails[0]}$"):
+        T.in_two_threads(half, ("first",), ("second",))
+    assert sorted(ended) == sorted({"first", "second"} - set(fails))
+    assert split_threads_alive() == []
+
+
+def test_in_two_threads_runs_the_first_half_in_the_callers_context():
+    seen = {}
+
+    def half(name):
+        seen[name] = (threading.current_thread().name, np.geterr()["over"], T._TRAPPING.get())
+
+    with T.fp_trap():
+        T.in_two_threads(half, ("first",), ("second",))
+    main = threading.current_thread().name
+    assert seen == {"first": ("mkgd-split", "raise", True), "second": (main, "raise", True)}
+    assert split_threads_alive() == []
 
 
 def test_log_floor():
