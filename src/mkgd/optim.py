@@ -4,9 +4,10 @@ backward's gradients, and clip_global_norm's result for them, are a
 Gradients over one vector laid out as the store, which the optimizers
 read whole. Any other name -> gradient map is first copied into such a
 vector, over the slots it covers; parameters it does not cover keep their
-values and moments. A step builds the new values in a fresh vector and
-installs it only when every value is finite, so it writes neither the
-gradients nor a previous values array.
+values and moments. A step builds the new values in the store's spare
+vector, the one its last install retired when nothing else holds it, and
+installs it only when every value is finite. So it writes neither the
+gradients nor a values array that anything still holds.
 
 One rule decides threading, by size alone: a pass over at least
 ADAM_SPLIT_BLOCKS blocks of ADAM_BLOCK values, Adam's update or clip's dot
@@ -27,10 +28,11 @@ from .tensor import Gradients, in_two_threads
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# float64 values per Adam block: 128 KiB per array, so a block's arrays stay in cache
-ADAM_BLOCK = 2 ** 14
-# Adam and clip split a pass across two threads from this many blocks: a split lost at 4 and 8
-ADAM_SPLIT_BLOCKS = 64
+# float64 values per Adam block: 256 KiB per array, so a block's six arrays stay in a 2 MiB L2
+ADAM_BLOCK = 2 ** 15
+# Adam and clip split a pass across two threads from this many blocks (2^20 values):
+# a split lost at 2^16 and 2^17 values
+ADAM_SPLIT_BLOCKS = 32
 
 
 def _values(g):
@@ -64,9 +66,12 @@ def _flat_grads(params, grads):
     return flat, ranges
 
 
-def _new_vector(theta, ranges):
-    """The vector a step writes: uncovered values carried over from theta."""
-    return np.empty_like(theta) if ranges == [(0, theta.size)] else theta.copy()
+def _new_vector(params, ranges):
+    """The vector a step writes: the store's spare, uncovered values carried over."""
+    new = params.spare()
+    if ranges != [(0, params.size)]:
+        np.copyto(new, params.vector)
+    return new
 
 
 def _non_finite(params, vector, start):
@@ -155,7 +160,7 @@ def sgd_step(params, grads, lr):
     _check_lr(lr)
     g, ranges = _flat_grads(params, grads)
     theta = params.vector
-    new = _new_vector(theta, ranges)
+    new = _new_vector(params, ranges)
     for lo, hi in ranges:
         out = new[lo:hi]
         np.subtract(theta[lo:hi], np.multiply(g[lo:hi], lr, out=out), out=out)
@@ -205,11 +210,13 @@ def adam_step(params, grads, state, lr):
 
     The update runs over ADAM_BLOCK-value blocks of the store's vector, so
     every block's dozen passes stay in cache. Within a block the moments
-    are updated in place and the step is built in the fresh vector's block
+    are updated in place and the step is built in the new vector's block
     and one scratch buffer, with the arithmetic and its order of the
-    textbook formula; the new values are finite-checked block by block and
-    installed only when complete, so a non-finite value installs nothing
-    and names its parameter.
+    textbook formula. The new vector is the store's spare (the one the
+    last step retired, when nothing else holds it), so no step writes a
+    values array that anything still holds. The new values are
+    finite-checked block by block and installed only when complete, so a
+    non-finite value installs nothing and names its parameter.
 
     A range of at least ADAM_SPLIT_BLOCKS blocks is split into two
     contiguous block ranges: a new thread updates the first while the
@@ -228,7 +235,7 @@ def adam_step(params, grads, state, lr):
     state.t += 1
     coeffs = (1.0 - ADAM_BETA1 ** state.t, 1.0 - ADAM_BETA2 ** state.t, lr)
     theta = params.vector
-    new = _new_vector(theta, ranges)
+    new = _new_vector(params, ranges)
     flats = (g, state.m, state.v, theta, new)
     buf = np.empty(min(ADAM_BLOCK, max((hi - lo for lo, hi in ranges), default=0)))
     for lo, hi in ranges:

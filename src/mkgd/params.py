@@ -4,8 +4,10 @@ A ParamStore lays its parameters out back to back, in creation order, in
 one contiguous vector, and each parameter's Tensor values are a C-ordered
 view of its slot. So an optimizer step, a snapshot or a restore works on
 one array. A step or a restore installs a new vector and re-points every
-view at it, so it never writes a previous values array; ``set_values``
-writes its parameter's slot. Values are drawn straight into their views:
+view at it. It writes the vector the last install retired when nothing
+else holds it (``spare``), else a new one, so no step writes a values array
+that anything still holds; ``set_values`` writes its parameter's slot.
+Values are drawn straight into their views:
 parameters created inside ``building()`` share one allocation, and a lone
 ``create`` grows the vector by a copy.
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 import struct
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,6 +51,7 @@ class ParamStore:
         self._slots = {}  # name -> (start, stop, shape) in the vector
         self._size = 0
         self._vector = np.zeros(0)
+        self._spare = None  # the vector the last install retired, of the same size
         self._pending = []  # (name, init) of parameters created but not yet drawn
         self._building = False
 
@@ -167,7 +171,21 @@ class ParamStore:
     def _install(self, vector, views):
         for name, view in views.items():
             self._entries[name].values = view
-        self._vector = vector
+        retired, self._vector = self._vector, vector
+        self._spare = retired if retired.size == vector.size else None
+
+    def spare(self):
+        """A vector of `size` values for a step to write and then install.
+
+        It is the vector the last install retired when nothing but the store
+        holds it, else a new one. Every numpy view of the vector holds a
+        reference to it, so a parameter's old values, an array a tape saved,
+        or any other view or reference a caller kept each keep it out.
+        """
+        # Two references: the store's and getrefcount's argument.
+        if self._spare is not None and sys.getrefcount(self._spare) == 2:
+            return self._spare
+        return np.empty(self._size)
 
     def name_at(self, index):
         """The name of the parameter whose slot holds vector position index."""
@@ -186,7 +204,7 @@ class ParamStore:
             if snap[name].shape != shape:
                 raise ContractError(f"snapshot shape mismatch for {name!r}")
         parts = [snap[name].reshape(-1) for name in self._slots]
-        self.install(np.concatenate(parts, dtype=np.float64) if parts else np.zeros(0))
+        self.install(np.concatenate(parts, out=self.spare()) if parts else np.zeros(0))
 
     def set_values(self, name, values):
         """Write a parameter's slot; the values must be finite and of its shape."""

@@ -184,7 +184,7 @@ def test_inner_update_leaves_no_parameter_referencing_a_tape():
 
 def test_train_step_frees_its_tape_before_clip_and_update(monkeypatch):
     # The tape holds every saved activation; at paper dims that is megabytes
-    # that clip and Adam's fresh arrays would otherwise sit on top of.
+    # that clip's scaled copy and Adam's new values would otherwise sit on top of.
     tapes, checked = [], []
 
     class RecordedTape(meta.Tape):

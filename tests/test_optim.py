@@ -1,4 +1,5 @@
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -233,6 +234,16 @@ def test_lr_must_be_positive():
     assert store["a"].values[0] == 1.0
 
 
+def textbook_adam(theta, m, v, grads, t, lr):
+    """Advance the name -> array maps theta, m and v by textbook Adam step t over grads' names."""
+    for name, g in grads.items():
+        m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+        v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m[name] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v[name] / (1.0 - ADAM_BETA2 ** t)
+        theta[name] = theta[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
 def _check_three_textbook_steps(store, make_grads, lr=0.01):
     """Run three Adam steps and compare each bit for bit with the textbook formula."""
     state = AdamState(store)
@@ -244,12 +255,8 @@ def _check_three_textbook_steps(store, make_grads, lr=0.01):
         grads_before = {name: g.copy() for name, g in grads.items()}
         adam_step(store, grads, state, lr=lr)
         state_m, state_v = moments(store, state)
-        for name, g in grads_before.items():
-            m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
-            v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = m[name] / (1.0 - ADAM_BETA1 ** t)
-            v_hat = v[name] / (1.0 - ADAM_BETA2 ** t)
-            theta[name] = theta[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        textbook_adam(theta, m, v, grads_before, t, lr)
+        for name in grads_before:
             assert np.array_equal(store[name].values, theta[name])
             assert np.array_equal(state_m[name], m[name])
             assert np.array_equal(state_v[name], v[name])
@@ -307,6 +314,61 @@ def test_adam_non_finite_update_in_second_block_keeps_old_values():
     for name, vals in old.items():
         assert store[name].values is vals
         assert np.array_equal(vals, old_copy[name])
+
+
+def test_adam_non_finite_step_into_the_retired_vector_installs_nothing():
+    # The failed step writes the vector the first step retired; the next
+    # step, over W alone, writes it again and must carry A over from the
+    # installed values, not from what the failed step left there.
+    rng = np.random.default_rng(15)
+    shapes = {"A": (4,), "W": (3, 5)}
+    store = make_store(**{name: rng.normal(size=shape) for name, shape in shapes.items()})
+    retired = weakref.ref(store.vector)
+    state = AdamState(store)
+    theta = {name: t.values.copy() for name, t in store.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    adam_step(store, grads, state, lr=0.01)
+    textbook_adam(theta, m, v, grads, 1, 0.01)
+    installed = store.vector
+    installed_copy = installed.copy()
+    bad = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    bad["W"][2, 1] = np.inf
+    with pytest.raises(NumericError, match="^non-finite update for parameter 'W'$"), \
+            np.errstate(invalid="ignore"):  # inf / inf in the step
+        adam_step(store, bad, AdamState(store), lr=0.01)
+    assert not np.isfinite(retired()).all()
+    assert store.vector is installed and np.array_equal(installed, installed_copy)
+    for name, t in store.items():
+        assert t.values.base is installed and np.array_equal(t.values, theta[name])
+    del installed
+    grads = {"W": rng.normal(size=shapes["W"])}
+    adam_step(store, grads, state, lr=0.01)
+    textbook_adam(theta, m, v, grads, 2, 0.01)
+    assert store.vector is retired()
+    state_m, state_v = moments(store, state)
+    for name in shapes:
+        assert np.array_equal(store[name].values, theta[name])
+        assert np.array_equal(state_m[name], m[name])
+        assert np.array_equal(state_v[name], v[name])
+
+
+@pytest.mark.parametrize("block", [2 ** 14, 2 ** 15])
+@pytest.mark.parametrize("split", [False, True], ids=["one", "two"])
+def test_adam_block_size_schedules_only(monkeypatch, block, split):
+    # 3 blocks of 2^15 values or 6 of 2^14, the last one partial: the results
+    # are the textbook's either way.
+    monkeypatch.setattr(optim, "ADAM_BLOCK", block)
+    monkeypatch.setattr(optim, "ADAM_SPLIT_BLOCKS", 2 if split else 7)
+    ranges = record_ranges(monkeypatch)
+    rng = np.random.default_rng(16)
+    shapes = {"W": (5, 2 ** 14), "b": (7,)}
+    store = make_store(**{name: rng.normal(size=shape) for name, shape in shapes.items()})
+    _check_three_textbook_steps(
+        store, lambda: {name: rng.normal(size=shape) for name, shape in shapes.items()})
+    assert len(ranges) == (6 if split else 3)
+    assert split_threads_alive() == []
 
 
 def test_adam_rejects_moments_whose_flat_view_would_copy():

@@ -1,10 +1,12 @@
 import hashlib
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
 from helpers import add_param
+from mkgd import tensor as T
 from mkgd.config import make_run_config
 from mkgd.data import build_vocab
 from mkgd.errors import ContractError, DataError
@@ -17,7 +19,7 @@ from mkgd.params import (
     save_checkpoint,
     split_checkpoint,
 )
-from mkgd.tensor import Tensor
+from mkgd.tensor import Tape, Tensor, backward
 
 
 def test_unique_names_enforced():
@@ -242,6 +244,68 @@ def test_store_without_seed_starts_at_zero():
     store.create("W", (3, 3))
     store.create("v", (2,), init="xavier")
     assert store.size == 11 and not store.vector.any()
+
+
+def two_param_store(rng):
+    store = ParamStore(0)
+    add_param(store, "W", rng.normal(size=(3, 2)))
+    add_param(store, "b", rng.normal(size=2))
+    return store
+
+
+@pytest.mark.parametrize("held", ["vector", "values", "tape"])
+def test_no_step_writes_a_values_array_that_anything_holds(held):
+    rng = np.random.default_rng(13)
+    store = two_param_store(rng)
+    tape = Tape()
+    tape.watch(store)
+    with tape:
+        loss = T.sum_(T.tanh(T.add(T.matmul(T.Tensor(rng.normal(size=(5, 3))), store["W"]),
+                                   store["b"])))
+    grads = backward(tape, loss)
+    kept = {"vector": store.vector, "values": store["W"].values, "tape": tape}[held]
+    if held != "tape":
+        del tape, loss  # the tape saved views of the vector too
+    saved = ([a for _, _, parts in kept.nodes for a in parts if isinstance(a, np.ndarray)]
+             if held == "tape" else [kept])
+    assert any(np.shares_memory(a, store.vector) for a in saved)
+    before = [a.copy() for a in saved]
+    state = AdamState(store)
+    for step in (lambda: adam_step(store, grads, state, lr=0.1),
+                 lambda: sgd_step(store, grads, lr=0.1)) * 2:
+        step()
+    # The third and fourth steps reuse a vector, never the held one.
+    assert not any(np.shares_memory(a, store.vector) for a in saved)
+    for a, copy in zip(saved, before):
+        assert np.array_equal(a, copy)
+    if held == "tape":
+        again = backward(kept, loss)
+        assert np.array_equal(again.flat, grads.flat)
+
+
+@pytest.mark.parametrize("step,covered", [("adam", "all"), ("adam", "W"), ("sgd", "all"),
+                                          ("sgd", "W"), ("restore", "all")])
+def test_with_nothing_held_a_step_installs_the_vector_the_last_one_retired(step, covered):
+    rng = np.random.default_rng(14)
+    store = two_param_store(rng)
+    grads = {name: rng.normal(size=t.shape) for name, t in store.items() if covered in ("all", name)}
+    snap = store.snapshot()
+    state = AdamState(store)
+    run = {"adam": lambda: adam_step(store, grads, state, lr=0.1),
+           "sgd": lambda: sgd_step(store, grads, lr=0.1),
+           "restore": lambda: store.restore(snap)}[step]
+    b = store["b"].values.copy()
+    first = weakref.ref(store.vector)
+    run()
+    second = weakref.ref(store.vector)
+    assert second() is not first()
+    run()
+    assert store.vector is first()
+    run()
+    assert store.vector is second()
+    assert_views_one_vector(store)
+    if covered == "W" or step == "restore":
+        assert np.array_equal(store["b"].values, b)
 
 
 # sha256 of save_checkpoint for a fresh desk-preset model (the vocabulary of
