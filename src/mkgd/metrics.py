@@ -119,7 +119,8 @@ class EvalReport:
 class Evaluator:
     """Accumulates generation/scoring results across (possibly adapted) models.
 
-    ``add`` scores its samples in one batched ``score`` call; ``generate`` runs per sample.
+    ``add`` scores its samples in one batched ``score`` call and decodes
+    them in one batched ``generate`` call.
     """
 
     def __init__(self, max_len=20):
@@ -134,10 +135,12 @@ class Evaluator:
     def add(self, model, samples):
         if not samples:
             return
-        for sample, (nll, tokens, prior) in zip(samples, model.score(samples)):
+        scores = model.score(samples)
+        generated = model.generate([s.history for s in samples], [s.graph for s in samples],
+                                   self.max_len)
+        for sample, (nll, tokens, prior), (hyp_ids, _) in zip(samples, scores, generated):
             self.nll_sum += nll
             self.token_sum += tokens
-            hyp_ids, _ = model.generate(sample.history, sample.graph, self.max_len)
             hyp = model.vocab.decode(hyp_ids)
             ref_ids = [i for i in sample.response if i != model.vocab.EOS]
             ref = model.vocab.decode(ref_ids)

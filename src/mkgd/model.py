@@ -14,9 +14,11 @@ run once per batch too, on (B, ·) rows, with a batch's smaller graphs
 padded and masked. ``forward`` and ``score`` take a sample batch, whose
 samples may come from many tasks; ``forward`` returns each sample's loss terms,
 so a caller batching several tasks summarises each task's rows with
-``SampleTerms.summary``. ``generate`` decodes one history greedily at batch
-size 1. Each of the three runs under one ``tensor.fp_trap``; only matmul and
-affine results are scanned.
+``SampleTerms.summary``. ``generate`` decodes a batch of histories greedily,
+encoded once and stepped together, each row to its own EOS; one history with
+one graph, as ``chat`` passes, is decoded as a batch of one. Each of the
+three runs under one ``tensor.fp_trap``; only matmul and affine results are
+scanned.
 
 Knowledge fusion is the deterministic weighted sum of triplet vectors:
 posterior-weighted during training, prior-weighted at inference and when
@@ -332,33 +334,50 @@ class DialogueModel:
         return T.affine(((rows, T.transpose(self.out_W)),), self.out_b)
 
     @T.fp_trap()
-    def generate(self, history, graph, max_len):
-        """Greedy decoding from BOS, stopping at EOS or max_len.
+    def generate(self, histories, graphs, max_len):
+        """Greedy decoding of a batch from BOS, each row stopping at its EOS or max_len.
 
+        Takes lists of histories and graphs and returns one (token ids,
+        selected triplet index) pair per row; one history with one
+        KnowledgeGraph is decoded as a batch of one and returns its pair.
         Inference-time knowledge comes from the prior (the response is not
-        available). Returns (token ids, selected triplet index).
+        available); a padded triplet's prior weight is exactly 0, so each
+        row's argmax is over its own graph. The batch is encoded once, and
+        every step advances all rows and picks each row's token with one
+        argmax; a finished row keeps stepping on PAD and its tokens are
+        dropped, and the loop ends when every row has finished.
         """
+        single = isinstance(graphs, KnowledgeGraph)
+        if single:
+            histories, graphs = [histories], [graphs]
         if max_len < 1:
             raise ContractError(f"max_len must be >= 1, got {max_len}")
-        encoded = self.encode([history], [graph])
+        if len(histories) != len(graphs):
+            raise ContractError(f"generate: {len(histories)} histories "
+                                f"for {len(graphs)} graphs")
+        encoded = self.encode(histories, graphs)
         fused = self.fuse_knowledge(encoded.knowledge.rows, encoded.prior)
-        selected = int(np.argmax(encoded.prior.values[0]))
+        selected = encoded.prior.values.argmax(axis=1).tolist()
 
         keys = self.att.prepare(encoded.history.states, encoded.history.lengths)
         mats = self.dec_cell.transposed()
         out_Wt = T.transpose(self.out_W)
-        hidden = self.dec_cell.initial_state(1)
-        prev = self.vocab.BOS
-        out = []
-        for _ in range(max_len):
-            hidden = self._decode_step([prev], hidden, keys, fused, mats)
-            logits = T.affine(((hidden, out_Wt),), self.out_b)
-            nxt = int(np.argmax(logits.values))
-            if nxt == self.vocab.EOS:
+        batch = len(histories)
+        hidden = self.dec_cell.initial_state(batch)
+        prev = np.full(batch, self.vocab.BOS)
+        tokens = np.zeros((batch, max_len), dtype=np.int64)
+        lengths = np.full(batch, max_len)  # max_len while a row runs
+        for t in range(max_len):
+            hidden = self._decode_step(prev, hidden, keys, fused, mats)
+            nxt = T.affine(((hidden, out_Wt),), self.out_b).values.argmax(axis=1)
+            lengths[(lengths == max_len) & (nxt == self.vocab.EOS)] = t
+            running = lengths == max_len
+            if not running.any():
                 break
-            out.append(nxt)
-            prev = nxt
-        return out, selected
+            tokens[:, t] = nxt
+            prev = np.where(running, nxt, self.vocab.PAD)
+        pairs = [(row[:n].tolist(), s) for row, n, s in zip(tokens, lengths, selected)]
+        return pairs[0] if single else pairs
 
     # -- objectives --------------------------------------------------------
 

@@ -171,12 +171,18 @@ def sgd_step(params, grads, lr):
 
 
 class AdamState:
-    """First/second moment vectors, laid out as the store, plus the shared step counter."""
+    """First/second moment vectors, laid out as the store, plus the shared step counter.
+
+    A step that fails after its checks, as on a non-finite update, leaves
+    the counter and the moments advanced; it marks the state spent, and
+    adam_step refuses a spent state.
+    """
 
     def __init__(self, params):
         self.t = 0
         self.m = np.zeros(params.size)
         self.v = np.zeros(params.size)
+        self.spent = False
 
 
 def _adam_range(params, flats, begin, end, b1t, b2t, lr, buf):
@@ -216,7 +222,8 @@ def adam_step(params, grads, state, lr):
     last step retired, when nothing else holds it), so no step writes a
     values array that anything still holds. The new values are
     finite-checked block by block and installed only when complete, so a
-    non-finite value installs nothing and names its parameter.
+    non-finite value installs nothing and names its parameter. Such a
+    failure leaves the state spent: its next step raises ContractError.
 
     A range of at least ADAM_SPLIT_BLOCKS blocks is split into two
     contiguous block ranges: a new thread updates the first while the
@@ -226,12 +233,15 @@ def adam_step(params, grads, state, lr):
     whichever thread computes it.
     """
     _check_lr(lr)
+    if state.spent:
+        raise ContractError("optimizer state is spent: an earlier adam_step with it failed")
     g, ranges = _flat_grads(params, grads)
     for moment in (state.m, state.v):
         if not (type(moment) is np.ndarray and moment.dtype == np.float64
                 and moment.shape == (params.size,) and moment.flags.c_contiguous):
             raise ContractError(f"optimizer state is not a C-contiguous float64 vector "
                                 f"of the store's {params.size} values")
+    state.spent = True  # until the new values are installed
     state.t += 1
     coeffs = (1.0 - ADAM_BETA1 ** state.t, 1.0 - ADAM_BETA2 ** state.t, lr)
     theta = params.vector
@@ -247,4 +257,5 @@ def adam_step(params, grads, state, lr):
         else:
             _adam_range(params, flats, lo, hi, *coeffs, buf)
     params.install(new)
+    state.spent = False
     return params, state

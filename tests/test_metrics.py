@@ -26,12 +26,12 @@ ONE_TRIPLET_PRIOR = np.array([1.0])
 
 
 class StubModel:
-    """The model interface Evaluator uses; generates empty responses."""
+    """The model interface Evaluator uses; generates an empty response for every sample."""
 
     vocab = Vocab([])
 
-    def generate(self, history, graph, max_len):
-        return [], 0
+    def generate(self, histories, graphs, max_len):
+        return [([], 0) for _ in histories]
 
 
 class RiggedScorer(StubModel):

@@ -497,6 +497,61 @@ def test_generate_needs_positive_max_len():
         model.generate([4], tiny_graph(), max_len=0)
 
 
+def rig_eos_after_x(model):
+    """Make a row whose history holds "x" end at EOS after a few tokens; others run to max_len.
+
+    Embedding column 0 flags "x"; state 0 of the forward history encoder
+    and of the decoder each take half of tanh(their flag input) per step, so
+    the decoder's state 0 grows only in rows whose (uniform) attention
+    context saw an "x". The EOS logit reads that state alone; every other
+    token keeps a tenth of its random output row, so the rest of the model,
+    knowledge included, still picks the tokens.
+    """
+    E, eos, x = model.embed_dim, model.vocab.EOS, model.vocab.encode(["x"])[0]
+    values = {name: model.store[name].values.copy() for name in model.store.names()}
+    values["model.embed.W"][:, 0] = 0.0
+    values["model.embed.W"][x, 0] = 1.0
+    for cell, column in (("model.enc.fwd", 0), ("model.dec", E)):
+        for name in ("W_z", "U_z", "b_z", "W_h", "U_h", "b_h"):
+            values[f"{cell}.{name}"][0] = 0.0
+        values[f"{cell}.W_h"][0, column] = 1.0
+    values["model.att.v"][:] = 0.0
+    out_W, out_b = values["model.out.W"], values["model.out.b"]
+    out_W *= 0.1
+    out_W[eos] = 0.0
+    out_W[eos, 0] = 300.0
+    out_b[:] = 1.0
+    out_b[eos] = -30.0
+    model.load_values(values)
+
+
+def test_generate_batch_equals_each_row_alone():
+    # Ragged histories and two distinct graphs of 2 and 3 triplets, the
+    # smaller shared by two rows: the knowledge is padded and masked. The
+    # middle row ends at EOS after two tokens and steps on PAD while the
+    # others run to max_len.
+    model = tiny_model(seed=0)
+    rig_eos_after_x(model)
+    vocab = model.vocab
+    two = tiny_graph()
+    three = KnowledgeGraph([KnowledgeTriplet("a", "r0", "x y"), KnowledgeTriplet("c", "r1", "b"),
+                            KnowledgeTriplet("y", "r0", "a")],
+                           DialogueGoal(("[start]", "a", "b")))
+    histories = [vocab.encode(h.split()) for h in ("a r0", "c x y a b r1", "b")]
+    graphs = [two, three, two]
+    batched = model.generate(histories, graphs, max_len=7)
+    assert [len(ids) for ids, _ in batched] == [7, 2, 7]
+    assert batched == [model.generate(h, g, max_len=7) for h, g in zip(histories, graphs)]
+
+
+def test_generate_batch_needs_one_graph_per_history():
+    model = tiny_model()
+    with pytest.raises(ContractError, match="2 histories for 1 graphs"):
+        model.generate([[4], [5]], [tiny_graph()], max_len=3)
+    with pytest.raises(ContractError, match="1 histories for 2 graphs"):
+        model.generate([[4]], [tiny_graph(), tiny_graph()], max_len=3)
+
+
 # ---------------------------------------------------------------------------
 # full forward / scoring
 

@@ -316,6 +316,23 @@ def test_adam_non_finite_update_in_second_block_keeps_old_values():
         assert np.array_equal(vals, old_copy[name])
 
 
+def test_adam_state_of_a_failed_step_is_spent():
+    # The failed step advanced the counter and left inf in the moments, so
+    # the state refuses a next step, however finite its gradient.
+    store = make_store(W=np.arange(6.0).reshape(2, 3))
+    installed = store.vector
+    installed_copy = installed.copy()
+    state = AdamState(store)
+    grads = np.ones((2, 3))
+    grads[1, 2] = np.inf
+    with pytest.raises(NumericError), np.errstate(invalid="ignore"):  # inf / inf in the step
+        adam_step(store, {"W": grads}, state, lr=0.01)
+    assert state.spent
+    with pytest.raises(ContractError, match="spent"):
+        adam_step(store, {"W": np.ones((2, 3))}, state, lr=0.01)
+    assert store.vector is installed and np.array_equal(installed, installed_copy)
+
+
 def test_adam_non_finite_step_into_the_retired_vector_installs_nothing():
     # The failed step writes the vector the first step retired; the next
     # step, over W alone, writes it again and must carry A over from the

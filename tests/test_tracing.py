@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from mkgd import data, meta
+from mkgd import data, meta, metrics
 from mkgd.config import RunConfig
 from mkgd.model import DialogueModel
 
@@ -56,13 +56,19 @@ def test_tracer_installs_and_uninstalls_every_span():
     assert all(after[key] is value for key, value in bindings.items())
 
 
-def test_a_training_step_and_a_reply_fire_every_expected_span_and_tape_counter(tmp_path):
-    tracing, workloads = load_tracing(), load_bench_module("workloads")
+def one_task_and_model(tmp_path, k_query):
+    """A task of the benchmark's pool, with 2 support and k_query query samples, and a small model."""
+    workloads = load_bench_module("workloads")
     pool = workloads.write_pool(tmp_path / "pool.jsonl", workloads.synth_pool(0, n_tasks=1))
     raw = data.load_task_pool(pool)
     vocab = data.build_vocab(data.raw_task_token_stream(raw), 200)
-    [task] = data.tasks_from_raw(raw, vocab, 2, 2, seed=0)
-    model = DialogueModel(vocab, 8, 8, seed=0)
+    [task] = data.tasks_from_raw(raw, vocab, 2, k_query, seed=0)
+    return task, DialogueModel(vocab, 8, 8, seed=0)
+
+
+def test_a_training_step_and_a_reply_fire_every_expected_span_and_tape_counter(tmp_path):
+    tracing, workloads = load_tracing(), load_bench_module("workloads")
+    task, model = one_task_and_model(tmp_path, 2)
     cfg = RunConfig(alpha=0.01, beta=0.01, k_support=2, k_query=2, inner_steps=1)
     sample = task.query[0]
 
@@ -77,6 +83,21 @@ def test_a_training_step_and_a_reply_fire_every_expected_span_and_tape_counter(t
     expected = workloads._MODEL_FORWARD + workloads._OPTIMIZER + ("model.generate",)
     assert [name for name in expected if not tracer.calls[name]] == []
     assert [name for name in tracing.TAPE_COUNTERS if not tracer.counts[name] > 0] == []
+
+
+def test_evaluator_add_decodes_and_scores_its_samples_in_one_call_each(tmp_path):
+    tracing = load_tracing()
+    task, model = one_task_and_model(tmp_path, 4)
+    assert len(task.query) >= 3
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        metrics.Evaluator(max_len=5).add(model, task.query)
+    finally:
+        tracer.uninstall()
+
+    assert (tracer.calls["model.generate"], tracer.calls["model.score"]) == (1, 1)
 
 
 def assert_matches(observed, expected, where="observation"):
