@@ -3,8 +3,8 @@
 All layers are pure functions of (parameters, inputs). Parameters live in a
 ParamStore and are registered under stable dotted names so checkpoints stay
 portable (e.g. "model.enc.fwd.W_z", "model.att.v"). gru_encode steps several
-GRUs in lockstep, their cells stacked along a leading axis, so a batch's
-encoders record one recurrence between them.
+GRUs in lockstep groups, each group's cells stacked along a leading axis, so
+a batch's encoders record one recurrence per group between them.
 """
 
 from __future__ import annotations
@@ -108,20 +108,24 @@ class Ragged:
 
 
 class GruStates(NamedTuple):
-    """Every state of gru_encode's runs, as the rows of one (steps * G * R, H) table.
+    """Every state of gru_encode's runs, as the rows of one table.
 
-    After step t, row r of run g holds its state at table row (t G + g) R + r.
+    Each lockstep group fills its own block of steps * G * R rows, after the
+    blocks of the groups before it. After step t, row r of a run holds its
+    state at table row start + t * stride + r, with the run's start and
+    stride from lockstep_layout.
     """
 
     table: Tensor
     lengths: tuple   # per run, an int array of its sequences' lengths
     reversed: tuple  # per run, whether it read each sequence from its last token
-    rows: int        # R, the largest row count of any run
+    starts: tuple    # per run, the table row of its row 0 after the first step
+    strides: tuple   # per run, the table rows between its steps: its group's G * R
 
     def at(self, run, rows, positions):
         """Table rows of the states after reading token `positions` (ints or arrays) of `rows`."""
         step = self.lengths[run][rows] - 1 - positions if self.reversed[run] else positions
-        return (step * len(self.lengths) + run) * self.rows + rows
+        return self.starts[run] + step * self.strides[run] + rows
 
     def finals(self, run):
         """Table rows of each sequence's final state, after its last token read."""
@@ -129,22 +133,33 @@ class GruStates(NamedTuple):
         return self.at(run, np.arange(len(lengths)), 0 if self.reversed[run] else lengths - 1)
 
 
-def gru_encode(embedding, runs):
-    """Step G GRU runs in lockstep, one step for every run's rows at once.
+def lockstep_layout(lengths):
+    """The lockstep groups of runs with these sequence lengths, and each run's table place.
 
-    embedding is the (V, E) token table and runs are (cell, sequences,
-    reversed) triples over cells of one shape; a reversed run reads each
-    sequence from its own last token. The cells are stacked once, with
-    stack_cells, and each step multiplies (G, R, E) inputs, R the largest
-    row count, so the whole encoding takes as many steps as the longest
-    sequence of any run. A row past its sequence's end, or past its run's
-    rows, reads token 0 and steps on; its later states are never read, so
-    no mask is needed. Read states with one gather of the returned
-    GruStates' table at GruStates.at or GruStates.finals.
+    The longest run, the one with the most rows among equally long ones,
+    sets a group's row count R, and every run with at most R rows steps in
+    its lockstep, padded to R rows and to the longest run's length. A run
+    with more rows than R is shorter than the longest, so it steps apart,
+    over its own length and rows; the runs left over are grouped by the
+    same rule. Returns (groups, starts, strides): the groups as lists of run
+    indices, in table order, and each run's GruStates start and stride.
     """
-    if not runs or not all(seqs and all(len(s) for s in seqs) for _, seqs, _ in runs):
-        raise ContractError("gru_encode on empty sequence")
-    lengths = tuple(np.array([len(s) for s in seqs]) for _, seqs, _ in runs)
+    groups, starts, strides = [], [0] * len(lengths), [0] * len(lengths)
+    rest, offset = list(range(len(lengths))), 0
+    while rest:
+        lead = max(rest, key=lambda run: (lengths[run].max(), len(lengths[run])))
+        R = len(lengths[lead])
+        group = [run for run in rest if len(lengths[run]) <= R]
+        rest = [run for run in rest if len(lengths[run]) > R]
+        for slot, run in enumerate(group):
+            starts[run], strides[run] = offset + slot * R, len(group) * R
+        offset += int(lengths[lead].max()) * len(group) * R
+        groups.append(group)
+    return groups, tuple(starts), tuple(strides)
+
+
+def _lockstep(embedding, runs, lengths):
+    """The (steps * G * R, H) states of G runs stepped together, R their largest row count."""
     G, R = len(runs), max(map(len, lengths))
     cell = stack_cells([c for c, _, _ in runs])
     # One ragged batch of G * R rows; a row past its run's rows has length 0.
@@ -158,8 +173,34 @@ def gru_encode(embedding, runs):
         x = T.reshape(T.gather(embedding, ids.reshape(-1)), (G, R, cell.input_dim))
         h = cell.step(x, h, mats)
         states.append(h)
-    table = T.reshape(T.stack(states), (len(states) * G * R, cell.hidden_dim))
-    return GruStates(table, lengths, tuple(rev for _, _, rev in runs), R)
+    return T.reshape(T.stack(states), (len(states) * G * R, cell.hidden_dim))
+
+
+def gru_encode(embedding, runs):
+    """Step GRU runs in lockstep groups, each step one for every row of a group at once.
+
+    embedding is the (V, E) token table and runs are (cell, sequences,
+    reversed) triples over cells of one shape; a reversed run reads each
+    sequence from its own last token. lockstep_layout groups the runs by
+    their row counts and lengths alone. A group's cells are stacked once,
+    with stack_cells, and each of its steps multiplies (G, R, E) inputs, R
+    its largest row count, as many steps as its longest sequence; when no
+    run has more rows than the longest one, that is one group. A row past
+    its sequence's end, or past its run's rows, reads token 0 and steps on;
+    its later states are never read, so no mask is needed. Read states with
+    one gather of the returned GruStates' table, which concatenates the
+    groups' states, at GruStates.at or GruStates.finals.
+    """
+    if not runs or not all(seqs and all(len(s) for s in seqs) for _, seqs, _ in runs):
+        raise ContractError("gru_encode on empty sequence")
+    if len({(c.input_dim, c.hidden_dim) for c, _, _ in runs}) > 1:
+        raise DimensionError("gru_encode: cells differ in input or hidden size")
+    lengths = tuple(np.array([len(s) for s in seqs]) for _, seqs, _ in runs)
+    groups, starts, strides = lockstep_layout(lengths)
+    tables = [_lockstep(embedding, [runs[i] for i in group], [lengths[i] for i in group])
+              for group in groups]
+    table = tables[0] if len(tables) == 1 else T.concat(tables)
+    return GruStates(table, lengths, tuple(rev for _, _, rev in runs), starts, strides)
 
 
 class AttentionKeys(NamedTuple):

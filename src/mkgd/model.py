@@ -7,11 +7,14 @@ three training losses (selection KL, token NLL, bag-of-words) whose sum is
 the training objective.
 
 Every encoder of a sample batch (history forward and backward, triplets,
-responses) steps in one lockstep recurrence, ``encode``, as many steps as
-the longest sequence of any of them. The decoder runs the whole batch one
-GRU step per position on (B, ·) matrices; selection, fusion and the losses
-run once per batch too, on (B, ·) rows, with a batch's smaller graphs
-padded and masked. ``forward`` and ``score`` take a sample batch, whose
+responses) steps in ``encode``'s one ``gru_encode``, in lockstep groups: the
+longest run and every run of at most its rows step together, as many steps
+as the longest sequence. A meta-training batch has fewer triplets than
+samples, so it steps in one group; a chat turn's one history steps as one
+row and its graph's triplets apart, over their own length. The decoder runs
+the whole batch one GRU step per position on (B, ·) matrices; selection,
+fusion and the losses run once per batch too, on (B, ·) rows, with a
+batch's smaller graphs padded and masked. ``forward`` and ``score`` take a sample batch, whose
 samples may come from many tasks; ``forward`` returns each sample's loss terms,
 so a caller batching several tasks summarises each task's rows with
 ``SampleTerms.summary``. ``generate`` decodes a batch of histories greedily,
@@ -224,12 +227,15 @@ class DialogueModel:
     # -- encoders ----------------------------------------------------------
 
     def encode(self, histories, graphs, responses=None):
-        """Every encoder of a sample batch as one lockstep gru_encode.
+        """Every encoder of a sample batch as one gru_encode, in lockstep groups.
 
         The runs are the history forward and backward, each distinct graph's
         triplets, found by identity, and, when responses are given, the
-        response encoder; encode_history, encode_knowledge and
-        encode_response read their results out of the shared states.
+        response encoder. gru_encode steps the triplets apart only when they
+        are shorter than the longest history or response and outnumber the
+        samples, as beside one chat history; encode_history,
+        encode_knowledge and encode_response read their results out of the
+        shared states with one gather each.
         """
         if not graphs or not all(isinstance(g, KnowledgeGraph) and len(g) for g in graphs):
             raise ContractError("encode needs non-empty knowledge graphs")

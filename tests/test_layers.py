@@ -17,6 +17,7 @@ from mkgd.layers import (
     build_gru_cell,
     build_mlp,
     gru_encode,
+    lockstep_layout,
     mlp_forward,
     stack_cells,
 )
@@ -221,15 +222,22 @@ def test_gru_encode_reversal_swaps_directions():
 def test_gru_encode_bidirectional_shapes():
     _, emb, fwd, bwd = make_encoder(hidden=3)
     states = gru_encode(emb, both_ways(fwd, bwd, [[1, 2, 3]]))
-    assert states.table.shape == (3 * 2 * 1, 3) and states.rows == 1
+    assert states.table.shape == (3 * 2 * 1, 3) and states.strides == (2, 2)
     assert finals(states, 0).shape == finals(states, 1).shape == (1, 3)
     states = gru_encode(emb, both_ways(fwd, bwd, [[1, 2, 3], [4], [5, 6]]))
-    assert states.table.shape == (3 * 2 * 3, 3) and states.rows == 3
+    assert states.table.shape == (3 * 2 * 3, 3) and states.strides == (6, 6)
     assert finals(states, 0).shape == finals(states, 1).shape == (3, 3)
-    # runs of different row counts step together, as many steps as the longest sequence
+    # runs of fewer rows than the longest step with it, as many steps as its longest sequence
     runs = both_ways(fwd, bwd, [[1, 2]]) + [(fwd, [[3], [4], [5, 6, 1, 2]], False)]
     states = gru_encode(emb, runs)
     assert states.table.shape == (4 * 3 * 3, 3)
+    assert states.starts == (0, 3, 6) and states.strides == (9, 9, 9)
+    assert finals(states, 0).shape == (1, 3) and finals(states, 2).shape == (3, 3)
+    # a shorter run of more rows steps apart: 4 steps of 2 one-row runs, then 2 steps of 3 rows
+    runs = both_ways(fwd, bwd, [[1, 2, 3, 4]]) + [(fwd, [[3], [4], [5, 6]], False)]
+    states = gru_encode(emb, runs)
+    assert states.table.shape == (4 * 2 * 1 + 2 * 1 * 3, 3)
+    assert states.starts == (0, 1, 8) and states.strides == (2, 2, 3)
     assert finals(states, 0).shape == (1, 3) and finals(states, 2).shape == (3, 3)
 
 
@@ -239,6 +247,10 @@ def test_gru_encode_rejects_cells_of_different_sizes():
     with pytest.raises(DimensionError):
         gru_encode(emb, [(build_gru_cell(store, "a", 3, 3), [[1]], False),
                          (build_gru_cell(store, "b", 3, 4), [[1]], False)])
+    # also when they would step in different lockstep groups
+    with pytest.raises(DimensionError):
+        gru_encode(emb, [(build_gru_cell(store, "c", 3, 3), [[1, 2, 3]], False),
+                         (build_gru_cell(store, "d", 3, 4), [[1], [2]], False)])
 
 
 def test_gru_encode_is_pure():
@@ -269,18 +281,41 @@ def ragged_runs(draw):
             for _ in range(draw(st.integers(1, 4)))]
 
 
+@given(ragged_runs())
+def test_lockstep_layout_groups_runs_under_the_longest_run(runs):
+    # The longest run, most rows first among equally long ones, sets R; every
+    # run left with at most R rows joins its group, in run order.
+    lengths = tuple(np.array(n) for n, _ in runs)
+    groups, _, _ = lockstep_layout(lengths)
+    rest = list(range(len(runs)))
+    for group in groups:
+        longest = max(max(lengths[run]) for run in rest)
+        R = max(len(lengths[run]) for run in rest if max(lengths[run]) == longest)
+        assert group == [run for run in rest if len(lengths[run]) <= R]
+        rest = [run for run in rest if run not in group]
+    assert rest == []
+    one_group = max(map(len, lengths)) == max(len(n) for n in lengths
+                                              if max(n) == max(map(max, lengths)))
+    assert (len(groups) == 1) == one_group
+
+
 @given(ragged_runs(), st.integers(0, 2))
 def test_ragged_readout_matches_per_element_formulas(runs, extra):
     # No GRU runs: the states' table rows depend only on the runs' layout.
-    G, R = len(runs), max(len(n) for n, _ in runs)
-    states = GruStates(None, tuple(np.array(n) for n, _ in runs),
-                       tuple(rev for _, rev in runs), R)
+    lengths = tuple(np.array(n) for n, _ in runs)
+    groups, starts, strides = lockstep_layout(lengths)
+    states = GruStates(None, lengths, tuple(rev for _, rev in runs), starts, strides)
 
     def index(run, row, position):
-        """Table row of a state, one element at a time."""
+        """Table row of a state, one element at a time: its group's block, then (t G + g) R + r."""
         n, rev = runs[run]
         step = n[row] - 1 - position if rev else position
-        return (step * G + run) * R + row
+        offset = 0
+        for group in groups:
+            G, R = len(group), max(len(runs[i][0]) for i in group)
+            if run in group:
+                return offset + (step * G + group.index(run)) * R + row
+            offset += max(max(runs[i][0]) for i in group) * G * R
 
     for run, (n, rev) in enumerate(runs):
         L = max(n) + extra
@@ -302,6 +337,42 @@ def test_ragged_readout_matches_per_element_formulas(runs, extra):
                                                for i, k in enumerate(n)]
 
 
+def _encode_nodes(group_steps):
+    """The nodes gru_encode records for lockstep groups stepping these many steps."""
+    per_group = Counter({"stack": 9 + 1, "reshape": 3 + 1, "transpose": 6})
+    per_step = Counter({"gather": 1, "reshape": 1, "affine": 3, "sigmoid": 2, "tanh": 1,
+                        "mul": 2, "sub": 1, "add": 1})
+    kinds = Counter()
+    for steps in group_steps:
+        kinds += per_group + Counter({k: n * steps for k, n in per_step.items()})
+    if len(group_steps) > 1:
+        kinds["concat"] = 1
+    return kinds
+
+
+@pytest.mark.parametrize("runs, group_steps", [
+    ([(0, [[1, 2, 3], [4]], False), (1, [[1, 2, 3], [4]], True)], [3]),
+    ([(0, [[1, 2, 3], [4]], False), (1, [[5, 6]], False)], [3]),
+    ([(0, [[1, 2, 3, 4]], False), (1, [[1, 2, 3, 4]], True), (0, [[5], [6, 1], [2]], False)],
+     [4, 2]),
+    ([(0, [[1, 2, 3, 4, 5]], False), (1, [[1], [2, 3]], True), (0, [[5], [6], [2], [3]], False)],
+     [5, 2, 1]),
+], ids=["one-group", "fewer-rows-step-along", "two-groups", "three-groups"])
+def test_gru_encode_records_one_recurrence_per_group(runs, group_steps):
+    # Each group's states are bit-equal to its runs encoded alone; one concat joins the groups.
+    store, emb, fwd, bwd = make_encoder(seed=13)
+    runs = [((fwd, bwd)[cell], seqs, rev) for cell, seqs, rev in runs]
+    tape = Tape()
+    tape.watch(store)
+    with tape:
+        states = gru_encode(emb, runs)
+    assert Counter(kind for kind, _, _ in tape.nodes if kind != "leaf") == _encode_nodes(group_steps)
+    groups, _, _ = lockstep_layout(states.lengths)
+    alone = np.concatenate([gru_encode(emb, [runs[i] for i in group]).table.values
+                            for group in groups])
+    assert np.array_equal(states.table.values, alone)
+
+
 def oracle_store(seed):
     """Embedding and two cells under the names the numpy reference reads."""
     store = ParamStore(seed)
@@ -311,21 +382,30 @@ def oracle_store(seed):
 
 
 # a forward run of three sequences, a reversed run of two and the first cell
-# again over one: three row counts, and every run ragged against the others
+# again over one: three row counts, and every run ragged against the others.
+# The longest run has two rows, so the three-row run steps in a group of its
+# own.
 ORACLE_RUNS = (("model.a", [[1, 2, 3, 4], [5], [0, 3, 1]], False),
                ("model.b", [[2, 4, 1], [3, 3, 5, 0, 1]], True),
                ("model.a", [[4, 4]], False))
+# the same cells and kinds of run, but the longest run has the most rows: one group
+ONE_GROUP_RUNS = (("model.a", [[1, 2, 3, 4], [5]], False),
+                  ("model.b", [[2, 4, 1], [3, 3, 5, 0, 1], [2]], True),
+                  ("model.a", [[4, 4]], False))
 
 
-def oracle_runs(cells):
-    return [(cells[prefix], seqs, rev) for prefix, seqs, rev in ORACLE_RUNS]
+def oracle_runs(cells, spec, groups):
+    runs = [(cells[prefix], seqs, rev) for prefix, seqs, rev in spec]
+    layout = lockstep_layout([np.array([len(s) for s in seqs]) for _, seqs, _ in runs])
+    assert len(layout[0]) == groups
+    return runs
 
 
-def test_gru_encode_states_match_numpy_gru_on_each_sequence_alone():
+def check_states_against_numpy(spec, groups):
     store, emb, a, b = oracle_store(41)
-    states = gru_encode(emb, oracle_runs({"model.a": a, "model.b": b}))
+    states = gru_encode(emb, oracle_runs({"model.a": a, "model.b": b}, spec, groups))
     P = store.snapshot()
-    for run, (prefix, seqs, rev) in enumerate(ORACLE_RUNS):
+    for run, (prefix, seqs, rev) in enumerate(spec):
         for row, seq in enumerate(seqs):
             want = helpers.np_gru_run(P, prefix, seq[::-1] if rev else seq, 4)
             if rev:
@@ -338,12 +418,20 @@ def test_gru_encode_states_match_numpy_gru_on_each_sequence_alone():
             assert np.allclose(finals(states, run)[row], final, rtol=1e-13, atol=1e-15)
 
 
-def test_gru_encode_stacked_cell_gradients_match_finite_differences():
+def test_gru_encode_states_match_numpy_gru_on_each_sequence_alone():
+    check_states_against_numpy(ORACLE_RUNS, groups=2)
+
+
+def test_gru_encode_states_in_one_group_match_numpy_gru():
+    check_states_against_numpy(ONE_GROUP_RUNS, groups=1)
+
+
+def check_gradients_against_finite_differences(spec, groups):
     # 3 random points; the loss reads every state of every sequence, so the
     # gradient reaches each stacked cell parameter and the shared embedding
     for point in range(3):
         store, emb, a, b = oracle_store(50 + point)
-        runs = oracle_runs({"model.a": a, "model.b": b})
+        runs = oracle_runs({"model.a": a, "model.b": b}, spec, groups)
         states = gru_encode(emb, runs)
         index = [states.at(run, row, p) for run, (_, seqs, _) in enumerate(runs)
                  for row, seq in enumerate(seqs) for p in range(len(seq))]
@@ -360,6 +448,14 @@ def test_gru_encode_stacked_cell_gradients_match_finite_differences():
         analytic = backward(tape, loss)
         numeric = finite_diff_grads(store, lambda: forward().item())
         assert_grads_close(analytic, numeric)
+
+
+def test_gru_encode_stacked_cell_gradients_match_finite_differences():
+    check_gradients_against_finite_differences(ORACLE_RUNS, groups=2)
+
+
+def test_gru_encode_one_group_gradients_match_finite_differences():
+    check_gradients_against_finite_differences(ONE_GROUP_RUNS, groups=1)
 
 
 # ---------------------------------------------------------------------------

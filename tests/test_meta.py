@@ -1,10 +1,11 @@
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from helpers import QuadraticModel, QuadSample, synth_tasks
-from mkgd.config import RunConfig
+from mkgd.config import RunConfig, make_run_config
 from mkgd.data import (
     SyntheticTaskSpec,
     build_vocab,
@@ -210,6 +211,34 @@ def test_train_step_frees_its_tape_before_clip_and_update(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # meta_batch_step
+
+
+def test_meta_batch_step_keeps_seven_store_sized_vectors_alive_at_each_step():
+    # At each install of new values, inner or meta, these store-sized vectors
+    # are alive: the values being retired; the new values (the spare, or a
+    # new vector at the first step); the gradient vector (backward's, or
+    # clip's scaled copy when the clip fires, backward's being freed then);
+    # the inner Adam m and v; the meta Adam m and v. numpy reports its data
+    # allocations to tracemalloc, not to gc, so live ones are counted there.
+    tracemalloc.start()
+    try:
+        tasks, vocab = synth_tasks(SyntheticTaskSpec(seed=2, n_samples=12), 2, 4, 6)
+        cfg = make_run_config("desk", overrides={"num_tasks": 2, "inner_steps": 2})
+        model = DialogueModel(vocab, cfg.embed_dim, cfg.hidden_dim, seed=2)
+        store, counts = model.store, []
+
+        def counted_install(vector, install=model.store.install):
+            traces = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]).traces
+            counts.append(sum(trace.size == store.size * 8 for trace in traces))
+            install(vector)
+
+        store.install = counted_install
+        meta_batch_step(model, tasks, cfg)
+    finally:
+        tracemalloc.stop()
+    assert (cfg.inner_optimizer, cfg.meta_optimizer) == ("adam", "adam")
+    assert counts == [7] * (2 * 2) + [7]  # two tasks' two inner steps, then the meta step
 
 
 def test_meta_step_sums_query_gradients():

@@ -821,9 +821,11 @@ def _sigmoid_nodes(run):
 
 
 def test_encoders_step_in_lockstep():
-    # A GRU step records two sigmoid nodes. Every encoder steps together, as
-    # many steps as the longest history, response or triplet; the decoder
-    # then steps as many as the longest response.
+    # A GRU step records two sigmoid nodes. The encoders step in lockstep
+    # groups: the longest history, response or triplet run and every run of
+    # at most its rows step together, as many steps as that longest run; a
+    # shorter run of more rows steps apart, as many steps as its own longest
+    # sequence. The decoder then steps as many as the longest response.
     model = tiny_model(seed=37)
     vocab = model.vocab
     long_triplet = KnowledgeGraph([KnowledgeTriplet("a b c", "r0", "x y a"),
@@ -836,6 +838,16 @@ def test_encoders_step_in_lockstep():
         "triplet": [tiny_sample(vocab, long_triplet, history="a", response="b"),
                     tiny_sample(vocab, tiny_graph(), history="x y", response="c a b")],
     }
+    # Each group's steps, for forward over the batch and for generate over its
+    # first sample. "history": 2 histories of up to 8 tokens, 3 triplets of 3;
+    # the first sample alone is 1 history of 8 beside 2 triplets. "response":
+    # 1 response of 8, 2 triplets of 3; generate reads no response, so its 2
+    # triplets are the longest run and the 1-token history steps with them.
+    # "triplet": 4 triplets of up to 7 tokens are the longest run and have the
+    # most rows.
+    group_steps = {"history": ((8, 3), (8, 3)),
+                   "response": ((8, 3), (3,)),
+                   "triplet": ((7,), (7,))}
     for longest, samples in batches.items():
         lengths = {
             "history": max(len(s.history) for s in samples),
@@ -844,14 +856,66 @@ def test_encoders_step_in_lockstep():
                            for s in samples for t in s.graph.triplets),
         }
         assert max(lengths, key=lengths.get) == longest
+        forward_steps, generate_steps = group_steps[longest]
+        assert forward_steps[0] == max(lengths.values())
         assert _sigmoid_nodes(lambda: model.forward(samples)) == \
-            2 * (max(lengths.values()) + lengths["response"]), longest
+            2 * (sum(forward_steps) + lengths["response"]), longest
         # generate runs the history and triplet encoders only, then one decoder step
         sample = samples[0]
-        encoder_steps = max(len(sample.history), max(len(vocab.encode(t.tokens()))
-                                                     for t in sample.graph.triplets))
         assert _sigmoid_nodes(lambda: model.generate(sample.history, sample.graph, 1)) == \
-            2 * (encoder_steps + 1), longest
+            2 * (sum(generate_steps) + 1), longest
+
+
+def four_triplet_graph():
+    """Four triplets of 3 or 4 tokens."""
+    triplets = [KnowledgeTriplet(h, r, t) for h, r, t in
+                (("a", "r0", "b"), ("b", "r1", "c"), ("c", "r0", "x y"), ("x", "r1", "a"))]
+    return KnowledgeGraph(triplets, DialogueGoal(("[start]", "a", "b")))
+
+
+def test_chat_shaped_encode_steps_its_graph_apart():
+    # One history longer than any triplet, beside a graph of 4: the history
+    # runs step as one row, and the 4 triplets apart, over their own length.
+    model = tiny_model(seed=43, hidden=4)
+    vocab, graph = model.vocab, four_triplet_graph()
+    history = vocab.encode("a r0 b c x y a b c r1".split())
+    triplet_steps = max(len(vocab.encode(t.tokens())) for t in graph.triplets)
+    assert len(history) == 10 and triplet_steps == 4
+    assert _sigmoid_nodes(lambda: model.encode([history], [graph])) == \
+        2 * (len(history) + triplet_steps)
+    # the same history repeated to 4 rows has as many rows as the triplets: one lockstep
+    assert _sigmoid_nodes(lambda: model.encode([history] * 4, [graph] * 4)) == 2 * len(history)
+    alone = model.encode([history], [graph])
+    padded = model.encode([history] * 4, [graph] * 4)
+    for got, want in ((alone.history.states, padded.history.states),
+                      (alone.history.summary, padded.history.summary),
+                      (alone.knowledge.rows, padded.knowledge.rows),
+                      (alone.prior, padded.prior)):
+        assert np.allclose(got.values[0], want.values[0], rtol=1e-12, atol=0)
+    ids, selected = model.generate(history, graph, 6)
+    assert len(ids) == 6  # no EOS: every step's token is compared
+    assert model.generate([history] * 4, [graph] * 4, 6) == [(ids, selected)] * 4
+
+
+def test_training_shaped_batch_encodes_in_one_lockstep():
+    # 8 histories and responses beside one graph of 4 triplets: no run has
+    # more rows than the longest, so every encoder steps in one recurrence.
+    model = tiny_model(seed=47)
+    vocab, graph = model.vocab, four_triplet_graph()
+    texts = [("a r0", "b c"), ("b r1 c x", "c a"), ("x y", "a x y b"), ("c a", "y"),
+             ("r1 b a", "b b"), ("a a", "c c"), ("y", "x"), ("b c x y a b", "a b")]
+    samples = [tiny_sample(vocab, graph, history=h, response=r) for h, r in texts]
+    histories = [s.history for s in samples]
+    responses = [s.response for s in samples]
+    longest = max(map(len, histories + responses))
+    assert longest == 6
+    tape = T.Tape()
+    with tape:
+        model.encode(histories, [graph] * 8, responses)
+    kinds = [kind for kind, _, _ in tape.nodes]
+    assert kinds.count("concat") == 0 and kinds.count("sigmoid") == 2 * longest
+    assert _sigmoid_nodes(lambda: model.forward(samples)) == \
+        2 * (longest + max(map(len, responses)))
 
 
 def test_overfit_single_sample_decreases_nll_and_bow():
