@@ -176,6 +176,7 @@ def meta_batch_step(model, batch, cfg, meta_state=None):
     # The tasks share one inner optimizer state, which inner_update steps in place.
     inner_state = _make_state(cfg.inner_optimizer, model.store)
     support = [inner_update(model, task, cfg, inner_state)[2] for task in batch]
+    del inner_state  # free the inner Adam moments before the meta step's backward and Adam
     meta_loss, query = _train_step(model, lambda: _query_objective(model, batch),
                                    cfg.meta_optimizer, meta_state, cfg.beta, cfg.clip_norm)
     tasks = [{"task_id": task.task_id, "support": s, "query": q}

@@ -551,16 +551,20 @@ def _owned(ig, g):
 
 
 class Gradients(dict):
-    """Parameter name -> gradient, each a view of `flat`, one vector laid out as `store`.
+    """Parameter name -> gradient Tensor, each a view of `flat`, one vector laid out as `store`.
 
-    backward returns one of Tensors, clip_global_norm one of arrays; the
-    optimizers read `flat` whole when `store` is the store they update.
+    backward returns one; clip_global_norm returns one over the same
+    vector, with the global `norm` and, when the clip fires, the `scale`.
+    The gradient an optimizer applies is `flat`, times `scale` when it is
+    set; the optimizers take it only for the store they update.
     """
 
-    def __init__(self, store, flat, grads):
+    def __init__(self, store, flat, grads, norm=None, scale=None):
         super().__init__(grads)
         self.store = store
         self.flat = flat
+        self.norm = norm
+        self.scale = scale
 
 
 def backward(tape, loss):

@@ -18,6 +18,19 @@ def add_param(store, name, values):
     return tensor
 
 
+def gradients(store, values):
+    """A Gradients over store from a name -> array map of every parameter's gradient.
+
+    The arrays are copied into one vector laid out as the store, and each
+    name maps to a Tensor viewing its slot, as backward returns them.
+    """
+    flat = np.empty(store.size)
+    views = store.views(flat)
+    for name, view in views.items():
+        view[...] = values[name]
+    return T.Gradients(store, flat, {name: T.Tensor(view) for name, view in views.items()})
+
+
 def synth_tasks(spec, n_tasks, k_support=8, k_query=14):
     """Seeded synthetic tasks split into support/query, with their vocabulary."""
     raw = synth_raw_tasks(spec, n_tasks)

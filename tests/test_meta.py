@@ -213,13 +213,13 @@ def test_train_step_frees_its_tape_before_clip_and_update(monkeypatch):
 # meta_batch_step
 
 
-def test_meta_batch_step_keeps_seven_store_sized_vectors_alive_at_each_step():
+def test_meta_batch_step_keeps_seven_store_sized_vectors_alive_then_five_at_the_meta_step():
     # At each install of new values, inner or meta, these store-sized vectors
     # are alive: the values being retired; the new values (the spare, or a
-    # new vector at the first step); the gradient vector (backward's, or
-    # clip's scaled copy when the clip fires, backward's being freed then);
-    # the inner Adam m and v; the meta Adam m and v. numpy reports its data
-    # allocations to tracemalloc, not to gc, so live ones are counted there.
+    # new vector at the first step); backward's gradient vector, which clip
+    # leaves unwritten; the meta Adam m and v; and, at the inner steps only,
+    # the inner Adam m and v, dropped before the meta step. numpy reports its
+    # data allocations to tracemalloc, not to gc, so live ones are counted there.
     tracemalloc.start()
     try:
         tasks, vocab = synth_tasks(SyntheticTaskSpec(seed=2, n_samples=12), 2, 4, 6)
@@ -238,7 +238,7 @@ def test_meta_batch_step_keeps_seven_store_sized_vectors_alive_at_each_step():
     finally:
         tracemalloc.stop()
     assert (cfg.inner_optimizer, cfg.meta_optimizer) == ("adam", "adam")
-    assert counts == [7] * (2 * 2) + [7]  # two tasks' two inner steps, then the meta step
+    assert counts == [7] * (2 * 2) + [5]  # two tasks' two inner steps, then the meta step
 
 
 def test_meta_step_sums_query_gradients():
