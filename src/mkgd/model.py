@@ -445,17 +445,8 @@ class DialogueModel:
         return twin
 
     def load_values(self, arrays):
-        """Install checkpointed arrays; names and shapes must match exactly."""
-        mine = set(self.store.names())
-        theirs = set(arrays.keys())
-        if mine != theirs:
-            missing = sorted(mine - theirs)
-            extra = sorted(theirs - mine)
-            raise ContractError(
-                f"checkpoint does not match model (missing {missing[:3]}, extra {extra[:3]})"
-            )
-        for name, vals in arrays.items():
-            self.store.set_values(name, vals)
+        """Restore checkpointed arrays; names and shapes must be the store's."""
+        self.store.restore(arrays)
 
 
 def infer_dims(arrays):

@@ -3,20 +3,19 @@
 A ParamStore lays its parameters out back to back, in creation order, in
 one contiguous vector, and each parameter's Tensor values are a C-ordered
 view of its slot. So an optimizer step, a snapshot or a restore works on
-one array. A step or a restore installs a new vector and re-points every
-view at it. It writes the vector the last install retired when nothing
-else holds it (``spare``), else a new one, so no step writes a values array
-that anything still holds; ``set_values`` writes its parameter's slot.
-Values are drawn straight into their views:
-parameters created inside ``building()`` share one allocation, and a lone
-``create`` grows the vector by a copy.
+one array. A store is built once: every parameter is created inside one
+``building()``, which allocates the vector and draws the values straight
+into their views. After that, every write installs a whole new vector and
+re-points every view at it. It writes the vector the last install retired
+when nothing else holds it (``spare``), else a new one, so no step writes
+a values array that anything still holds.
 
 Checkpoint layout (binary, little-endian): the magic bytes ``MKGD1``, a u32
 entry count, then per entry a u32 name length, the UTF-8 name, a u32 rank,
 ``rank`` u32 shape dims, and the row-major float64 payload. Round-trips are
-bit-exact. A non-finite value marks a corrupt file, since ``set_values``
-never stores one; ``load_checkpoint`` rejects it. Entries under the
-``/adam/`` name prefix, written by older versions, are optimizer state;
+bit-exact. A non-finite value marks a corrupt file, since the optimizers
+install no non-finite value; ``load_checkpoint`` rejects it. Entries under
+the ``/adam/`` name prefix, written by older versions, are optimizer state;
 ``split_checkpoint`` sets them apart.
 """
 
@@ -30,7 +29,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractError, DataError, NumericError
+from .errors import ContractError, DataError
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"MKGD1"
@@ -56,11 +55,13 @@ class ParamStore:
         self._building = False
 
     def create(self, name, shape, init="uniform"):
-        """Create and register a parameter.
+        """Create and register a parameter; only inside ``building()``.
 
         init: "uniform" (recurrent weights and embeddings, +-0.08),
         "xavier" (projection matrices), or "zeros" (biases).
         """
+        if not self._building:
+            raise ContractError("parameters are created inside building()")
         if name in self._entries:
             raise ContractError(f"duplicate parameter name {name!r}")
         if init not in ("uniform", "xavier", "zeros"):
@@ -72,20 +73,17 @@ class ParamStore:
         self._size += placeholder.size
         self._slots[name] = (start, self._size, shape)
         self._pending.append((name, init))
-        if not self._building:
-            self._draw()
         return t
 
     @contextmanager
     def building(self):
-        """Create parameters inside; on leaving, grow the vector once and draw them.
+        """Create every parameter inside; on leaving, allocate the vector and draw them.
 
-        Draws follow creation order, so the values are bit-equal to creating
-        the parameters one at a time. Inside, a new parameter holds zeros of
-        its shape that are not part of the vector.
+        A store is built once. Draws follow creation order. Inside, a new
+        parameter holds zeros of its shape that are not part of the vector.
         """
-        if self._building:
-            raise ContractError("building() does not nest")
+        if self._building or self._entries:
+            raise ContractError("a store is built once, by one building()")
         self._building = True
         try:
             yield self
@@ -94,13 +92,12 @@ class ParamStore:
             self._draw()
 
     def _draw(self):
-        """Grow the vector to every created parameter, then draw the pending ones in order.
+        """Allocate the vector for every created parameter, then draw them in order.
 
         Adjacent parameters of one bound are drawn as one range: the
         generator fills values in order either way.
         """
         vector = np.zeros(self._size)
-        vector[: self._vector.size] = self._vector
         runs = []  # [start, stop, bound] of ranges to draw
         for name, init in self._pending:
             if init == "zeros" or self._rng is None:
@@ -128,12 +125,6 @@ class ParamStore:
     def __getitem__(self, name):
         return self._entries[name]
 
-    def __contains__(self, name):
-        return name in self._entries
-
-    def __len__(self):
-        return len(self._entries)
-
     @property
     def size(self):
         """The number of values in every parameter together."""
@@ -144,16 +135,8 @@ class ParamStore:
         """The one vector every parameter's values view."""
         return self._vector
 
-    def names(self):
-        return list(self._entries.keys())
-
     def items(self):
         return self._entries.items()
-
-    def slot(self, name):
-        """(start, stop) of a parameter's values in the vector."""
-        start, stop, _ = self._slots[name]
-        return start, stop
 
     def views(self, vector):
         """Name -> that parameter's slot of a vector laid out as this store, as a view."""
@@ -196,25 +179,23 @@ class ParamStore:
         """Name -> values, views of one copy of the vector; independent of later training steps."""
         return self.views(self._vector.copy())
 
-    def restore(self, snap):
-        """Install one copy of a snapshot's values."""
-        if set(snap.keys()) != set(self._entries.keys()):
-            raise ContractError("snapshot names do not match store entries")
-        for name, (_, _, shape) in self._slots.items():
-            if snap[name].shape != shape:
-                raise ContractError(f"snapshot shape mismatch for {name!r}")
-        parts = [snap[name].reshape(-1) for name in self._slots]
-        self.install(np.concatenate(parts, out=self.spare()) if parts else np.zeros(0))
+    def restore(self, arrays):
+        """Install one copy of name -> values, as a snapshot or a checkpoint holds them.
 
-    def set_values(self, name, values):
-        """Write a parameter's slot; the values must be finite and of its shape."""
-        t = self._entries[name]
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != t.values.shape:
-            raise ContractError(f"shape mismatch for parameter {name!r}")
-        if not np.all(np.isfinite(values)):
-            raise NumericError(f"non-finite update for parameter {name!r}")
-        t.values[...] = values
+        The names and shapes must be the store's. The values are not checked
+        for finiteness: a snapshot comes from the store, and a checkpoint's
+        arrays have passed ``load_checkpoint``.
+        """
+        if arrays.keys() != self._slots.keys():
+            missing = sorted(self._slots.keys() - arrays.keys())
+            extra = sorted(arrays.keys() - self._slots.keys())
+            raise ContractError(f"parameter names do not match the store "
+                                f"(missing {missing[:3]}, extra {extra[:3]})")
+        for name, (_, _, shape) in self._slots.items():
+            if arrays[name].shape != shape:
+                raise ContractError(f"shape mismatch for parameter {name!r}")
+        parts = [arrays[name].reshape(-1) for name in self._slots]
+        self.install(np.concatenate(parts, out=self.spare()) if parts else np.zeros(0))
 
 
 def save_checkpoint(path, store):

@@ -596,8 +596,6 @@ def backward(tape, loss):
     if loss.values.size != 1:
         raise ContractError(f"loss must be a scalar, got shape {loss.shape}")
     store = tape.store
-    if store is not None and len(store) != len(tape.watched):
-        raise ContractError("the watched store gained parameters after watch()")
     flat = np.zeros(0 if store is None else store.size)
     views = {} if store is None else store.views(flat)
     slots = {nid: views[name] for name, nid in tape.watched.items()}

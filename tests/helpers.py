@@ -10,12 +10,19 @@ from mkgd.params import ParamStore
 from mkgd import tensor as T
 
 
-def add_param(store, name, values):
-    """Register a parameter holding a copy of values: create, then set_values."""
-    values = np.array(values, dtype=np.float64)
-    tensor = store.create(name, values.shape, init="zeros")
-    store.set_values(name, values)
-    return tensor
+def store_of(values):
+    """A built store holding a copy of each name -> values entry, in that order.
+
+    One zero parameter per name is created inside one building(), then
+    restore installs the values.
+    """
+    arrays = {name: np.asarray(v, dtype=np.float64) for name, v in values.items()}
+    store = ParamStore(None)
+    with store.building():
+        for name, a in arrays.items():
+            store.create(name, a.shape, init="zeros")
+    store.restore(arrays)
+    return store
 
 
 def gradients(store, values):
@@ -45,7 +52,7 @@ def finite_diff_grads(store, loss_fn, h=1e-5, names=None):
     values (no recording needed).
     """
     grads = {}
-    for name in (names if names is not None else store.names()):
+    for name in (names if names is not None else [name for name, _ in store.items()]):
         t = store[name]
         flat = t.values.reshape(-1)
         g = np.zeros(flat.size)
@@ -201,8 +208,8 @@ class QuadraticModel:
     vocab = ("theta",)
 
     def __init__(self, theta=1.0):
-        self.store = ParamStore(0)
-        self.theta = add_param(self.store, "theta", [float(theta)])
+        self.store = store_of({"theta": [float(theta)]})
+        self.theta = self.store["theta"]
 
     def forward(self, samples):
         """(Recorded (B,) losses, their SampleTerms), the whole loss counted as nll."""

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import add_param
+from helpers import store_of
 from mkgd import cli
 from mkgd.config import FIELD_TYPES, PRESETS, RunConfig, make_run_config
 from mkgd.data import (
@@ -26,7 +26,7 @@ from mkgd.data import (
 from mkgd.meta import supervised_train
 from mkgd.model import DialogueModel
 from mkgd.optim import ADAM_BLOCK
-from mkgd.params import ParamStore, load_checkpoint, save_checkpoint, split_checkpoint
+from mkgd.params import load_checkpoint, save_checkpoint, split_checkpoint
 
 
 def run_cli(*argv):
@@ -192,7 +192,7 @@ def test_meta_train_zero_episodes_checkpoint_is_initialization(tmp_path):
     raw = load_task_pool(pool)
     vocab = build_vocab(raw_task_token_stream(raw), 200)
     fresh = DialogueModel(vocab, 8, 8, seed=7)
-    assert set(params) == set(fresh.store.names())
+    assert set(params) == {name for name, _ in fresh.store.items()}
     for name, vals in params.items():
         assert np.array_equal(vals, fresh.store[name].values)
     assert adam == {}  # no optimizer state is written
@@ -547,12 +547,8 @@ def test_adapt_eval_unwritable_report_exits_2_before_adapting(tmp_path, capsys, 
 
 def rigged_chat_model(tmp_path):
     vocab = build_vocab(["hello", "there", "e0", "e1", "r0"], 50)
-    model = DialogueModel(vocab, 4, 4, seed=0)
-    for name in model.store.names():
-        model.store.set_values(name, np.zeros_like(model.store[name].values))
-    bias = np.zeros(len(vocab))
-    bias[vocab.EOS] = 50.0
-    model.store.set_values("model.out.b", bias)
+    model = DialogueModel(vocab, 4, 4, seed=None)  # every weight zero
+    model.store["model.out.b"].values[vocab.EOS] = 50.0
     ckpt = tmp_path / "chat.ckpt"
     vpath = tmp_path / "chat.vocab"
     save_checkpoint(ckpt, model.store)
@@ -603,12 +599,10 @@ def test_chat_turn_holding_a_form_feed_gets_one_reply(tmp_path, capsys, monkeypa
 def test_checkpoint_with_adam_entries_still_loads(tmp_path, capsys, monkeypatch):
     # Checkpoints from older meta-train runs carry '/adam/' optimizer state.
     ckpt, vpath, graph = rigged_chat_model(tmp_path)
-    store = ParamStore(0)
-    for name, vals in load_checkpoint(ckpt).items():
-        add_param(store, name, vals)
-    add_param(store, "/adam/t", [3.0])
-    add_param(store, "/adam/m/model.out.b", np.zeros_like(store["model.out.b"].values))
-    save_checkpoint(ckpt, store)
+    arrays = load_checkpoint(ckpt)
+    arrays["/adam/t"] = [3.0]
+    arrays["/adam/m/model.out.b"] = np.zeros_like(arrays["model.out.b"])
+    save_checkpoint(ckpt, store_of(arrays))
     feed_stdin(monkeypatch, b"hello\n")
     code = run_cli("chat", "--checkpoint", str(ckpt), "--vocab", str(vpath),
                    "--graph", str(graph))
@@ -620,17 +614,16 @@ GOAL = ["[start]", "e0", "e1"]
 
 
 def replace_checkpoint_entry(ckpt, name, values):
-    """Rewrite a checkpoint with one entry's values swapped, bypassing set_values."""
-    store = ParamStore(0)
-    for key, vals in load_checkpoint(ckpt).items():
-        add_param(store, key, vals)
-    store[name].values = np.array(values, dtype=np.float64)
-    save_checkpoint(ckpt, store)
+    """Rewrite a checkpoint with one entry's values swapped, or the entry dropped if None."""
+    arrays = load_checkpoint(ckpt)
+    arrays[name] = values
+    save_checkpoint(ckpt, store_of({k: v for k, v in arrays.items() if v is not None}))
 
 
 @pytest.mark.parametrize("case", ["truncated-checkpoint", "graph-without-goal",
                                   "two-field-triplet", "sample-without-response",
                                   "rank-0-projection", "nan-checkpoint",
+                                  "missing-entry-checkpoint", "short-entry-checkpoint",
                                   "negative-embed-dim-flag", "zero-hidden-dim-flag",
                                   "negative-embed-dim-config", "zero-support-size",
                                   "nan-alpha-flag", "inf-beta-flag", "nan-w-kl-flag",
@@ -658,6 +651,7 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
                "--log-out", str(tmp_path / "out.csv")]
     meta_train = ["meta-train", "--pool", str(pool), *outputs]
     where = None  # the file (and line) the error must name, for the cases that check it
+    entry = None  # the checkpoint entry the error must name, for the cases that check it
     if case.startswith(("blank-", "empty-")) and "-pool-" in case:
         field = {"blank-triplet": [" ", " ", " "], "empty-relation": ["e0", "", "e1"],
                  "blank-tail": ["e0", "r0", " "]}[case.split("-pool-")[0]]
@@ -702,6 +696,12 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
         replace_checkpoint_entry(ckpt, "model.enc.proj.W", 0.5)
     elif case == "nan-checkpoint":
         replace_checkpoint_entry(ckpt, "model.out.b", np.full(len(Vocab.load(vpath)), np.nan))
+    elif case == "missing-entry-checkpoint":
+        entry = "'model.att.v'"
+        replace_checkpoint_entry(ckpt, "model.att.v", None)
+    elif case == "short-entry-checkpoint":
+        entry = "'model.out.b'"
+        replace_checkpoint_entry(ckpt, "model.out.b", np.zeros(len(Vocab.load(vpath)) - 1))
     elif case == "negative-embed-dim-flag":
         argv = meta_train + MINI_TRAIN_FLAGS + ["--embed-dim", "-1"]
     elif case == "zero-hidden-dim-flag":
@@ -743,6 +743,8 @@ def test_malformed_input_exits_2_with_one_line_error(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("error: "), err
     if where:
         assert err[0].startswith(f"error: {where}: "), err
+    if entry:
+        assert entry in err[0], err
     for name in ("out.ckpt", "out.vocab", "out.csv"):
         assert not (tmp_path / name).exists(), name
 

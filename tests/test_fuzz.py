@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import add_param
+from helpers import store_of
 from mkgd.cli import INPUT_ERRORS
 from mkgd.config import RunConfig, make_run_config
 from mkgd.data import (
@@ -26,7 +26,7 @@ from mkgd.data import (
     synth_raw_tasks,
     tokenize,
 )
-from mkgd.params import ParamStore, load_checkpoint, save_checkpoint
+from mkgd.params import load_checkpoint, save_checkpoint
 
 NON_UTF8_PREFIXES = (b"\xff\xfe", b"\xfe\xff", b"\x80", b"\xc3\x28", b"\xed\xa0\x80")
 
@@ -54,10 +54,11 @@ def mutate(data, mutations):
 
 
 def write_checkpoint(path):
-    store = ParamStore(0)
-    add_param(store, "model.embed.W", np.arange(6.0).reshape(2, 3))
-    add_param(store, "model.out.b", [0.5, -1.0, 2.0])
-    add_param(store, "scalar", 4.0)
+    store = store_of({
+        "model.embed.W": np.arange(6.0).reshape(2, 3),
+        "model.out.b": [0.5, -1.0, 2.0],
+        "scalar": 4.0,
+    })
     save_checkpoint(path, store)
 
 

@@ -26,8 +26,9 @@ from mkgd.tensor import Tape, Tensor, backward
 
 
 def set_all(store, names_to_values):
+    """Write each named parameter's values in place."""
     for name, vals in names_to_values.items():
-        store.set_values(name, np.asarray(vals, dtype=np.float64))
+        store[name].values[...] = vals
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +37,9 @@ def set_all(store, names_to_values):
 
 def test_embedding_rejects_out_of_range():
     store = ParamStore(0)
-    embed = store.create("emb.W", (6, 3), init="uniform")
-    cell = build_gru_cell(store, "g", 3, 2)
+    with store.building():
+        embed = store.create("emb.W", (6, 3), init="uniform")
+        cell = build_gru_cell(store, "g", 3, 2)
     with pytest.raises(VocabError):
         gru_encode(embed, [(cell, [[6]], False)])
     with pytest.raises(VocabError):
@@ -50,7 +52,8 @@ def test_embedding_rejects_out_of_range():
 
 def test_gru_step_matches_hand_evaluated_gates():
     store = ParamStore(0)
-    cell = build_gru_cell(store, "g", 2, 2)
+    with store.building():
+        cell = build_gru_cell(store, "g", 2, 2)
     W_z = [[0.5, -0.3], [0.1, 0.2]]
     U_z = [[0.1, 0.0], [0.0, 0.1]]
     b_z = [0.1, -0.1]
@@ -87,10 +90,9 @@ def test_gru_step_matches_hand_evaluated_gates():
 
 
 def test_gru_zero_weights_zero_input_is_fixed_map():
-    store = ParamStore(0)
-    cell = build_gru_cell(store, "g", 2, 2)
-    for name in store.names():
-        store.set_values(name, np.zeros_like(store[name].values))
+    store = ParamStore(None)  # every weight zero
+    with store.building():
+        cell = build_gru_cell(store, "g", 2, 2)
     h = cell.step(Tensor([[0.0, 0.0], [0.0, 0.0]]), Tensor([[1.0, 2.0], [-4.0, 0.0]]),
                   cell.transposed()).values
     # z = r = 0.5, candidate = 0 -> h' = 0.5 h
@@ -110,9 +112,10 @@ def composed_step(cell, x, h, mats):
 def test_gru_step_is_bit_equal_to_the_matmul_and_add_composition(stacked):
     rng = np.random.default_rng(8)
     store = ParamStore(3)
-    cells = [build_gru_cell(store, f"g{i}", 4, 3) for i in range(2)]
-    for name in store.names():  # non-zero biases, so the bias gradients are tested too
-        store.set_values(name, rng.normal(size=store[name].shape) * 0.7)
+    with store.building():
+        cells = [build_gru_cell(store, f"g{i}", 4, 3) for i in range(2)]
+    for _, t in store.items():  # non-zero biases, so the bias gradients are tested too
+        t.values[...] = rng.normal(size=t.shape) * 0.7
     lead = (2,) if stacked else ()
     xs = [Tensor(rng.normal(size=lead + (5, 4))) for _ in range(3)]
     probe = Tensor(rng.normal(size=lead + (5, 3)))
@@ -141,7 +144,8 @@ def test_gru_step_is_bit_equal_to_the_matmul_and_add_composition(stacked):
 
 def test_gru_step_records_ten_nodes():
     store = ParamStore(0)
-    cell = build_gru_cell(store, "g", 2, 3)
+    with store.building():
+        cell = build_gru_cell(store, "g", 2, 3)
     tape = Tape()
     tape.watch(store)
     with tape:
@@ -158,9 +162,10 @@ def test_gru_step_records_ten_nodes():
 
 def make_encoder(seed=0, vocab=7, embed=3, hidden=3, bidirectional=True):
     store = ParamStore(seed)
-    emb = store.create("emb.W", (vocab, embed), init="uniform")
-    fwd = build_gru_cell(store, "enc.fwd", embed, hidden)
-    bwd = build_gru_cell(store, "enc.bwd", embed, hidden) if bidirectional else None
+    with store.building():
+        emb = store.create("emb.W", (vocab, embed), init="uniform")
+        fwd = build_gru_cell(store, "enc.fwd", embed, hidden)
+        bwd = build_gru_cell(store, "enc.bwd", embed, hidden) if bidirectional else None
     return store, emb, fwd, bwd
 
 
@@ -210,9 +215,10 @@ def test_gru_encode_empty_sequence_rejected():
 def test_gru_encode_reversal_swaps_directions():
     # forward summary of s equals backward summary of reverse(s) with cells swapped
     store = ParamStore(5)
-    emb = store.create("emb.W", (9, 3), init="uniform")
-    cell_a = build_gru_cell(store, "a", 3, 4)
-    cell_b = build_gru_cell(store, "b", 3, 4)
+    with store.building():
+        emb = store.create("emb.W", (9, 3), init="uniform")
+        cell_a = build_gru_cell(store, "a", 3, 4)
+        cell_b = build_gru_cell(store, "b", 3, 4)
     seqs = [[1, 5, 2, 7], [3, 8]]
     summary_fwd = gru_encode(emb, both_ways(cell_a, cell_b, seqs))
     summary_rev = gru_encode(emb, both_ways(cell_b, cell_a, [list(reversed(s)) for s in seqs]))
@@ -243,14 +249,14 @@ def test_gru_encode_bidirectional_shapes():
 
 def test_gru_encode_rejects_cells_of_different_sizes():
     store = ParamStore(0)
-    emb = store.create("emb.W", (5, 3), init="uniform")
+    with store.building():
+        emb = store.create("emb.W", (5, 3), init="uniform")
+        a, b = build_gru_cell(store, "a", 3, 3), build_gru_cell(store, "b", 3, 4)
     with pytest.raises(DimensionError):
-        gru_encode(emb, [(build_gru_cell(store, "a", 3, 3), [[1]], False),
-                         (build_gru_cell(store, "b", 3, 4), [[1]], False)])
+        gru_encode(emb, [(a, [[1]], False), (b, [[1]], False)])
     # also when they would step in different lockstep groups
     with pytest.raises(DimensionError):
-        gru_encode(emb, [(build_gru_cell(store, "c", 3, 3), [[1, 2, 3]], False),
-                         (build_gru_cell(store, "d", 3, 4), [[1], [2]], False)])
+        gru_encode(emb, [(a, [[1, 2, 3]], False), (b, [[1], [2]], False)])
 
 
 def test_gru_encode_is_pure():
@@ -376,9 +382,11 @@ def test_gru_encode_records_one_recurrence_per_group(runs, group_steps):
 def oracle_store(seed):
     """Embedding and two cells under the names the numpy reference reads."""
     store = ParamStore(seed)
-    emb = store.create("model.embed.W", (6, 3), init="uniform")
-    a = build_gru_cell(store, "model.a", 3, 4)
-    return store, emb, a, build_gru_cell(store, "model.b", 3, 4)
+    with store.building():
+        emb = store.create("model.embed.W", (6, 3), init="uniform")
+        a = build_gru_cell(store, "model.a", 3, 4)
+        b = build_gru_cell(store, "model.b", 3, 4)
+    return store, emb, a, b
 
 
 # a forward run of three sequences, a reversed run of two and the first cell
@@ -474,7 +482,8 @@ def key_set(att, *samples):
 
 def test_attend_single_key():
     store = ParamStore(2)
-    att = build_attention(store, "att", 3, 3, 3)
+    with store.building():
+        att = build_attention(store, "att", 3, 3, 3)
     key = [0.3, -0.2, 0.9]
     context, weights = attend(att, Tensor([[0.1, 0.1, 0.1]]), key_set(att, [key]))
     assert np.allclose(weights.values, [[1.0]], atol=1e-12)
@@ -489,7 +498,8 @@ def test_attend_single_key():
 
 def test_attend_identical_keys_uniform():
     store = ParamStore(2)
-    att = build_attention(store, "att", 3, 3, 3)
+    with store.building():
+        att = build_attention(store, "att", 3, 3, 3)
     key = [0.5, 0.0, -0.5]
     context, weights = attend(att, Tensor([[0.2, -0.1, 0.0], [0.0, 0.3, 0.1]]),
                               key_set(att, [key] * 4, [key] * 2))
@@ -500,7 +510,8 @@ def test_attend_identical_keys_uniform():
 def test_attend_matches_direct_weighted_sum():
     rng = np.random.default_rng(8)
     store = ParamStore(3)
-    att = build_attention(store, "att", 3, 4, 5)
+    with store.building():
+        att = build_attention(store, "att", 3, 4, 5)
     q = rng.normal(size=3)
     keys = [rng.normal(size=4) for _ in range(3)]
 
@@ -527,7 +538,8 @@ def test_attend_matches_direct_weighted_sum():
 def test_attend_per_key_score_agrees_with_stacked():
     rng = np.random.default_rng(4)
     store = ParamStore(4)
-    att = build_attention(store, "att", 2, 3, 4)
+    with store.building():
+        att = build_attention(store, "att", 2, 3, 4)
     q = Tensor(rng.normal(size=(1, 2)))
     keys = [rng.normal(size=3) for _ in range(5)]
     per_key = np.concatenate([att.scores(q, key_set(att, [k])).values[0] for k in keys])
@@ -541,7 +553,8 @@ def test_attend_per_key_score_agrees_with_stacked():
 
 def test_attend_empty_keys_rejected():
     store = ParamStore(2)
-    att = build_attention(store, "att", 3, 3, 3)
+    with store.building():
+        att = build_attention(store, "att", 3, 3, 3)
     with pytest.raises(ContractError):
         att.prepare(Tensor(np.zeros((1, 0, 3))), [0])
     with pytest.raises(ContractError):
@@ -552,7 +565,8 @@ def test_attend_empty_keys_rejected():
 def test_attention_weights_sum_to_one(n_keys, seed):
     rng = np.random.default_rng(seed)
     store = ParamStore(1)
-    att = build_attention(store, "att", 2, 2, 3)
+    with store.building():
+        att = build_attention(store, "att", 2, 2, 3)
     keys = [rng.normal(size=2) * 3 for _ in range(n_keys)]
     _, weights = attend(att, Tensor(rng.normal(size=(2, 2))),
                         key_set(att, keys, keys[:max(1, n_keys // 2)]))
@@ -565,17 +579,17 @@ def test_attention_weights_sum_to_one(n_keys, seed):
 
 
 def test_mlp_zero_everything_zero_output():
-    store = ParamStore(0)
-    mlp = build_mlp(store, "m", (3, 4, 2))
-    for name in store.names():
-        store.set_values(name, np.zeros_like(store[name].values))
+    store = ParamStore(None)  # every weight zero
+    with store.building():
+        mlp = build_mlp(store, "m", (3, 4, 2))
     out = mlp_forward(mlp, Tensor([[1.0, -1.0, 2.0], [0.5, 0.0, -3.0]]))
     assert np.array_equal(out.values, np.zeros((2, 2)))
 
 
 def test_mlp_identity_configuration_is_tanh():
     store = ParamStore(0)
-    mlp = build_mlp(store, "m", (1, 1, 1))
+    with store.building():
+        mlp = build_mlp(store, "m", (1, 1, 1))
     set_all(store, {"m.W0": [[1.0]], "m.b0": [0.0], "m.W1": [[1.0]], "m.b1": [0.0]})
     xs = [-1.3, 0.0, 0.7]
     out = mlp_forward(mlp, Tensor([[x] for x in xs]))
@@ -586,7 +600,8 @@ def test_mlp_identity_configuration_is_tanh():
 
 def test_mlp_two_layer_matches_hand_matrix_arithmetic():
     store = ParamStore(0)
-    mlp = build_mlp(store, "m", (2, 3, 2))
+    with store.building():
+        mlp = build_mlp(store, "m", (2, 3, 2))
     W0 = [[0.1, -0.2], [0.3, 0.4], [-0.5, 0.6]]
     b0 = [0.01, -0.02, 0.03]
     W1 = [[1.0, 0.5, -0.5], [0.0, -1.0, 0.25]]
@@ -601,7 +616,8 @@ def test_mlp_two_layer_matches_hand_matrix_arithmetic():
 
 def test_mlp_input_dim_mismatch():
     store = ParamStore(0)
-    mlp = build_mlp(store, "m", (3, 2))
+    with store.building():
+        mlp = build_mlp(store, "m", (3, 2))
     with pytest.raises(DimensionError):
         mlp_forward(mlp, Tensor([[1.0, 2.0]]))
     with pytest.raises(DimensionError):
@@ -617,11 +633,12 @@ def test_composite_layer_gradients_match_finite_differences():
     for point in range(20):
         rng = np.random.default_rng(6 + point)
         store = ParamStore(6 + point)
-        emb = store.create("emb.W", (5, 2), init="uniform")
-        fwd = build_gru_cell(store, "enc.fwd", 2, 2)
-        bwd = build_gru_cell(store, "enc.bwd", 2, 2)
-        att = build_attention(store, "att", 2, 4, 2)
-        mlp = build_mlp(store, "mlp", (4, 3, 2))
+        with store.building():
+            emb = store.create("emb.W", (5, 2), init="uniform")
+            fwd = build_gru_cell(store, "enc.fwd", 2, 2)
+            bwd = build_gru_cell(store, "enc.bwd", 2, 2)
+            att = build_attention(store, "att", 2, 4, 2)
+            mlp = build_mlp(store, "mlp", (4, 3, 2))
         # a ragged batch of two token sequences, lengths 3 and 2
         tokens = [list(rng.integers(0, 5, size=3)), list(rng.integers(0, 5, size=2))]
         query = rng.normal(size=(2, 2))

@@ -37,6 +37,13 @@ def tiny_model(seed=0, hidden=3, embed=3):
     return DialogueModel(tiny_vocab(), embed, hidden, seed=seed)
 
 
+def built_mlp(seed, prefix, dims):
+    """An MLP drawn with seed into a store of its own; seed None makes every weight zero."""
+    store = ParamStore(seed)
+    with store.building():
+        return build_mlp(store, prefix, dims)
+
+
 def tiny_sample(vocab, graph, history="a r0", response="b c"):
     return DialogueSample(
         history=vocab.encode(history.split()),
@@ -164,25 +171,21 @@ def test_posterior_single_triplet_is_one():
 
 
 def test_posterior_uniform_when_projection_orthogonal():
-    store = ParamStore(0)
-    mlp = build_mlp(store, "post", (4, 3, 2))
-    for name in store.names():
-        store.set_values(name, np.zeros_like(store[name].values))
+    mlp = built_mlp(None, "post", (4, 3, 2))
     k = Tensor(np.random.default_rng(1).normal(size=(1, 3, 2)))
     post = posterior_distribution(k, Tensor([[0.1, 0.2]]), Tensor([[0.3, -0.1]]), mlp)
     assert np.allclose(post.values, [[1 / 3] * 3], atol=1e-12)
 
 
 def test_posterior_hand_computed_rigged_instance():
-    store = ParamStore(0)
-    mlp = build_mlp(store, "post", (4, 2, 2))
+    mlp = built_mlp(0, "post", (4, 2, 2))
     W0 = [[0.5, 0.0, -0.5, 0.0], [0.0, 0.5, 0.0, 0.5]]
     b0 = [0.1, -0.1]
     W1 = [[1.0, 0.0], [0.0, 1.0]]
     b1 = [0.0, 0.0]
-    for name, vals in (("post.W0", W0), ("post.b0", b0),
-                       ("post.W1", W1), ("post.b1", b1)):
-        store.set_values(name, np.asarray(vals, dtype=np.float64))
+    for t, vals in ((mlp.weights[0], W0), (mlp.biases[0], b0),
+                    (mlp.weights[1], W1), (mlp.biases[1], b1)):
+        t.values[...] = vals
     # two samples: the rigged one, and one with another history and triplets
     x = np.array([[0.2, -0.4], [-0.7, 0.1]])
     y = np.array([[0.6, 0.8], [0.3, -0.5]])
@@ -204,7 +207,7 @@ def test_distributions_are_valid_probability_vectors(seed, n):
     k = Tensor(rng.normal(size=(2, n, 3)) * 3)
     x = Tensor(rng.normal(size=(2, 3)) * 3)
     y = Tensor(rng.normal(size=(2, 3)) * 3)
-    mlp = build_mlp(ParamStore(seed), "post", (6, 3, 3))
+    mlp = built_mlp(seed, "post", (6, 3, 3))
     for dist in (prior_distribution(k, x), posterior_distribution(k, x, y, mlp)):
         assert (dist.values >= 0).all()
         assert np.all(np.abs(dist.values.sum(axis=1) - 1.0) <= 1e-9)
@@ -300,10 +303,7 @@ def test_nll_rejects_out_of_vocab_target():
 
 
 def test_bow_uniform_closed_form():
-    store = ParamStore(0)
-    mlp = build_mlp(store, "bow", (3, 5))
-    for name in store.names():
-        store.set_values(name, np.zeros_like(store[name].values))
+    mlp = built_mlp(None, "bow", (3, 5))
     fused = Tensor([[0.4, -0.2, 0.1], [0.0, 1.0, -2.0]])
     got = bow_loss(fused, [[0, 2, 4], [1]], mlp).values
     assert got[0] == pytest.approx(3 * math.log(5), abs=1e-9)
@@ -311,22 +311,19 @@ def test_bow_uniform_closed_form():
 
 
 def test_bow_concentrated_is_near_zero():
-    store = ParamStore(0)
-    mlp = build_mlp(store, "bow", (2, 4))
-    store.set_values("bow.W0", np.zeros((4, 2)))
-    store.set_values("bow.b0", np.array([0.0, 800.0, 0.0, 0.0]))
+    mlp = built_mlp(None, "bow", (2, 4))
+    mlp.biases[0].values[...] = [0.0, 800.0, 0.0, 0.0]
     got = bow_loss(Tensor([[0.0, 0.0]]), [[1, 1, 1]], mlp).values
     assert got.shape == (1,)
     assert got[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_bow_hand_computation_length_two():
-    store = ParamStore(0)
-    mlp = build_mlp(store, "bow", (2, 3))
+    mlp = built_mlp(0, "bow", (2, 3))
     W = [[0.5, -0.5], [0.2, 0.1], [-0.3, 0.4]]
     b = [0.05, -0.05, 0.0]
-    store.set_values("bow.W0", np.asarray(W))
-    store.set_values("bow.b0", np.asarray(b))
+    mlp.weights[0].values[...] = W
+    mlp.biases[0].values[...] = b
     fused = np.array([[0.7, -0.2], [-0.1, 0.9]])
     responses = [[2, 0], [1]]
     got = bow_loss(Tensor(fused), responses, mlp).values
@@ -339,7 +336,7 @@ def test_bow_hand_computation_length_two():
 
 
 def test_bow_rejects_row_count_mismatch():
-    mlp = build_mlp(ParamStore(0), "bow", (2, 3))
+    mlp = built_mlp(0, "bow", (2, 3))
     with pytest.raises(ContractError):
         bow_loss(Tensor([[0.0, 0.0]]), [[1], [2]], mlp)
 
@@ -446,11 +443,9 @@ def test_decode_zero_fusion_equals_plain_attentive_seq2seq():
 
 
 def rig_eos_favoring(model, bias=100.0):
-    for name in model.store.names():
-        model.store.set_values(name, np.zeros_like(model.store[name].values))
-    b = np.zeros(len(model.vocab))
-    b[model.vocab.EOS] = bias
-    model.store.set_values("model.out.b", b)
+    values = {name: np.zeros(t.shape) for name, t in model.store.items()}
+    values["model.out.b"][model.vocab.EOS] = bias
+    model.load_values(values)
 
 
 def test_generate_eos_favoring_model_emits_empty():
@@ -464,9 +459,9 @@ def test_generate_eos_favoring_model_emits_empty():
 def test_generate_respects_max_len():
     model = tiny_model()
     rig_eos_favoring(model)
-    b = np.zeros(len(model.vocab))
+    b = model.store["model.out.b"].values
+    b[...] = 0.0
     b[5] = 100.0  # favor a non-EOS token forever
-    model.store.set_values("model.out.b", b)
     for max_len in (1, 3, 9):
         out, _ = model.generate([4], tiny_graph(), max_len=max_len)
         assert out == [5] * max_len
@@ -508,7 +503,7 @@ def rig_eos_after_x(model):
     knowledge included, still picks the tokens.
     """
     E, eos, x = model.embed_dim, model.vocab.EOS, model.vocab.encode(["x"])[0]
-    values = {name: model.store[name].values.copy() for name in model.store.names()}
+    values = {name: t.values.copy() for name, t in model.store.items()}
     values["model.embed.W"][:, 0] = 0.0
     values["model.embed.W"][x, 0] = 1.0
     for cell, column in (("model.enc.fwd", 0), ("model.dec", E)):
@@ -630,7 +625,7 @@ def test_clone_is_bit_exact_and_independent():
     sample = tiny_sample(model.vocab, tiny_graph())
     twin = model.clone()
     assert model.forward([sample])[1].summary() == twin.forward([sample])[1].summary()
-    twin.store.set_values("model.out.b", np.ones(len(model.vocab)))
+    twin.store["model.out.b"].values[...] = 1.0
     assert not np.array_equal(model.store["model.out.b"].values,
                               twin.store["model.out.b"].values)
 
@@ -643,7 +638,7 @@ def test_clone_draws_no_random_numbers(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     twin = model.clone()
-    assert twin.store.names() == model.store.names()
+    assert [n for n, _ in twin.store.items()] == [n for n, _ in model.store.items()]
     assert np.array_equal(twin.store.vector, model.store.vector)
     assert not np.shares_memory(twin.store.vector, model.store.vector)
 
@@ -660,7 +655,7 @@ def overflowing_model():
     """A model whose first encoder gate overflows: its affine node, unit embeddings times W_z of 1e308."""
     model = tiny_model()
     for name, value in (("model.embed.W", 1.0), ("model.enc.fwd.W_z", 1e308)):
-        model.store.set_values(name, np.full(model.store[name].shape, value))
+        model.store[name].values[...] = value
     return model
 
 
@@ -789,7 +784,7 @@ def test_masked_selection_gradients_match_finite_differences():
     samples = [tiny_sample(model.vocab, one, history="a r0 b", response="b"),
                tiny_sample(model.vocab, three, history="r1 a", response="a b a")]
     assert encode_graphs(model, [one, three]).mask is not None
-    names = [n for n in model.store.names()
+    names = [n for n, _ in model.store.items()
              if n.startswith(("model.post.", "model.bow.", "model.know.", "model.enc.proj."))]
     _, analytic = _recorded_objective(model, samples)
     numeric = helpers.finite_diff_grads(

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import add_param, gradients, synth_tasks
+from helpers import gradients, store_of, synth_tasks
 from mkgd import optim
 from mkgd.config import make_run_config
 from mkgd.data import SyntheticTaskSpec, build_vocab
@@ -22,15 +22,11 @@ from mkgd.optim import (
     sgd_step,
 )
 from mkgd.model import DialogueModel
-from mkgd.params import ParamStore
 from mkgd.tensor import Gradients, Tensor
 
 
 def make_store(**values):
-    store = ParamStore(0)
-    for name, vals in values.items():
-        add_param(store, name, vals)
-    return store
+    return store_of(values)
 
 
 def moments(store, state):
@@ -326,12 +322,12 @@ def test_adam_blocks_with_partial_last_block_bit_equal_to_textbook():
 
 
 def test_adam_fortran_ordered_parameter_bit_equal_to_textbook():
-    # A Fortran-ordered array set as values lands C-ordered in the store's
-    # vector, and Fortran-ordered gradients are laid out the same way.
+    # A Fortran-ordered array restored as values lands C-ordered in the
+    # store's vector, and Fortran-ordered gradients are laid out the same way.
     rng = np.random.default_rng(6)
     shape = (130, 300)
     store = make_store(b=np.ones(3), W=np.zeros(shape))
-    store.set_values("W", np.asfortranarray(rng.normal(size=shape)))
+    store.restore({"b": np.ones(3), "W": np.asfortranarray(rng.normal(size=shape))})
     values = store["W"].values
     assert values.flags.c_contiguous and values.base is store.vector
     _check_three_textbook_steps(store, lambda: {"b": rng.normal(size=3),
@@ -443,16 +439,15 @@ def test_adam_block_size_schedules_only(monkeypatch, block, split):
 
 def test_adam_rejects_moments_whose_flat_view_would_copy():
     # Moments must be C-contiguous vectors laid out as the store: a strided
-    # one, or one made before the store grew, is refused before any update.
+    # one, or one made for a store of another size, is refused before any update.
     store = make_store(W=np.ones((3, 4)))
     state = AdamState(store)
     state.m = np.zeros(2 * store.size)[::2]
     with pytest.raises(ContractError, match="C-contiguous"):
         adam_step(store, gradients(store, {"W": np.ones((3, 4))}), state, lr=0.01)
-    state = AdamState(store)
-    add_param(store, "b", [1.0])
+    state = AdamState(make_store(W=np.ones((3, 4)), b=[1.0]))
     with pytest.raises(ContractError, match="C-contiguous"):
-        adam_step(store, gradients(store, {"W": np.ones((3, 4)), "b": [1.0]}), state, lr=0.01)
+        adam_step(store, gradients(store, {"W": np.ones((3, 4))}), state, lr=0.01)
     assert state.t == 0
 
 

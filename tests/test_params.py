@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import add_param, gradients
+from helpers import gradients, store_of
 from mkgd import tensor as T
 from mkgd.config import make_run_config
 from mkgd.data import build_vocab
@@ -24,34 +24,49 @@ from mkgd.tensor import Tape, backward
 
 def test_unique_names_enforced():
     store = ParamStore(0)
-    store.create("w", (2,))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="inside building"):
         store.create("w", (2,))
+    with store.building():
+        store.create("w", (2,))
+        with pytest.raises(ContractError, match="duplicate parameter name 'w'"):
+            store.create("w", (2,))
+        with pytest.raises(ContractError, match="built once"):
+            with store.building():
+                pass
+    # A built store cannot grow: every write after the build installs a whole vector.
+    with pytest.raises(ContractError, match="built once"):
+        with store.building():
+            pass
+    with pytest.raises(ContractError, match="inside building"):
+        store.create("v", (2,))
+    assert [name for name, _ in store.items()] == ["w"] and store.size == 2
 
 
 def test_seeded_init_is_reproducible():
     a = ParamStore(42)
     b = ParamStore(42)
-    wa = a.create("w", (4, 4), init="uniform")
-    wb = b.create("w", (4, 4), init="uniform")
+    with a.building(), b.building():
+        wa = a.create("w", (4, 4), init="uniform")
+        wb = b.create("w", (4, 4), init="uniform")
     assert np.array_equal(wa.values, wb.values)
-    assert a.names() == b.names()
 
 
 def test_init_kinds():
     store = ParamStore(1)
-    u = store.create("u", (64,), init="uniform")
+    with store.building():
+        u = store.create("u", (64,), init="uniform")
+        z = store.create("z", (8,), init="zeros")
+        x = store.create("x", (16, 16), init="xavier")
     assert np.abs(u.values).max() <= 0.08
-    z = store.create("z", (8,), init="zeros")
     assert np.array_equal(z.values, np.zeros(8))
-    x = store.create("x", (16, 16), init="xavier")
     assert np.abs(x.values).max() <= np.sqrt(6.0 / 32)
 
 
 def test_snapshot_restore_bit_exact_after_training():
     store = ParamStore(9)
-    store.create("w", (3, 3), init="uniform")
-    store.create("b", (3,), init="zeros")
+    with store.building():
+        store.create("w", (3, 3), init="uniform")
+        store.create("b", (3,), init="zeros")
     snap = store.snapshot()
     # a few updates, then restore
     state = AdamState(store)
@@ -69,22 +84,20 @@ def test_snapshot_restore_bit_exact_after_training():
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     store = ParamStore(7)
-    store.create("model.embed.W", (5, 3), init="uniform")
-    store.create("model.out.b", (5,), init="xavier")
-    store.create("scalarish", (1,), init="uniform")
+    with store.building():
+        store.create("model.embed.W", (5, 3), init="uniform")
+        store.create("model.out.b", (5,), init="xavier")
+        store.create("scalarish", (1,), init="uniform")
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store)
     arrays = load_checkpoint(path)
-    assert list(arrays.keys()) == store.names()
+    assert list(arrays.keys()) == [name for name, _ in store.items()]
     for name, vals in arrays.items():
         assert vals.dtype == np.float64
         assert np.array_equal(vals, store[name].values)
     # byte-identical on re-save
     path2 = tmp_path / "again.ckpt"
-    restored = ParamStore(0)
-    for name, vals in arrays.items():
-        add_param(restored, name, vals)
-    save_checkpoint(path2, restored)
+    save_checkpoint(path2, store_of(arrays))
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -98,10 +111,8 @@ def test_checkpoint_magic_guard(tmp_path):
 def test_adam_state_rides_in_same_container(tmp_path):
     # Older meta-train runs wrote optimizer state under '/adam/'; such
     # checkpoints still load, with the state set apart from the parameters.
-    store = ParamStore(3)
-    store.create("w", (2, 2), init="uniform")
-    add_param(store, "/adam/t", [1.0])
-    add_param(store, "/adam/m/w", np.full((2, 2), 0.05))
+    store = store_of({"w": np.random.default_rng(3).normal(size=(2, 2)), "/adam/t": [1.0],
+                      "/adam/m/w": np.full((2, 2), 0.05)})
     path = tmp_path / "with_state.ckpt"
     save_checkpoint(path, store)
     params, adam = split_checkpoint(load_checkpoint(path))
@@ -112,10 +123,8 @@ def test_adam_state_rides_in_same_container(tmp_path):
 
 
 def test_truncated_or_corrupt_checkpoint_raises_data_error(tmp_path):
-    store = ParamStore(5)
-    store.create("layer.W", (2, 3), init="uniform")
-    store.create("layer.b", (2,), init="zeros")
-    add_param(store, "scalar", 1.5)
+    store = store_of({"layer.W": np.random.default_rng(5).normal(size=(2, 3)),
+                      "layer.b": np.zeros(2), "scalar": 1.5})
     path = tmp_path / "full.ckpt"
     save_checkpoint(path, store)
     data = path.read_bytes()
@@ -156,36 +165,38 @@ def test_duplicate_checkpoint_entry_raises_data_error(tmp_path):
 
 
 def test_restore_rejects_wrong_names():
-    store = ParamStore(0)
-    store.create("a", (2,))
-    with pytest.raises(ContractError):
-        store.restore({"b": np.zeros(2)})
+    store = store_of({"a": np.zeros(2), "b": np.zeros(3)})
+    with pytest.raises(ContractError, match=r"missing \['b'\], extra \['c'\]"):
+        store.restore({"a": np.zeros(2), "c": np.zeros(3)})
+    with pytest.raises(ContractError, match="shape mismatch for parameter 'b'"):
+        store.restore({"a": np.zeros(2), "b": np.zeros(2)})
 
 
 def assert_views_one_vector(store):
     """Every parameter is a C-ordered view of the store's vector, at its own slot."""
     vector = store.vector
     assert vector.flags.c_contiguous and vector.shape == (store.size,)
+    slots = store.views(vector)
     for name, t in store.items():
-        start, stop = store.slot(name)
         assert t.values.base is vector and t.values.flags.c_contiguous
-        assert np.shares_memory(t.values, vector[start:stop]) or not t.size
-        assert not np.shares_memory(t.values, vector[:start])
-        assert not np.shares_memory(t.values, vector[stop:])
+        assert t.values.shape == slots[name].shape
+        assert t.values.ctypes.data == slots[name].ctypes.data
 
 
 def test_every_parameter_views_the_one_vector_after_each_update():
     rng = np.random.default_rng(12)
     store = ParamStore(2)
-    store.create("W", (3, 4), init="xavier")
-    store.create("b", (4,), init="zeros")
     with store.building():
+        store.create("W", (3, 4), init="xavier")
+        store.create("b", (4,), init="zeros")
         store.create("U", (2, 3))
         store.create("c", (0,))
         store.create("v", (5,), init="xavier")
     assert store.size == 12 + 4 + 6 + 0 + 5
     assert_views_one_vector(store)
-    store.set_values("W", np.asfortranarray(rng.normal(size=(3, 4))))
+    fortran = np.asfortranarray(rng.normal(size=(3, 4)))
+    store.restore({**store.snapshot(), "W": fortran})
+    assert np.array_equal(store["W"].values, fortran)
     assert_views_one_vector(store)
     store.restore(store.snapshot())
     assert_views_one_vector(store)
@@ -195,7 +206,7 @@ def test_every_parameter_views_the_one_vector_after_each_update():
     adam_step(store, grads, AdamState(store), lr=0.1)
     assert_views_one_vector(store)
     snap = store.snapshot()
-    assert list(snap) == store.names()
+    assert list(snap) == [name for name, _ in store.items()]
     for name, vals in snap.items():
         assert np.array_equal(vals, store[name].values)
         assert not np.shares_memory(vals, store.vector)
@@ -214,18 +225,15 @@ def test_model_load_values_keeps_every_parameter_a_view(tmp_path):
     assert np.array_equal(model.store.vector, other.store.vector)
 
 
-def test_building_draws_the_bits_of_one_by_one_creation():
+def test_building_draws_the_bits_of_generator_uniform():
     specs = [("E", (7, 3), "uniform"), ("b", (3,), "zeros"), ("W", (3, 5), "xavier"),
              ("v", (4,), "xavier"), ("U", (2, 2), "uniform")]
-    one_by_one, built = ParamStore(5), ParamStore(5)
-    for name, shape, init in specs:
-        one_by_one.create(name, shape, init)
+    built = ParamStore(5)
     with built.building():
         for name, shape, init in specs:
             t = built.create(name, shape, init)
             # Zeros of the right shape, outside the vector, until building ends.
             assert t.shape == shape and not t.values.any() and built.size > built.vector.size
-    assert np.array_equal(one_by_one.vector, built.vector)
     # The draws are those of Generator.uniform over each shape, in creation order.
     rng = np.random.default_rng(5)
     for name, shape, init in specs:
@@ -239,16 +247,14 @@ def test_building_draws_the_bits_of_one_by_one_creation():
 
 def test_store_without_seed_starts_at_zero():
     store = ParamStore(None)
-    store.create("W", (3, 3))
-    store.create("v", (2,), init="xavier")
+    with store.building():
+        store.create("W", (3, 3))
+        store.create("v", (2,), init="xavier")
     assert store.size == 11 and not store.vector.any()
 
 
 def two_param_store(rng):
-    store = ParamStore(0)
-    add_param(store, "W", rng.normal(size=(3, 2)))
-    add_param(store, "b", rng.normal(size=2))
-    return store
+    return store_of({"W": rng.normal(size=(3, 2)), "b": rng.normal(size=2)})
 
 
 @pytest.mark.parametrize("held", ["vector", "values", "tape"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import add_param, assert_grads_close, finite_diff_grads
+from helpers import assert_grads_close, finite_diff_grads, store_of
 from mkgd import tensor as T
 from mkgd.errors import ContractError, DimensionError, NumericError, VocabError
 from mkgd.params import ParamStore
@@ -275,8 +275,8 @@ def test_weight_gradient_split_over_two_threads_is_bit_equal(monkeypatch, w_shap
     # A plain weight gets a^T g, one behind a transpose node g^T a; either is
     # formed into the weight's gradient slot, half on each thread.
     rng = np.random.default_rng(k)
-    store = ParamStore(0)
-    W = add_param(store, "W", rng.normal(size=w_shape))
+    store = store_of({"W": rng.normal(size=w_shape)})
+    W = store["W"]
     x = T.Tensor(rng.normal(size=(k, w_shape[1] if transposed else w_shape[0])))
     c = T.Tensor(rng.normal(size=(k, w_shape[0] if transposed else w_shape[1])))
 
@@ -368,7 +368,8 @@ def test_softmax_empty_axis_rejected():
 
 def test_gather_returns_exact_rows():
     store = ParamStore(0)
-    table = store.create("emb.W", (6, 3), init="uniform")
+    with store.building():
+        table = store.create("emb.W", (6, 3), init="uniform")
     rows = T.gather(table, [4, 1, 4])
     assert rows.shape == (3, 3)
     for row, index in zip(rows.values, [4, 1, 4]):
@@ -399,8 +400,8 @@ def test_reshape_rejects_a_shape_that_changes_the_element_count():
 
 
 def test_backward_square():
-    store = ParamStore(0)
-    x = add_param(store, "x", [3.0])
+    store = store_of({"x": [3.0]})
+    x = store["x"]
     tape = Tape()
     tape.watch(store)
     with tape:
@@ -410,8 +411,8 @@ def test_backward_square():
 
 
 def test_tape_records_once_and_detaches_its_parameters():
-    store = ParamStore(0)
-    x = add_param(store, "x", [3.0])
+    store = store_of({"x": [3.0]})
+    x = store["x"]
     tape = Tape()
     tape.watch(store)
     with tape:
@@ -425,8 +426,8 @@ def test_tape_records_once_and_detaches_its_parameters():
 
 
 def test_backward_sigmoid_at_zero():
-    store = ParamStore(0)
-    x = add_param(store, "x", [0.0])
+    store = store_of({"x": [0.0]})
+    x = store["x"]
     tape = Tape()
     tape.watch(store)
     with tape:
@@ -436,8 +437,8 @@ def test_backward_sigmoid_at_zero():
 
 
 def test_backward_requires_scalar_loss():
-    store = ParamStore(0)
-    x = add_param(store, "x", [1.0, 2.0])
+    store = store_of({"x": [1.0, 2.0]})
+    x = store["x"]
     tape = Tape()
     tape.watch(store)
     with tape:
@@ -447,8 +448,7 @@ def test_backward_requires_scalar_loss():
 
 
 def test_backward_requires_recorded_loss():
-    store = ParamStore(0)
-    add_param(store, "x", [1.0])
+    store = store_of({"x": [1.0]})
     tape = Tape()
     tape.watch(store)
     loss = T.Tensor([1.0])
@@ -457,9 +457,8 @@ def test_backward_requires_recorded_loss():
 
 
 def test_unreachable_params_get_zero_gradients():
-    store = ParamStore(0)
-    x = add_param(store, "x", [2.0])
-    add_param(store, "unused", [[1.0, 2.0], [3.0, 4.0]])
+    store = store_of({"x": [2.0], "unused": [[1.0, 2.0], [3.0, 4.0]]})
+    x = store["x"]
     tape = Tape()
     tape.watch(store)
     with tape:
@@ -470,7 +469,8 @@ def test_unreachable_params_get_zero_gradients():
 
 def test_backward_twice_is_identical():
     store = ParamStore(3)
-    w = store.create("w", (4, 3), init="uniform")
+    with store.building():
+        w = store.create("w", (4, 3), init="uniform")
     x = T.Tensor(np.arange(3.0))
     tape = Tape()
     tape.watch(store)
@@ -490,8 +490,8 @@ def test_backward_peak_memory_does_not_grow_with_chain_length():
     nbytes = size * 8
 
     def peak(length):
-        store = ParamStore(0)
-        x = add_param(store, "x", np.linspace(-1.0, 1.0, size))
+        store = store_of({"x": np.linspace(-1.0, 1.0, size)})
+        x = store["x"]
         tape = Tape()
         tape.watch(store)
         with tape:
@@ -516,9 +516,8 @@ def test_transposed_weight_gradient_is_made_once_c_ordered():
     # backward forms W's gradient as g^T a at the transpose node, in W's own
     # layout, so no swapped (V, H) view is copied on its way to W.
     rng = np.random.default_rng(8)
-    store = ParamStore(0)
-    W = add_param(store, "W", rng.normal(size=(4096, 256)) * 0.01)
-    b = add_param(store, "b", np.zeros(4096))
+    store = store_of({"W": rng.normal(size=(4096, 256)) * 0.01, "b": np.zeros(4096)})
+    W, b = (store[name] for name in ("W", "b"))
     x = T.Tensor(rng.normal(size=(8, 256)))
     tape = Tape()
     tape.watch(store)
@@ -539,11 +538,13 @@ def test_transposed_weight_gradient_is_made_once_c_ordered():
 def test_mlp_gradients_match_finite_differences():
     # 2-layer MLP with a scalar loss; the oracle is central differences.
     rng = np.random.default_rng(5)
-    store = ParamStore(0)
-    W0 = add_param(store, "W0", rng.normal(size=(5, 4)) * 0.5)
-    b0 = add_param(store, "b0", rng.normal(size=5) * 0.1)
-    W1 = add_param(store, "W1", rng.normal(size=(1, 5)) * 0.5)
-    b1 = add_param(store, "b1", rng.normal(size=1) * 0.1)
+    store = store_of({
+        "W0": rng.normal(size=(5, 4)) * 0.5,
+        "b0": rng.normal(size=5) * 0.1,
+        "W1": rng.normal(size=(1, 5)) * 0.5,
+        "b1": rng.normal(size=1) * 0.1,
+    })
+    W0, b0, W1, b1 = (store[name] for name in ("W0", "b0", "W1", "b1"))
     x = rng.normal(size=4)
 
     def forward():
@@ -663,8 +664,8 @@ def test_primitive_gradients_match_finite_differences(name, build, p_shape, c_sh
     # 20 random points per primitive, downstream of a smooth scalar head.
     for point in range(20):
         rng = np.random.default_rng(1000 + 17 * point)
-        store = ParamStore(0)
-        p = add_param(store, "p", rng.normal(size=p_shape) * 0.8)
+        store = store_of({"p": rng.normal(size=p_shape) * 0.8})
+        p = store["p"]
         const = T.Tensor(rng.normal(size=c_shape) * 0.8) if c_shape else None
         out_shape = build(p, const).shape
         probe = T.Tensor(rng.normal(size=out_shape))
@@ -689,8 +690,8 @@ def test_leaf_reached_by_gather_and_dense_op_matches_finite_differences(gather_f
     # The reverse sweep meets the later-recorded use first, so the two tape
     # orders start the leaf's gradient from a scattered and a dense part.
     rng = np.random.default_rng(21)
-    store = ParamStore(0)
-    W = add_param(store, "W", rng.normal(size=(4, 3)) * 0.8)
+    store = store_of({"W": rng.normal(size=(4, 3)) * 0.8})
+    W = store["W"]
     x = T.Tensor(rng.normal(size=3))
     probe = T.Tensor(rng.normal(size=(3, 3)))
 
@@ -716,10 +717,12 @@ def test_leaf_reached_by_gather_and_dense_op_matches_finite_differences(gather_f
 
 def test_a_tape_watches_one_store_and_backward_lays_its_gradients_out_as_it():
     rng = np.random.default_rng(30)
-    store = ParamStore(0)
-    W = add_param(store, "W", rng.normal(size=(3, 2)))
-    add_param(store, "unused", rng.normal(size=4))
-    b = add_param(store, "b", rng.normal(size=2))
+    store = store_of({
+        "W": rng.normal(size=(3, 2)),
+        "unused": rng.normal(size=4),
+        "b": rng.normal(size=2),
+    })
+    W, b = (store[name] for name in ("W", "b"))
     tape = Tape()
     tape.watch(store)
     with pytest.raises(ContractError, match="one parameter store"):
@@ -728,7 +731,7 @@ def test_a_tape_watches_one_store_and_backward_lays_its_gradients_out_as_it():
         loss = T.sum_(T.tanh(T.add(T.matmul(T.Tensor(rng.normal(size=(5, 3))), W), b)))
     grads = backward(tape, loss)
     assert grads.store is store and grads.flat.shape == (store.size,)
-    assert list(grads) == store.names()
+    assert list(grads) == [name for name, _ in store.items()]
     for name, view in store.views(grads.flat).items():
         assert grads[name].values.base is grads.flat
         assert np.shares_memory(grads[name].values, view)
@@ -741,12 +744,14 @@ def test_backward_results_own_their_memory_and_match_finite_differences():
     # a view of it (reshape, transpose) must not let two gradients share memory:
     # each is its own slot of the one gradient vector.
     rng = np.random.default_rng(31)
-    store = ParamStore(0)
-    a = add_param(store, "a", rng.normal(size=(2, 3)))
-    x = add_param(store, "x", rng.normal(size=(2, 3)))
-    y = add_param(store, "y", rng.normal(size=(2, 3)))
-    b = add_param(store, "b", rng.normal(size=(3, 2)))
-    c = add_param(store, "c", rng.normal(size=(3, 2)))
+    store = store_of({
+        "a": rng.normal(size=(2, 3)),
+        "x": rng.normal(size=(2, 3)),
+        "y": rng.normal(size=(2, 3)),
+        "b": rng.normal(size=(3, 2)),
+        "c": rng.normal(size=(3, 2)),
+    })
+    a, x, y, b, c = (store[name] for name in ("a", "x", "y", "b", "c"))
     probe = T.Tensor(rng.normal(size=(2, 3)))
 
     def forward():
@@ -793,9 +798,8 @@ def test_mul_matches_numpy_elementwise(seed):
 
 def test_untaped_primitives_record_nothing_and_taped_ones_record_exact_inputs():
     rng = np.random.default_rng(41)
-    store = ParamStore(0)
-    W = add_param(store, "W", rng.normal(size=(3, 2)) * 0.5)
-    b = add_param(store, "b", rng.normal(size=3) * 0.5)
+    store = store_of({"W": rng.normal(size=(3, 2)) * 0.5, "b": rng.normal(size=3) * 0.5})
+    W, b = (store[name] for name in ("W", "b"))
     x = T.Tensor(rng.normal(size=2))
     with Tape():
         stale = T.tanh(T.Tensor(rng.normal(size=3)))
@@ -831,8 +835,8 @@ def _is_float64_array(values):
 @pytest.mark.parametrize("name,build,p_shape,c_shape", PRIMITIVE_CASES)
 def test_primitive_results_are_float64_arrays_taped_and_untaped(name, build, p_shape, c_shape):
     rng = np.random.default_rng(3)
-    store = ParamStore(0)
-    p = add_param(store, "p", rng.normal(size=p_shape))
+    store = store_of({"p": rng.normal(size=p_shape)})
+    p = store["p"]
     const = T.Tensor(rng.normal(size=c_shape)) if c_shape else None
 
     def run():
