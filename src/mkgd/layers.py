@@ -3,8 +3,9 @@
 All layers are pure functions of (parameters, inputs). Parameters live in a
 ParamStore and are registered under stable dotted names so checkpoints stay
 portable (e.g. "model.enc.fwd.W_z", "model.att.v"). gru_encode steps several
-GRUs in lockstep groups, each group's cells stacked along a leading axis, so
-a batch's encoders record one recurrence per group between them.
+GRUs in lockstep groups, the cells of a group of several runs stacked along a
+leading axis, so a batch's encoders record one recurrence per group between
+them.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class GruCell:
 
     Inputs and states are (B, dim) matrices, one row per sample, so a step
     multiplies them by the transposed gate matrices from ``transposed()``.
-    Each gate's two products and bias are one ``affine`` node, so a step
-    records 10 nodes.
+    Each gate's two products and bias are one ``affine`` node and the update
+    is one ``lerp`` node, so a step records 8 nodes.
     A cell made by ``stack_cells`` holds G cells' parameters along a leading
     axis and steps (G, B, dim) inputs and states, each cell on its own rows.
     """
@@ -55,7 +56,7 @@ class GruCell:
         z = T.sigmoid(T.affine(((x, W_z), (h, U_z)), self.b_z))
         r = T.sigmoid(T.affine(((x, W_r), (h, U_r)), self.b_r))
         c = T.tanh(T.affine(((x, W_h), (T.mul(r, h), U_h)), self.b_h))
-        return T.add(c, T.mul(z, T.sub(h, c)))
+        return T.lerp(c, h, z)
 
     def initial_state(self, batch):
         return Tensor(np.zeros((batch, self.hidden_dim)))
@@ -71,7 +72,11 @@ def build_gru_cell(store, prefix, input_dim, hidden_dim):
 
 
 def stack_cells(cells):
-    """One cell stepping G same-shape cells at once: (G, H, ·) matrices, (G, 1, H) biases."""
+    """One cell stepping G same-shape cells at once: (G, H, ·) matrices, (G, 1, H) biases.
+
+    It records 9 stack and 3 reshape nodes, copying the parameters, so
+    gru_encode steps a group of one run on its cell's own parameters instead.
+    """
     first = cells[0]
     if any((c.input_dim, c.hidden_dim) != (first.input_dim, first.hidden_dim) for c in cells):
         raise DimensionError("stack_cells: cells differ in input or hidden size")
@@ -159,19 +164,23 @@ def lockstep_layout(lengths):
 
 
 def _lockstep(embedding, runs, lengths):
-    """The (steps * G * R, H) states of G runs stepped together, R their largest row count."""
+    """The (steps * G * R, H) states of G runs stepped together, R their largest row count.
+
+    G > 1 cells step stacked on (G, R, ·) inputs and states; a lone run steps
+    on its own cell's 2-d parameters, on (R, ·) ones.
+    """
     G, R = len(runs), max(map(len, lengths))
-    cell = stack_cells([c for c, _, _ in runs])
+    cells = [c for c, _, _ in runs]
+    cell, lead = (cells[0], (R,)) if G == 1 else (stack_cells(cells), (G, R))
     # One ragged batch of G * R rows; a row past its run's rows has length 0.
     padded = np.concatenate([np.pad(n, (0, R - len(n))) for n in lengths])
     grid = Ragged(padded).tokens([s[::-1] if rev else s for _, seqs, rev in runs for s in seqs], 0)
-    tokens = grid.T.reshape(-1, G, R)  # (steps, G, R)
+    tokens = grid.T.reshape((-1,) + lead)  # (steps, G, R), or (steps, R) for one run
     mats = cell.transposed()
-    h = Tensor(np.zeros((G, R, cell.hidden_dim)))
+    h = Tensor(np.zeros(lead + (cell.hidden_dim,)))
     states = []
     for ids in tokens:
-        x = T.reshape(T.gather(embedding, ids.reshape(-1)), (G, R, cell.input_dim))
-        h = cell.step(x, h, mats)
+        h = cell.step(T.gather(embedding, ids), h, mats)
         states.append(h)
     return T.reshape(T.stack(states), (len(states) * G * R, cell.hidden_dim))
 
@@ -183,8 +192,9 @@ def gru_encode(embedding, runs):
     reversed) triples over cells of one shape; a reversed run reads each
     sequence from its own last token. lockstep_layout groups the runs by
     their row counts and lengths alone. A group's cells are stacked once,
-    with stack_cells, and each of its steps multiplies (G, R, E) inputs, R
-    its largest row count, as many steps as its longest sequence; when no
+    with stack_cells, and each of its steps gathers and multiplies (G, R, E)
+    inputs, R its largest row count, as many steps as its longest sequence;
+    a group of one run steps on its own cell, with (R, E) inputs. When no
     run has more rows than the longest one, that is one group. A row past
     its sequence's end, or past its run's rows, reads token 0 and steps on;
     its later states are never read, so no mask is needed. Read states with

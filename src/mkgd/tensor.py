@@ -245,6 +245,20 @@ def mul(a, b):
     return _elementwise("mul", np.multiply, a, b, (a.values, b.values))
 
 
+def lerp(a, b, t):
+    """a + t * (b - a) as one node, for a, b and t of one shape.
+
+    d = b - a, then t * d, then + a: the roundings of add(a, mul(t, sub(b, a))),
+    so the result is bit-equal to it.
+    """
+    if not a.shape == b.shape == t.shape:
+        raise DimensionError(f"lerp: shapes {a.shape}, {b.shape} and {t.shape} differ")
+    d = b.values - a.values
+    out = t.values * d
+    out += a.values
+    return _out("lerp", out, (a, b, t), (t.values, d))
+
+
 def _operands(op, a, b, min_b_ndim=1):
     """The values of a matmul's operands, checked: see matmul."""
     av, bv = a.values, b.values
@@ -351,16 +365,23 @@ def slice_(t, start, stop):
 
 
 def gather(table, indices):
-    """Pick rows of a 2-d table by index; the embedding lookup primitive."""
+    """Rows of a 2-d (V, E) table at an integer index of any rank >= 1, as idx.shape + (E,).
+
+    The embedding lookup primitive. backward scatters the rows' gradient
+    into the table's, walking the index in C order.
+    """
     tv = table.values
     if tv.ndim != 2:
         raise DimensionError(f"gather: table must be 2-d, got {table.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or not idx.size:
-        raise ContractError(f"gather needs a non-empty list of indices, got shape {idx.shape}")
+    idx = np.asarray(indices)
+    if idx.ndim == 0 or not idx.size:
+        raise ContractError(f"gather needs a non-empty array of indices, got shape {idx.shape}")
+    if idx.dtype.kind not in "iu":
+        raise ContractError(f"gather needs integer indices, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     # One unsigned compare: a negative index reads as a huge one.
     bad = idx.view(np.uint64) >= tv.shape[0]
-    if bad.any():
+    if np.count_nonzero(bad):
         raise VocabError(f"gather: index {idx[bad][0]} out of range "
                          f"for table of {tv.shape[0]} rows")
     return _out("gather", tv[idx], (table,), (tv.shape, idx))
@@ -375,7 +396,7 @@ def transpose(t):
 
 def sigmoid(t):
     v = t.values
-    e = np.exp(-np.abs(v))
+    e = np.exp(np.copysign(v, -1.0))  # exp(-|v|)
     out = np.where(v >= 0, 1.0, e) / (1.0 + e)
     return _out("sigmoid", out, (t,), (out,))
 
@@ -486,6 +507,11 @@ def _vjp(kind, saved, out_grad):
     if kind == "mul":
         av, bv = saved
         return (_reduce_to(out_grad * bv, av.shape), _reduce_to(out_grad * av, bv.shape))
+    if kind == "lerp":
+        tv, d = saved
+        gt = out_grad * tv
+        # g - g t has the bits of g + -(g t), the composition's sum for a.
+        return (out_grad - gt, gt, out_grad * d)
     if kind == "matmul":
         return _matmul_grads(*saved, out_grad)
     if kind == "affine":

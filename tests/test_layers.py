@@ -142,7 +142,7 @@ def test_gru_step_is_bit_equal_to_the_matmul_and_add_composition(stacked):
         assert np.array_equal(got_grads[name].values, want_grads[name].values), name
 
 
-def test_gru_step_records_ten_nodes():
+def test_gru_step_records_eight_nodes():
     store = ParamStore(0)
     with store.building():
         cell = build_gru_cell(store, "g", 2, 3)
@@ -153,7 +153,7 @@ def test_gru_step_records_ten_nodes():
         before = len(tape.nodes)
         cell.step(Tensor(np.ones((4, 2))), Tensor(np.ones((4, 3))), mats)
     kinds = Counter(kind for kind, _, _ in tape.nodes[before:])
-    assert kinds == {"affine": 3, "sigmoid": 2, "tanh": 1, "mul": 2, "sub": 1, "add": 1}
+    assert kinds == {"affine": 3, "sigmoid": 2, "tanh": 1, "mul": 1, "lerp": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -343,28 +343,35 @@ def test_ragged_readout_matches_per_element_formulas(runs, extra):
                                                for i, k in enumerate(n)]
 
 
-def _encode_nodes(group_steps):
-    """The nodes gru_encode records for lockstep groups stepping these many steps."""
-    per_group = Counter({"stack": 9 + 1, "reshape": 3 + 1, "transpose": 6})
-    per_step = Counter({"gather": 1, "reshape": 1, "affine": 3, "sigmoid": 2, "tanh": 1,
-                        "mul": 2, "sub": 1, "add": 1})
+def _encode_nodes(groups):
+    """The nodes gru_encode records for lockstep groups of (steps, runs).
+
+    A group of more than one run stacks its cells' 9 parameters, reshaping
+    the 3 biases; a group of one run steps on its own cell. Either way a
+    group transposes its 6 matrices once and stacks and reshapes its states.
+    """
+    per_step = Counter({"gather": 1, "affine": 3, "sigmoid": 2, "tanh": 1, "mul": 1, "lerp": 1})
     kinds = Counter()
-    for steps in group_steps:
-        kinds += per_group + Counter({k: n * steps for k, n in per_step.items()})
-    if len(group_steps) > 1:
+    for steps, G in groups:
+        if G > 1:
+            kinds += Counter({"stack": 9, "reshape": 3})
+        kinds += Counter({"stack": 1, "reshape": 1, "transpose": 6})
+        kinds += Counter({k: n * steps for k, n in per_step.items()})
+    if len(groups) > 1:
         kinds["concat"] = 1
     return kinds
 
 
-@pytest.mark.parametrize("runs, group_steps", [
-    ([(0, [[1, 2, 3], [4]], False), (1, [[1, 2, 3], [4]], True)], [3]),
-    ([(0, [[1, 2, 3], [4]], False), (1, [[5, 6]], False)], [3]),
+@pytest.mark.parametrize("runs, groups", [
+    ([(0, [[1, 2, 3], [4]], False), (1, [[1, 2, 3], [4]], True)], [(3, 2)]),
+    ([(0, [[1, 2, 3], [4]], False), (1, [[5, 6]], False)], [(3, 2)]),
     ([(0, [[1, 2, 3, 4]], False), (1, [[1, 2, 3, 4]], True), (0, [[5], [6, 1], [2]], False)],
-     [4, 2]),
+     [(4, 2), (2, 1)]),
     ([(0, [[1, 2, 3, 4, 5]], False), (1, [[1], [2, 3]], True), (0, [[5], [6], [2], [3]], False)],
-     [5, 2, 1]),
-], ids=["one-group", "fewer-rows-step-along", "two-groups", "three-groups"])
-def test_gru_encode_records_one_recurrence_per_group(runs, group_steps):
+     [(5, 1), (2, 1), (1, 1)]),
+    ([(1, [[1, 2, 3], [4]], True)], [(3, 1)]),
+], ids=["one-group", "fewer-rows-step-along", "two-groups", "three-groups", "one-run"])
+def test_gru_encode_records_one_recurrence_per_group(runs, groups):
     # Each group's states are bit-equal to its runs encoded alone; one concat joins the groups.
     store, emb, fwd, bwd = make_encoder(seed=13)
     runs = [((fwd, bwd)[cell], seqs, rev) for cell, seqs, rev in runs]
@@ -372,11 +379,26 @@ def test_gru_encode_records_one_recurrence_per_group(runs, group_steps):
     tape.watch(store)
     with tape:
         states = gru_encode(emb, runs)
-    assert Counter(kind for kind, _, _ in tape.nodes if kind != "leaf") == _encode_nodes(group_steps)
-    groups, _, _ = lockstep_layout(states.lengths)
+    assert Counter(kind for kind, _, _ in tape.nodes if kind != "leaf") == _encode_nodes(groups)
+    layout, _, _ = lockstep_layout(states.lengths)
     alone = np.concatenate([gru_encode(emb, [runs[i] for i in group]).table.values
-                            for group in groups])
+                            for group in layout])
     assert np.array_equal(states.table.values, alone)
+    # A stacked group's run, on its real rows and steps, is bit-equal to the
+    # run encoded alone on its own cell. Alone it is padded with the rows of
+    # token 0 that its group steps past its rows, so both products multiply
+    # as many rows: a product over fewer rows may round differently.
+    for group in layout:
+        if len(group) == 1:
+            continue  # its run already stepped alone on its own cell
+        R = max(len(runs[i][1]) for i in group)
+        for run in group:
+            cell, seqs, rev = runs[run]
+            single = gru_encode(emb, [(cell, seqs + [[0]] * (R - len(seqs)), rev)])
+            for row, seq in enumerate(seqs):
+                positions = np.arange(len(seq))
+                assert np.array_equal(states.table.values[states.at(run, row, positions)],
+                                      single.table.values[single.at(0, row, positions)])
 
 
 def oracle_store(seed):

@@ -878,6 +878,17 @@ def test_chat_shaped_encode_steps_its_graph_apart():
     assert len(history) == 10 and triplet_steps == 4
     assert _sigmoid_nodes(lambda: model.encode([history], [graph])) == \
         2 * (len(history) + triplet_steps)
+    # The triplets' group has one run, so it steps on the knowledge cell's own
+    # parameters: the 9 stacked parameters are the two history cells'.
+    tape = T.Tape()
+    tape.watch(model.store)
+    with tape:
+        model.encode([history], [graph])
+    leaves = set(tape.watched.values())
+    stacked = [set(ids) for kind, ids, _ in tape.nodes if kind == "stack" and leaves & set(ids)]
+    history_cells = {nid for name, nid in tape.watched.items()
+                     if name.startswith(("model.enc.fwd.", "model.enc.bwd."))}
+    assert len(stacked) == 9 and set().union(*stacked) == history_cells
     # the same history repeated to 4 rows has as many rows as the triplets: one lockstep
     assert _sigmoid_nodes(lambda: model.encode([history] * 4, [graph] * 4)) == 2 * len(history)
     alone = model.encode([history], [graph])

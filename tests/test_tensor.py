@@ -386,10 +386,50 @@ def test_gather_rejects_out_of_range():
 
 @pytest.mark.parametrize("bad", [-1, 2, -2**63, 2**63 - 1])
 def test_gather_names_the_first_bad_index(bad):
+    # A 2-d index names its first bad index in C order; column order would name -3.
     table = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(VocabError) as err:
-        T.gather(table, np.array([1, bad, 0, -3]))
-    assert str(err.value) == f"gather: index {bad} out of range for table of 2 rows"
+    for index in ([1, bad, 0, -3], [[1, bad], [-3, 0]]):
+        with pytest.raises(VocabError) as err:
+            T.gather(table, np.array(index))
+        assert str(err.value) == f"gather: index {bad} out of range for table of 2 rows"
+
+
+@pytest.mark.parametrize("indices", [[1.7], [True, False], np.array([1.0, 0.0])],
+                         ids=["float", "bool-mask", "float-array"])
+def test_gather_rejects_non_integer_indices(indices):
+    # Converting would read row 1 for 1.7, and rows 1 and 0 for the mask.
+    table = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ContractError) as err:
+        T.gather(table, indices)
+    assert str(err.value) == f"gather needs integer indices, got dtype {np.asarray(indices).dtype}"
+
+
+@pytest.mark.parametrize("index", [1, np.int64(1), np.array(1), [], np.zeros((2, 0), np.int64)],
+                         ids=["int", "numpy-int", "0-d-array", "empty", "empty-2d"])
+def test_gather_rejects_a_0d_or_empty_index(index):
+    with pytest.raises(ContractError):
+        T.gather(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), index)
+
+
+def test_gather_of_a_2d_index_is_the_flat_gather_reshaped():
+    # A repeated row scatters several rows into one, in the C order of the index.
+    rng = np.random.default_rng(14)
+    values = {"W": rng.normal(size=(5, 3))}
+    index = np.array([[4, 1, 4], [0, 4, 1]], dtype=np.int32)
+    probe = T.Tensor(rng.normal(size=(2, 3, 3)))
+    results = []
+    for gather in (lambda W: T.gather(W, index),
+                   lambda W: T.reshape(T.gather(W, index.reshape(-1)), (2, 3, 3))):
+        store = store_of(values)
+        tape = Tape()
+        tape.watch(store)
+        with tape:
+            rows = gather(store["W"])
+            loss = T.sum_(T.tanh(T.mul(rows, probe)))
+        results.append((rows.values, backward(tape, loss)["W"].values))
+    (got, got_grad), (want, want_grad) = results
+    assert got.shape == (2, 3, 3)
+    assert np.array_equal(got, want) and np.array_equal(got_grad, want_grad)
 
 
 def test_reshape_rejects_a_shape_that_changes_the_element_count():
@@ -634,6 +674,10 @@ PRIMITIVE_CASES = [
     ("stack_same_leaf_twice", lambda p, c: T.stack([p, p]), (2, 3), None),
     ("stack_same_inner_twice", lambda p, c: _stack_twice(T.tanh(T.mul(p, c))), (2, 3), (2, 3)),
     ("stack_of_stacks", lambda p, c: T.stack([_stack_twice(T.tanh(p)), T.stack([c, p])]),
+     (2, 3), (2, 3)),
+    # a, b and t each a row of p; then p as a GRU state, b and the gates' input
+    ("lerp", lambda p, c: T.lerp(*(T.slice_(p, i, i + 1) for i in range(3))), (3, 4), None),
+    ("lerp_state", lambda p, c: T.lerp(T.tanh(T.mul(p, c)), p, T.sigmoid(T.add(p, c))),
      (2, 3), (2, 3)),
 ]
 
@@ -896,3 +940,37 @@ def test_sigmoid_is_bit_equal_to_the_two_branch_formula(values):
     with T.fp_trap():
         got = T.sigmoid(T.Tensor(v)).values
     assert np.array_equal(got.view(np.int64), want)
+
+
+@pytest.mark.parametrize("inner", [False, True], ids=["leaves", "inner-nodes"])
+def test_lerp_is_bit_equal_to_the_add_mul_sub_composition(inner):
+    # As in a GRU step: h also feeds a node recorded before the update.
+    rng = np.random.default_rng(15)
+    values = {name: rng.normal(size=(4, 3)) for name in ("c", "h", "z")}
+    probe = T.Tensor(rng.normal(size=(4, 3)))
+    results = []
+    for lerp in (T.lerp, lambda a, b, t: T.add(a, T.mul(t, T.sub(b, a)))):
+        store = store_of(values)
+        c, h, z = (store[name] for name in ("c", "h", "z"))
+        tape = Tape()
+        tape.watch(store)
+        with tape:
+            gate = T.tanh(h)
+            if inner:
+                c, z = T.tanh(c), T.sigmoid(z)
+            out = lerp(c, h, z)
+            loss = T.sum_(T.tanh(T.add(T.mul(out, probe), gate)))
+        results.append((out.values, backward(tape, loss)))
+    (got, got_grads), (want, want_grads) = results
+    assert np.array_equal(got, want)
+    for name in ("c", "h", "z"):
+        assert np.array_equal(got_grads[name].values, want_grads[name].values), name
+
+
+def test_lerp_rejects_inputs_of_different_shapes():
+    a, row = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3))
+    for args in ((a, a, row), (a, row, a), (row, a, a)):
+        with pytest.raises(DimensionError) as err:
+            T.lerp(*args)
+        assert str(err.value) == ("lerp: shapes " + ", ".join(str(t.shape) for t in args[:2])
+                                  + f" and {args[2].shape} differ")
