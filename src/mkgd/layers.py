@@ -3,9 +3,9 @@
 All layers are pure functions of (parameters, inputs). Parameters live in a
 ParamStore and are registered under stable dotted names so checkpoints stay
 portable (e.g. "model.enc.fwd.W_z", "model.att.v"). gru_encode steps several
-GRUs in lockstep groups, the cells of a group of several runs stacked along a
-leading axis, so a batch's encoders record one recurrence per group between
-them.
+GRUs in lockstep groups, each group's whole recurrence one tensor.gru_run
+node, so a batch's encoders record one node per group between them.
+GruCell.step, 8 nodes a step, is the decoder's.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ class GruCell:
     Inputs and states are (B, dim) matrices, one row per sample, so a step
     multiplies them by the transposed gate matrices from ``transposed()``.
     Each gate's two products and bias are one ``affine`` node and the update
-    is one ``lerp`` node, so a step records 8 nodes.
-    A cell made by ``stack_cells`` holds G cells' parameters along a leading
-    axis and steps (G, B, dim) inputs and states, each cell on its own rows.
+    is one ``lerp`` node, so a step records 8 nodes. The encoders do not
+    step here: gru_encode runs their cells' ``params`` in tensor.gru_run,
+    with the same roundings.
     """
 
     def __init__(self, params, input_dim, hidden_dim):
@@ -50,7 +50,7 @@ class GruCell:
                      (self.W_z, self.U_z, self.W_r, self.U_r, self.W_h, self.U_h))
 
     def step(self, x, h, mats):
-        if x.values.ndim != self.W_z.values.ndim or x.shape[-1] != self.input_dim:
+        if x.values.ndim != 2 or x.shape[1] != self.input_dim:
             raise DimensionError(f"gru input shape {x.shape}, expected (B, {self.input_dim})")
         W_z, U_z, W_r, U_r, W_h, U_h = mats
         z = T.sigmoid(T.affine(((x, W_z), (h, U_z)), self.b_z))
@@ -71,23 +71,6 @@ def build_gru_cell(store, prefix, input_dim, hidden_dim):
     return GruCell(tuple(params), input_dim, hidden_dim)
 
 
-def stack_cells(cells):
-    """One cell stepping G same-shape cells at once: (G, H, ·) matrices, (G, 1, H) biases.
-
-    It records 9 stack and 3 reshape nodes, copying the parameters, so
-    gru_encode steps a group of one run on its cell's own parameters instead.
-    """
-    first = cells[0]
-    if any((c.input_dim, c.hidden_dim) != (first.input_dim, first.hidden_dim) for c in cells):
-        raise DimensionError("stack_cells: cells differ in input or hidden size")
-    G, H = len(cells), first.hidden_dim
-    params = []
-    for group in zip(*(c.params for c in cells)):
-        p = T.stack(list(group))
-        params.append(T.reshape(p, (G, 1, H)) if p.values.ndim == 2 else p)
-    return GruCell(tuple(params), first.input_dim, H)
-
-
 MASKED = -1e30  # added to the score of a padded key: its softmax weight is exactly 0
 
 
@@ -106,9 +89,14 @@ class Ragged:
         self.mask = None if self.real.all() else Tensor(np.where(self.real, 0.0, MASKED))
 
     def tokens(self, sequences, fill):
-        """(B, L) grid of each sequence's tokens in order, fill past its end."""
-        grid = np.full(self.real.shape, fill, dtype=np.int64)
-        grid[self.real] = np.fromiter(chain.from_iterable(sequences), np.int64)
+        """(B, L) grid of each sequence's tokens in order, fill past its end.
+
+        The grid keeps the tokens' dtype, so the gather or gru_run that reads
+        it rejects float or bool tokens rather than reading truncated ones.
+        """
+        flat = np.asarray(list(chain.from_iterable(sequences)))
+        grid = np.full(self.real.shape, fill, dtype=flat.dtype if flat.size else np.int64)
+        grid[self.real] = flat
         return grid
 
 
@@ -166,23 +154,15 @@ def lockstep_layout(lengths):
 def _lockstep(embedding, runs, lengths):
     """The (steps * G * R, H) states of G runs stepped together, R their largest row count.
 
-    G > 1 cells step stacked on (G, R, ·) inputs and states; a lone run steps
-    on its own cell's 2-d parameters, on (R, ·) ones.
+    One gru_run node: G > 1 cells step stacked on (G, R, ·) inputs and
+    states, a lone run on its own cell's parameters and (R, ·) ones.
     """
     G, R = len(runs), max(map(len, lengths))
-    cells = [c for c, _, _ in runs]
-    cell, lead = (cells[0], (R,)) if G == 1 else (stack_cells(cells), (G, R))
     # One ragged batch of G * R rows; a row past its run's rows has length 0.
     padded = np.concatenate([np.pad(n, (0, R - len(n))) for n in lengths])
     grid = Ragged(padded).tokens([s[::-1] if rev else s for _, seqs, rev in runs for s in seqs], 0)
-    tokens = grid.T.reshape((-1,) + lead)  # (steps, G, R), or (steps, R) for one run
-    mats = cell.transposed()
-    h = Tensor(np.zeros(lead + (cell.hidden_dim,)))
-    states = []
-    for ids in tokens:
-        h = cell.step(T.gather(embedding, ids), h, mats)
-        states.append(h)
-    return T.reshape(T.stack(states), (len(states) * G * R, cell.hidden_dim))
+    ids = grid.T.reshape((-1, R) if G == 1 else (-1, G, R))  # (steps, G, R), or (steps, R)
+    return T.gru_run(embedding, [cell.params for cell, _, _ in runs], ids)
 
 
 def gru_encode(embedding, runs):
@@ -191,11 +171,11 @@ def gru_encode(embedding, runs):
     embedding is the (V, E) token table and runs are (cell, sequences,
     reversed) triples over cells of one shape; a reversed run reads each
     sequence from its own last token. lockstep_layout groups the runs by
-    their row counts and lengths alone. A group's cells are stacked once,
-    with stack_cells, and each of its steps gathers and multiplies (G, R, E)
-    inputs, R its largest row count, as many steps as its longest sequence;
-    a group of one run steps on its own cell, with (R, E) inputs. When no
-    run has more rows than the longest one, that is one group. A row past
+    their row counts and lengths alone. A group is one tensor.gru_run node,
+    each of its steps reading (G, R, E) inputs, R its largest row count, as
+    many steps as its longest sequence; a group of one run steps on its own
+    cell, with (R, E) inputs. When no run has more rows than the longest
+    one, that is one group. A row past
     its sequence's end, or past its run's rows, reads token 0 and steps on;
     its later states are never read, so no mask is needed. Read states with
     one gather of the returned GruStates' table, which concatenates the

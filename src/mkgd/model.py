@@ -7,9 +7,9 @@ three training losses (selection KL, token NLL, bag-of-words) whose sum is
 the training objective.
 
 Every encoder of a sample batch (history forward and backward, triplets,
-responses) steps in ``encode``'s one ``gru_encode``, in lockstep groups: the
-longest run and every run of at most its rows step together, as many steps
-as the longest sequence. A meta-training batch has fewer triplets than
+responses) steps in ``encode``'s one ``gru_encode``, in lockstep groups, each
+one ``tensor.gru_run`` node: the longest run and every run of at most its
+rows step together, as many steps as the longest sequence. A meta-training batch has fewer triplets than
 samples, so it steps in one group; a chat turn's one history steps as one
 row and its graph's triplets apart, over their own length. The decoder runs
 the whole batch one GRU step per position on (B, ·) matrices; selection,
@@ -20,8 +20,8 @@ so a caller batching several tasks summarises each task's rows with
 ``SampleTerms.summary``. ``generate`` decodes a batch of histories greedily,
 encoded once and stepped together, each row to its own EOS; one history with
 one graph, as ``chat`` passes, is decoded as a batch of one. Each of the
-three runs under one ``tensor.fp_trap``; only matmul and affine results are
-scanned.
+three runs under one ``tensor.fp_trap``; only matmul and affine results, and
+each encoder gate, are scanned.
 
 Knowledge fusion is the deterministic weighted sum of triplet vectors:
 posterior-weighted during training, prior-weighted at inference and when

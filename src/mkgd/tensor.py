@@ -7,12 +7,16 @@ of the watched store, each a view of one vector laid out as the store, so
 the optimizers update the store's one vector from one array. With no tape
 recording, a primitive records nothing and reads
 no input node ids. Everything is float64: the engine is desk-scale and the
-finite-difference checks in the test suite need the precision.
+finite-difference checks in the test suite need the precision. One fused
+primitive, gru_run, records a lockstep group's whole GRU recurrence as
+one node; its hand-written backward rule is bit-equal to the reverse sweep
+over the per-step nodes it replaces.
 
 A primitive raises NumericError on a non-finite result. Inside fp_trap, the
 scope each model call runs in, numpy's floating-point traps catch the first
-elementwise op that makes inf or NaN, and matmul and affine results are
-scanned with one dot product; outside it every result is scanned. The
+elementwise op that makes inf or NaN, and matmul and affine results, and
+gru_run's gates, are scanned with one dot product; outside it every result
+is scanned. The
 command line, not the engine, silences numpy's floating-point warnings with
 one np.errstate.
 """
@@ -124,7 +128,7 @@ def fp_trap():
     in_two_threads raises in its worker under the same error state, and the
     error reaches the caller. Flags are per thread, though, and a BLAS left
     unpinned may split a large matmul across threads of its own, so matmul
-    and affine results are still scanned. Underflow stays ignored: the
+    and affine results, and each gate of a gru_run step, are still scanned. Underflow stays ignored: the
     masked softmax and sigmoid's exp(-|v|) underflow to 0 by design. Scopes
     nest.
     """
@@ -373,18 +377,23 @@ def gather(table, indices):
     tv = table.values
     if tv.ndim != 2:
         raise DimensionError(f"gather: table must be 2-d, got {table.shape}")
+    idx = _row_indices("gather", indices, tv.shape[0])
+    return _out("gather", tv[idx], (table,), (tv.shape, idx))
+
+
+def _row_indices(kind, indices, rows):
+    """A non-empty integer index array as int64, every entry a row of a table of `rows` rows."""
     idx = np.asarray(indices)
     if idx.ndim == 0 or not idx.size:
-        raise ContractError(f"gather needs a non-empty array of indices, got shape {idx.shape}")
+        raise ContractError(f"{kind} needs a non-empty array of indices, got shape {idx.shape}")
     if idx.dtype.kind not in "iu":
-        raise ContractError(f"gather needs integer indices, got dtype {idx.dtype}")
+        raise ContractError(f"{kind} needs integer indices, got dtype {idx.dtype}")
     idx = idx.astype(np.int64, copy=False)
     # One unsigned compare: a negative index reads as a huge one.
-    bad = idx.view(np.uint64) >= tv.shape[0]
+    bad = idx.view(np.uint64) >= rows
     if np.count_nonzero(bad):
-        raise VocabError(f"gather: index {idx[bad][0]} out of range "
-                         f"for table of {tv.shape[0]} rows")
-    return _out("gather", tv[idx], (table,), (tv.shape, idx))
+        raise VocabError(f"{kind}: index {idx[bad][0]} out of range for table of {rows} rows")
+    return idx
 
 
 def transpose(t):
@@ -394,10 +403,14 @@ def transpose(t):
     return _out("transpose", np.swapaxes(t.values, -1, -2), (t,), ())
 
 
-def sigmoid(t):
-    v = t.values
+def _logistic(v, out=None):
+    """1 / (1 + exp(-v)) as exp(-|v|) over 1 + exp(-|v|), with 1 on top where v >= 0."""
     e = np.exp(np.copysign(v, -1.0))  # exp(-|v|)
-    out = np.where(v >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=out)
+
+
+def sigmoid(t):
+    out = _logistic(t.values)
     return _out("sigmoid", out, (t,), (out,))
 
 
@@ -434,6 +447,76 @@ def reshape(t, shape):
     return _out("reshape", t.values.reshape(shape), (t,), (t.shape,))
 
 
+def gru_run(embedding, cells, ids):
+    """The states of G GRU runs stepped in lockstep over a grid of token ids, as one node.
+
+    cells holds each run's 9 parameters (W_z, U_z, b_z, W_r, U_r, b_r,
+    W_h, U_h, b_h): (H, E) input matrices, (H, H) state matrices and (H,)
+    biases. ids is a (steps, G, R) grid, run g reading ids[t, g] at step t,
+    or (steps, R) for one run. From a zero state each step reads a row of
+    the (V, E) embedding per state row and computes, per run,
+
+        z = sigmoid(x W_z^T + h U_z^T + b_z)
+        r = sigmoid(x W_r^T + h U_r^T + b_r)
+        c = tanh(x W_h^T + (r * h) U_h^T + b_h)
+        h' = c + z * (h - c)
+
+    with the roundings of GruCell.step's nodes over (G, R, ·) arrays, the
+    G cells' parameters stacked, or over (R, ·) ones on the one cell's own.
+    Returns the (steps * G * R, H) table of every state, row (t G + g) R + r
+    holding row r of run g after step t. Each gate's affine result is
+    checked finite as an affine node's is. Under a tape the node saves the
+    gates; with none it keeps no per-step array.
+    """
+    kind = "gru_run"  # a local, so that _trapped_kind names this op
+    tv = embedding.values
+    if tv.ndim != 2:
+        raise DimensionError(f"gru_run: embedding must be 2-d, got {embedding.shape}")
+    if not cells:
+        raise ContractError("gru_run of zero cells")
+    idx = _row_indices(kind, ids, tv.shape[0])
+    G, (E, H) = len(cells), (tv.shape[1], cells[0][1].shape[0])
+    if not ((idx.ndim == 2 and G == 1) or (idx.ndim == 3 and idx.shape[1] == G)):
+        raise DimensionError(f"gru_run: ids of shape {idx.shape} for {G} cells")
+    shapes = ((H, E), (H, H), (H,)) * 3
+    if any(len(c) != 9 or any(p.shape != s for p, s in zip(c, shapes)) for c in cells):
+        raise DimensionError(f"gru_run: every cell needs parameters of shapes {shapes}")
+    if idx.ndim == 2:
+        params = [p.values for p in cells[0]]
+    else:
+        params = [np.stack(group) for group in zip(*([p.values for p in c] for c in cells))]
+        params[2::3] = [b.reshape(G, 1, H) for b in params[2::3]]
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = params
+    wz, uz, wr, ur, wh, uh = (np.swapaxes(m, -1, -2) for m in (W_z, U_z, W_r, U_r, W_h, U_h))
+    steps, lead = idx.shape[0], idx.shape[1:]
+    table = np.empty((idx.size, H))
+    states = table.reshape(idx.shape + (H,))
+    gates = np.empty((3,) + states.shape) if _ACTIVE_TAPE is not None else None
+    trapping = _TRAPPING.get()
+    h = np.zeros(lead + (H,))
+    for t in range(steps):
+        x = tv[idx[t]]
+        z, r, c = (None,) * 3 if gates is None else gates[:, t]
+        z = _logistic(_gate(kind, trapping, x, wz, h, uz, b_z), out=z)
+        r = _logistic(_gate(kind, trapping, x, wr, h, ur, b_r), out=r)
+        c = np.tanh(_gate(kind, trapping, x, wh, r * h, uh, b_h), out=c)
+        d = h - c
+        h = np.multiply(z, d, out=states[t])
+        h += c
+    saved = (idx, tv, params, gates, states)
+    return _out(kind, table, (embedding,) + tuple(p for c in cells for p in c), saved)
+
+
+def _gate(kind, trapping, x, w, h, u, b):
+    """x w + h u + b summed as affine sums it, and checked finite as _out checks its result."""
+    out = _product(kind, x, w)
+    out += _product(kind, h, u)
+    out += b
+    if not (_squares_finite(out) if trapping else np.isfinite(out).all()):
+        raise NumericError(f"non-finite result in op {kind!r}")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -466,6 +549,22 @@ class _Outer:
         self.g = g
 
 
+class _Rows:
+    """A (V, E) table's row-sparse gradient from a gather or a gru_run: rows to add in at idx.
+
+    backward scatters them, walking idx in C order, into the table's
+    gradient: a zero table of `shape` made once per node, or the
+    parameter's slot.
+    """
+
+    __slots__ = ("shape", "idx", "rows")
+
+    def __init__(self, shape, idx, rows):
+        self.shape = shape
+        self.idx = idx
+        self.rows = rows
+
+
 def _settle(outers, swapped=False, out=None):
     """The sum of a^T g over a node's _Outer terms, as one product over their stacked rows.
 
@@ -495,6 +594,83 @@ def _matmul_grads(av, bv, out_grad):
     # A shared 2-d b collects the products of every leading index of a.
     n, p = bv.shape
     return (da, _Outer(av.reshape(-1, n), out_grad.reshape(-1, p)))
+
+
+def _gru_run_grads(saved, out_grad):
+    """gru_run's gradients by backpropagation through time, bit-equal to its steps' nodes'.
+
+    Each sum is formed in the order the reverse sweep over GruCell.step's
+    nodes forms it. A state's gradient is its table row's, then step t+1's
+    lerp, mul, r-gate and z-gate terms; an input row's is the c, r and z
+    gates' terms. Each gate's pre-activation gradients go into a slab in
+    reverse step order, the rows backward would stack from the steps'
+    _Outer terms, so each weight's gradient is the same one product over
+    them, the first step's zero state included, and each bias's is the
+    steps' row sums added from the last step. The embedding gets one
+    _Rows scatter of every step's input rows, in reverse step order. h - c
+    and r * h are recomputed rather than saved.
+    """
+    idx, tv, params, gates, states = saved
+    W_z, U_z, _, W_r, U_r, _, W_h, U_h, _ = params
+    steps, stacked = idx.shape[0], idx.ndim == 3
+    G, R, H = (idx.shape[1] if stacked else 1), idx.shape[-1], states.shape[-1]
+    out_grad = out_grad.reshape(states.shape)
+    # per gate, (G, steps, R, H) pre-activation gradients, slab s holding step steps - 1 - s
+    slabs = np.empty((3, G, steps, R, H))
+    step_slabs = [slabs[:, :, s] if stacked else slabs[:, 0, s] for s in range(steps)]
+    zero = np.zeros(states.shape[1:])
+    gh = out_grad[-1]
+    for s, (gz, gr, gc) in enumerate(step_slabs):
+        t = steps - 1 - s
+        z, r, c = gates[:, t]
+        h = states[t - 1] if t else zero
+        gt = gh * z
+        np.multiply(gh - gt, 1.0 - c * c, out=gc)
+        np.multiply(gh * (h - c) * z, 1.0 - z, out=gz)
+        g_rh = gc @ U_h
+        np.multiply(g_rh * h * r, 1.0 - r, out=gr)
+        if t:
+            gh = out_grad[t - 1] + gt
+            gh += g_rh * r
+            gh += gr @ U_r
+            gh += gz @ U_z
+    del gh, gt, g_rh
+    biases = slabs.sum(axis=-2).sum(axis=2)  # (3, G, H)
+    rows = (G, steps * R)
+    if stacked:
+        order = idx[::-1].transpose(1, 0, 2)
+        prev = np.moveaxis(states[-2::-1], 1, 0)
+        r_rev = np.moveaxis(gates[1, ::-1], 1, 0)
+    else:
+        order, prev, r_rev = idx[::-1][None], states[-2::-1][None], gates[1, ::-1][None]
+        rows, slabs, biases = rows[1:], slabs[:, 0], biases[:, 0]
+    gz, gr, gc = slabs.reshape((3,) + rows + (H,))
+
+    def outer(g, a):
+        return _product("backward", np.swapaxes(g, -1, -2), a.reshape(rows + (-1,)))
+
+    x = tv[order]
+    dW_z, dW_r, dW_h = outer(gz, x), outer(gr, x), outer(gc, x)
+    del x
+    hs = np.empty((G, steps, R, H))  # each step's state before it, in reverse step order
+    hs[:, :-1] = prev
+    hs[:, -1] = 0.0
+    dU_z, dU_r = outer(gz, hs), outer(gr, hs)
+    np.multiply(r_rev, hs, out=hs)
+    dU_h = outer(gc, hs)
+    del hs
+    # The input rows' gradients once the products' operands are freed: the
+    # slabs and one table's worth are the most this rule holds at once.
+    dx = np.empty(idx.shape + (tv.shape[1],))
+    for s, (gz, gr, gc) in enumerate(step_slabs):
+        np.matmul(gc, W_h, out=dx[s])
+        dx[s] += gr @ W_r
+        dx[s] += gz @ W_z
+    grads = (dW_z, dU_z, biases[0], dW_r, dU_r, biases[1], dW_h, dU_h, biases[2])
+    scatter = _Rows(tv.shape, idx[::-1].reshape(-1), dx.reshape(-1, tv.shape[1]))
+    if not stacked:
+        return (scatter,) + grads
+    return (scatter,) + tuple(g[k] for k in range(G) for g in grads)
 
 
 def _vjp(kind, saved, out_grad):
@@ -535,9 +711,10 @@ def _vjp(kind, saved, out_grad):
         g[start:stop] = out_grad
         return (g,)
     if kind == "gather":
-        # Row-sparse: backward scatters (idx, rows) into the table's gradient.
-        _, idx = saved
-        return ((idx, out_grad),)
+        shape, idx = saved
+        return (_Rows(shape, idx, out_grad),)
+    if kind == "gru_run":
+        return _gru_run_grads(saved, out_grad)
     if kind == "transpose":
         return (np.swapaxes(out_grad, -1, -2),)
     if kind == "sigmoid":
@@ -653,10 +830,10 @@ def backward(tape, loss):
         for nid, ig in zip(input_ids, in_grads):
             if nid < 0:
                 continue
-            if kind == "gather":
+            if type(ig) is _Rows:
                 if grads[nid] is None:
-                    grads[nid] = slots[nid] if nid in slots else np.zeros(saved[0])
-                np.add.at(grads[nid], *ig)
+                    grads[nid] = slots[nid] if nid in slots else np.zeros(ig.shape)
+                np.add.at(grads[nid], ig.idx, ig.rows)
             elif type(ig) is _Outer:
                 outers.setdefault(nid, []).append(ig)
             elif grads[nid] is not None:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -19,7 +20,6 @@ from mkgd.layers import (
     gru_encode,
     lockstep_layout,
     mlp_forward,
-    stack_cells,
 )
 from mkgd.params import ParamStore
 from mkgd.tensor import Tape, Tensor, backward
@@ -108,22 +108,19 @@ def composed_step(cell, x, h, mats):
     return T.add(c, T.mul(z, T.sub(h, c)))
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["one-cell", "stacked"])
-def test_gru_step_is_bit_equal_to_the_matmul_and_add_composition(stacked):
+def test_gru_step_is_bit_equal_to_the_matmul_and_add_composition():
     rng = np.random.default_rng(8)
     store = ParamStore(3)
     with store.building():
-        cells = [build_gru_cell(store, f"g{i}", 4, 3) for i in range(2)]
+        cell = build_gru_cell(store, "g", 4, 3)
     for _, t in store.items():  # non-zero biases, so the bias gradients are tested too
         t.values[...] = rng.normal(size=t.shape) * 0.7
-    lead = (2,) if stacked else ()
-    xs = [Tensor(rng.normal(size=lead + (5, 4))) for _ in range(3)]
-    probe = Tensor(rng.normal(size=lead + (5, 3)))
+    xs = [Tensor(rng.normal(size=(5, 4))) for _ in range(3)]
+    probe = Tensor(rng.normal(size=(5, 3)))
 
     def run(step):
-        cell = stack_cells(cells) if stacked else cells[0]
         mats = cell.transposed()
-        h = Tensor(np.zeros(lead + (5, 3)))
+        h = Tensor(np.zeros((5, 3)))
         for x in xs:  # a recurrence, so each weight collects one term per step
             h = step(cell, x, h, mats)
         return h, T.sum_(T.tanh(T.mul(h, probe)))
@@ -154,6 +151,143 @@ def test_gru_step_records_eight_nodes():
         cell.step(Tensor(np.ones((4, 2))), Tensor(np.ones((4, 3))), mats)
     kinds = Counter(kind for kind, _, _ in tape.nodes[before:])
     assert kinds == {"affine": 3, "sigmoid": 2, "tanh": 1, "mul": 1, "lerp": 1}
+
+
+# ---------------------------------------------------------------------------
+# gru_run
+
+
+def stepped_run(embedding, cells, ids):
+    """gru_run as the nodes it replaces: a gather and GruCell.step's 8 nodes per step.
+
+    The oracle for its bits. G > 1 cells' parameters are stacked into
+    (G, ·, ·) matrices and (G, 1, H) biases and step (G, R, ·) inputs and
+    states; one stack and one reshape join the states.
+    """
+    ids = np.asarray(ids)
+    H = cells[0][1].shape[0]
+    if ids.ndim == 2:
+        params = list(cells[0])
+    else:
+        params = [T.stack(list(group)) for group in zip(*cells)]
+        params[2::3] = [T.reshape(b, (len(cells), 1, H)) for b in params[2::3]]
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = params
+    W_z, U_z, W_r, U_r, W_h, U_h = (T.transpose(m) for m in (W_z, U_z, W_r, U_r, W_h, U_h))
+    h = Tensor(np.zeros(ids.shape[1:] + (H,)))
+    states = []
+    for step in ids:
+        x = T.gather(embedding, step)
+        z = T.sigmoid(T.affine(((x, W_z), (h, U_z)), b_z))
+        r = T.sigmoid(T.affine(((x, W_r), (h, U_r)), b_r))
+        c = T.tanh(T.affine(((x, W_h), (T.mul(r, h), U_h)), b_h))
+        h = T.lerp(c, h, z)
+        states.append(h)
+    return T.reshape(T.stack(states), (ids.size, H))
+
+
+def run_store(cells, seed, vocab=6, embed=3, hidden=4):
+    """An embedding and `cells` GRU cells of E=3, H=4, every parameter drawn non-zero."""
+    rng = np.random.default_rng(seed)
+    store = ParamStore(seed)
+    with store.building():
+        emb = store.create("emb.W", (vocab, embed), init="uniform")
+        built = [build_gru_cell(store, f"g{i}", embed, hidden) for i in range(cells)]
+    for _, t in store.items():  # non-zero biases, so the bias gradients are tested too
+        t.values[...] = rng.normal(size=t.shape) * 0.7
+    return store, emb, built
+
+
+def bit_equal_runs(store, run):
+    """run() recorded once with gru_run and once with stepped_run: values and every gradient."""
+    results = []
+    for fn in (T.gru_run, stepped_run):
+        tape = Tape()
+        tape.watch(store)
+        with tape:
+            out = run(fn)
+            probe = Tensor(np.linspace(-1.5, 1.3, out.size).reshape(out.shape))
+            loss = T.sum_(T.tanh(T.mul(out, probe)))
+        results.append((out.values, backward(tape, loss)))
+    (got, got_grads), (want, want_grads) = results
+    assert np.array_equal(got, want)
+    for name in want_grads:
+        assert np.array_equal(got_grads[name].values, want_grads[name].values), name
+    return got_grads
+
+
+@pytest.mark.parametrize("G", [1, 2, 4])
+def test_gru_run_is_bit_equal_to_the_stepped_nodes(G):
+    # 5 steps of 3 rows per run over a 6-token vocabulary: ids repeat, so
+    # the embedding's scatter adds several rows into one.
+    store, emb, cells = run_store(G, seed=70 + G)
+    ids = np.random.default_rng(G).integers(0, 6, size=(5, 3) if G == 1 else (5, G, 3))
+    grads = bit_equal_runs(store, lambda fn: fn(emb, [c.params for c in cells], ids))
+    assert np.count_nonzero(grads["emb.W"].values.any(axis=1)) == len(np.unique(ids))
+
+
+@pytest.mark.parametrize("runs", [
+    [(0, [[1, 2, 3], [4]], False), (1, [[1, 2, 3], [4]], True)],
+    [(0, [[1, 2, 3, 4]], False), (1, [[1, 2, 3, 4]], True), (0, [[5], [5, 1], [2]], False)],
+    [(0, [[1, 2, 3, 4, 5]], False), (1, [[1], [2, 3]], True), (2, [[5], [4], [2], [3]], False)],
+    [(0, [[1, 5, 3], [4, 4]], False), (1, [[2], [3, 3]], True), (2, [[5, 0, 2]], False),
+     (3, [[1, 1], [2]], True)],
+], ids=["stacked", "split", "three-groups", "four-runs"])
+def test_gru_encode_is_bit_equal_to_the_stepped_nodes(runs, monkeypatch):
+    # Reversed runs, ragged lengths, split groups and a cell twice in one
+    # group, through gru_encode's layout: each group's gru_run against its
+    # old steps.
+    store, emb, cells = run_store(4, seed=80)
+    runs = [(cells[cell], seqs, rev) for cell, seqs, rev in runs]
+
+    def run(fn):
+        monkeypatch.setattr(T, "gru_run", fn)
+        return gru_encode(emb, runs).table
+
+    bit_equal_runs(store, run)
+
+
+def test_gru_run_checks_its_whole_ids_grid_once():
+    _, emb, cells = run_store(2, seed=90)
+    one, two = [cells[0].params], [c.params for c in cells]
+    for bad in (6, -1):
+        for params, grid in ((one, [[0, 1], [2, bad]]), (two, [[[0], [1]], [[bad], [2]]])):
+            with pytest.raises(VocabError) as err:
+                T.gru_run(emb, params, np.array(grid))
+            assert str(err.value) == f"gru_run: index {bad} out of range for table of 6 rows"
+    for grid in (np.array([[0.0, 1.0]]), np.array([[True, False]])):
+        with pytest.raises(ContractError) as err:
+            T.gru_run(emb, one, grid)
+        assert str(err.value) == f"gru_run needs integer indices, got dtype {grid.dtype}"
+    with pytest.raises(ContractError):
+        T.gru_run(emb, one, np.zeros((0, 2), dtype=np.int64))
+    for params, grid in ((two, np.zeros((2, 3), np.int64)), (one, np.zeros((2, 2, 3), np.int64)),
+                         (one, np.zeros(3, np.int64))):
+        with pytest.raises(DimensionError):
+            T.gru_run(emb, params, grid)
+    with pytest.raises(DimensionError):
+        T.gru_run(emb, [cells[0].params[:8]], np.zeros((2, 3), np.int64))
+
+
+def test_gru_run_with_no_tape_keeps_no_per_step_array():
+    # 40 steps of 16 rows: the gates a tape saves are 3 tables' worth.
+    _, emb, cells = run_store(1, seed=91)
+    ids = np.random.default_rng(0).integers(0, 6, size=(40, 16))
+    params = [cells[0].params]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        table = T.gru_run(emb, params, ids)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    step = table.values.nbytes // 40
+    assert peak < table.values.nbytes + 20 * step, peak
+    tape = Tape()
+    with tape:
+        T.gru_run(emb, params, ids)
+    [(kind, _, saved)] = tape.nodes
+    assert kind == "gru_run" and saved[3].shape == (3, 40, 16, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +477,10 @@ def test_ragged_readout_matches_per_element_formulas(runs, extra):
                                                for i, k in enumerate(n)]
 
 
-def _encode_nodes(groups):
-    """The nodes gru_encode records for lockstep groups of (steps, runs).
-
-    A group of more than one run stacks its cells' 9 parameters, reshaping
-    the 3 biases; a group of one run steps on its own cell. Either way a
-    group transposes its 6 matrices once and stacks and reshapes its states.
-    """
-    per_step = Counter({"gather": 1, "affine": 3, "sigmoid": 2, "tanh": 1, "mul": 1, "lerp": 1})
-    kinds = Counter()
-    for steps, G in groups:
-        if G > 1:
-            kinds += Counter({"stack": 9, "reshape": 3})
-        kinds += Counter({"stack": 1, "reshape": 1, "transpose": 6})
-        kinds += Counter({k: n * steps for k, n in per_step.items()})
-    if len(groups) > 1:
-        kinds["concat"] = 1
-    return kinds
+def gru_run_grids(tape):
+    """Each gru_run node's (steps, G), read from its ids grid, in tape order."""
+    return [(saved[0].shape[0], saved[0].shape[1] if saved[0].ndim == 3 else 1)
+            for kind, _, saved in tape.nodes if kind == "gru_run"]
 
 
 @pytest.mark.parametrize("runs, groups", [
@@ -372,14 +493,18 @@ def _encode_nodes(groups):
     ([(1, [[1, 2, 3], [4]], True)], [(3, 1)]),
 ], ids=["one-group", "fewer-rows-step-along", "two-groups", "three-groups", "one-run"])
 def test_gru_encode_records_one_recurrence_per_group(runs, groups):
-    # Each group's states are bit-equal to its runs encoded alone; one concat joins the groups.
+    # One gru_run node per group, stepping (steps, G, R) ids, or (steps, R)
+    # for one run; one concat joins the groups. Each group's states are
+    # bit-equal to its runs encoded alone.
     store, emb, fwd, bwd = make_encoder(seed=13)
     runs = [((fwd, bwd)[cell], seqs, rev) for cell, seqs, rev in runs]
     tape = Tape()
     tape.watch(store)
     with tape:
         states = gru_encode(emb, runs)
-    assert Counter(kind for kind, _, _ in tape.nodes if kind != "leaf") == _encode_nodes(groups)
+    kinds = Counter(kind for kind, _, _ in tape.nodes if kind != "leaf")
+    assert kinds == Counter({"gru_run": len(groups), "concat": int(len(groups) > 1)}) - Counter()
+    assert gru_run_grids(tape) == groups
     layout, _, _ = lockstep_layout(states.lengths)
     alone = np.concatenate([gru_encode(emb, [runs[i] for i in group]).table.values
                             for group in layout])

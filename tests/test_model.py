@@ -8,7 +8,7 @@ import helpers
 from mkgd import tensor as T
 from mkgd.data import Vocab
 from mkgd.dialogue import DialogueGoal, DialogueSample, KnowledgeGraph, KnowledgeTriplet
-from mkgd.errors import ContractError, NumericError
+from mkgd.errors import ContractError, NumericError, VocabError
 from mkgd.metrics import selection_accuracy
 from mkgd.layers import MASKED, build_mlp, gru_encode
 from mkgd.model import (
@@ -65,6 +65,20 @@ def encode_histories(model, histories):
 
 # ---------------------------------------------------------------------------
 # knowledge encoding
+
+
+def test_encode_checks_every_token_id_in_its_gru_run():
+    # One check per gru_run node over its whole ids grid: a negative id
+    # must not wrap round to a row from the end of the table.
+    model = tiny_model()
+    V = len(model.vocab)
+    for bad in (V, -1):
+        for history, response in (([4, bad], None), ([4], [[5, bad]])):
+            with pytest.raises(VocabError) as err:
+                model.encode([history], [tiny_graph()], response)
+            assert str(err.value) == f"gru_run: index {bad} out of range for table of {V} rows"
+    with pytest.raises(ContractError, match="gru_run needs integer indices, got dtype float64"):
+        model.encode([[4.0, 5]], [tiny_graph()])
 
 
 def test_encode_knowledge_identical_triplets_identical_rows():
@@ -651,20 +665,32 @@ def _recorded_objective(model, samples):
     return loss.item(), T.backward(tape, loss)
 
 
-def overflowing_model():
-    """A model whose first encoder gate overflows: its affine node, unit embeddings times W_z of 1e308."""
+def overflowing_model(cell="model.dec"):
+    """A model whose cell's z gate overflows first: unit embeddings times W_z of 1e308.
+
+    The decoder's gate is an affine node; the encoders' gates step inside
+    their gru_run nodes.
+    """
     model = tiny_model()
-    for name, value in (("model.embed.W", 1.0), ("model.enc.fwd.W_z", 1e308)):
+    for name, value in (("model.embed.W", 1.0), (f"{cell}.W_z", 1e308)):
         model.store[name].values[...] = value
     return model
 
 
-def test_overflow_in_recorded_forward_names_the_affine():
-    model = overflowing_model()
+def check_recorded_forward_overflow(cell, op):
+    model = overflowing_model(cell)
     tape = T.Tape()
     tape.watch(model.store)
-    with pytest.raises(NumericError, match="non-finite result in op 'affine'"), tape:
+    with pytest.raises(NumericError, match=f"non-finite result in op '{op}'"), tape:
         model.forward([tiny_sample(model.vocab, tiny_graph())])
+
+
+def test_overflow_in_recorded_forward_names_the_affine():
+    check_recorded_forward_overflow("model.dec", "affine")
+
+
+def test_overflow_in_recorded_forward_names_the_gru_run():
+    check_recorded_forward_overflow("model.enc.fwd", "gru_run")
 
 
 MODEL_CALLS = {
@@ -675,18 +701,37 @@ MODEL_CALLS = {
 CLI_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
-@pytest.mark.parametrize("outer", [{}, CLI_ERRSTATE], ids=["default", "cli"])
-@pytest.mark.parametrize("call", list(MODEL_CALLS))
-def test_model_call_traps_overflow_and_restores_the_error_state(call, outer):
+def check_traps_overflow(call, outer, cell, op):
     with np.errstate(**outer):
         before = np.geterr()
         sample = tiny_sample(tiny_vocab(), tiny_graph())
         MODEL_CALLS[call](tiny_model(), sample)
         assert np.geterr() == before
-        with pytest.raises(NumericError, match="non-finite result in op 'affine'"):
-            MODEL_CALLS[call](overflowing_model(), sample)
+        with pytest.raises(NumericError, match=f"non-finite result in op '{op}'"):
+            MODEL_CALLS[call](overflowing_model(cell), sample)
         assert np.geterr() == before
     assert not T._TRAPPING.get()
+
+
+@pytest.mark.parametrize("outer", [{}, CLI_ERRSTATE], ids=["default", "cli"])
+@pytest.mark.parametrize("call", list(MODEL_CALLS))
+def test_model_call_traps_overflow_and_restores_the_error_state(call, outer):
+    check_traps_overflow(call, outer, "model.dec", "affine")
+
+
+@pytest.mark.parametrize("outer", [{}, CLI_ERRSTATE], ids=["default", "cli"])
+@pytest.mark.parametrize("call", list(MODEL_CALLS))
+def test_model_call_names_an_encoder_overflow_gru_run(call, outer):
+    check_traps_overflow(call, outer, "model.enc.fwd", "gru_run")
+
+
+def test_encoder_overflow_outside_the_trap_names_gru_run():
+    # Outside fp_trap, gru_run scans each gate's affine result.
+    model = overflowing_model("model.enc.fwd")
+    params = [model.enc_fwd.params]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="non-finite result in op 'gru_run'"):
+            T.gru_run(model.embed, params, np.array([[4], [5]]))
 
 
 @pytest.mark.parametrize("call", list(MODEL_CALLS))
@@ -808,16 +853,21 @@ def test_forward_tape_size_does_not_grow_with_batch():
     assert nodes(texts[:2]) == nodes(texts)
 
 
-def _sigmoid_nodes(run):
+def _recorded_steps(run):
+    """(Each gru_run node's steps, read from its ids grid; the decoder's steps).
+
+    A decoder step records two sigmoid nodes; the encoders' steps record none.
+    """
     tape = T.Tape()
     with tape:
         run()
-    return sum(kind == "sigmoid" for kind, _, _ in tape.nodes)
+    encoder = [saved[0].shape[0] for kind, _, saved in tape.nodes if kind == "gru_run"]
+    return encoder, sum(kind == "sigmoid" for kind, _, _ in tape.nodes) // 2
 
 
 def test_encoders_step_in_lockstep():
-    # A GRU step records two sigmoid nodes. The encoders step in lockstep
-    # groups: the longest history, response or triplet run and every run of
+    # The encoders step in lockstep groups, one gru_run node each: the
+    # longest history, response or triplet run and every run of
     # at most its rows step together, as many steps as that longest run; a
     # shorter run of more rows steps apart, as many steps as its own longest
     # sequence. The decoder then steps as many as the longest response.
@@ -853,12 +903,12 @@ def test_encoders_step_in_lockstep():
         assert max(lengths, key=lengths.get) == longest
         forward_steps, generate_steps = group_steps[longest]
         assert forward_steps[0] == max(lengths.values())
-        assert _sigmoid_nodes(lambda: model.forward(samples)) == \
-            2 * (sum(forward_steps) + lengths["response"]), longest
+        assert _recorded_steps(lambda: model.forward(samples)) == \
+            (list(forward_steps), lengths["response"]), longest
         # generate runs the history and triplet encoders only, then one decoder step
         sample = samples[0]
-        assert _sigmoid_nodes(lambda: model.generate(sample.history, sample.graph, 1)) == \
-            2 * (sum(generate_steps) + 1), longest
+        assert _recorded_steps(lambda: model.generate(sample.history, sample.graph, 1)) == \
+            (list(generate_steps), 1), longest
 
 
 def four_triplet_graph():
@@ -876,21 +926,25 @@ def test_chat_shaped_encode_steps_its_graph_apart():
     history = vocab.encode("a r0 b c x y a b c r1".split())
     triplet_steps = max(len(vocab.encode(t.tokens())) for t in graph.triplets)
     assert len(history) == 10 and triplet_steps == 4
-    assert _sigmoid_nodes(lambda: model.encode([history], [graph])) == \
-        2 * (len(history) + triplet_steps)
-    # The triplets' group has one run, so it steps on the knowledge cell's own
-    # parameters: the 9 stacked parameters are the two history cells'.
+    assert _recorded_steps(lambda: model.encode([history], [graph])) == \
+        ([len(history), triplet_steps], 0)
+    # The history runs step stacked, one row each; the triplets' group has
+    # one run, so it steps (steps, R) ids on the knowledge cell's own
+    # parameters.
     tape = T.Tape()
     tape.watch(model.store)
     with tape:
         model.encode([history], [graph])
-    leaves = set(tape.watched.values())
-    stacked = [set(ids) for kind, ids, _ in tape.nodes if kind == "stack" and leaves & set(ids)]
-    history_cells = {nid for name, nid in tape.watched.items()
-                     if name.startswith(("model.enc.fwd.", "model.enc.bwd."))}
-    assert len(stacked) == 9 and set().union(*stacked) == history_cells
+    names = {nid: name for name, nid in tape.watched.items()}
+    nodes = [(saved[0].shape, [names[i] for i in ids]) for kind, ids, saved in tape.nodes
+             if kind == "gru_run"]
+    assert [shape for shape, _ in nodes] == [(len(history), 2, 1), (triplet_steps, 4)]
+    cells = [[name.rsplit(".", 1)[0] for name in inputs[1:]] for _, inputs in nodes]
+    assert cells == [["model.enc.fwd"] * 9 + ["model.enc.bwd"] * 9, ["model.know.fwd"] * 9]
+    assert all(inputs[0] == "model.embed.W" for _, inputs in nodes)
     # the same history repeated to 4 rows has as many rows as the triplets: one lockstep
-    assert _sigmoid_nodes(lambda: model.encode([history] * 4, [graph] * 4)) == 2 * len(history)
+    assert _recorded_steps(lambda: model.encode([history] * 4, [graph] * 4)) == \
+        ([len(history)], 0)
     alone = model.encode([history], [graph])
     padded = model.encode([history] * 4, [graph] * 4)
     for got, want in ((alone.history.states, padded.history.states),
@@ -919,9 +973,10 @@ def test_training_shaped_batch_encodes_in_one_lockstep():
     with tape:
         model.encode(histories, [graph] * 8, responses)
     kinds = [kind for kind, _, _ in tape.nodes]
-    assert kinds.count("concat") == 0 and kinds.count("sigmoid") == 2 * longest
-    assert _sigmoid_nodes(lambda: model.forward(samples)) == \
-        2 * (longest + max(map(len, responses)))
+    grids = [saved[0].shape for kind, _, saved in tape.nodes if kind == "gru_run"]
+    assert kinds.count("concat") == 0 and grids == [(longest, 4, 8)]
+    assert _recorded_steps(lambda: model.forward(samples)) == \
+        ([longest], max(map(len, responses)))
 
 
 def test_overfit_single_sample_decreases_nll_and_bow():

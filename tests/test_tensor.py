@@ -9,7 +9,10 @@ from hypothesis import given, strategies as st
 
 from helpers import assert_grads_close, finite_diff_grads, store_of
 from mkgd import tensor as T
+from mkgd.data import Vocab
+from mkgd.dialogue import DialogueGoal, DialogueSample, KnowledgeGraph, KnowledgeTriplet
 from mkgd.errors import ContractError, DimensionError, NumericError, VocabError
+from mkgd.model import DialogueModel
 from mkgd.params import ParamStore
 from mkgd.tensor import Tape, Tensor, backward
 
@@ -679,7 +682,24 @@ PRIMITIVE_CASES = [
     ("lerp", lambda p, c: T.lerp(*(T.slice_(p, i, i + 1) for i in range(3))), (3, 4), None),
     ("lerp_state", lambda p, c: T.lerp(T.tanh(T.mul(p, c)), p, T.sigmoid(T.add(p, c))),
      (2, 3), (2, 3)),
+    # an embedding and every cell parameter cut from p; ids repeat, so rows
+    # of the embedding's gradient take several terms
+    ("gru_run_one_cell", lambda p, c: _gru_run_of(p, [[0, 2], [1, 1], [2, 0]]), (45,), None),
+    ("gru_run_stacked", lambda p, c: _gru_run_of(p, [[[0, 2], [1, 1]], [[2, 2], [0, 1]],
+                                                     [[1, 0], [2, 2]]]),
+     (81,), None),
 ]
+
+
+def _gru_run_of(p, ids):
+    """gru_run over a (3, 3) embedding and G cells of H=2, every one of them cut from p."""
+    ids = np.array(ids)
+    G = ids.shape[1] if ids.ndim == 3 else 1
+    parts, start = [], 0
+    for shape in [(3, 3)] + [(2, 3), (2, 2), (2,)] * 3 * G:
+        parts.append(T.reshape(T.slice_(p, start, start + math.prod(shape)), shape))
+        start += math.prod(shape)
+    return T.gru_run(parts[0], [parts[1 + 9 * g:10 + 9 * g] for g in range(G)], ids)
 
 
 def _stack_twice(a):
@@ -727,6 +747,29 @@ def test_primitive_gradients_match_finite_differences(name, build, p_shape, c_sh
         analytic = backward(tape, loss)
         numeric = finite_diff_grads(store, lambda: forward().item())
         assert_grads_close(analytic, numeric)
+
+
+def test_every_node_kind_a_model_records_has_a_finite_difference_case():
+    # One long history beside a graph of 3: the history runs step stacked
+    # (G = 2) and the triplets apart (G = 1). A fused primitive lands with
+    # its case in PRIMITIVE_CASES, named for its kind.
+    vocab = Vocab(["a", "b", "c", "r0", "r1"])
+    graph = KnowledgeGraph([KnowledgeTriplet("a", "r0", "b"), KnowledgeTriplet("b", "r1", "c"),
+                            KnowledgeTriplet("c", "r0", "a b")],
+                           DialogueGoal(("[start]", "a", "b")))
+    sample = DialogueSample(history=vocab.encode("a r0 b c a b r1".split()),
+                            response=vocab.encode(["b", "c"]) + [vocab.EOS],
+                            graph=graph, gold_triplet=1)
+    model = DialogueModel(vocab, 3, 4, seed=2)
+    tape = Tape()
+    tape.watch(model.store)
+    with tape:
+        model.forward([sample])
+    assert sorted(saved[0].ndim for kind, _, saved in tape.nodes if kind == "gru_run") == [2, 3]
+    names = [name for name, *_ in PRIMITIVE_CASES]
+    kinds = {kind for kind, _, _ in tape.nodes} - {"leaf"}
+    missing = {k for k in kinds if not any(n == k or n.startswith(k + "_") for n in names)}
+    assert kinds >= {"gru_run", "affine", "lerp", "gather"} and not missing, missing
 
 
 @pytest.mark.parametrize("gather_first", [True, False], ids=["gather-first", "dense-first"])
