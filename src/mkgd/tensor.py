@@ -447,6 +447,11 @@ def reshape(t, shape):
     return _out("reshape", t.values.reshape(shape), (t,), (t.shape,))
 
 
+# The order of gru_run's cell inputs, each for every cell in turn: the biases,
+# then W_z, W_r and W_h, then U_z, U_r and U_h, the order its rule forms them.
+_GRU_RUN_INPUTS = (2, 5, 8, 0, 3, 6, 1, 4, 7)
+
+
 def gru_run(embedding, cells, ids):
     """The states of G GRU runs stepped in lockstep over a grid of token ids, as one node.
 
@@ -465,8 +470,9 @@ def gru_run(embedding, cells, ids):
     G cells' parameters stacked, or over (R, ·) ones on the one cell's own.
     Returns the (steps * G * R, H) table of every state, row (t G + g) R + r
     holding row r of run g after step t. Each gate's affine result is
-    checked finite as an affine node's is. Under a tape the node saves the
-    gates; with none it keeps no per-step array.
+    checked finite as an affine node's is. Under a tape the node, whose
+    inputs are the embedding and every cell parameter in _GRU_RUN_INPUTS
+    order, saves the gates; with none it keeps no per-step array.
     """
     kind = "gru_run"  # a local, so that _trapped_kind names this op
     tv = embedding.values
@@ -504,7 +510,9 @@ def gru_run(embedding, cells, ids):
         h = np.multiply(z, d, out=states[t])
         h += c
     saved = (idx, tv, params, gates, states)
-    return _out(kind, table, (embedding,) + tuple(p for c in cells for p in c), saved)
+    inputs = (embedding,) + tuple(c[i] for i in _GRU_RUN_INPUTS for c in cells)
+    return _out(kind, table, inputs, saved)
+
 
 
 def _gate(kind, trapping, x, w, h, u, b):
@@ -597,7 +605,7 @@ def _matmul_grads(av, bv, out_grad):
 
 
 def _gru_run_grads(saved, out_grad):
-    """gru_run's gradients by backpropagation through time, bit-equal to its steps' nodes'.
+    """gru_run's gradients, yielded in its inputs' order: backpropagation through time.
 
     Each sum is formed in the order the reverse sweep over GruCell.step's
     nodes forms it. A state's gradient is its table row's, then step t+1's
@@ -635,7 +643,18 @@ def _gru_run_grads(saved, out_grad):
             gh += gr @ U_r
             gh += gz @ U_z
     del gh, gt, g_rh
-    biases = slabs.sum(axis=-2).sum(axis=2)  # (3, G, H)
+    dx = np.empty(idx.shape + (tv.shape[1],))
+    for s, (gz, gr, gc) in enumerate(step_slabs):
+        np.matmul(gc, W_h, out=dx[s])
+        dx[s] += gr @ W_r
+        dx[s] += gz @ W_z
+    yield _Rows(tv.shape, idx[::-1].reshape(-1), dx.reshape(-1, tv.shape[1]))
+    del dx
+    # Then the gradients in the order of gru_run's inputs, each product made
+    # only when backward asks for its first cell's: the slabs, one table's
+    # worth of rows and two products are the most this rule holds at once.
+    for b in slabs.sum(axis=-2).sum(axis=2):  # each gate's (G, H) bias gradients
+        yield from b
     rows = (G, steps * R)
     if stacked:
         order = idx[::-1].transpose(1, 0, 2)
@@ -643,34 +662,27 @@ def _gru_run_grads(saved, out_grad):
         r_rev = np.moveaxis(gates[1, ::-1], 1, 0)
     else:
         order, prev, r_rev = idx[::-1][None], states[-2::-1][None], gates[1, ::-1][None]
-        rows, slabs, biases = rows[1:], slabs[:, 0], biases[:, 0]
+        rows, slabs = rows[1:], slabs[:, 0]
     gz, gr, gc = slabs.reshape((3,) + rows + (H,))
 
     def outer(g, a):
         return _product("backward", np.swapaxes(g, -1, -2), a.reshape(rows + (-1,)))
 
+    def cells(product):
+        """Each cell's gradient in a weight's product: its (G, ·, ·) slices, or the whole."""
+        return product if stacked else (product,)
+
     x = tv[order]
-    dW_z, dW_r, dW_h = outer(gz, x), outer(gr, x), outer(gc, x)
+    for g in (gz, gr, gc):
+        yield from cells(outer(g, x))
     del x
     hs = np.empty((G, steps, R, H))  # each step's state before it, in reverse step order
     hs[:, :-1] = prev
     hs[:, -1] = 0.0
-    dU_z, dU_r = outer(gz, hs), outer(gr, hs)
+    for g in (gz, gr):
+        yield from cells(outer(g, hs))
     np.multiply(r_rev, hs, out=hs)
-    dU_h = outer(gc, hs)
-    del hs
-    # The input rows' gradients once the products' operands are freed: the
-    # slabs and one table's worth are the most this rule holds at once.
-    dx = np.empty(idx.shape + (tv.shape[1],))
-    for s, (gz, gr, gc) in enumerate(step_slabs):
-        np.matmul(gc, W_h, out=dx[s])
-        dx[s] += gr @ W_r
-        dx[s] += gz @ W_z
-    grads = (dW_z, dU_z, biases[0], dW_r, dU_r, biases[1], dW_h, dU_h, biases[2])
-    scatter = _Rows(tv.shape, idx[::-1].reshape(-1), dx.reshape(-1, tv.shape[1]))
-    if not stacked:
-        return (scatter,) + grads
-    return (scatter,) + tuple(g[k] for k in range(G) for g in grads)
+    yield from cells(outer(gc, hs))
 
 
 def _vjp(kind, saved, out_grad):
@@ -782,9 +794,9 @@ def backward(tape, loss):
     contribution is kept when a rule made it fresh, or when it is a
     C-contiguous part of a stack's gradient, which the stack drops right
     after; it is copied otherwise. A parameter's first contribution is
-    copied into its slot. Later contributions are added in place. A gather
-    contributes (indices, rows), scattered into a zero table made once per
-    node, or into the slot. A matmul contributes its right operand's a^T g
+    copied into its slot. Later contributions are added in place. A gather,
+    and a gru_run for its embedding, contributes _Rows, scattered into a
+    zero table made once per node, or into the slot. A matmul contributes its right operand's a^T g
     as an _Outer term, and a node's terms become one product, written into
     the slot of a parameter with no gradient yet, when the sweep reaches
     it. At a transpose node the product is formed as g^T a, already
@@ -792,7 +804,8 @@ def backward(tape, loss):
     gradient, if any, is added to it swapped; the input gets the sum
     uncopied. A node's gradient is dropped once its rule has run, so memory
     holds the gradients of the frontier of the sweep, not of the whole
-    tape; parameters keep theirs.
+    tape; parameters keep theirs. gru_run's rule yields its gradients one
+    at a time, so each is formed only when the sweep takes it.
     """
     if loss.tape is not tape or loss.node_id is None:
         raise ContractError("loss was not recorded on this tape")
