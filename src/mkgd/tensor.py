@@ -514,7 +514,6 @@ def gru_run(embedding, cells, ids):
     return _out(kind, table, inputs, saved)
 
 
-
 def _gate(kind, trapping, x, w, h, u, b):
     """x w + h u + b summed as affine sums it, and checked finite as _out checks its result."""
     out = _product(kind, x, w)

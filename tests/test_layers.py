@@ -230,8 +230,8 @@ def test_gru_run_is_bit_equal_to_the_stepped_nodes(G):
     [(0, [[1, 2, 3, 4]], False), (1, [[1, 2, 3, 4]], True), (0, [[5], [5, 1], [2]], False)],
     [(0, [[1, 2, 3, 4, 5]], False), (1, [[1], [2, 3]], True), (2, [[5], [4], [2], [3]], False)],
     [(0, [[1, 5, 3], [4, 4]], False), (1, [[2], [3, 3]], True), (2, [[5, 0, 2]], False),
-     (3, [[1, 1], [2]], True)],
-], ids=["stacked", "split", "three-groups", "four-runs"])
+     (0, [[1, 1], [2]], True)],
+], ids=["stacked", "split", "three-groups", "four-runs-one-cell-twice"])
 def test_gru_encode_is_bit_equal_to_the_stepped_nodes(runs, monkeypatch):
     # Reversed runs, ragged lengths, split groups and a cell twice in one
     # group, through gru_encode's layout: each group's gru_run against its
